@@ -29,11 +29,20 @@
 #include <cstdint>
 #include <cstring>
 
-#include "dnn/slice_batch.h"
 #include "kernels/gemm.h"
 #include "sim/config.h"
 
 namespace save {
+
+/** One estimator surface point: micro-kernel shape plus binned
+ *  sparsities. This is the estimator's cache key
+ *  (TrainingEstimator::Key) and the slice a sandboxed worker runs. */
+struct SliceKey
+{
+    int mr, nr, kSteps;
+    uint8_t pattern, precision, saveOn, vpus, wBin, aBin;
+    auto operator<=>(const SliceKey &) const = default;
+};
 
 /** Identity of one cached simulation result. */
 struct CasKey

@@ -367,8 +367,18 @@ ResultStore::appendRecordLocked(int shard, const CasKey &key,
         }
         return false;
     }
-    s.parsed += frame.size();
-    s.diskBytes += frame.size();
+    // O_APPEND lands the frame at the end of the file, which is not
+    // s.parsed when another process appended since our last parse.
+    // Only a frame that begins exactly at s.parsed can be indexed as
+    // parsed; otherwise the next loadShardLocked re-parses from
+    // s.parsed, meets the other records and ours (a duplicate, dropped
+    // by first-record-wins), and counts every byte once.
+    const off_t end = ::lseek(fd, 0, SEEK_CUR);
+    if (end >= 0 &&
+        static_cast<uint64_t>(end) == s.parsed + frame.size()) {
+        s.parsed += frame.size();
+        s.diskBytes += frame.size();
+    }
     return true;
 }
 

@@ -454,46 +454,50 @@ TrainingEstimator::failureReport() const
     return os.str();
 }
 
-TrainingEstimator::BinWeights
-TrainingEstimator::binWeights(double nbs, double bs) const
+TrainingEstimator::Corners
+TrainingEstimator::corners(Key key, double nbs, double bs) const
 {
-    const int step = opt_.gridStep;
-    const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
-    auto bins = [&](double s, int &lo, int &hi, double &frac) {
-        double b = std::clamp(s, 0.0, SparsitySurface::kMax) /
-                   SparsitySurface::kStep;
-        lo = std::min(static_cast<int>(b) / step * step, max_bin);
-        hi = std::min(lo + step, max_bin);
-        frac = hi > lo ? (b - lo) / (hi - lo) : 0.0;
-        frac = std::clamp(frac, 0.0, 1.0);
-    };
-    BinWeights w{};
-    bins(nbs, w.w0, w.w1, w.dw);
-    bins(bs, w.a0, w.a1, w.da);
-    return w;
+    Corners c{};
+    int w[2] = {0, 0}, a[2] = {0, 0};
+    // The baseline pipeline is data-oblivious: one sample at bins
+    // (0, 0), with full weight, serves every sparsity point.
+    if (key.saveOn) {
+        const int step = opt_.gridStep;
+        const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
+        auto bins = [&](double s, int bin[2], double &frac) {
+            double b = std::clamp(s, 0.0, SparsitySurface::kMax) /
+                       SparsitySurface::kStep;
+            bin[0] = std::min(static_cast<int>(b) / step * step, max_bin);
+            bin[1] = std::min(bin[0] + step, max_bin);
+            frac = bin[1] > bin[0] ? (b - bin[0]) / (bin[1] - bin[0]) : 0.0;
+            frac = std::clamp(frac, 0.0, 1.0);
+        };
+        bins(nbs, w, c.dw);
+        bins(bs, a, c.da);
+    }
+    // A corner whose weight is exactly 0 adds exactly 0 to any finite
+    // interpolation, so it is neither simulated nor read: a first-layer
+    // kernel (bs = 0) or a dense-weight kernel (nbs = 0) reads one row
+    // or column of the four.
+    const double fw[2] = {1 - c.dw, c.dw}, fa[2] = {1 - c.da, c.da};
+    for (int i = 0; i < 4; ++i) {
+        c.keys[i] = key;
+        c.keys[i].wBin = static_cast<uint8_t>(w[i >> 1]);
+        c.keys[i].aBin = static_cast<uint8_t>(a[i & 1]);
+        c.live[i] = fw[i >> 1] != 0 && fa[i & 1] != 0;
+    }
+    return c;
 }
 
 double
 TrainingEstimator::interpTime(Key key, double nbs, double bs)
 {
-    if (!key.saveOn) {
-        // The baseline pipeline is data-oblivious: one sample serves
-        // every sparsity point.
-        key.wBin = key.aBin = 0;
-        return sliceTime(key);
-    }
-
-    BinWeights w = binWeights(nbs, bs);
-    auto at = [&](int wb, int ab) {
-        Key k = key;
-        k.wBin = static_cast<uint8_t>(wb);
-        k.aBin = static_cast<uint8_t>(ab);
-        return sliceTime(k);
-    };
-    double t00 = at(w.w0, w.a0), t01 = at(w.w0, w.a1);
-    double t10 = at(w.w1, w.a0), t11 = at(w.w1, w.a1);
-    return t00 * (1 - w.dw) * (1 - w.da) + t10 * w.dw * (1 - w.da) +
-           t01 * (1 - w.dw) * w.da + t11 * w.dw * w.da;
+    const Corners c = corners(key, nbs, bs);
+    double t[4];
+    for (int i = 0; i < 4; ++i)
+        t[i] = c.live[i] ? sliceTime(c.keys[i]) : 0.0;
+    return t[0] * (1 - c.dw) * (1 - c.da) + t[2] * c.dw * (1 - c.da) +
+           t[1] * (1 - c.dw) * c.da + t[3] * c.dw * c.da;
 }
 
 TrainingEstimator::Key
@@ -617,22 +621,13 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
             bool saveOn;
             int vpus;
         };
-        for (Cfg c : {Cfg{false, 2}, Cfg{true, 2}, Cfg{true, 1}}) {
-            Key key = baseKey(spec, precision, bs, nbs, c.saveOn,
-                              c.vpus);
-            if (!c.saveOn) {
-                key.wBin = key.aBin = 0;
-                consider(key);
-                continue;
-            }
-            BinWeights w = binWeights(nbs, bs);
-            for (int wb : {w.w0, w.w1})
-                for (int ab : {w.a0, w.a1}) {
-                    Key k = key;
-                    k.wBin = static_cast<uint8_t>(wb);
-                    k.aBin = static_cast<uint8_t>(ab);
-                    consider(k);
-                }
+        for (Cfg cfg : {Cfg{false, 2}, Cfg{true, 2}, Cfg{true, 1}}) {
+            const Corners c = corners(
+                baseKey(spec, precision, bs, nbs, cfg.saveOn, cfg.vpus),
+                nbs, bs);
+            for (int i = 0; i < 4; ++i)
+                if (c.live[i])
+                    consider(c.keys[i]);
         }
     };
 
@@ -643,7 +638,7 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
     // Claim every un-cached point up front: inserting the shared
     // future under the lock takes single-flight ownership, exactly as
     // sliceTime's owner path would, so a concurrent kernelTime that
-    // races the prefetch waits on our batch instead of duplicating the
+    // races the prefetch waits on our fan-out instead of duplicating the
     // simulation. promises[] stays parallel to todo[].
     std::vector<Key> todo;
     std::vector<std::promise<double>> promises;
@@ -662,53 +657,63 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
         return;
 
     // Serve persistent-store hits immediately: only the points the
-    // store has never seen are batched and fanned out. coldPromise[]
-    // maps a cold point back to its promise slot in the full claim.
-    std::vector<Key> cold;
-    std::vector<size_t> coldPromise;
+    // store has never seen are fanned out. cold[] holds their slots in
+    // todo[] (and promises[]).
+    std::vector<size_t> cold;
     for (size_t i = 0; i < todo.size(); ++i) {
         CasValue v;
-        if (store_ && store_->lookup(casKey(todo[i]), &v)) {
+        if (store_ && store_->lookup(casKey(todo[i]), &v))
             promises[i].set_value(v.timeNs);
-        } else {
-            cold.push_back(todo[i]);
-            coldPromise.push_back(i);
-        }
+        else
+            cold.push_back(i);
     }
-    if (cold.empty())
-        return;
 
-    // Batch the cold points by micro-kernel shape (SoA layout) and
-    // fan out one pool task per batch. Each point still simulates with
-    // its own seeded Engine, so the grouping only changes scheduling,
-    // never values.
-    std::vector<SliceBatch> batches = batchSlices(cold);
-    auto run_batch = [&](SliceBatch &b) {
-        for (size_t i = 0; i < b.size(); ++i) {
-            double t;
-            try {
-                t = computeCold(b.keyAt(i));
-            } catch (...) {
-                // failFast: fail this point's waiters and everything
-                // left in the batch, then let parallelFor rethrow.
-                auto e = std::current_exception();
-                for (size_t j = i; j < b.size(); ++j)
-                    promises[coldPromise[b.srcIdx[j]]].set_exception(e);
-                throw;
-            }
-            b.times[i] = t;
-            promises[coldPromise[b.srcIdx[i]]].set_value(t);
-        }
+    // One pool index per cold point, the largest slices first, so the
+    // longest simulations start early and the tail behind the
+    // barrier is a single slice. Each point simulates with its own
+    // seeded Engine: the order changes scheduling, never values.
+    auto work = [&](size_t i) {
+        return static_cast<int64_t>(todo[i].mr) * todo[i].nr *
+               todo[i].kSteps;
     };
+    std::stable_sort(cold.begin(), cold.end(), [&](size_t x, size_t y) {
+        return work(x) > work(y);
+    });
 
-    if (pool_ && batches.size() > 1) {
-        pool_->parallelFor(
-            static_cast<int64_t>(batches.size()),
-            [&](int64_t i) { run_batch(batches[static_cast<size_t>(i)]); });
-    } else {
-        for (SliceBatch &b : batches)
-            run_batch(b);
-    }
+    // Every index resolves its own promise exactly once. After a
+    // failFast failure the indices not yet started skip their
+    // simulation and fail their waiters with the first error, which
+    // is then rethrown.
+    std::mutex error_mu;
+    std::exception_ptr error;
+    auto run = [&](int64_t n) {
+        const size_t i = cold[static_cast<size_t>(n)];
+        std::exception_ptr e;
+        {
+            std::lock_guard<std::mutex> lk(error_mu);
+            e = error;
+        }
+        if (!e) {
+            try {
+                promises[i].set_value(computeCold(todo[i]));
+                return;
+            } catch (...) {
+                e = std::current_exception();
+                std::lock_guard<std::mutex> lk(error_mu);
+                if (!error)
+                    error = e;
+            }
+        }
+        promises[i].set_exception(e);
+    };
+    const auto n = static_cast<int64_t>(cold.size());
+    if (pool_)
+        pool_->parallelFor(n, run);
+    else
+        for (int64_t i = 0; i < n; ++i)
+            run(i);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

@@ -42,9 +42,9 @@
 #include <string>
 #include <vector>
 
+#include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/networks.h"
-#include "dnn/slice_batch.h"
 #include "dnn/surface_cache.h"
 #include "engine/engine.h"
 #include "proc/worker_pool.h"
@@ -265,17 +265,20 @@ class TrainingEstimator
                                             uint64_t seed);
 
   private:
-    /** Surface-point cache key (shape + sparsity bins); shared with
-     *  the SoA prefetch batching in dnn/slice_batch.h. */
+    /** Surface-point cache key (shape + sparsity bins). */
     using Key = SliceKey;
 
-    /** Sparsity-bin corners + interpolation weights for one lookup. */
-    struct BinWeights
+    /** The surface points one lookup reads: the four bilinear corners
+     *  in the order (w0,a0), (w0,a1), (w1,a0), (w1,a1), the weight and
+     *  activation interpolation fractions, and which corners carry a
+     *  non-zero weight. Only live corners are ever simulated or read. */
+    struct Corners
     {
-        int w0, w1, a0, a1;
+        Key keys[4];
+        bool live[4];
         double dw, da;
     };
-    BinWeights binWeights(double nbs, double bs) const;
+    Corners corners(Key key, double nbs, double bs) const;
 
     /** One slice attempt plus where it ran: a slice that executed in
      *  a sandboxed worker was already persisted by that worker, so the

@@ -40,7 +40,7 @@
 #include <utility>
 #include <vector>
 
-#include "dnn/slice_batch.h"
+#include "cache/cas_key.h"
 #include "sim/config.h"
 #include "trace/trace_format.h"
 

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <unistd.h>
@@ -20,6 +23,9 @@
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "dnn/surface_cache.h"
+#include "util/error.h"
+#include "util/fault_injection.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace save {
@@ -150,17 +156,82 @@ TEST(ParallelEstimator, FanOutMatchesSerialSimulationCount)
 
 TEST(ParallelEstimator, PrefetchCoversEvaluation)
 {
+    NetworkModel pruned = resnet50Pruned();
+    pruned.convLayers.resize(4);
+    NetworkModel dense = vgg16Dense();
+    dense.convLayers.resize(3);
+
+    for (const NetworkModel &net : {dense, pruned})
+        for (bool inference_only : {true, false}) {
+            TrainingEstimator est(MachineConfig{}, SaveConfig{},
+                                  fastOptions(2));
+            est.prefetch(net, Precision::Fp32, inference_only);
+            uint64_t after_prefetch = est.simulations();
+            EXPECT_GT(after_prefetch, 0u);
+            if (inference_only)
+                est.inference(net, Precision::Fp32);
+            else
+                est.training(net, Precision::Fp32);
+            // The evaluation itself must be fully served from cache:
+            // prefetch simulates exactly the corners it reads.
+            EXPECT_EQ(est.simulations(), after_prefetch)
+                << net.name << (inference_only ? " inference"
+                                               : " training");
+        }
+}
+
+TEST(ParallelEstimator, ZeroWeightCornersAreNeverSimulated)
+{
+    // A dense VGG's first-layer forward kernel has nbs = 0 (dense
+    // weights) and bs = 0 (first layer): at gridStep 3 both fall on
+    // bin 0 with interpolation weight 0 on the 30% neighbours, so one
+    // SAVE corner per VPU count is all the lookup reads.
     NetworkModel net = vgg16Dense();
     net.convLayers.resize(3);
+    const KernelSpec first =
+        makeConvKernel(net.convLayers[0], Phase::Forward, net.batch);
+    const double nbs = net.schedule.sparsityAt(net.steps() - 1);
+    ASSERT_EQ(nbs, 0.0);
 
-    TrainingEstimator est(MachineConfig{}, SaveConfig{},
-                          fastOptions(2));
-    est.prefetch(net, Precision::Fp32, true);
-    uint64_t after_prefetch = est.simulations();
-    EXPECT_GT(after_prefetch, 0u);
-    est.inference(net, Precision::Fp32);
-    // The evaluation itself must be fully served from cache.
-    EXPECT_EQ(est.simulations(), after_prefetch);
+    EstimatorOptions opt = fastOptions(2);
+    opt.gridStep = 3;
+    TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+    est.kernelTime(first, Precision::Fp32, 0.0, nbs, true, 2);
+    EXPECT_EQ(est.simulations(), 1u);
+    est.kernelTime(first, Precision::Fp32, 0.0, nbs, true, 1);
+    EXPECT_EQ(est.simulations(), 2u);
+}
+
+TEST(ParallelEstimator, FailFastRethrowsWithoutHanging)
+{
+    FaultPlan plan;
+    plan.sliceProb = 1.0;
+    plan.sliceTimes = 1000; // every attempt fails: a permanent failure
+    FaultInjector::global().configure(plan);
+    setQuietLogging(true);
+
+    NetworkModel net = vgg16Dense();
+    net.convLayers.resize(3);
+    EstimatorOptions opt = fastOptions(2);
+    opt.maxRetries = 0;
+    opt.failFast = true;
+    TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+    auto sweep = std::async(std::launch::async, [&] {
+        est.inference(net, Precision::Fp32);
+    });
+    if (sweep.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "failFast prefetch hung";
+        std::_Exit(1); // the sweep thread can never be joined
+    }
+    EXPECT_THROW(sweep.get(), TraceError);
+    // The failure is memoized: the same point fails again at once
+    // instead of waiting on a promise nobody resolves.
+    EXPECT_THROW(est.inference(net, Precision::Fp32), TraceError);
+    EXPECT_EQ(est.simulations(), 0u);
+
+    setQuietLogging(false);
+    FaultInjector::global().reset();
 }
 
 // -------------------------------------------------------- surface cache

@@ -463,6 +463,39 @@ TEST_F(ResultStoreTest, RefreshSeesOtherHandlesAppends)
     EXPECT_TRUE(sameBits(out.timeNs, 6.25));
 }
 
+TEST_F(ResultStoreTest, InterleavedAppendsToOneShardStayParseable)
+{
+    // Two handles append to the same shard file in turn. Each append
+    // lands after the other handle's record, not where the appender
+    // last parsed up to; a refresh must neither quarantine the shard
+    // nor miss the other handle's records.
+    ResultStore a(opts());
+    ResultStore b(opts());
+    // Equal low nibbles of cfg ^ wl: all four keys share shard 0. The
+    // handles write frames of different sizes, so an offset either of
+    // them wrongly advanced to lands inside the other's record.
+    const CasKey ka1{0x10, 0}, kb1{0x20, 0}, ka2{0x30, 0}, kb2{0x40, 0};
+    CasValue wide = makeValue(1.5);
+    wide.stats = {{"sim.cycles", 100.0}, {"sim.uops", 42.0}};
+    ASSERT_TRUE(a.insert(ka1, wide));
+    ASSERT_TRUE(b.insert(kb1, makeValue(2.5)));
+    ASSERT_TRUE(a.insert(ka2, wide));
+    ASSERT_TRUE(b.insert(kb2, makeValue(3.5)));
+    a.refresh();
+    b.refresh();
+    EXPECT_EQ(a.quarantines(), 0u);
+    EXPECT_EQ(b.quarantines(), 0u);
+    for (const CasKey &k : {ka1, kb1, ka2, kb2}) {
+        EXPECT_TRUE(a.lookup(k, nullptr)) << k.cfg;
+        EXPECT_TRUE(b.lookup(k, nullptr)) << k.cfg;
+    }
+    EXPECT_EQ(a.bytes(), b.bytes());
+    ResultStore reread(opts());
+    EXPECT_EQ(reread.quarantines(), 0u);
+    EXPECT_EQ(reread.records(), 4u);
+    EXPECT_EQ(reread.bytes(), a.bytes());
+}
+
 // --------------------------------------------------------------------
 // Single-flight
 
