@@ -2,9 +2,9 @@
  * @file
  * save-shard: distributed Fig. 14 sweep coordinator (src/shard,
  * DESIGN.md §15). Splits the sweep into point jobs and dispatches
- * them across in-process lanes and remote save-serve daemons
- * (protocol v2 SSHD batches), then merges the results through the
- * shared fig14 renderer.
+ * them across in-process lanes and remote save-serve daemons (one
+ * protocol v2 SSHD job per point), then merges the results through
+ * the shared fig14 renderer.
  *
  * The merged stdout is byte-identical to `bench_fig14` for the same
  * knobs — for any backend mix, shard count, or fault schedule (CI
@@ -31,15 +31,13 @@ printUsage(const char *argv0)
         stderr,
         "usage: %s [options]\n"
         "  --sockets=A,B,..  save-serve daemon sockets to dispatch "
-        "batched\n"
-        "                    shard jobs to (protocol v2; v1 daemons "
-        "are\n"
-        "                    excluded with a warning)\n"
+        "sweep points\n"
+        "                    to, one point per shard job (protocol v2; "
+        "v1\n"
+        "                    daemons are excluded with a warning)\n"
         "  --inproc=N        in-process lanes over one shared session "
         "(default 1;\n"
         "                    0 relies entirely on the daemons)\n"
-        "  --batch=N         max sweep points per daemon dispatch "
-        "(default 4)\n"
         "  --max-attempts=N  per-point dispatch budget before a "
         "permanent\n"
         "                    failure (default 3)\n"
@@ -79,7 +77,6 @@ run(int argc, char **argv)
     ShardCoordinator::Options o;
     o.sockets = shardParseSockets(flags.getStr("sockets", ""));
     o.inprocLanes = flags.getInt("inproc", 1);
-    o.batch = flags.getInt("batch", 4);
     o.maxAttempts = flags.getInt("max-attempts", 3);
     o.stragglerMs = flags.getInt("straggler-ms", 0);
     o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", 120000);

@@ -388,8 +388,15 @@ ResultStore::lookup(const CasKey &key, CasValue *out)
     if (!enabled())
         return false;
     std::lock_guard<std::mutex> lk(mu_);
-    Shard &s = shards_[shardOf(key)];
+    const int shard = shardOf(key);
+    Shard &s = shards_[shard];
     auto it = s.recs.find(key);
+    if (it == s.recs.end()) {
+        // Another process may have landed the key since our last
+        // parse. With nothing new on disk this costs an open + fstat.
+        loadShardLocked(shard, /*at_open=*/false);
+        it = s.recs.find(key);
+    }
     if (it == s.recs.end()) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false;
@@ -434,16 +441,6 @@ ResultStore::insert(const CasKey &key, const CasValue &value)
     if (opt_.maxBytes && totalRecordBytesLocked() > opt_.maxBytes)
         evictLocked();
     return true;
-}
-
-void
-ResultStore::refresh()
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lk(mu_);
-    for (int i = 0; i < kShards; ++i)
-        loadShardLocked(i, /*at_open=*/false);
 }
 
 uint64_t
@@ -703,40 +700,18 @@ ResultStore::waitForResult(const CasKey &key, CasValue *out,
 {
     if (!enabled())
         return false;
-    const int shard = shardOf(key);
     const std::string lock = flightPath(key);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     for (;;) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            loadShardLocked(shard, /*at_open=*/false);
-            Shard &s = shards_[shard];
-            auto it = s.recs.find(key);
-            if (it != s.recs.end()) {
-                it->second.lastUse = ++useClock_;
-                if (out)
-                    *out = it->second.val;
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-        }
+        if (lookup(key, out))
+            return true;
         std::error_code ec;
         if (!std::filesystem::exists(lock, ec)) {
             // The owner released (or died) without landing a result:
-            // one last refresh to close the release/insert race, then
-            // let the caller simulate the point itself.
-            std::lock_guard<std::mutex> lk(mu_);
-            loadShardLocked(shard, /*at_open=*/false);
-            Shard &s = shards_[shard];
-            auto it = s.recs.find(key);
-            if (it == s.recs.end())
-                return false;
-            it->second.lastUse = ++useClock_;
-            if (out)
-                *out = it->second.val;
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return true;
+            // one last lookup closes the release/insert race, then the
+            // caller simulates the point itself.
+            return lookup(key, out);
         }
         if (std::chrono::steady_clock::now() >= deadline)
             return false;

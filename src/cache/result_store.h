@@ -27,9 +27,10 @@
  * header-creation race; each frame is independently versioned and
  * CRC-protected. Reads go through a read-only shared mmap of the
  * file, validated frame-by-frame; decoded records live in the
- * in-memory index. Inserting a value whose time is not finite is
- * refused — a NaN-poisoned result (exhausted retries) can never
- * poison the store.
+ * in-memory index, and a lookup that misses it first parses the
+ * shard's new tail, so every process sees the others' appends.
+ * Inserting a value whose time is not finite is refused — a
+ * NaN-poisoned result (exhausted retries) can never poison the store.
  *
  * Robustness properties (inherited from the journal/surface-cache
  * discipline):
@@ -121,7 +122,9 @@ class ResultStore
     const std::string &dir() const { return opt_.dir; }
     uint64_t maxBytes() const { return opt_.maxBytes; }
 
-    /** Find a record. Counts a hit or a miss. */
+    /** Find a record. An in-memory miss first parses the key's shard
+     *  tail, so another process's appends are seen. Counts a hit or a
+     *  miss. */
     bool lookup(const CasKey &key, CasValue *out);
 
     /**
@@ -130,9 +133,6 @@ class ResultStore
      * is non-finite (poisoned), or I/O fails.
      */
     bool insert(const CasKey &key, const CasValue &value);
-
-    /** Re-parse shard tails appended by other processes since open. */
-    void refresh();
 
     /**
      * Cross-process single-flight claim for one key. The owner is
@@ -178,10 +178,10 @@ class ResultStore
     Flight beginFlight(const CasKey &key);
 
     /**
-     * Wait (polling, with shard refresh) until another process
-     * inserts `key` or `timeout_ms` expires. Returns early when the
-     * flight lock disappears without a result (the owner died or gave
-     * up) so the caller can simulate the point itself.
+     * Wait (polling lookup()) until another process inserts `key` or
+     * `timeout_ms` expires. Returns early when the flight lock
+     * disappears without a result (the owner died or gave up) so the
+     * caller can simulate the point itself.
      */
     bool waitForResult(const CasKey &key, CasValue *out, int timeout_ms);
 

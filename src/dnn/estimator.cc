@@ -373,6 +373,13 @@ TrainingEstimator::computeCold(const Key &key)
             CasValue v;
             if (store_->waitForResult(ck, &v, kFlightWaitMs))
                 return v.timeNs;
+        } else {
+            // The caller's lookup may be seconds old (prefetch looks
+            // every key up before its fan-out): another process can
+            // have stored and released this point since.
+            CasValue v;
+            if (store_->lookup(ck, &v))
+                return v.timeNs;
         }
         SliceOutcome out = simulateWithRetry(key);
         if (std::isfinite(out.result.timeNs)) {

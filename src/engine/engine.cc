@@ -81,9 +81,11 @@ Engine::runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
     std::vector<std::unique_ptr<VectorTrace>> traces;
     std::vector<TraceSource *> srcs;
     for (int c = 0; c < cores; ++c) {
-        work[static_cast<size_t>(c)].warmup(machine.hierarchy());
-        traces.push_back(std::make_unique<VectorTrace>(
-            work[static_cast<size_t>(c)].trace));
+        GemmWorkload &w = work[static_cast<size_t>(c)];
+        w.warmup(machine.hierarchy());
+        // warmup() reads only addresses and the trace writer is done
+        // with the uops: hand them over instead of copying them.
+        traces.push_back(std::make_unique<VectorTrace>(std::move(w.trace)));
         srcs.push_back(traces.back().get());
     }
     machine.bindTraces(srcs);

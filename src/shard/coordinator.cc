@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <thread>
 
 #include <time.h>
@@ -53,9 +52,6 @@ ShardCoordinator::ShardCoordinator(Options opt) : opt_(std::move(opt))
     if (opt_.inprocLanes == 0 && opt_.sockets.empty())
         throw ConfigError("no backends: need --inproc >= 1 or at "
                           "least one --sockets entry");
-    if (opt_.batch < 1)
-        throw ConfigError("--batch must be >= 1 (got " +
-                          std::to_string(opt_.batch) + ")");
     if (opt_.maxAttempts < 1)
         throw ConfigError("--max-attempts must be >= 1 (got " +
                           std::to_string(opt_.maxAttempts) + ")");
@@ -90,37 +86,31 @@ ShardCoordinator::resultStore() const
     return session_ ? session_->resultStore() : nullptr;
 }
 
-std::vector<uint32_t>
-ShardCoordinator::claim(int max)
+std::optional<uint32_t>
+ShardCoordinator::claim()
 {
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
         if (fatal_ || remaining_ == 0)
-            return {};
-        std::vector<uint32_t> got;
-        for (uint32_t i = 0;
-             i < points_.size() &&
-             got.size() < static_cast<size_t>(max);
-             ++i) {
+            return std::nullopt;
+        const uint64_t now = nowNs();
+        for (uint32_t i = 0; i < points_.size(); ++i) {
             Point &p = points_[i];
             if (p.phase != PointPhase::Pending)
                 continue;
             p.phase = PointPhase::InFlight;
             ++p.attempts;
-            p.dispatchNs = nowNs();
-            got.push_back(i);
+            p.dispatchNs = now;
+            ++stats_.dispatches;
+            return i;
         }
-        if (got.empty() && opt_.stragglerMs > 0) {
-            // Nothing pending but work still in flight: steal the
-            // oldest straggler(s). First completion wins; results are
+        if (opt_.stragglerMs > 0) {
+            // Nothing pending but work still in flight: steal a
+            // straggler. First completion wins; results are
             // bit-identical, so the duplicate is merely wasted work.
-            const uint64_t now = nowNs();
             const uint64_t limit =
                 static_cast<uint64_t>(opt_.stragglerMs) * 1000000ull;
-            for (uint32_t i = 0;
-                 i < points_.size() &&
-                 got.size() < static_cast<size_t>(max);
-                 ++i) {
+            for (uint32_t i = 0; i < points_.size(); ++i) {
                 Point &p = points_[i];
                 if (p.phase != PointPhase::InFlight ||
                     now - p.dispatchNs <= limit)
@@ -128,12 +118,9 @@ ShardCoordinator::claim(int max)
                 ++p.attempts;
                 p.dispatchNs = now;
                 ++stats_.speculative;
-                got.push_back(i);
+                ++stats_.dispatches;
+                return i;
             }
-        }
-        if (!got.empty()) {
-            ++stats_.dispatches;
-            return got;
         }
         // Timed wait so straggler ages are re-examined periodically.
         cv_.wait_for(lk, std::chrono::milliseconds(50));
@@ -244,11 +231,8 @@ void
 ShardCoordinator::inprocLane(int lane)
 {
     (void)lane;
-    for (;;) {
-        std::vector<uint32_t> got = claim(1);
-        if (got.empty())
-            return;
-        const uint32_t idx = got[0];
+    while (std::optional<uint32_t> got = claim()) {
+        const uint32_t idx = *got;
         try {
             complete(idx, session_->runFig14Point(
                               opt_.knobs, static_cast<int>(idx)));
@@ -269,7 +253,7 @@ ShardCoordinator::daemonLane(const std::string &socket)
     ServeClient client(socket);
 
     // Version negotiation: only a daemon that speaks the shard
-    // version gets batches; an old one keeps serving its v1 kinds
+    // version gets shard jobs; an old one keeps serving its v1 kinds
     // for other clients, we just leave it alone.
     try {
         ServeRequest sreq;
@@ -291,36 +275,36 @@ ShardCoordinator::daemonLane(const std::string &socket)
         return;
     }
 
+    // One point per dispatch: the SSHD frame can carry a list, but a
+    // round trip costs microseconds against a point's tens of
+    // milliseconds to seconds, and a pre-assigned list would sit on
+    // one daemon while other backends go idle. The re-queue calls
+    // below are no-ops once the point is done.
     int consecutive = 0;
-    for (;;) {
-        std::vector<uint32_t> got = claim(opt_.batch);
-        if (got.empty())
-            return;
-
+    while (std::optional<uint32_t> got = claim()) {
+        const uint32_t idx = *got;
         ServeShardJob job;
         job.knobs = opt_.knobs;
         job.deadlineMs = 0;
-        job.points = got;
+        job.points = {idx};
 
-        std::set<uint32_t> acked;
         bool faulted = false;
         std::string fault;
         try {
             ServeClient::Reply reply = client.callShard(
                 job,
                 [&](const ServeShardAck &ack) {
-                    complete(ack.index, ack.result);
-                    acked.insert(ack.index);
+                    // The index comes off the wire: only an ack for
+                    // the dispatched point may complete a point.
+                    if (ack.index == idx)
+                        complete(idx, ack.result);
                 },
                 opt_.rpcTimeoutMs);
             if (reply.kind == ServeClient::Reply::Kind::Busy) {
                 // Load-shed is an answer, not a fault — hand the
-                // points back unworked and back off.
-                for (uint32_t idx : got)
-                    if (acked.find(idx) == acked.end())
-                        requeue(idx);
+                // point back unworked and back off.
+                requeue(idx);
                 ++consecutive;
-                fault.clear();
             } else if (reply.kind == ServeClient::Reply::Kind::Error) {
                 if (reply.error.kind == WireErrorKind::Config) {
                     setFatal(socket + ": " + reply.error.what);
@@ -330,11 +314,9 @@ ShardCoordinator::daemonLane(const std::string &socket)
                 fault = socket + ": " + reply.error.what;
             } else {
                 consecutive = 0;
-                // Every claimed point should have acked; re-queue
-                // stragglers defensively.
-                for (uint32_t idx : got)
-                    if (acked.find(idx) == acked.end())
-                        requeue(idx);
+                // The point should have acked; re-queue it
+                // defensively.
+                requeue(idx);
             }
         } catch (const std::exception &e) {
             faulted = true;
@@ -342,9 +324,7 @@ ShardCoordinator::daemonLane(const std::string &socket)
         }
 
         if (faulted) {
-            for (uint32_t idx : got)
-                if (acked.find(idx) == acked.end())
-                    requeueFailure(idx, fault);
+            requeueFailure(idx, fault);
             ++consecutive;
         }
         if (consecutive >= kMaxBackendFaults) {

@@ -10,8 +10,11 @@
  *    ThreadPool + content-addressed ResultStore), each claiming one
  *    point at a time;
  *  - remote save-serve daemons: one dialer thread per socket,
- *    claiming up to `batch` points and shipping them as a protocol-v2
- *    SSHD batch; per-point SPRG acks complete points as they land.
+ *    claiming one point at a time and shipping it as a protocol-v2
+ *    SSHD job; its SPRG ack completes the point.
+ *
+ * Every backend claims its next point only when it is free, so no
+ * point waits on a busy daemon while another backend sits idle.
  *
  * Correctness invariant — the merged report is byte-identical to
  * `bench_fig14` stdout for any shard count, backend mix, and fault
@@ -26,8 +29,7 @@
  *    result from the coordinator's completed map — arrival order
  *    never touches the output.
  *
- * Fault policy (the PR-7 triage taxonomy, applied at batch
- * granularity):
+ * Fault policy (the PR-7 triage taxonomy, applied per dispatch):
  *  - ConfigError (local or a remote Config-kind SERR) is fatal: the
  *    sweep itself is misconfigured, every backend would fail alike;
  *  - any other failure re-queues the unfinished points, with a
@@ -58,6 +60,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,8 +85,6 @@ class ShardCoordinator
         /** In-process lanes over one shared SimSession; with 0 the
          *  run depends entirely on the daemons. */
         int inprocLanes = 1;
-        /** Max points per daemon dispatch (SSHD batch size). */
-        int batch = 4;
         /** Per-point dispatch budget before a permanent failure. */
         int maxAttempts = 3;
         /** Speculatively re-dispatch a point in flight longer than
@@ -112,7 +113,7 @@ class ShardCoordinator
     {
         size_t resumed = 0;    ///< points replayed from the journal
         size_t computed = 0;   ///< points computed by backends
-        size_t dispatches = 0; ///< batches shipped (all backends)
+        size_t dispatches = 0; ///< points claimed (all backends)
         size_t requeues = 0;   ///< points re-queued after a fault
         size_t speculative = 0; ///< straggler re-dispatches
         size_t backendsExcluded = 0;
@@ -156,10 +157,10 @@ class ShardCoordinator
         NetResult result{};
     };
 
-    /** Claim up to `max` points (pending first, then stragglers).
-     *  Blocks until something is claimable, every point is done, or
-     *  the run turned fatal; an empty result means "stop". */
-    std::vector<uint32_t> claim(int max);
+    /** Claim one point (pending first, then a straggler). Blocks
+     *  until something is claimable, every point is done, or the run
+     *  turned fatal; nullopt means "stop". */
+    std::optional<uint32_t> claim();
     void complete(uint32_t idx, const NetResult &r);
     /** Re-queue after a fault; past the attempt budget the point is
      *  finished as a permanent failure. */

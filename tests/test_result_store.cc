@@ -3,9 +3,10 @@
  * Content-addressed result store (cache/result_store.h) tests: key
  * derivation and delegation, bit-exact record round-trips, corruption
  * quarantine (manual tampering and SAVE_FAULT_INJECT cache modes),
- * LRU eviction under a byte cap, cross-process single-flight (forked
- * writers), v1 surface-cache migration, and cold/warm estimator
- * bit-identity across every isolation mode.
+ * LRU eviction under a byte cap, lookups that see other handles'
+ * appends, cross-process single-flight (forked writers and the
+ * estimator's flight-owner re-check), v1 surface-cache migration, and
+ * cold/warm estimator bit-identity across every isolation mode.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -446,28 +448,28 @@ TEST_F(ResultStoreTest, LruEvictionUnderTinyCap)
     EXPECT_TRUE(sameBits(out.timeNs, static_cast<double>(n)));
 }
 
-TEST_F(ResultStoreTest, RefreshSeesOtherHandlesAppends)
+TEST_F(ResultStoreTest, LookupSeesOtherHandlesAppends)
 {
-    // Two handles on one directory model two processes: appends by
-    // one become visible to the other after refresh() (the mechanism
-    // waitForResult polls through).
+    // Two handles on one directory model two processes: an append by
+    // one is visible to the other's very next lookup (the call
+    // waitForResult polls through), with nothing else in between.
     ResultStore reader(opts());
     ResultStore writer(opts());
     const CasKey key{0xabc, 0xdef};
     EXPECT_FALSE(reader.lookup(key, nullptr));
     ASSERT_TRUE(writer.insert(key, makeValue(6.25)));
-    EXPECT_FALSE(reader.lookup(key, nullptr)); // index is a snapshot
-    reader.refresh();
     CasValue out;
     ASSERT_TRUE(reader.lookup(key, &out));
     EXPECT_TRUE(sameBits(out.timeNs, 6.25));
+    EXPECT_EQ(reader.hits(), 1u);
+    EXPECT_EQ(reader.misses(), 1u);
 }
 
 TEST_F(ResultStoreTest, InterleavedAppendsToOneShardStayParseable)
 {
     // Two handles append to the same shard file in turn. Each append
     // lands after the other handle's record, not where the appender
-    // last parsed up to; a refresh must neither quarantine the shard
+    // last parsed up to; a lookup must neither quarantine the shard
     // nor miss the other handle's records.
     ResultStore a(opts());
     ResultStore b(opts());
@@ -481,14 +483,12 @@ TEST_F(ResultStoreTest, InterleavedAppendsToOneShardStayParseable)
     ASSERT_TRUE(b.insert(kb1, makeValue(2.5)));
     ASSERT_TRUE(a.insert(ka2, wide));
     ASSERT_TRUE(b.insert(kb2, makeValue(3.5)));
-    a.refresh();
-    b.refresh();
-    EXPECT_EQ(a.quarantines(), 0u);
-    EXPECT_EQ(b.quarantines(), 0u);
     for (const CasKey &k : {ka1, kb1, ka2, kb2}) {
         EXPECT_TRUE(a.lookup(k, nullptr)) << k.cfg;
         EXPECT_TRUE(b.lookup(k, nullptr)) << k.cfg;
     }
+    EXPECT_EQ(a.quarantines(), 0u);
+    EXPECT_EQ(b.quarantines(), 0u);
     EXPECT_EQ(a.bytes(), b.bytes());
     ResultStore reread(opts());
     EXPECT_EQ(reread.quarantines(), 0u);
@@ -683,7 +683,6 @@ TEST_F(ResultStoreTest, ForkedWritersSingleFlight)
             }
             // Owner: re-check after winning the lock — a previous
             // owner may have landed the result and released already.
-            store.refresh();
             if (store.lookup(key, &v))
                 ::_exit(sameBits(v.timeNs, 42.0) ? 0 : 4);
             int fd = ::open(marker.c_str(),
@@ -832,6 +831,76 @@ TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
         EXPECT_GT(est.persistentHits(), 0u);
         EXPECT_EQ(std::memcmp(&serial, &warm, sizeof warm), 0);
     }
+}
+
+TEST_F(ResultStoreTest, EstimatorsOnTwoHandlesSimulateEachSliceOnce)
+{
+    // Two handles opened before either estimator runs model two
+    // processes on one store: neither open saw any record, yet the
+    // second prefetch must find every slice the first one stored.
+    ResultStore first(opts());
+    ResultStore second(opts());
+    const EstimatorOptions o = fastOptions(dir_.string());
+    TrainingEstimator a(MachineConfig{}, SaveConfig{}, o, nullptr, &first);
+    TrainingEstimator b(MachineConfig{}, SaveConfig{}, o, nullptr,
+                        &second);
+
+    a.prefetch(vgg16Dense(), Precision::Fp32, true);
+    ASSERT_GT(a.simulations(), 0u);
+    b.prefetch(vgg16Dense(), Precision::Fp32, true);
+    EXPECT_EQ(b.simulations(), 0u);
+    EXPECT_EQ(second.hits(), a.simulations());
+    EXPECT_EQ(second.inserts(), 0u);
+}
+
+TEST_F(ResultStoreTest, FlightOwnerRechecksTheStoreBeforeSimulating)
+{
+    // Slices another process stores after a prefetch looked them up,
+    // but before its fan-out reaches them, must not be simulated
+    // again: the owner of a slice's flight re-checks the store first.
+    const NetworkModel net = vgg16Dense();
+    const fs::path ref = dir_ / "ref";
+    EstimatorOptions o = fastOptions(ref.string());
+    // A serial fan-out of longer slices: the other thread has tens of
+    // milliseconds to land the slices before the last one is reached.
+    o.threads = 1;
+    o.kSteps = 192;
+    uint64_t slices = 0;
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+        est.prefetch(net, Precision::Fp32, true);
+        slices = est.simulations();
+    }
+    ASSERT_GE(slices, 4u);
+
+    const fs::path live = dir_ / "live";
+    o.cacheDir = live.string();
+    TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+    std::thread other([&] {
+        // The lookup pass ends with one miss per slice; the fan-out
+        // then simulates its first slice. Meanwhile land every slice
+        // the way another process would: append the reference run's
+        // frames to the live shard files.
+        while (est.resultStore()->misses() < slices)
+            std::this_thread::yield();
+        for (const auto &e : fs::directory_iterator(ref)) {
+            if (e.path().extension() != ".savecas")
+                continue;
+            std::ifstream in(e.path(), std::ios::binary);
+            const std::string bytes(std::istreambuf_iterator<char>(in),
+                                    {});
+            const int fd =
+                ::open((live / e.path().filename()).c_str(),
+                       O_WRONLY | O_APPEND | O_CREAT, 0644);
+            ASSERT_GE(fd, 0);
+            ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+                      static_cast<ssize_t>(bytes.size()));
+            ::close(fd);
+        }
+    });
+    est.prefetch(net, Precision::Fp32, true);
+    other.join();
+    EXPECT_LT(est.simulations(), slices);
 }
 
 TEST_F(ResultStoreTest, V1SurfaceFilesMigrateIntoTheStore)

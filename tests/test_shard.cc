@@ -2,9 +2,11 @@
  * @file
  * Shard coordinator tests: protocol-v2 frame round-trips and version
  * windows, the canonical point enumeration, and the coordinator
- * fault matrix — shard-count invariance, daemon crash mid-batch,
- * straggler rebalance, protocol version skew against a v1-emulating
- * daemon, and coordinator SIGKILL + journal resume recomputing zero
+ * fault matrix — shard-count invariance, daemon crash mid-point,
+ * straggler rebalance, one stored record per slice across processes
+ * on a shared store, a daemon acking a point outside the sweep,
+ * protocol version skew against a v1-emulating daemon, and
+ * coordinator SIGKILL + journal resume recomputing zero
  * already-merged points. The acceptance bar throughout is that the
  * merged report is byte-identical to the single-host sweep.
  */
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <regex>
 #include <string>
 #include <thread>
@@ -23,7 +26,9 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,6 +37,7 @@
 #include "serve/protocol.h"
 #include "shard/coordinator.h"
 #include "util/error.h"
+#include "util/frame.h"
 #include "util/journal.h"
 #include "util/posix_io.h"
 
@@ -113,9 +119,11 @@ class DaemonProc
         std::vector<std::string> args;
         args.push_back(SAVE_SERVE_BIN_PATH);
         args.push_back("--socket=" + socket);
-        args.push_back("--cache-dir=none");
         for (const std::string &a : extra_args)
             args.push_back(a);
+        // The first match of a flag wins, so an extra --cache-dir
+        // overrides this default.
+        args.push_back("--cache-dir=none");
         pid_ = ::fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
@@ -369,7 +377,6 @@ TEST(ShardCoordinator, MixedBackendIdentity)
     ShardCoordinator::Options o = quickOptions();
     o.inprocLanes = 2;
     o.sockets = {s1, s2};
-    o.batch = 3;
     ShardCoordinator coord(std::move(o));
     EXPECT_EQ(coord.run(), referenceReport());
     EXPECT_EQ(coord.stats().backendsExcluded, 0u);
@@ -379,8 +386,10 @@ TEST(ShardCoordinator, MixedBackendIdentity)
 TEST(ShardCoordinator, DaemonCrashMidBatchDegradesGracefully)
 {
     std::string s = socketPath("crash");
-    // Slow the daemon down so the kill is guaranteed mid-batch.
-    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS", "300", 1);
+    // Slow the daemon down so the kill is guaranteed mid-point: its
+    // first point is still in flight at 700 ms, while the in-process
+    // lane has long finished every other point.
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS", "1000", 1);
     DaemonProc d;
     d.start(s, {"--workers=1"});
     ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
@@ -389,7 +398,6 @@ TEST(ShardCoordinator, DaemonCrashMidBatchDegradesGracefully)
     ShardCoordinator::Options o = quickOptions();
     o.inprocLanes = 1;
     o.sockets = {s};
-    o.batch = 8;
     o.rpcTimeoutMs = 10000;
     ShardCoordinator coord(std::move(o));
 
@@ -400,8 +408,8 @@ TEST(ShardCoordinator, DaemonCrashMidBatchDegradesGracefully)
     std::string report = coord.run();
     killer.join();
 
-    // The crash re-queued the daemon's claimed points and the
-    // in-process lane finished them: same bytes, no hang.
+    // The crash re-queued the daemon's in-flight point and the
+    // in-process lane finished it: same bytes, no hang.
     EXPECT_EQ(report, referenceReport());
     EXPECT_GE(coord.stats().requeues, 1u);
 }
@@ -418,16 +426,130 @@ TEST(ShardCoordinator, StragglerRebalance)
     ShardCoordinator::Options o = quickOptions();
     o.inprocLanes = 1;
     o.sockets = {s};
-    o.batch = 2;
     o.stragglerMs = 100;
     o.rpcTimeoutMs = 30000;
     ShardCoordinator coord(std::move(o));
     std::string report = coord.run();
 
     // The fast in-process lane stole the slow daemon's in-flight
-    // points; the first completion won and the merge is unchanged.
+    // point; the first completion won and the merge is unchanged.
     EXPECT_EQ(report, referenceReport());
     EXPECT_GE(coord.stats().speculative, 1u);
+}
+
+TEST(ShardCoordinator, ShardedSweepStoresEachSliceOnce)
+{
+    // A process-isolated daemon and an in-process lane share one
+    // store. Each process sees the others' appends on a lookup miss
+    // and re-checks after winning a slice's flight lock, so every
+    // slice lands on disk exactly once across all of them.
+    const std::string dir = tmpDir("once");
+    const std::string cas = dir + "/cas";
+    std::string s = socketPath("once");
+    DaemonProc d;
+    d.start(s, {"--workers=1", "--threads=2", "--isolation=process",
+                "--cache-dir=" + cas,
+                std::string("--worker-bin=") + SAVE_WORKER_BIN_PATH});
+    ASSERT_TRUE(d.waitReady());
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 1;
+    o.sockets = {s};
+    o.runtime.cacheDir = cas;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_EQ(coord.run(), referenceReport());
+    d.kill9();
+
+    // A duplicate append is a second frame with an already-stored key:
+    // it adds to the frame count but not to the records index.
+    size_t frames = 0;
+    for (const auto &e : std::filesystem::directory_iterator(cas)) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind("cas-", 0) != 0 ||
+            e.path().extension() != ".savecas")
+            continue;
+        const std::string bytes = slurp(e.path().string());
+        const auto *base = reinterpret_cast<const uint8_t *>(bytes.data());
+        uint64_t off = 0;
+        while (off < bytes.size()) {
+            FrameView v;
+            std::string why;
+            ASSERT_EQ(frameParse(base, bytes.size(), off, v, 1ull << 24,
+                                 &why),
+                      FrameParse::Ok)
+                << name << ": " << why;
+            ++frames;
+        }
+    }
+    ResultStore reread(ResultStore::Options{cas, 0});
+    EXPECT_EQ(reread.quarantines(), 0u);
+    EXPECT_GT(frames, 0u);
+    EXPECT_EQ(frames, reread.records());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
+{
+    // A daemon names the point each ack completes. A faulty daemon
+    // that acks an index outside the sweep must not reach the point
+    // table: the coordinator accepts only the dispatched point's ack.
+    const std::string s = socketPath("bogus");
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(lfd, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, s.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<struct sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(lfd, 4), 0);
+
+    std::thread daemon([&] {
+        SimSession::Options so;
+        so.runtime.cacheDir = "none";
+        so.runtime.threads = 1;
+        SimSession session(std::move(so));
+        for (int fd; (fd = ::accept(lfd, nullptr, nullptr)) >= 0;
+             ::close(fd)) {
+            Frame f;
+            if (frameReadFd(fd, f, 5000, serveKnownFourcc,
+                            kServeMaxPayload, "test") != FrameRead::Ok)
+                continue;
+            if (f.fourcc == kServeRequest) { // the status probe
+                frameWriteFd(fd, kServeResult, kServeVersion,
+                             serveEncodeStatus(ServeStatus{}));
+                continue;
+            }
+            const ServeShardJob job = serveDecodeShardJob(f.arg, f.payload);
+            for (uint32_t idx : job.points) {
+                ServeShardAck ack;
+                ack.index = 1u << 30; // not a point of this sweep
+                frameWriteFd(fd, kServeProgress, ack.index,
+                             serveEncodeShardAck(ack));
+                ack.index = idx;
+                ack.key = fig14Points()[idx].key;
+                ack.result =
+                    session.runFig14Point(job.knobs, static_cast<int>(idx));
+                frameWriteFd(fd, kServeProgress, idx,
+                             serveEncodeShardAck(ack));
+            }
+            frameWriteFd(fd, kServeResult, kServeVersion, {});
+        }
+    });
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 1;
+    o.sockets = {s};
+    ShardCoordinator coord(std::move(o));
+    EXPECT_EQ(coord.run(), referenceReport());
+    EXPECT_EQ(coord.stats().computed, fig14Points().size());
+    EXPECT_EQ(coord.stats().backendsExcluded, 0u);
+
+    ::shutdown(lfd, SHUT_RDWR); // wakes the accept loop
+    daemon.join();
+    ::close(lfd);
+    ::unlink(s.c_str());
 }
 
 TEST(ShardCoordinator, VersionSkewExcludesV1Daemon)
