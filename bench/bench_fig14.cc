@@ -15,9 +15,9 @@
  *
  * Flags: --grid=1 reproduces the paper's full 10% sparsity sampling
  * (slower); the default --grid=3 samples every 30% and interpolates.
- * With --journal=PATH (or SAVE_JOURNAL) every completed network
- * evaluation is checkpointed, so an interrupted run resumes without
- * resimulating finished points.
+ * Every simulated slice lands in the result store (--cache-dir) as it
+ * completes, so an interrupted run resumes by rerunning the same
+ * command: stored slices are not simulated again.
  */
 
 #include "bench_util.h"
@@ -30,9 +30,7 @@ run(int argc, char **argv)
 {
     Flags flags(argc, argv);
     EstimatorOptions eopt = estimatorOptions(flags);
-    SweepRunner runner(flags, "fig14",
-                       {eopt.gridStep, eopt.kSteps, eopt.tiles,
-                        eopt.cores, static_cast<int64_t>(eopt.seed)});
+    SweepRunner runner(sweepOptions(flags));
     TrainingEstimator est(MachineConfig{}, SaveConfig{}, eopt);
     // Run-dependent counters go to stderr: stdout must be bit-identical
     // across cold/warm cache states and isolation modes (CI diffs it).

@@ -19,9 +19,7 @@ static int
 run(int argc, char **argv)
 {
     Flags flags(argc, argv);
-    SweepRunner runner(flags, "fig16",
-                       {flags.getInt("ksteps", 192),
-                        flags.getInt("tiles", 6)});
+    SweepRunner runner(sweepOptions(flags));
     MachineConfig m;
     Engine base(m, SaveConfig::baseline());
     Engine sv(m, SaveConfig{});

@@ -18,9 +18,7 @@ run(int argc, char **argv)
 {
     Flags flags(argc, argv);
     int step = flags.getInt("grid", 1);
-    SweepRunner runner(flags, "fig18",
-                       {step, flags.getInt("ksteps", 192),
-                        flags.getInt("tiles", 6)});
+    SweepRunner runner(sweepOptions(flags));
 
     MachineConfig m;
     NetworkModel net = resnet50Pruned();

@@ -23,9 +23,6 @@
  *   --max-failures=N tolerated permanent failures before a nonzero
  *                   exit (default 0: any failure fails the run, but
  *                   only after the whole sweep completes)
- *   --journal=PATH  crash-safe sweep journal ("none" disables; default
- *                   is the SAVE_JOURNAL environment variable). An
- *                   interrupted run resumes from completed points.
  *   --trace-events=F write a Perfetto/Chrome pipeline event trace of
  *                   every machine the bench runs (sets
  *                   SAVE_TRACE_EVENTS; see src/trace/event_trace.h)
@@ -44,18 +41,21 @@
  *   --worker-rss-mb=N  RLIMIT_AS cap per worker (0 = none)
  *   --worker-bin=P  explicit save-worker binary (default: sibling of
  *                   the bench, or SAVE_WORKER_BIN)
+ *
+ * Resuming: every sweep persists its slices in the result store as
+ * they complete, so an interrupted run resumes by rerunning the same
+ * command with the same --cache-dir; stored slices are not simulated
+ * again.
  */
 
 #ifndef SAVE_BENCH_BENCH_UTIL_H
 #define SAVE_BENCH_BENCH_UTIL_H
 
-#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -69,9 +69,7 @@
 #include "dnn/networks.h"
 #include "engine/engine.h"
 #include "util/error.h"
-#include "util/journal.h"
 #include "util/logging.h"
-#include "util/runtime_options.h"
 #include "util/thread_pool.h"
 
 namespace save {
@@ -237,22 +235,6 @@ maybePrintCacheStats(const Flags &flags, const ResultStore *store)
                  store->statsSnapshot().toJson().c_str());
 }
 
-/**
- * Generic fallback for the poisoned-result test used by SweepRunner:
- * floating-point sweep values are poisoned when NaN; everything else
- * defaults to "not poisoned" unless a type-specific overload (e.g.
- * NetResult in dnn/estimator.h) says otherwise.
- */
-template <typename T>
-inline bool
-sweepResultPoisoned(const T &v)
-{
-    if constexpr (std::is_floating_point_v<T>)
-        return std::isnan(v);
-    else
-        return false;
-}
-
 /** Sweep robustness knobs shared by the bench harnesses. */
 struct SweepOptions
 {
@@ -260,8 +242,6 @@ struct SweepOptions
     bool failFast = false;
     /** Permanent failures tolerated before finish() returns nonzero. */
     int maxFailures = 0;
-    /** Journal file; empty disables checkpoint/resume. */
-    std::string journalPath;
 };
 
 inline SweepOptions
@@ -271,11 +251,6 @@ sweepOptions(const Flags &flags)
     o.maxRetries = flags.getInt("max-retries", o.maxRetries);
     o.failFast = flags.has("fail-fast");
     o.maxFailures = flags.getInt("max-failures", o.maxFailures);
-    o.journalPath = flags.getStr("journal", "");
-    if (o.journalPath.empty())
-        o.journalPath = RuntimeOptions::fromEnv().journalPath;
-    if (o.journalPath == "none" || o.journalPath == "-")
-        o.journalPath.clear();
     if (o.maxRetries < 0)
         throw ConfigError("--max-retries must be >= 0 (got " +
                           std::to_string(o.maxRetries) + ")");
@@ -285,19 +260,14 @@ sweepOptions(const Flags &flags)
     return o;
 }
 
-// sweepHash — the stable journal id — lives in util/journal.h now,
-// shared with the shard coordinator so both compute identical ids.
-
 /**
- * Fault-isolated, journaled sweep driver.
+ * Fault-isolated sweep driver.
  *
- * point() computes one sweep point: a journal hit replays the stored
- * payload without recomputing anything; a miss runs the worker with
- * the retry policy, journals the result, and — when retries are
- * exhausted without --fail-fast — records a failure and yields a NaN
- * (floating-point T) or value-initialized result so the rest of the
- * sweep still completes. finish() prints the failure report and maps
- * it to the process exit code.
+ * point() runs one sweep point with the retry policy and — when
+ * retries are exhausted without --fail-fast — records a failure and
+ * yields a NaN (floating-point T) or value-initialized result so the
+ * rest of the sweep still completes. finish() prints the failure
+ * report and maps it to the process exit code.
  *
  * Thread-safe: point() may be called concurrently from parallelSweep
  * workers.
@@ -305,53 +275,16 @@ sweepOptions(const Flags &flags)
 class SweepRunner
 {
   public:
-    SweepRunner(const Flags &flags, const char *bench,
-                std::initializer_list<int64_t> knobs)
-        : opt_(sweepOptions(flags))
-    {
-        if (!opt_.journalPath.empty())
-            journal_ = std::make_unique<SweepJournal>(
-                opt_.journalPath, sweepHash(bench, knobs));
-    }
-
-    explicit SweepRunner(SweepOptions opt) : opt_(std::move(opt))
-    {
-        if (!opt_.journalPath.empty())
-            journal_ = std::make_unique<SweepJournal>(opt_.journalPath,
-                                                      0);
-    }
+    explicit SweepRunner(SweepOptions opt) : opt_(std::move(opt)) {}
 
     template <typename T, typename Fn>
     T
     point(const std::string &key, Fn fn)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "journal payloads are raw bytes");
-        if (journal_) {
-            std::string hex;
-            T v;
-            // A journaled point resumes only if it is a real value: a
-            // NaN-poisoned record (a permanently failed point journaled
-            // by an older run) is treated as a miss so the resumed run
-            // re-attempts it instead of replaying the failure forever.
-            if (journal_->lookup(key, &hex) &&
-                SweepJournal::decode(hex, v) &&
-                !sweepResultPoisoned(v)) {
-                resumed_.fetch_add(1, std::memory_order_relaxed);
-                return v;
-            }
-        }
         const int attempts = 1 + opt_.maxRetries;
         for (int a = 1;; ++a) {
             try {
-                T v = fn();
-                // Never journal a poisoned result as a success; the
-                // journal's last-wins records let a later clean value
-                // supersede whatever an older run may have written.
-                if (journal_ && !sweepResultPoisoned(v))
-                    journal_->record(key, SweepJournal::encode(v));
-                computed_.fetch_add(1, std::memory_order_relaxed);
-                return v;
+                return fn();
             } catch (const std::exception &e) {
                 if (a < attempts) {
                     SAVE_WARN("sweep point '", key, "' attempt ", a,
@@ -374,32 +307,15 @@ class SweepRunner
         }
     }
 
-    size_t resumedPoints() const
-    {
-        return resumed_.load(std::memory_order_relaxed);
-    }
-    size_t computedPoints() const
-    {
-        return computed_.load(std::memory_order_relaxed);
-    }
-    bool journaling() const { return journal_ != nullptr; }
-
     /**
-     * Print the resume summary and failure report (stderr), then
-     * return the process exit code: 0 when total failures (sweep +
-     * `extra`, e.g. estimator slice failures) stay within
-     * --max-failures, 1 otherwise.
+     * Print the failure report (stderr), then return the process exit
+     * code: 0 when total failures (sweep + `extra`, e.g. estimator
+     * slice failures) stay within --max-failures, 1 otherwise.
      */
     int
     finish(size_t extra_failures = 0,
            const std::string &extra_report = "")
     {
-        if (journal_)
-            std::fprintf(stderr,
-                         "journal %s: %zu point(s) resumed, %zu "
-                         "computed\n",
-                         journal_->path().c_str(), resumedPoints(),
-                         computedPoints());
         std::lock_guard<std::mutex> lk(mu_);
         size_t total = failures_.size() + extra_failures;
         if (!failures_.empty()) {
@@ -444,9 +360,6 @@ class SweepRunner
     }
 
     SweepOptions opt_;
-    std::unique_ptr<SweepJournal> journal_;
-    std::atomic<size_t> resumed_{0};
-    std::atomic<size_t> computed_{0};
     std::mutex mu_;
     std::vector<Failure> failures_;
 };
@@ -476,9 +389,6 @@ printBenchUsage(const char *argv0)
         "2)\n"
         "  --fail-fast      abort on the first permanent failure\n"
         "  --max-failures=N tolerated failures before exit 1\n"
-        "  --journal=PATH   crash-safe sweep journal ('none' "
-        "disables;\n"
-        "                   default: SAVE_JOURNAL env)\n"
         "  --trace-events=F write a Perfetto/Chrome pipeline event "
         "trace\n"
         "                   (same as SAVE_TRACE_EVENTS=F)\n"

@@ -10,10 +10,10 @@
  * knobs — for any backend mix, shard count, or fault schedule (CI
  * diffs it). Run-dependent counters go to stderr only.
  *
- * With --journal=PATH completed points are checkpointed in the exact
- * format bench_fig14 uses, so a coordinator killed mid-sweep resumes
- * recomputing nothing — and a bench journal resumes a distributed
- * run (and vice versa).
+ * Every backend persists its slices in the result store as they
+ * complete, so a coordinator killed mid-sweep resumes by rerunning
+ * the same command with the same --cache-dir (and the same daemons'
+ * store): stored slices are not simulated again.
  */
 
 #include <cstdio>
@@ -47,10 +47,6 @@ printUsage(const char *argv0)
         "  --rpc-timeout-ms=N  per-frame RPC deadline, reset at each "
         "ack\n"
         "                    (default 120000)\n"
-        "  --journal=PATH    crash-safe sweep journal, interchangeable "
-        "with\n"
-        "                    bench_fig14's ('none' disables; default: "
-        "SAVE_JOURNAL)\n"
         "  --max-failures=N  tolerated permanent point failures before "
         "exit 1\n"
         "  --grid/--ksteps/--tiles/--cores/--seed  estimator knobs "
@@ -62,7 +58,9 @@ printUsage(const char *argv0)
         "  --isolation=M     in-process slice isolation: none | thread "
         "| process\n"
         "  --cache-dir=D     in-process content-addressed store "
-        "('none' disables)\n"
+        "('none' disables);\n"
+        "                    rerun with the same store to resume a "
+        "killed sweep\n"
         "  --cache-max-mb=N  store size cap (0 = env)\n"
         "  --cache-stats     print in-process store counters to "
         "stderr\n",
@@ -110,7 +108,6 @@ run(int argc, char **argv)
         flags.getInt("seed", static_cast<int>(o.knobs.seed)));
 
     SweepOptions sw = sweepOptions(flags);
-    o.journalPath = sw.journalPath;
 
     ShardCoordinator coord(std::move(o));
     std::string report = coord.run();
@@ -124,13 +121,8 @@ run(int argc, char **argv)
                      "re-dispatch(es), %zu backend(s) excluded\n",
                      st.requeues, st.speculative,
                      st.backendsExcluded);
-    // The same summary/exit contract as SweepRunner::finish, so
-    // resume tests and humans read one format.
-    if (!sw.journalPath.empty())
-        std::fprintf(stderr,
-                     "journal %s: %zu point(s) resumed, %zu "
-                     "computed\n",
-                     sw.journalPath.c_str(), st.resumed, st.computed);
+    // The same failure report and exit contract as
+    // SweepRunner::finish, so humans read one format.
     if (!st.failures.empty()) {
         std::fprintf(stderr,
                      "%zu sweep point(s) failed permanently:\n",

@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
 
 #include <fcntl.h>
-#include <signal.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -31,15 +31,11 @@ namespace {
 constexpr uint32_t kRecFourcc = traceFourcc('C', 'R', 'E', 'C');
 /** A record larger than this is treated as corruption, not allocated. */
 constexpr uint64_t kMaxPayload = 16ull << 20;
-/** A flight lock is mtime-stale past this age. Live holders refresh
- *  the mtime every kFlightHeartbeatSec, so only a dead (or wholly
- *  wedged) holder ever lets a lock cross it. */
-constexpr long kFlightStaleSec = 120;
-/** Owner heartbeat period; far below kFlightStaleSec so one missed
- *  beat (scheduler hiccup) cannot make a live lock look stale. */
-constexpr long kFlightHeartbeatSec = 15;
 /** waitForResult poll period. */
 constexpr int kWaitPollMs = 10;
+/** Claims that may lose a race with a release before a claimant
+ *  gives up on single-flight. */
+constexpr int kFlightClaimAttempts = 3;
 
 std::vector<uint8_t>
 encodePayload(const CasKey &key, const CasValue &v)
@@ -97,13 +93,36 @@ encodeFrame(const CasKey &key, const CasValue &v)
                        encodePayload(key, v));
 }
 
-/** True when the pid recorded in a flight lock is definitely gone. */
+/** The key a flight lock file name encodes (ResultStore::flightPath:
+ *  "fl-" + 16 hex digits of cfg + 16 of wl + ".lock"). */
 bool
-pidDead(pid_t pid)
+parseFlightName(const std::string &name, CasKey &key)
 {
-    if (pid <= 0)
-        return false; // unparseable: fall back to the mtime check
-    return ::kill(pid, 0) != 0 && errno == ESRCH;
+    if (name.size() != 40 || name.compare(0, 3, "fl-") != 0 ||
+        name.compare(35, 5, ".lock") != 0)
+        return false;
+    const char *p = name.data();
+    const auto cfg = std::from_chars(p + 3, p + 19, key.cfg, 16);
+    const auto wl = std::from_chars(p + 19, p + 35, key.wl, 16);
+    return cfg.ec == std::errc() && cfg.ptr == p + 19 &&
+           wl.ec == std::errc() && wl.ptr == p + 35;
+}
+
+/** True while some process holds the flock on the lock file at
+ *  `path`. A missing file, or any flock error but EWOULDBLOCK, reads
+ *  as free: the caller then computes without single-flight instead of
+ *  waiting on a lock it cannot observe. */
+bool
+flightHeld(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    // A shared probe conflicts only with an owner's exclusive lock.
+    const bool held =
+        ::flock(fd, LOCK_SH | LOCK_NB) != 0 && errno == EWOULDBLOCK;
+    ::close(fd);
+    return held;
 }
 
 } // namespace
@@ -178,17 +197,23 @@ ResultStore::ResultStore(Options opt) : opt_(std::move(opt))
     }
     if (opt_.maxBytes && totalRecordBytesLocked() > opt_.maxBytes)
         evictLocked();
+
+    // A run killed between its insert and its release leaves a lock
+    // file for a key the store already has, which no claimant would
+    // ever come to free: unlink those nobody holds. Locks for missing
+    // keys are left to their next claimant, so a claim in progress is
+    // never turned into a duplicate simulation.
+    for (std::filesystem::directory_iterator it(opt_.dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        CasKey key;
+        if (parseFlightName(it->path().filename().string(), key) &&
+            shards_[shardOf(key)].recs.count(key))
+            claimFlight(it->path().string()).release();
+    }
 }
 
 ResultStore::~ResultStore()
 {
-    {
-        std::lock_guard<std::mutex> lk(flightMu_);
-        heartbeatStop_ = true;
-    }
-    heartbeatCv_.notify_all();
-    if (heartbeat_.joinable())
-        heartbeat_.join();
     std::lock_guard<std::mutex> lk(mu_);
     for (Shard &s : shards_)
         if (s.appendFd >= 0) {
@@ -568,130 +593,65 @@ ResultStore::evictLocked()
 ResultStore::Flight
 ResultStore::beginFlight(const CasKey &key)
 {
-    Flight f;
     if (!enabled()) {
+        Flight f;
         f.owner_ = true; // no store: every caller just computes
         return f;
     }
-    const std::string path = flightPath(key);
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-        if (fd >= 0) {
-            char buf[32];
-            int n = std::snprintf(buf, sizeof(buf), "%ld\n",
-                                  static_cast<long>(::getpid()));
-            writeFull(fd, buf, static_cast<size_t>(n));
+    return claimFlight(flightPath(key));
+}
+
+ResultStore::Flight
+ResultStore::claimFlight(const std::string &path)
+{
+    Flight f;
+    for (int attempt = 0; attempt < kFlightClaimAttempts; ++attempt) {
+        // O_CLOEXEC: a forked worker or daemon must never inherit a
+        // held lock. flock, not fcntl: a flock belongs to the open
+        // file description, so a second claim from this very process
+        // conflicts too.
+        const int fd =
+            ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+        if (fd < 0)
+            break;
+        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+            const bool held = errno == EWOULDBLOCK;
             ::close(fd);
+            if (held)
+                return f; // follower: waitForResult
+            break;
+        }
+        // Winning the lock on a file a dead run left behind is
+        // ownership. Winning it on an inode a releasing owner has
+        // already unlinked guards nothing: retry on the path.
+        struct stat locked, at_path;
+        if (::fstat(fd, &locked) == 0 &&
+            ::stat(path.c_str(), &at_path) == 0 &&
+            locked.st_dev == at_path.st_dev &&
+            locked.st_ino == at_path.st_ino) {
             f.owner_ = true;
+            f.fd_ = fd;
             f.path_ = path;
-            f.store_ = this;
-            registerFlight(path);
             return f;
         }
-        if (errno != EEXIST)
-            break; // unwritable dir etc.: degrade to owner-less wait
-
-        // Someone else holds the flight. Break the lock ONLY when the
-        // recorded pid is gone AND the heartbeat has stopped (stale
-        // mtime). A dead-looking pid alone is not proof: after pid
-        // reuse the slow original owner may still be simulating, and
-        // breaking its lock would double-simulate the point. A stale
-        // mtime alone is not proof either for a same-host holder whose
-        // pid is provably alive. An unparseable pid (another host, or
-        // a torn write) cannot vouch for liveness, so only the mtime
-        // half protects it — which its heartbeat keeps fresh.
-        std::string contents;
-        bool pid_gone = true;
-        if (readFileBytes(path, contents)) {
-            pid_t pid =
-                static_cast<pid_t>(std::strtol(contents.c_str(),
-                                               nullptr, 10));
-            if (pid > 0)
-                pid_gone = pidDead(pid);
-        } else {
-            // Racing a release: the lock may already be gone. Retry
-            // the open instead of guessing.
-            continue;
-        }
-        bool mtime_stale = false;
-        struct stat st;
-        if (::stat(path.c_str(), &st) == 0)
-            mtime_stale = ::time(nullptr) - st.st_mtime >
-                          kFlightStaleSec;
-        if (!(pid_gone && mtime_stale)) {
-            f.path_ = path;
-            return f; // follower: waitForResult
-        }
-        SAVE_WARN("breaking stale cache flight lock ", path,
-                  " (owner dead, no heartbeat for >",
-                  kFlightStaleSec, "s)");
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
+        ::close(fd);
     }
-    f.path_ = path;
+    // No usable lock: compute without single-flight, never wait.
+    f.owner_ = true;
     return f;
-}
-
-void
-ResultStore::registerFlight(const std::string &path)
-{
-    std::lock_guard<std::mutex> lk(flightMu_);
-    activeFlights_.push_back(path);
-    if (!heartbeat_.joinable() && !heartbeatStop_) {
-        heartbeat_ = std::thread([this] {
-            std::unique_lock<std::mutex> lk(flightMu_);
-            while (!heartbeatStop_) {
-                heartbeatCv_.wait_for(
-                    lk, std::chrono::seconds(kFlightHeartbeatSec));
-                if (heartbeatStop_)
-                    break;
-                lk.unlock();
-                touchActiveFlights();
-                lk.lock();
-            }
-        });
-    }
-}
-
-void
-ResultStore::unregisterFlight(const std::string &path)
-{
-    std::lock_guard<std::mutex> lk(flightMu_);
-    auto it = std::find(activeFlights_.begin(), activeFlights_.end(),
-                        path);
-    if (it != activeFlights_.end())
-        activeFlights_.erase(it);
-}
-
-void
-ResultStore::touchActiveFlights()
-{
-    std::vector<std::string> paths;
-    {
-        std::lock_guard<std::mutex> lk(flightMu_);
-        paths = activeFlights_;
-    }
-    for (const std::string &p : paths) {
-        // Refresh both timestamps to "now"; a failure (the lock was
-        // just released, or broken by a peer) is harmless.
-        if (::utimensat(AT_FDCWD, p.c_str(), nullptr, 0) != 0 &&
-            errno != ENOENT)
-            SAVE_WARN("flight heartbeat: cannot touch ", p, ": ",
-                      std::strerror(errno));
-    }
 }
 
 void
 ResultStore::Flight::release()
 {
-    if (!owner_ || path_.empty())
-        return;
-    if (store_ != nullptr)
-        store_->unregisterFlight(path_);
-    std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    if (fd_ >= 0) {
+        // Unlink first: a claimant that opened the old inode wins its
+        // flock only after the close, then sees the inode is gone.
+        ::unlink(path_.c_str());
+        ::close(fd_);
+        fd_ = -1;
+    }
     owner_ = false;
-    store_ = nullptr;
 }
 
 bool
@@ -703,12 +663,9 @@ ResultStore::waitForResult(const CasKey &key, CasValue *out,
     const std::string lock = flightPath(key);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-        if (lookup(key, out))
-            return true;
-        std::error_code ec;
-        if (!std::filesystem::exists(lock, ec)) {
-            // The owner released (or died) without landing a result:
+    while (!lookup(key, out)) {
+        if (!flightHeld(lock)) {
+            // The owner released or died without landing a result:
             // one last lookup closes the release/insert race, then the
             // caller simulates the point itself.
             return lookup(key, out);
@@ -718,6 +675,7 @@ ResultStore::waitForResult(const CasKey &key, CasValue *out,
         std::this_thread::sleep_for(
             std::chrono::milliseconds(kWaitPollMs));
     }
+    return true;
 }
 
 StatGroup

@@ -1,10 +1,9 @@
 /**
  * @file
- * Persistent content-addressed store (CAS) for simulation results.
- *
- * Generalizes the v1 surface cache (dnn/surface_cache.h) from "one
- * record shape, one config, whole-file rewrites" to a store any
- * simulation result can land in exactly once:
+ * Persistent content-addressed store (CAS) for simulation results:
+ * the one persistence format of the simulator. Any simulation result
+ * lands in it exactly once, and a killed sweep resumes by rerunning
+ * against it:
  *
  *   key   = CasKey (config digest + workload digest, cache/cas_key.h)
  *   value = CasValue: slice time, cycle count, core frequency, and
@@ -32,8 +31,7 @@
  * Inserting a value whose time is not finite is refused — a
  * NaN-poisoned result (exhausted retries) can never poison the store.
  *
- * Robustness properties (inherited from the journal/surface-cache
- * discipline):
+ * Robustness properties:
  *  - Corruption (bad fourcc, version skew, oversized length, CRC
  *    mismatch, or a torn record found at open) quarantines the whole
  *    shard to `<shard>.corrupt` with a warning; in-memory records the
@@ -42,17 +40,16 @@
  *  - Size cap (`SAVE_CACHE_MAX_MB` / Options::maxBytes): global LRU
  *    eviction compacts shards via temp-file + rename once the record
  *    bytes exceed the cap (batched, with hysteresis).
- *  - Cross-process single-flight: beginFlight() takes an O_EXCL
- *    `fl-<key>.lock` file carrying the owner pid; losers wait on
+ *  - Cross-process single-flight: the owner of a key's flight is
+ *    whoever holds flock(LOCK_EX) on `fl-<key>.lock`, through a
+ *    descriptor it keeps open for the whole flight; losers wait on
  *    waitForResult(), which polls the shard for the owner's insert.
- *    While a flight is owned, a background heartbeat refreshes the
- *    lock's mtime, and the breaker fires only when the recorded pid
- *    is provably dead AND the mtime is stale — either signal alone
- *    is not enough (a recycled pid can look dead while its slow
- *    original owner still simulates, and a fixed age alone would
- *    break any sufficiently slow holder). A crashed owner stops
- *    heartbeating, so its lock goes stale and is broken; liveness
- *    also never depends on the breaker, because waitForResult()
+ *    The kernel drops a lock with its holder's last descriptor, so a
+ *    SIGKILLed owner frees its flight at once: waiters stop waiting
+ *    and the next claimant wins the lock on the file the dead run
+ *    left behind. Opening a store unlinks the unheld lock files of
+ *    keys it already has (a run killed between its insert and its
+ *    release). A live but slow owner is never broken; waitForResult()
  *    times out and lets the caller simulate the point itself.
  *
  * The store is best-effort and never throws: every I/O failure warns
@@ -63,12 +60,10 @@
 #define SAVE_CACHE_RESULT_STORE_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -138,7 +133,9 @@ class ResultStore
      * Cross-process single-flight claim for one key. The owner is
      * expected to simulate, insert(), then release() (also done by
      * the destructor); losers should waitForResult(). A disabled
-     * store hands every caller ownership.
+     * store hands every caller ownership, and so does a lock that
+     * cannot be taken for any reason but another holder: the caller
+     * then computes without single-flight.
      */
     class Flight
     {
@@ -150,38 +147,35 @@ class ResultStore
         {
             release();
             path_ = std::move(o.path_);
+            fd_ = o.fd_;
             owner_ = o.owner_;
-            store_ = o.store_;
+            o.fd_ = -1;
             o.owner_ = false;
-            o.store_ = nullptr;
-            o.path_.clear();
             return *this;
         }
         ~Flight() { release(); }
 
         bool owner() const { return owner_; }
-        /** Unlink the lock file and stop its heartbeat (owner only;
-         *  idempotent). */
+        /** Unlink the lock file, then close the descriptor that holds
+         *  its flock (owner only; idempotent). */
         void release();
 
       private:
         friend class ResultStore;
         std::string path_;
+        /** Descriptor holding the flock; -1 when no lock is held. */
+        int fd_ = -1;
         bool owner_ = false;
-        /** Owning store, for heartbeat deregistration; null for the
-         *  disabled-store "everyone owns" flights. The store must
-         *  outlive every Flight it hands out (as it already must for
-         *  waitForResult/insert to make sense). */
-        ResultStore *store_ = nullptr;
     };
 
     Flight beginFlight(const CasKey &key);
 
     /**
      * Wait (polling lookup()) until another process inserts `key` or
-     * `timeout_ms` expires. Returns early when the flight lock
-     * disappears without a result (the owner died or gave up) so the
-     * caller can simulate the point itself.
+     * `timeout_ms` expires. Returns early as soon as nobody holds the
+     * key's flight lock (the owner released, died, or never existed),
+     * after one last lookup, so the caller can simulate the point
+     * itself.
      */
     bool waitForResult(const CasKey &key, CasValue *out, int timeout_ms);
 
@@ -215,14 +209,7 @@ class ResultStore
     /** Flight lock-file path for a key (exposed for tests). */
     std::string flightPath(const CasKey &key) const;
 
-    /** One heartbeat pass: refresh the mtime of every owned flight
-     *  lock. Runs periodically on the heartbeat thread; public so
-     *  tests can force a beat without waiting out the interval. */
-    void touchActiveFlights();
-
   private:
-    friend class Flight;
-
     struct Rec
     {
         CasValue val;
@@ -239,6 +226,8 @@ class ResultStore
     };
 
     static int shardOf(const CasKey &key);
+    /** Take the flock on the lock file at `path`; see beginFlight. */
+    static Flight claimFlight(const std::string &path);
 
     /** Parse [shard.parsed, EOF) through a read-only mmap. Returns
      *  false when the shard was quarantined. */
@@ -251,22 +240,11 @@ class ResultStore
     void evictLocked();
     uint64_t totalRecordBytesLocked() const;
 
-    void registerFlight(const std::string &path);
-    void unregisterFlight(const std::string &path);
-
     Options opt_;
     mutable std::mutex mu_;
     Shard shards_[kShards];
     uint64_t useClock_ = 0;
     bool warnedWriteFailure_ = false;
-
-    /** Owned flight-lock paths + the lazily-started heartbeat that
-     *  keeps their mtimes fresh while the holders simulate. */
-    std::mutex flightMu_;
-    std::vector<std::string> activeFlights_;
-    std::thread heartbeat_;
-    std::condition_variable heartbeatCv_;
-    bool heartbeatStop_ = false;
 
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};

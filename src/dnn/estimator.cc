@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -29,8 +28,9 @@ optionSalt(const EstimatorOptions &opt)
     return salt;
 }
 
-/** How long a single-flight follower waits for the owning process
- *  before giving up and simulating the point itself. */
+/** How long a single-flight follower waits for a live but slow
+ *  owner before simulating the point itself. A dead owner's flight
+ *  ends the wait at once. */
 constexpr int kFlightWaitMs = 60000;
 
 CasValue
@@ -149,32 +149,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
         cache_max_bytes = sopt.maxBytes;
         owned_store_ = std::make_unique<ResultStore>(sopt);
         store_ = owned_store_.get();
-    }
-
-    // Migrate a v1 surface-cache file for this config into the store
-    // (quarantine-on-mismatch semantics unchanged: a corrupt v1 file
-    // is moved to .corrupt by load() exactly as before). Migrated
-    // records carry the slice time only — the only field the
-    // estimator consumes — and the source file is renamed aside so
-    // migration happens once.
-    if (store_->enabled()) {
-        SurfaceCache legacy(store_->dir(), config_hash_);
-        std::vector<SurfaceRecord> records;
-        if (legacy.load(records)) {
-            for (const SurfaceRecord &r : records) {
-                Key k{r.mr, r.nr, r.kSteps, r.pattern, r.precision,
-                      r.saveOn, r.vpus, r.wBin, r.aBin};
-                CasValue v;
-                v.timeNs = r.timeNs;
-                store_->insert(casKey(k), v);
-            }
-            std::error_code ec;
-            std::filesystem::rename(legacy.path(),
-                                    legacy.path() + ".migrated", ec);
-            SAVE_INFORM("migrated ", records.size(),
-                        " v1 surface record(s) into the result store ",
-                        store_->dir());
-        }
     }
 
     if (isolation_ != "none") {
@@ -367,9 +341,9 @@ TrainingEstimator::computeCold(const Key &key)
         ResultStore::Flight flight = store_->beginFlight(ck);
         if (!flight.owner()) {
             // Another process is simulating this exact point. Wait for
-            // its insert; on timeout (owner died mid-flight or is just
-            // slow) fall through and simulate it ourselves — inserts
-            // are idempotent, so a late duplicate is harmless.
+            // its insert; if the owner dies or times out, fall through
+            // and simulate it ourselves — inserts are idempotent, so a
+            // late duplicate is harmless.
             CasValue v;
             if (store_->waitForResult(ck, &v, kFlightWaitMs))
                 return v.timeNs;

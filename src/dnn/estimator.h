@@ -45,7 +45,6 @@
 #include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
 #include "engine/engine.h"
 #include "proc/worker_pool.h"
 #include "util/thread_pool.h"
@@ -149,10 +148,9 @@ struct NetResult
 
 /**
  * sweepResultPoisoned: true when a sweep-point result carries the NaN
- * marker of a permanently failed slice. The journaled sweep driver
- * (bench/bench_util.h) consults this so poisoned results are never
- * journaled as successes and a resumed run re-attempts them instead
- * of replaying the failure forever.
+ * marker of a permanently failed slice. The store never persists a
+ * poisoned slice, so a rerun re-attempts it; callers use this to
+ * report the failed point.
  */
 inline bool
 sweepResultPoisoned(const PhaseBreakdown &b)

@@ -46,7 +46,7 @@ int fig14PointCount();
  * One sweep point in the canonical evaluation order (CNN inference,
  * GNMT inference, CNN training, GNMT training — the order
  * fig14Report walks). `key` is the stable id ("infer/VGG16 FP32
- * dense"): journal key, progress label, and the shard protocol's
+ * dense"): point key, progress label, and the shard protocol's
  * point name. Index into this vector IS the wire point index, so the
  * coordinator and every backend must agree on one build of it.
  */
@@ -61,7 +61,7 @@ const std::vector<Fig14Point> &fig14Points();
 
 /**
  * Evaluate one entry. `key` is the stable sweep-point id
- * ("infer/VGG16 FP32 dense", "train/GNMT MP pruned"): journal key in
+ * ("infer/VGG16 FP32 dense", "train/GNMT MP pruned"): point key in
  * the bench, progress label in the daemon.
  */
 using Fig14Eval = std::function<NetResult(

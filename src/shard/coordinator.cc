@@ -59,16 +59,6 @@ ShardCoordinator::ShardCoordinator(Options opt) : opt_(std::move(opt))
         throw ConfigError("--straggler-ms must be >= 0 (got " +
                           std::to_string(opt_.stragglerMs) + ")");
 
-    if (!opt_.journalPath.empty()) {
-        // The exact hash/keys/payloads bench_fig14 writes: a
-        // single-host journal resumes a distributed run and back.
-        const Fig14Knobs &k = opt_.knobs;
-        journal_ = std::make_unique<SweepJournal>(
-            opt_.journalPath,
-            sweepHash("fig14", {k.gridStep, k.kSteps, k.tiles, k.cores,
-                                static_cast<int64_t>(k.seed)}));
-    }
-
     if (opt_.inprocLanes > 0) {
         SimSession::Options so;
         so.mcfg = opt_.mcfg;
@@ -138,16 +128,6 @@ ShardCoordinator::complete(uint32_t idx, const NetResult &r)
     p.result = r;
     --remaining_;
     ++stats_.computed;
-    if (journal_ && !sweepResultPoisoned(r)) {
-        try {
-            journal_->record(fig14Points()[idx].key,
-                             SweepJournal::encode(r));
-        } catch (const std::exception &e) {
-            // A dead journal costs resume, not correctness.
-            SAVE_WARN("journal write for '", fig14Points()[idx].key,
-                      "' failed: ", e.what());
-        }
-    }
     cv_.notify_all();
 }
 
@@ -349,40 +329,23 @@ ShardCoordinator::run()
     remaining_ = pts.size();
     stats_ = Stats{};
 
-    if (journal_) {
-        for (uint32_t i = 0; i < pts.size(); ++i) {
-            std::string hex;
-            NetResult v;
-            // Same resume rule as SweepRunner::point: a NaN-poisoned
-            // record is a miss, so the resumed run re-attempts it.
-            if (journal_->lookup(pts[i].key, &hex) &&
-                SweepJournal::decode(hex, v) &&
-                !sweepResultPoisoned(v)) {
-                points_[i].phase = PointPhase::Done;
-                points_[i].result = v;
-                --remaining_;
-                ++stats_.resumed;
-            }
-        }
-    }
+    // The in-process lanes count as ONE backend: they share a session
+    // and never exit on point faults, so they live or die together (a
+    // ConfigError kills the whole run anyway).
+    activeBackends_ = (opt_.inprocLanes > 0 ? 1 : 0) +
+                      static_cast<int>(opt_.sockets.size());
 
-    if (remaining_ > 0) {
-        // The in-process lanes count as ONE backend: they share a
-        // session and never exit on point faults, so they live or
-        // die together (a ConfigError kills the whole run anyway).
-        activeBackends_ = (opt_.inprocLanes > 0 ? 1 : 0) +
-                          static_cast<int>(opt_.sockets.size());
+    std::vector<std::thread> lanes;
+    lanes.reserve(static_cast<size_t>(opt_.inprocLanes) +
+                  opt_.sockets.size());
+    for (int i = 0; i < opt_.inprocLanes; ++i)
+        lanes.emplace_back(&ShardCoordinator::inprocLane, this, i);
+    for (const std::string &s : opt_.sockets)
+        lanes.emplace_back(&ShardCoordinator::daemonLane, this, s);
+    for (std::thread &t : lanes)
+        t.join();
 
-        std::vector<std::thread> lanes;
-        lanes.reserve(static_cast<size_t>(opt_.inprocLanes) +
-                      opt_.sockets.size());
-        for (int i = 0; i < opt_.inprocLanes; ++i)
-            lanes.emplace_back(&ShardCoordinator::inprocLane, this, i);
-        for (const std::string &s : opt_.sockets)
-            lanes.emplace_back(&ShardCoordinator::daemonLane, this, s);
-        for (std::thread &t : lanes)
-            t.join();
-
+    {
         std::lock_guard<std::mutex> lk(mu_);
         if (fatal_) {
             if (fatalIsConfig_)

@@ -45,12 +45,11 @@
  *    completion wins and the duplicate is discarded (results are
  *    bit-identical, so the race is benign).
  *
- * Crash resume: completed points are recorded in the same
- * SweepJournal (`sweepHash("fig14", ...)`, same keys, same NetResult
- * payloads) the single-host bench writes, as they complete — a
- * coordinator killed mid-sweep resumes from the journal recomputing
- * nothing already merged, and the journal is interchangeable with
- * bench_fig14's.
+ * Crash resume: every backend persists each slice in the shared
+ * content-addressed store as it completes. A coordinator killed
+ * mid-sweep resumes by rerunning the same command against the same
+ * store: stored slices are served, not simulated, and the dead run's
+ * flight locks free themselves (cache/result_store.h).
  */
 
 #ifndef SAVE_SHARD_COORDINATOR_H
@@ -66,7 +65,6 @@
 
 #include "cache/result_store.h"
 #include "serve/session.h"
-#include "util/journal.h"
 #include "util/runtime_options.h"
 #include "util/thread_pool.h"
 
@@ -92,8 +90,6 @@ class ShardCoordinator
         int stragglerMs = 0;
         /** Per-frame RPC read deadline (resets at each ack). */
         int rpcTimeoutMs = 120000;
-        /** Sweep journal; empty disables checkpoint/resume. */
-        std::string journalPath;
 
         Fig14Knobs knobs{};
         MachineConfig mcfg{};
@@ -111,7 +107,6 @@ class ShardCoordinator
 
     struct Stats
     {
-        size_t resumed = 0;    ///< points replayed from the journal
         size_t computed = 0;   ///< points computed by backends
         size_t dispatches = 0; ///< points claimed (all backends)
         size_t requeues = 0;   ///< points re-queued after a fault
@@ -175,7 +170,6 @@ class ShardCoordinator
     void daemonLane(const std::string &socket);
 
     Options opt_;
-    std::unique_ptr<SweepJournal> journal_;
 
     /** One shared session for every in-process lane (it is reentrant
      *  and owns the pool + store); null when inprocLanes == 0. */

@@ -132,7 +132,7 @@ struct MachineConfig
      * this many cycles raises DeadlockError with a pipeline snapshot.
      * 0 defers to the SAVE_WATCHDOG_CYCLES environment variable (or
      * the built-in 200k-cycle default). Timing-neutral: not part of
-     * the surface-cache config hash.
+     * the config digest (casHashConfig).
      */
     int watchdogCycles = 0;
 

@@ -21,9 +21,10 @@
  *                    injected slice faults, see fault_injection.h).
  *   DeadlockError -- the retirement watchdog detected no forward
  *                    progress; carries a pipeline snapshot.
- *   CacheError    -- a persistent artifact (surface cache, sweep
- *                    journal) cannot be read or written; carries the
- *                    path.
+ *   CacheError    -- a persistent artifact cannot be read or written;
+ *                    carries the path. The result store itself never
+ *                    throws (it warns and degrades); the type survives
+ *                    as a worker wire error kind.
  *   AuditError    -- the cycle-granular invariant auditor (built with
  *                    -DSAVE_AUDIT=ON; src/sim/auditor.h) found the
  *                    pipeline in an inconsistent state; carries the
@@ -158,7 +159,7 @@ class WorkerError : public SimError
     Kind kind_;
 };
 
-/** Persistent cache/journal I/O or format failure. */
+/** Persistent artifact I/O or format failure. */
 class CacheError : public SimError
 {
   public:

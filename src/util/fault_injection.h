@@ -12,9 +12,10 @@
  *    TraceError. The selection depends only on (seed, key), never on
  *    scheduling, so a run with injection and max-retries >= times
  *    produces output bit-identical to a fault-free run.
- *  - Cache tampering: after the surface cache atomically writes a
- *    file, truncate it or flip one bit, exercising the corrupt-file
- *    quarantine on the next load.
+ *  - Cache tampering: truncate a persistent file or flip one bit in
+ *    it (a result-store shard at open and after an insert, a trace
+ *    file once written), exercising the corruption checks on the next
+ *    load.
  *  - Watchdog on demand: force a core's retirement watchdog to fire
  *    at a chosen cycle, exercising the snapshot/DeadlockError path
  *    without constructing a real deadlock.
@@ -29,8 +30,8 @@
  *   SAVE_FAULT_INJECT="crash=0.2,hang=0.1,times=1"
  *
  * Keys: slice (probability 0-1), times (failures per selected slice),
- * seed, cache-truncate (probability per save), cache-bitflip
- * (probability per save), watchdog-core (core id, -1 off),
+ * seed, cache-truncate (probability per tamper hook), cache-bitflip
+ * (likewise), watchdog-core (core id, -1 off),
  * watchdog-after (cycle at which the forced watchdog fires).
  *
  * Process-level faults (crash = raise SIGSEGV, abort = std::abort,
@@ -66,9 +67,9 @@ struct FaultPlan
     /** How many attempts of a selected slice fail before succeeding
      *  (1 = fail once, succeed on first retry). */
     int sliceTimes = 1;
-    /** Probability that a surface-cache save leaves a truncated file. */
+    /** Probability that a tamper hook truncates its file. */
     double cacheTruncateProb = 0.0;
-    /** Probability that a surface-cache save leaves a bit-flipped file. */
+    /** Probability that a tamper hook flips one bit in its file. */
     double cacheBitflipProb = 0.0;
     /** Core whose watchdog is force-fired (-1 = none). */
     int watchdogCore = -1;
@@ -139,8 +140,8 @@ class FaultInjector
     uint64_t watchdogFireCycle(int core) const;
 
     /** Deterministically truncate or bit-flip the file at `path`
-     *  (post-rename surface-cache hook); `key` salts the decision so
-     *  successive saves differ. */
+     *  (hook in the result store and the trace writer); `key` salts
+     *  the decision so successive writes differ. */
     void maybeTamperCacheFile(const std::string &path, uint64_t key);
 
     /** Parse a SAVE_FAULT_INJECT spec. Throws ConfigError on

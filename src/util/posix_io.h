@@ -8,8 +8,8 @@
  * pipes. Every file and pipe transfer in the harness goes through
  * these loops instead: they retry on EINTR, continue after short
  * transfers, and make end-of-file, success, and hard errors
- * distinguishable. Used by the sweep journal, the surface cache, and
- * the out-of-process worker wire codec (src/proc).
+ * distinguishable. Used by the result store, the daemon's config
+ * reload, and the out-of-process worker wire codec (src/proc).
  */
 
 #ifndef SAVE_UTIL_POSIX_IO_H

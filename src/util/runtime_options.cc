@@ -44,7 +44,6 @@ RuntimeOptions::fromEnv()
     o.isolation = envStr("SAVE_ISOLATION");
     o.cacheDir = envStr("SAVE_CACHE_DIR");
     o.cacheMaxMb = envPosInt("SAVE_CACHE_MAX_MB", 0);
-    o.journalPath = envStr("SAVE_JOURNAL");
     o.workerBin = envStr("SAVE_WORKER_BIN");
     o.simd = envStr("SAVE_SIMD");
     return o;

@@ -6,10 +6,10 @@
  * point in the process lifetime (`SAVE_THREADS` in the thread pool,
  * `SAVE_ISOLATION` in the estimator constructor, `SAVE_CACHE_DIR` /
  * `SAVE_CACHE_MAX_MB` in the result store, `SAVE_WORKER_BIN` in the
- * worker spawner, `SAVE_JOURNAL` in the bench sweep driver). That is
- * fine for a one-shot bench binary but wrong for a long-lived daemon:
- * two sessions configured differently would have to race on setenv(3),
- * which is undefined behavior in a multithreaded process.
+ * worker spawner). That is fine for a one-shot bench binary but wrong
+ * for a long-lived daemon: two sessions configured differently would
+ * have to race on setenv(3), which is undefined behavior in a
+ * multithreaded process.
  *
  * RuntimeOptions::fromEnv() performs one fresh, complete read of the
  * environment. Call sites that used to call getenv() now consult a
@@ -50,9 +50,6 @@ struct RuntimeOptions
     /** Result-store size cap in MB; 0 = unlimited.
      *  Env: SAVE_CACHE_MAX_MB. */
     int cacheMaxMb = 0;
-
-    /** Sweep journal path; "" = no journal. Env: SAVE_JOURNAL. */
-    std::string journalPath;
 
     /** Explicit save-worker binary; "" = discover next to the current
      *  executable. Env: SAVE_WORKER_BIN. */

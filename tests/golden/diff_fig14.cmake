@@ -8,7 +8,7 @@
 
 execute_process(
     COMMAND ${BENCH} --grid=9 --ksteps=8 --tiles=1 --seed=7
-            --threads=${THREADS} --cache-dir=none --journal=none
+            --threads=${THREADS} --cache-dir=none
     OUTPUT_VARIABLE actual
     ERROR_VARIABLE log
     RESULT_VARIABLE rc)

@@ -2,8 +2,7 @@
  * @file
  * Out-of-process slice execution (src/proc): wire-codec framing and
  * corruption handling, worker crash/hang/OOM containment and
- * bit-identical recovery, pool degradation under a crash storm, and
- * journal resume including the poisoned-record upgrade path.
+ * bit-identical recovery, and pool degradation under a crash storm.
  *
  * Faults are injected deterministically (SAVE_FAULT_INJECT travels to
  * the exec'd save-worker via the environment), so every containment
@@ -13,17 +12,13 @@
  */
 
 #include <cstring>
-#include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include "../bench/bench_util.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "proc/wire_codec.h"
@@ -31,7 +26,6 @@
 #include "proc/worker_pool.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
-#include "util/journal.h"
 #include "util/logging.h"
 #include "util/posix_io.h"
 
@@ -104,17 +98,12 @@ class ProcTest : public ::testing::Test
         FaultInjector::global().reset();
         ::unsetenv("SAVE_FAULT_INJECT");
         ::unsetenv("SAVE_ISOLATION");
-        dir_ = std::filesystem::temp_directory_path() /
-               ("save-proc-test-" + std::to_string(::getpid()));
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
     }
 
     ~ProcTest() override
     {
         FaultInjector::global().reset();
         ::unsetenv("SAVE_FAULT_INJECT");
-        std::filesystem::remove_all(dir_);
     }
 
     /** Run tinyNet training under process isolation with the fault
@@ -133,7 +122,6 @@ class ProcTest : public ::testing::Test
         return r;
     }
 
-    std::filesystem::path dir_;
     std::unique_ptr<TrainingEstimator> est_;
 };
 
@@ -533,106 +521,6 @@ TEST_F(ProcTest, InProcessIsolationRefusesProcessFaultModes)
     EXPECT_NO_THROW(
         TrainingEstimator(MachineConfig{}, SaveConfig{}, procOptions()));
     FaultInjector::global().reset();
-}
-
-// ------------------------------------------------------ journal resume
-
-TEST_F(ProcTest, PoisonedJournalRecordsAreReattemptedOnResume)
-{
-    std::string path = (dir_ / "poison.jrnl").string();
-    NetResult poisoned{};
-    poisoned.save2.forward = std::numeric_limits<double>::quiet_NaN();
-    NetResult good{};
-    good.save2.forward = 42.0;
-    ASSERT_TRUE(sweepResultPoisoned(poisoned));
-    ASSERT_FALSE(sweepResultPoisoned(good));
-
-    // An older run journaled a poisoned result (the pre-fix behavior).
-    {
-        SweepJournal j(path, 0);
-        j.record("p", SweepJournal::encode(poisoned));
-    }
-
-    SweepOptions so;
-    so.journalPath = path;
-    {
-        SweepRunner runner(so);
-        // The poisoned record must read as a miss and recompute...
-        NetResult r = runner.point<NetResult>(
-            "p", [&] { return good; });
-        EXPECT_TRUE(bytesEqual(r, good));
-        EXPECT_EQ(runner.resumedPoints(), 0u);
-        EXPECT_EQ(runner.computedPoints(), 1u);
-    }
-    {
-        // ...and the recomputed value supersedes it for future resumes.
-        SweepRunner runner(so);
-        NetResult r = runner.point<NetResult>("p", [&]() -> NetResult {
-            ADD_FAILURE() << "resumed point must not recompute";
-            return NetResult{};
-        });
-        EXPECT_TRUE(bytesEqual(r, good));
-        EXPECT_EQ(runner.resumedPoints(), 1u);
-    }
-}
-
-TEST_F(ProcTest, PoisonedResultsAreNeverJournaledAsSuccesses)
-{
-    std::string path = (dir_ / "nopoison.jrnl").string();
-    NetResult poisoned{};
-    poisoned.baseline2.firstLayer =
-        std::numeric_limits<double>::quiet_NaN();
-
-    SweepOptions so;
-    so.journalPath = path;
-    {
-        SweepRunner runner(so);
-        NetResult r =
-            runner.point<NetResult>("p", [&] { return poisoned; });
-        EXPECT_TRUE(sweepResultPoisoned(r)); // caller still sees it
-    }
-    SweepJournal j(path, 0);
-    EXPECT_FALSE(j.lookup("p")); // but it never reached the journal
-}
-
-TEST_F(ProcTest, JournalResumesAfterParentKilledMidSweep)
-{
-    std::string path = (dir_ / "killed.jrnl").string();
-
-    // Child: journal 2 of 4 points, then die the way SIGKILL would —
-    // no destructors, no flush beyond record()'s own write.
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        SweepOptions so;
-        so.journalPath = path;
-        SweepRunner runner(so);
-        runner.point<double>("p0", [] { return 10.0; });
-        runner.point<double>("p1", [] { return 11.0; });
-        ::_exit(9);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 9);
-
-    // Parent: the resumed sweep replays the journaled points and
-    // computes only the missing ones.
-    setQuietLogging(true);
-    SweepOptions so;
-    so.journalPath = path;
-    SweepRunner runner(so);
-    int computed = 0;
-    for (int i = 0; i < 4; ++i) {
-        double v = runner.point<double>(
-            "p" + std::to_string(i), [&] {
-                ++computed;
-                return 10.0 + i;
-            });
-        EXPECT_DOUBLE_EQ(v, 10.0 + i);
-    }
-    setQuietLogging(false);
-    EXPECT_EQ(runner.resumedPoints(), 2u);
-    EXPECT_EQ(computed, 2);
 }
 
 } // namespace

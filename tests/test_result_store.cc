@@ -1,12 +1,12 @@
 /**
  * @file
  * Content-addressed result store (cache/result_store.h) tests: key
- * derivation and delegation, bit-exact record round-trips, corruption
- * quarantine (manual tampering and SAVE_FAULT_INJECT cache modes),
- * LRU eviction under a byte cap, lookups that see other handles'
- * appends, cross-process single-flight (forked writers and the
- * estimator's flight-owner re-check), v1 surface-cache migration, and
- * cold/warm estimator bit-identity across every isolation mode.
+ * derivation, bit-exact record round-trips, corruption quarantine
+ * (manual tampering and SAVE_FAULT_INJECT cache modes), LRU eviction
+ * under a byte cap, lookups that see other handles' appends,
+ * cross-process single-flight (forked writers, a SIGKILLed owner, and
+ * the estimator's flight-owner re-check), and cold/warm estimator
+ * bit-identity across every isolation mode.
  */
 
 #include <gtest/gtest.h>
@@ -24,16 +24,14 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/stat.h>
+#include <signal.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
 #include "util/fault_injection.h"
 
 #ifndef SAVE_WORKER_BIN_PATH
@@ -112,15 +110,12 @@ makeValue(double time_ns, uint64_t cycles = 100, double ghz = 1.7)
 // --------------------------------------------------------------------
 // Key derivation
 
-TEST_F(ResultStoreTest, ConfigDigestIsStableAndDelegated)
+TEST_F(ResultStoreTest, ConfigDigestIsStableAndFieldSensitive)
 {
     MachineConfig m;
     SaveConfig s;
     uint64_t base = casHashConfig(m, s, 0);
     EXPECT_EQ(base, casHashConfig(m, s, 0));
-    // SurfaceCache::hashConfig delegates to casHashConfig: the trace
-    // header, the v1 cache, and the CAS must agree forever.
-    EXPECT_EQ(base, SurfaceCache::hashConfig(m, s, 0));
 
     MachineConfig m2 = m;
     m2.dramGBps += 1.0;
@@ -544,117 +539,96 @@ TEST_F(ResultStoreTest, WaitReturnsEarlyWhenOwnerVanishes)
               std::chrono::seconds(5));
 }
 
-/** Set a file's mtime (and atime) `sec` seconds into the past. */
-void
-backdate(const std::string &path, long sec)
+TEST_F(ResultStoreTest, DeadOwnersFlightIsClaimedAtOnce)
 {
-    struct timespec times[2];
-    times[0].tv_sec = ::time(nullptr) - sec;
-    times[0].tv_nsec = 0;
-    times[1] = times[0];
-    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
-}
-
-long
-mtimeOf(const std::string &path)
-{
-    struct stat st;
-    EXPECT_EQ(::stat(path.c_str(), &st), 0);
-    return static_cast<long>(st.st_mtime);
-}
-
-/** Fork-and-reap: a pid that is provably dead. */
-pid_t
-deadPid()
-{
-    pid_t dead = ::fork();
-    EXPECT_GE(dead, 0);
-    if (dead == 0)
-        ::_exit(0);
-    int st = 0;
-    EXPECT_EQ(::waitpid(dead, &st, 0), dead);
-    return dead;
-}
-
-TEST_F(ResultStoreTest, FlightLockBreakNeedsDeadPidAndStaleMtime)
-{
-    ResultStore store(opts());
     const CasKey key{55, 66};
-    const std::string lock = store.flightPath(key);
-
-    // Dead pid, fresh mtime: NOT broken. This is the pid-reuse hazard
-    // — the kernel may have recycled the owner's pid, but a fresh
-    // heartbeat proves somebody is still working the point.
-    {
-        std::ofstream f(lock);
-        f << static_cast<long>(deadPid()) << "\n";
+    // `ready` carries the child's claim result; the child blocks on
+    // `hold` until it is killed (or this process exits).
+    int ready[2], hold[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    ASSERT_EQ(::pipe(hold), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        ::close(ready[0]);
+        ::close(hold[1]);
+        ResultStore store(opts());
+        ResultStore::Flight f = store.beginFlight(key);
+        const char owner = f.owner() ? '1' : '0';
+        if (::write(ready[1], &owner, 1) != 1)
+            ::_exit(1);
+        char c;
+        (void)::read(hold[0], &c, 1);
+        ::_exit(0);
     }
-    EXPECT_FALSE(store.beginFlight(key).owner());
-
-    // Live pid (ours), stale mtime: NOT broken either — a provably
-    // live holder is just slow.
+    ::close(ready[1]);
+    ::close(hold[0]);
+    // Kill and reap the child on every exit path, so a failed
+    // assertion cannot leave it holding the flight.
+    struct Reaper
     {
-        std::ofstream f(lock);
-        f << static_cast<long>(::getpid()) << "\n";
-    }
-    backdate(lock, 600);
-    EXPECT_FALSE(store.beginFlight(key).owner());
+        pid_t pid;
+        int fd;
+        ~Reaper()
+        {
+            if (pid > 0) {
+                ::kill(pid, SIGKILL);
+                ::waitpid(pid, nullptr, 0);
+            }
+            ::close(fd);
+        }
+    } reaper{child, hold[1]};
+    char owner = 0;
+    ASSERT_EQ(::read(ready[0], &owner, 1), 1);
+    ::close(ready[0]);
+    ASSERT_EQ(owner, '1');
 
-    // Dead pid AND stale mtime: the owner crashed long ago — break
-    // the lock and claim ownership so the sweep never wedges.
-    {
-        std::ofstream f(lock);
-        f << static_cast<long>(deadPid()) << "\n";
-    }
-    backdate(lock, 600);
-    EXPECT_TRUE(store.beginFlight(key).owner());
-}
-
-TEST_F(ResultStoreTest, UnparseableFlightLockBreaksOnlyWhenStale)
-{
+    // While the owner lives, a claimant follows and a wait times out.
     ResultStore store(opts());
-    const CasKey key{57, 68};
     const std::string lock = store.flightPath(key);
+    EXPECT_FALSE(store.beginFlight(key).owner());
+    CasValue v;
+    EXPECT_FALSE(store.waitForResult(key, &v, 100));
 
-    // A lock whose pid cannot be parsed (another host, torn write)
-    // cannot vouch for liveness via the pid probe; only its heartbeat
-    // protects it.
-    {
-        std::ofstream f(lock);
-        f << "not-a-pid\n";
-    }
-    EXPECT_FALSE(store.beginFlight(key).owner()); // fresh: follower
-    backdate(lock, 600);
-    EXPECT_TRUE(store.beginFlight(key).owner()); // stale: broken
-}
+    // SIGKILL leaves the lock file behind, but the kernel drops the
+    // flock with the dead owner's descriptors.
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+    reaper.pid = -1;
+    ASSERT_TRUE(fs::exists(lock));
 
-TEST_F(ResultStoreTest, OwnerHeartbeatRefreshesLockMtime)
-{
-    ResultStore store(opts());
-    const CasKey key{59, 70};
-
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(store.waitForResult(key, &v, 30000));
     ResultStore::Flight f = store.beginFlight(key);
-    ASSERT_TRUE(f.owner());
-    const std::string lock = store.flightPath(key);
-
-    // Simulate a long-running owner: age the lock past the staleness
-    // window, then force one heartbeat pass (the background thread
-    // does the same every few seconds).
-    backdate(lock, 600);
-    store.touchActiveFlights();
-    EXPECT_GT(mtimeOf(lock), ::time(nullptr) - 60);
-
-    // With the heartbeat landed, a second store cannot break the lock
-    // even though the pid half alone would not save an aged lock
-    // against e.g. a reused-pid false positive.
-    ResultStore other(opts());
-    EXPECT_FALSE(other.beginFlight(key).owner());
-
-    // After release the heartbeat set shrinks and a beat recreates
-    // nothing.
+    EXPECT_TRUE(f.owner());
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1));
     f.release();
-    store.touchActiveFlights();
     EXPECT_FALSE(fs::exists(lock));
+}
+
+TEST_F(ResultStoreTest, OpenUnlinksUnheldLocksOfStoredKeys)
+{
+    // A run killed between its insert and its release leaves a lock
+    // file for a stored key, and no claimant would ever free it.
+    const CasKey stored{71, 72}, missing{73, 74}, held{75, 76};
+    {
+        ResultStore store(opts());
+        ASSERT_TRUE(store.insert(stored, makeValue(1.0)));
+        ASSERT_TRUE(store.insert(held, makeValue(2.0)));
+    }
+    ResultStore owner(opts());
+    for (const CasKey &k : {stored, missing})
+        std::ofstream(owner.flightPath(k)) << "\n"; // no holder
+    ResultStore::Flight f = owner.beginFlight(held);
+    ASSERT_TRUE(f.owner());
+
+    ResultStore reopened(opts());
+    EXPECT_FALSE(fs::exists(reopened.flightPath(stored)));
+    // A missing key's lock is left to its next claimant, and a live
+    // owner keeps its lock.
+    EXPECT_TRUE(fs::exists(reopened.flightPath(missing)));
+    EXPECT_TRUE(fs::exists(reopened.flightPath(held)));
 }
 
 TEST_F(ResultStoreTest, ForkedWritersSingleFlight)
@@ -741,17 +715,6 @@ fastOptions(const std::string &cache_dir)
     o.threads = 2;
     o.cacheDir = cache_dir;
     return o;
-}
-
-/** Mirror of the estimator's private optionSalt (seed, tiles, cores):
- *  keeps the v1-migration test honest about the config digest. */
-uint64_t
-optionSaltOf(const EstimatorOptions &o)
-{
-    uint64_t salt = o.seed;
-    salt = salt * 1000003ull + static_cast<uint64_t>(o.tiles);
-    salt = salt * 1000003ull + static_cast<uint64_t>(o.cores);
-    return salt;
 }
 
 TEST_F(ResultStoreTest, WarmRunsAreBitIdenticalAcrossIsolationModes)
@@ -901,48 +864,6 @@ TEST_F(ResultStoreTest, FlightOwnerRechecksTheStoreBeforeSimulating)
     est.prefetch(net, Precision::Fp32, true);
     other.join();
     EXPECT_LT(est.simulations(), slices);
-}
-
-TEST_F(ResultStoreTest, V1SurfaceFilesMigrateIntoTheStore)
-{
-    EstimatorOptions o = fastOptions(dir_.string());
-    const uint64_t hash = SurfaceCache::hashConfig(
-        MachineConfig{}, SaveConfig{}, optionSaltOf(o));
-
-    SurfaceCache v1(dir_.string(), hash);
-    std::vector<SurfaceRecord> recs(3);
-    for (int i = 0; i < 3; ++i) {
-        recs[static_cast<size_t>(i)] = SurfaceRecord{
-            4, 6, 24, 0, 0, 1, 2, static_cast<uint8_t>(i), 0, 100.0 + i};
-    }
-    ASSERT_TRUE(v1.save(recs));
-    ASSERT_TRUE(fs::exists(v1.path()));
-
-    {
-        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-        // The ctor folded the v1 records into the CAS and renamed the
-        // old file so it is migrated exactly once.
-        ASSERT_NE(est.resultStore(), nullptr);
-        EXPECT_EQ(est.resultStore()->records(), 3u);
-        EXPECT_FALSE(fs::exists(v1.path()));
-        EXPECT_TRUE(fs::exists(v1.path() + ".migrated"));
-
-        // The migrated records answer real surface lookups.
-        const uint64_t cfg =
-            casHashConfig(MachineConfig{}, SaveConfig{},
-                          optionSaltOf(o));
-        ResultStore reread(opts());
-        CasValue out;
-        ASSERT_TRUE(reread.lookup(
-            CasKey{cfg, casSliceWorkload(
-                            SliceKey{4, 6, 24, 0, 0, 1, 2, 1, 0})},
-            &out));
-        EXPECT_TRUE(sameBits(out.timeNs, 101.0));
-    }
-
-    // A second estimator must not re-migrate (or double-count).
-    TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-    EXPECT_EQ(est.resultStore()->records(), 3u);
 }
 
 TEST_F(ResultStoreTest, PoisonedSlicesNeverReachTheStore)

@@ -2,8 +2,9 @@
  * @file
  * Hardened-harness coverage: error taxonomy and validate() rejection
  * messages, the retirement watchdog (via forced fault injection), the
- * estimator's retry/fault-isolation policy, cache corruption recovery
- * and quarantine, and sweep-journal checkpoint/resume.
+ * estimator's retry/fault-isolation policy, the sweep runner's retries
+ * and failure report, deadline-bounded reads, and flag parsing. Store
+ * corruption and quarantine live in test_result_store.
  *
  * Every fault here is injected deterministically (FaultInjector), so
  * the recovery paths run on every CI invocation, not just when
@@ -13,8 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -25,14 +24,12 @@
 #include "../bench/bench_util.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
 #include "engine/engine.h"
 #include "kernels/gemm.h"
 #include "kernels/lstm.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
 #include "util/frame.h"
-#include "util/journal.h"
 #include "util/posix_io.h"
 
 namespace save {
@@ -65,27 +62,12 @@ bytesEqual(const NetResult &a, const NetResult &b)
     return std::memcmp(&a, &b, sizeof(NetResult)) == 0;
 }
 
-/** Resets the global injector around every test and provides a scratch
- *  directory for cache/journal artifacts. */
+/** Resets the global injector around every test. */
 class RobustnessTest : public ::testing::Test
 {
   protected:
-    RobustnessTest()
-    {
-        FaultInjector::global().reset();
-        dir_ = std::filesystem::temp_directory_path() /
-               ("save-robust-test-" + std::to_string(::getpid()));
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-    }
-
-    ~RobustnessTest() override
-    {
-        FaultInjector::global().reset();
-        std::filesystem::remove_all(dir_);
-    }
-
-    std::filesystem::path dir_;
+    RobustnessTest() { FaultInjector::global().reset(); }
+    ~RobustnessTest() override { FaultInjector::global().reset(); }
 };
 
 // ------------------------------------------------------ error taxonomy
@@ -336,152 +318,7 @@ TEST_F(RobustnessTest, ParsePlanAcceptsSpecAndRejectsGarbage)
     EXPECT_THROW(FaultInjector::parsePlan("nonsense=1"), ConfigError);
 }
 
-// -------------------------------------------- cache corruption recovery
-
-TEST_F(RobustnessTest, TamperedCacheIsQuarantinedAndRebuilt)
-{
-    for (const char *mode : {"truncate", "bitflip"}) {
-        SurfaceCache cache((dir_ / mode).string(), 0xfeed);
-        std::vector<SurfaceRecord> in(3);
-        in[0].mr = 4;
-        in[1].mr = 8;
-        in[2].mr = 12;
-
-        FaultPlan plan;
-        if (std::string(mode) == "truncate")
-            plan.cacheTruncateProb = 1.0;
-        else
-            plan.cacheBitflipProb = 1.0;
-        FaultInjector::global().configure(plan);
-        setQuietLogging(true);
-        ASSERT_TRUE(cache.save(in));
-        FaultInjector::global().reset();
-
-        // The tampered file fails validation and is quarantined, so
-        // the failure is visible, non-destructive, and non-repeating.
-        std::vector<SurfaceRecord> out;
-        std::string why;
-        EXPECT_FALSE(cache.load(out, &why)) << mode;
-        EXPECT_TRUE(out.empty());
-        EXPECT_TRUE(
-            std::filesystem::exists(cache.path() + ".corrupt"))
-            << mode;
-        EXPECT_FALSE(std::filesystem::exists(cache.path())) << mode;
-
-        // A clean rewrite fully recovers.
-        ASSERT_TRUE(cache.save(in));
-        EXPECT_TRUE(cache.load(out, &why)) << why;
-        setQuietLogging(false);
-        ASSERT_EQ(out.size(), in.size());
-        EXPECT_EQ(out[2].mr, 12);
-    }
-}
-
-TEST_F(RobustnessTest, NoStrayTempFilesAfterSave)
-{
-    SurfaceCache cache(dir_.string(), 0xbeef);
-    ASSERT_TRUE(cache.save({SurfaceRecord{}}));
-    size_t files = 0;
-    for (const auto &ent :
-         std::filesystem::directory_iterator(dir_))
-        files += ent.is_regular_file() ? 1 : 0;
-    EXPECT_EQ(files, 1u);
-}
-
-// ------------------------------------------------------- sweep journal
-
-TEST_F(RobustnessTest, JournalRoundTripAndDuplicateKeys)
-{
-    std::string path = (dir_ / "sweep.jrnl").string();
-    {
-        SweepJournal j(path, 0xabc);
-        EXPECT_EQ(j.size(), 0u);
-        j.record("p1", SweepJournal::encode(1.5));
-        j.record("p2", SweepJournal::encode(2.5));
-        // Re-recording with a different payload supersedes (last
-        // wins): this is how a resumed sweep upgrades a journaled
-        // failure marker to a real value.
-        j.record("p1", SweepJournal::encode(99.0));
-        EXPECT_THROW(j.record("bad\tkey", "00"), ConfigError);
-        EXPECT_THROW(j.record("", "00"), ConfigError);
-    }
-    SweepJournal j(path, 0xabc);
-    EXPECT_EQ(j.size(), 2u);
-    std::string hex;
-    ASSERT_TRUE(j.lookup("p1", &hex));
-    double v = 0;
-    ASSERT_TRUE(SweepJournal::decode(hex, v));
-    EXPECT_DOUBLE_EQ(v, 99.0); // last record wins
-    EXPECT_FALSE(j.lookup("p3"));
-}
-
-TEST_F(RobustnessTest, JournalIgnoresTornTailLine)
-{
-    std::string path = (dir_ / "torn.jrnl").string();
-    {
-        SweepJournal j(path, 1);
-        j.record("done", SweepJournal::encode(4.0));
-    }
-    // Simulate a SIGKILL mid-append: an unterminated tail line.
-    {
-        std::ofstream os(path, std::ios::app | std::ios::binary);
-        os << "half-written\t00ff";
-    }
-    setQuietLogging(true);
-    SweepJournal j(path, 1);
-    setQuietLogging(false);
-    EXPECT_EQ(j.size(), 1u);
-    EXPECT_TRUE(j.lookup("done"));
-    EXPECT_FALSE(j.lookup("half-written"));
-    // The reopened journal keeps accepting records.
-    j.record("next", SweepJournal::encode(5.0));
-    SweepJournal again(path, 1);
-    EXPECT_EQ(again.size(), 2u);
-}
-
-TEST_F(RobustnessTest, JournalWithStaleHashRotatesAndStartsFresh)
-{
-    std::string path = (dir_ / "stale.jrnl").string();
-    {
-        SweepJournal j(path, 111);
-        j.record("old", SweepJournal::encode(1.0));
-    }
-    setQuietLogging(true);
-    SweepJournal j(path, 222); // flags changed between runs
-    setQuietLogging(false);
-    EXPECT_EQ(j.size(), 0u);
-    EXPECT_FALSE(j.lookup("old"));
-    EXPECT_TRUE(std::filesystem::exists(path + ".stale"));
-}
-
-TEST_F(RobustnessTest, SweepRunnerResumesWithoutRecomputing)
-{
-    SweepOptions opt;
-    opt.journalPath = (dir_ / "runner.jrnl").string();
-
-    int calls = 0;
-    auto work = [&calls] {
-        ++calls;
-        return 3.25;
-    };
-    {
-        SweepRunner r(opt);
-        EXPECT_DOUBLE_EQ(r.point<double>("a", work), 3.25);
-        EXPECT_DOUBLE_EQ(r.point<double>("b", work), 3.25);
-        EXPECT_EQ(r.computedPoints(), 2u);
-        EXPECT_EQ(r.resumedPoints(), 0u);
-    }
-    EXPECT_EQ(calls, 2);
-
-    // A rerun (same config) replays the journal: zero recomputation.
-    SweepRunner r(opt);
-    EXPECT_DOUBLE_EQ(r.point<double>("a", work), 3.25);
-    EXPECT_DOUBLE_EQ(r.point<double>("b", work), 3.25);
-    EXPECT_EQ(calls, 2);
-    EXPECT_EQ(r.resumedPoints(), 2u);
-    EXPECT_EQ(r.computedPoints(), 0u);
-    EXPECT_EQ(r.finish(), 0);
-}
+// -------------------------------------------------------- sweep runner
 
 TEST_F(RobustnessTest, SweepRunnerIsolatesAndReportsFailures)
 {
@@ -531,93 +368,6 @@ TEST_F(RobustnessTest, SweepRunnerHonorsMaxFailures)
     EXPECT_EQ(r.finish(), 0); // one failure tolerated
     r.point<double>("two", []() -> double { throw TraceError("y"); });
     EXPECT_EQ(r.finish(), 1); // threshold exceeded
-    setQuietLogging(false);
-}
-
-TEST_F(RobustnessTest, JournalCompactsDuplicateHeavyFileOnOpen)
-{
-    std::string path = (dir_ / "fat.jrnl").string();
-    setQuietLogging(true);
-    {
-        SweepJournal j(path, 7);
-        // Two full passes over 10 keys: 20 appended records, 10 of
-        // them superseded (a sweep retried from scratch).
-        for (int pass = 0; pass < 2; ++pass)
-            for (int i = 0; i < 10; ++i)
-                j.record("p" + std::to_string(i),
-                         SweepJournal::encode(pass * 100.0 + i));
-        EXPECT_FALSE(j.compactedAtOpen());
-    }
-    // A SIGKILL mid-append on top of the fat file: compaction must
-    // still drop the torn tail, exactly like a plain reopen.
-    {
-        std::ofstream os(path, std::ios::app | std::ios::binary);
-        os << "half-written\t00ff";
-    }
-    SweepJournal j(path, 7);
-    EXPECT_TRUE(j.compactedAtOpen());
-    EXPECT_EQ(j.loadedRecords(), 20u);
-    EXPECT_EQ(j.size(), 10u);
-    EXPECT_FALSE(j.lookup("half-written"));
-
-    // Surviving records are the last-written values.
-    std::string hex;
-    double v = 0;
-    ASSERT_TRUE(j.lookup("p3", &hex));
-    ASSERT_TRUE(SweepJournal::decode(hex, v));
-    EXPECT_DOUBLE_EQ(v, 103.0);
-
-    // The rewritten file is exactly header + one line per live key.
-    std::ifstream is(path);
-    size_t lines = 0;
-    std::string line;
-    while (std::getline(is, line))
-        ++lines;
-    EXPECT_EQ(lines, 11u);
-
-    // The compact image reloads without re-compacting and keeps
-    // accepting appends.
-    j.record("p10", SweepJournal::encode(42.0));
-    SweepJournal again(path, 7);
-    EXPECT_FALSE(again.compactedAtOpen());
-    EXPECT_EQ(again.loadedRecords(), 11u);
-    EXPECT_EQ(again.size(), 11u);
-    setQuietLogging(false);
-}
-
-TEST_F(RobustnessTest, JournalSkipsCompactionBelowThresholds)
-{
-    setQuietLogging(true);
-    // 10 loaded records is under the 16-record floor, even at a 50%
-    // duplicate ratio: rewriting a tiny file buys nothing.
-    std::string small = (dir_ / "small.jrnl").string();
-    {
-        SweepJournal j(small, 7);
-        for (int pass = 0; pass < 2; ++pass)
-            for (int i = 0; i < 5; ++i)
-                j.record("p" + std::to_string(i),
-                         SweepJournal::encode(pass * 100.0 + i));
-    }
-    SweepJournal j1(small, 7);
-    EXPECT_FALSE(j1.compactedAtOpen());
-    EXPECT_EQ(j1.loadedRecords(), 10u);
-
-    // 20 records with only 4 superseded (20% < 50%): mostly-live
-    // journals are left alone too.
-    std::string lean = (dir_ / "lean.jrnl").string();
-    {
-        SweepJournal j(lean, 7);
-        for (int i = 0; i < 16; ++i)
-            j.record("p" + std::to_string(i),
-                     SweepJournal::encode(1.0 * i));
-        for (int i = 0; i < 4; ++i)
-            j.record("p" + std::to_string(i),
-                     SweepJournal::encode(100.0 + i));
-    }
-    SweepJournal j2(lean, 7);
-    EXPECT_FALSE(j2.compactedAtOpen());
-    EXPECT_EQ(j2.loadedRecords(), 20u);
-    EXPECT_EQ(j2.size(), 16u);
     setQuietLogging(false);
 }
 
