@@ -25,9 +25,12 @@
  *   bench_simspeed --json          JSON document on stdout
  *   bench_simspeed --cache-dir=D   result store ('none' disables;
  *                                  default: SAVE_CACHE_DIR env)
- *   bench_simspeed --check F       also compare uops/s against the
- *                                  baseline JSON at F; exit 1 if any
- *                                  benchmark regressed by more than 20%
+ *   bench_simspeed --check F       also compare against the baseline
+ *                                  JSON at F; exit 1 if any benchmark's
+ *                                  sim_cycles, ff_jumps or
+ *                                  ff_cycles_skipped differs at all (the
+ *                                  model changed), or its uops/s
+ *                                  regressed by more than 20%
  *                                  (tolerance for shared-runner noise).
  */
 
@@ -51,7 +54,6 @@
 #include "mem/memory_image.h"
 #include "sim/multicore.h"
 #include "stats/stats.h"
-#include "util/simd.h"
 
 /* Heap-allocation counter: interpose the global allocation functions
  * (this binary only). Counting news is enough — the metric is churn,
@@ -228,36 +230,12 @@ runAll()
                          slice(0.8, 0.8, Precision::Bf16), true));
     rows.push_back(bench("rvc_fp32_sparse80_noff", SaveConfig{},
                          slice(0.8, 0.8, Precision::Fp32), false));
-
-    // The four main slices again, pinned to the generic scalar SIMD
-    // backend. The baseline tracks both sets, so a regression in a
-    // vector backend and one in the surrounding simulator show up
-    // separately; on hosts without AVX the two sets coincide.
-    simd::Backend active = simd::activeBackend();
-    if (active != simd::Backend::Generic &&
-        simd::forceBackend(simd::Backend::Generic)) {
-        rows.push_back(
-            bench("baseline_fp32_dense_simd_generic",
-                  SaveConfig::baseline(),
-                  slice(0.0, 0.0, Precision::Fp32), true));
-        rows.push_back(bench("rvc_fp32_dense_simd_generic", SaveConfig{},
-                             slice(0.0, 0.0, Precision::Fp32), true));
-        rows.push_back(bench("rvc_fp32_sparse80_simd_generic",
-                             SaveConfig{},
-                             slice(0.8, 0.8, Precision::Fp32), true));
-        rows.push_back(bench("rvc_bf16_sparse80_simd_generic",
-                             SaveConfig{},
-                             slice(0.8, 0.8, Precision::Bf16), true));
-        simd::forceBackend(active);
-    }
     return rows;
 }
 
 void
 printTable(const std::vector<BenchRow> &rows)
 {
-    std::printf("simd backend: %s (host: %s)\n", simd::backendName(),
-                simd::hostFeatures().c_str());
     if (g_store && g_store->enabled())
         std::fprintf(stderr, "cache %s: %s\n", g_store->dir().c_str(),
                      g_store->statsSnapshot().toJson().c_str());
@@ -277,10 +255,7 @@ printTable(const std::vector<BenchRow> &rows)
 void
 printJson(const std::vector<BenchRow> &rows)
 {
-    std::printf("{\n  \"schema\": \"save-bench-simspeed-v1\",\n"
-                "  \"simd_backend\": \"%s\",\n"
-                "  \"host_simd_features\": \"%s\",\n",
-                simd::backendName(), simd::hostFeatures().c_str());
+    std::printf("{\n  \"schema\": \"save-bench-simspeed-v1\",\n");
     std::printf("  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
                 "\"evictions\": %llu, \"bytes\": %llu},\n",
                 static_cast<unsigned long long>(
@@ -311,9 +286,9 @@ printJson(const std::vector<BenchRow> &rows)
     std::printf("  ]\n}\n");
 }
 
-/** Minimal extraction of {"name": ..., "uops_per_sec": ...} pairs from
- *  a baseline JSON produced by --json (no general JSON parsing). */
-std::vector<std::pair<std::string, double>>
+/** Each benchmark row of a baseline JSON produced by --json, as its
+ *  name and the text of its metrics (no general JSON parsing). */
+std::vector<std::pair<std::string, std::string>>
 readBaseline(const std::string &path)
 {
     std::ifstream in(path);
@@ -325,22 +300,31 @@ readBaseline(const std::string &path)
     ss << in.rdbuf();
     std::string text = ss.str();
 
-    std::vector<std::pair<std::string, double>> out;
+    std::vector<std::pair<std::string, std::string>> out;
     size_t pos = 0;
     const std::string kName = "\"name\": \"";
-    const std::string kRate = "\"uops_per_sec\": ";
     while ((pos = text.find(kName, pos)) != std::string::npos) {
         size_t nb = pos + kName.size();
         size_t ne = text.find('"', nb);
-        size_t rb = text.find(kRate, ne);
-        if (ne == std::string::npos || rb == std::string::npos)
+        size_t end = text.find('}', ne);
+        if (ne == std::string::npos || end == std::string::npos)
             break;
         out.emplace_back(text.substr(nb, ne - nb),
-                         std::strtod(text.c_str() + rb + kRate.size(),
-                                     nullptr));
-        pos = rb;
+                         text.substr(ne, end - ne));
+        pos = end;
     }
     return out;
+}
+
+/** The number after `"key": ` in one baseline row; NaN if absent. */
+double
+rowField(const std::string &row, const std::string &key)
+{
+    const std::string k = "\"" + key + "\": ";
+    size_t at = row.find(k);
+    return at == std::string::npos
+               ? std::nan("")
+               : std::strtod(row.c_str() + at + k.size(), nullptr);
 }
 
 int
@@ -354,7 +338,7 @@ check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
         return 2;
     }
     int failures = 0;
-    for (const auto &[name, base_rate] : baseline) {
+    for (const auto &[name, fields] : baseline) {
         const BenchRow *cur = nullptr;
         for (const BenchRow &r : rows)
             if (r.name == name)
@@ -365,6 +349,23 @@ check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
             ++failures;
             continue;
         }
+        // The deterministic counters must match exactly: a change that
+        // moves one changed the model, not the host's speed.
+        const std::pair<const char *, uint64_t> counters[] = {
+            {"sim_cycles", cur->simCycles},
+            {"ff_jumps", cur->ffJumps},
+            {"ff_cycles_skipped", cur->ffSkipped},
+        };
+        for (const auto &[key, value] : counters) {
+            double base = rowField(fields, key);
+            if (static_cast<double>(value) == base)
+                continue;
+            std::printf("FAIL  %-36s %s %llu vs baseline %.0f\n",
+                        name.c_str(), key,
+                        static_cast<unsigned long long>(value), base);
+            ++failures;
+        }
+        double base_rate = rowField(fields, "uops_per_sec");
         double ratio = cur->uopsPerSec / base_rate;
         bool ok = ratio >= 1.0 - kTolerance;
         std::printf("%-5s %-36s %.0f uops/s vs baseline %.0f (%+.1f%%)\n",

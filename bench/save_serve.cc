@@ -49,9 +49,6 @@ printUsage(const char *argv0)
         "--isolation=process\n"
         "  --config=FILE     key=value file re-read on SIGHUP "
         "(queue_cap=N)\n"
-        "  --v1-compat       emulate a protocol-v1 daemon (advertise\n"
-        "                    v1, reject batched SSHD jobs) — for "
-        "version-skew tests\n"
         "\n"
         "Drains gracefully on SIGTERM/SIGINT (finishes queued and\n"
         "in-flight work, exits 0). `save-ctl drain` does the same "
@@ -96,7 +93,6 @@ main(int argc, char **argv)
         o.workers = flags.getInt("workers", 2);
         o.queueCap = flags.getInt("queue-cap", 8);
         o.configPath = flags.getStr("config", "");
-        o.v1Compat = flags.has("v1-compat");
         // Straggler-injection hook for the shard fault tests: sleep
         // this long before each shard point.
         if (const char *d = std::getenv("SAVE_SERVE_TEST_POINT_DELAY_MS"))

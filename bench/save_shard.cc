@@ -3,7 +3,7 @@
  * save-shard: distributed Fig. 14 sweep coordinator (src/shard,
  * DESIGN.md §15). Splits the sweep into point jobs and dispatches
  * them across in-process lanes and remote save-serve daemons (one
- * protocol v2 SSHD job per point), then merges the results through
+ * SSHD shard job per point), then merges the results through
  * the shared fig14 renderer.
  *
  * The merged stdout is byte-identical to `bench_fig14` for the same
@@ -32,9 +32,11 @@ printUsage(const char *argv0)
         "usage: %s [options]\n"
         "  --sockets=A,B,..  save-serve daemon sockets to dispatch "
         "sweep points\n"
-        "                    to, one point per shard job (protocol v2; "
-        "v1\n"
-        "                    daemons are excluded with a warning)\n"
+        "                    to, one point per shard job (a daemon of "
+        "another\n"
+        "                    protocol version, or one that cannot be "
+        "reached,\n"
+        "                    is excluded with a warning)\n"
         "  --inproc=N        in-process lanes over one shared session "
         "(default 1;\n"
         "                    0 relies entirely on the daemons)\n"

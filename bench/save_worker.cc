@@ -151,18 +151,9 @@ serve()
         } catch (const std::bad_alloc &) {
             sendError(WireErrorKind::Oom,
                       "slice simulation ran out of memory");
-        } catch (const ConfigError &e) {
-            sendError(WireErrorKind::Config, e.what());
-        } catch (const TraceError &e) {
-            sendError(WireErrorKind::Trace, e.what());
-        } catch (const DeadlockError &e) {
-            sendError(WireErrorKind::Deadlock, e.what());
-        } catch (const CacheError &e) {
-            sendError(WireErrorKind::Cache, e.what());
-        } catch (const AuditError &e) {
-            sendError(WireErrorKind::Audit, e.what());
         } catch (const std::exception &e) {
-            sendError(WireErrorKind::Generic, e.what());
+            const WireErrorInfo info = wireClassifyError(e);
+            sendError(info.kind, info.what);
         }
     }
 }

@@ -17,8 +17,8 @@
  *
  * Both digests are serialized field-by-field, never via raw structs,
  * so padding bytes and ABI layout can never leak into the key: the
- * same configuration hashes identically across runs, build modes, and
- * SIMD backends.
+ * same configuration hashes identically across runs and build
+ * modes.
  */
 
 #ifndef SAVE_CACHE_CAS_KEY_H

@@ -66,10 +66,6 @@ class VecReg
     uint32_t word(int i) const { return words_[static_cast<size_t>(i)]; }
     void setWord(int i, uint32_t v) { words_[static_cast<size_t>(i)] = v; }
 
-    /** Raw 16-word backing store (host-SIMD loads/stores, util/simd). */
-    const uint32_t *words() const { return words_.data(); }
-    uint32_t *words() { return words_.data(); }
-
     /** Fill every FP32 lane with the same scalar (broadcast). */
     static VecReg
     broadcastF32(float v)

@@ -11,8 +11,8 @@ namespace {
 
 /** True if the 32-bit broadcast word is (signed-)zero in every
  *  element it carries: one FP32 scalar, or a BF16 pair (shared
- *  zero-test helpers from isa/bf16.h, same tests the SIMD backends
- *  implement). */
+ *  zero-test helpers from isa/bf16.h, same tests util/simd.h
+ *  applies per register). */
 bool
 broadcastIsZero(uint32_t word, Precision prec)
 {

@@ -30,8 +30,8 @@ fillBf16(MemoryImage &mem, uint64_t base, uint64_t count, double sparsity,
 double
 measuredSparsityF32(const MemoryImage &mem, uint64_t base, uint64_t count)
 {
-    // Whole 64B lines go through the host-SIMD zero test (one vector
-    // compare per line); ragged head/tail elements fall back to the
+    // Whole 64B lines go through the whole-register zero test
+    // (util/simd.h); ragged head/tail elements fall back to the
     // scalar read. Both sides count exactly ±0.0f, so the split is
     // invisible in the result.
     uint64_t zeros = 0;
@@ -40,8 +40,7 @@ measuredSparsityF32(const MemoryImage &mem, uint64_t base, uint64_t count)
         if (mem.readF32(base + 4 * i) == 0.0f)
             ++zeros;
     for (; i + kVecLanes <= count; i += kVecLanes)
-        zeros += popcount(
-            simd::ops().zeroMaskF32(mem.readLine(base + 4 * i)));
+        zeros += popcount(simd::zeroMaskF32(mem.readLine(base + 4 * i)));
     for (; i < count; ++i)
         if (mem.readF32(base + 4 * i) == 0.0f)
             ++zeros;
@@ -60,8 +59,7 @@ measuredSparsityBf16(const MemoryImage &mem, uint64_t base, uint64_t count)
         if (bf16IsZero(mem.readBf16(base + 2 * i)))
             ++zeros;
     for (; i + kBf16PerLine <= count; i += kBf16PerLine)
-        zeros += popcount(
-            simd::ops().zeroMaskBf16(mem.readLine(base + 2 * i)));
+        zeros += popcount(simd::zeroMaskBf16(mem.readLine(base + 2 * i)));
     for (; i < count; ++i)
         if (bf16IsZero(mem.readBf16(base + 2 * i)))
             ++zeros;

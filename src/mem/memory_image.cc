@@ -138,7 +138,7 @@ MemoryImage::writeLine(uint64_t addr, const VecReg &v)
 uint16_t
 MemoryImage::lineZeroMaskF32(uint64_t addr) const
 {
-    return simd::ops().zeroMaskF32(readLine(addr));
+    return simd::zeroMaskF32(readLine(addr));
 }
 
 } // namespace save

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <new>
 
 #include "util/error.h"
 #include "util/posix_io.h"
@@ -166,6 +167,24 @@ wireDecodeError(const std::vector<uint8_t> &payload)
     return e;
 }
 
+WireErrorInfo
+wireClassifyError(const std::exception &e)
+{
+    WireErrorInfo info;
+    info.what = e.what();
+    if (dynamic_cast<const ConfigError *>(&e) != nullptr)
+        info.kind = WireErrorKind::Config;
+    else if (dynamic_cast<const TraceError *>(&e) != nullptr)
+        info.kind = WireErrorKind::Trace;
+    else if (dynamic_cast<const DeadlockError *>(&e) != nullptr)
+        info.kind = WireErrorKind::Deadlock;
+    else if (dynamic_cast<const AuditError *>(&e) != nullptr)
+        info.kind = WireErrorKind::Audit;
+    else if (dynamic_cast<const std::bad_alloc *>(&e) != nullptr)
+        info.kind = WireErrorKind::Oom;
+    return info;
+}
+
 void
 wireThrowError(const WireErrorInfo &e)
 {
@@ -176,8 +195,6 @@ wireThrowError(const WireErrorInfo &e)
         throw TraceError(e.what);
     case WireErrorKind::Deadlock:
         throw DeadlockError(e.what, "");
-    case WireErrorKind::Cache:
-        throw CacheError(e.what, "");
     case WireErrorKind::Audit:
         throw AuditError(e.what, "");
     case WireErrorKind::Oom:

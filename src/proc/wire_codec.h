@@ -36,6 +36,7 @@
 #define SAVE_PROC_WIRE_CODEC_H
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <utility>
 #include <vector>
@@ -141,14 +142,15 @@ std::vector<uint8_t> wireEncodeSliceResult(const WireSliceResult &r);
 WireSliceResult wireDecodeSliceResult(const std::vector<uint8_t> &p);
 
 /** ERR payload: a clean in-worker failure, mapped onto the SimError
- *  taxonomy so the parent can rethrow the matching type. */
+ *  taxonomy so the parent can rethrow the matching type. The values
+ *  travel on the wire: never reuse a retired one (4 was a cache
+ *  error). */
 enum class WireErrorKind : uint8_t
 {
     Generic = 0,
     Config = 1,
     Trace = 2,
     Deadlock = 3,
-    Cache = 4,
     Audit = 5,
     Oom = 6,
 };
@@ -161,6 +163,10 @@ struct WireErrorInfo
 
 std::vector<uint8_t> wireEncodeError(const WireErrorInfo &e);
 WireErrorInfo wireDecodeError(const std::vector<uint8_t> &p);
+
+/** Map a caught exception onto its wire kind (the inverse of
+ *  wireThrowError); std::bad_alloc is Oom, anything untyped Generic. */
+WireErrorInfo wireClassifyError(const std::exception &e);
 
 /** Rethrow a decoded worker error as its taxonomy type. */
 [[noreturn]] void wireThrowError(const WireErrorInfo &e);

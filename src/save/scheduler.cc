@@ -176,13 +176,14 @@ VectorScheduler::scheduleBaseline()
         const VecReg &cv = c_.prf.value(e.pc);
         // Zero-skip value semantics even though the baseline policy
         // executes every masked lane (bf16.h); whole-register compute
-        // through the host-SIMD backend, whole-register writeback.
+        // through the util/simd.h lane helpers, whole-register
+        // writeback.
         t.vec.dstPhys = e.dstPhys;
         t.vec.robIdx = e.robIdx;
         t.vec.value = mp
-            ? simd::ops().bf16MacSkipVec(
-                  a, b, cv, simd::expandMask16to32(e.wm))
-            : simd::ops().macSkipF32Vec(a, b, cv, e.wm);
+            ? simd::bf16MacSkipVec(a, b, cv,
+                                   simd::expandMask16to32(e.wm))
+            : simd::macSkipF32Vec(a, b, cv, e.wm);
         t.vecValid = true;
         e.issued = true;
         if (c_.etrace_)
@@ -259,8 +260,8 @@ VectorScheduler::scheduleCoalesced()
                 t.vec.dstPhys = e.dstPhys;
                 t.vec.robIdx = e.robIdx;
                 t.vec.value = mp
-                    ? simd::ops().bf16MacSkipVec(a, b, cv, e.elm)
-                    : simd::ops().macSkipF32Vec(a, b, cv, 0xffffu);
+                    ? simd::bf16MacSkipVec(a, b, cv, e.elm)
+                    : simd::macSkipF32Vec(a, b, cv, 0xffffu);
                 t.vecValid = true;
                 if (mp)
                     e.pendingMl = 0;

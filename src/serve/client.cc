@@ -12,25 +12,19 @@
 
 namespace save {
 
-ServeClient::ServeClient(std::string socketPath)
-    : path_(std::move(socketPath))
-{
-    // A daemon that dies mid-reply must surface as EPIPE on our next
-    // write, not kill the client process.
-    std::signal(SIGPIPE, SIG_IGN);
-}
+namespace {
 
-ServeClient::Reply
-ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
-                  int timeout_ms)
+/** A socket connected to the daemon at `path`; throws
+ *  ServeConnectError when nothing listens there. */
+int
+connectTo(const std::string &path)
 {
     struct sockaddr_un addr;
-    if (path_.size() >= sizeof(addr.sun_path))
-        throw ConfigError("socket path too long: " + path_);
+    if (path.size() >= sizeof(addr.sun_path))
+        throw ConfigError("socket path too long: " + path);
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path_.c_str(),
-                 sizeof(addr.sun_path) - 1);
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
 
     int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
@@ -44,10 +38,27 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
             (e == ECONNREFUSED || e == ENOENT)
                 ? " (is save-serve running on this socket?)"
                 : "";
-        throw SimError("cannot connect to " + path_ + ": " +
-                       std::strerror(e) + hint);
+        throw ServeConnectError("cannot connect to " + path + ": " +
+                                std::strerror(e) + hint);
     }
+    return fd;
+}
 
+} // namespace
+
+ServeClient::ServeClient(std::string socketPath)
+    : path_(std::move(socketPath))
+{
+    // A daemon that dies mid-reply must surface as EPIPE on our next
+    // write, not kill the client process.
+    std::signal(SIGPIPE, SIG_IGN);
+}
+
+ServeClient::Reply
+ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
+                  int timeout_ms)
+{
+    const int fd = connectTo(path_);
     Reply reply;
     try {
         if (!frameWriteFd(fd, kServeRequest, kServeVersion,
@@ -117,30 +128,7 @@ ServeClient::Reply
 ServeClient::callShard(const ServeShardJob &job, const AckFn &onAck,
                        int timeout_ms)
 {
-    struct sockaddr_un addr;
-    if (path_.size() >= sizeof(addr.sun_path))
-        throw ConfigError("socket path too long: " + path_);
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path_.c_str(),
-                 sizeof(addr.sun_path) - 1);
-
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        throw SimError(std::string("cannot create socket: ") +
-                       std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        int e = errno;
-        ::close(fd);
-        std::string hint =
-            (e == ECONNREFUSED || e == ENOENT)
-                ? " (is save-serve running on this socket?)"
-                : "";
-        throw SimError("cannot connect to " + path_ + ": " +
-                       std::strerror(e) + hint);
-    }
-
+    const int fd = connectTo(path_);
     Reply reply;
     try {
         if (!frameWriteFd(fd, kServeShardJob, kServeVersion,

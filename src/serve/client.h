@@ -5,11 +5,12 @@
  * progress frames, and return the terminal SRES/SERR/SBSY as a typed
  * Reply. `save-ctl` and the serve tests are the two users.
  *
- * Failure policy mirrors the rest of the harness: connection refusal,
- * timeouts, and protocol corruption throw SimError/TraceError with
- * actionable messages (never a hang — every read is
- * deadline-bounded); an overloaded daemon is NOT an exception but a
- * Reply::Kind::Busy, because load-shedding is an expected answer.
+ * Failure policy mirrors the rest of the harness: a failed connect
+ * throws ServeConnectError (nothing reached the daemon); timeouts and
+ * protocol corruption throw SimError/TraceError with actionable
+ * messages (never a hang — every read is deadline-bounded); an
+ * overloaded daemon is NOT an exception but a Reply::Kind::Busy,
+ * because load-shedding is an expected answer.
  */
 
 #ifndef SAVE_SERVE_CLIENT_H
@@ -19,8 +20,17 @@
 #include <string>
 
 #include "serve/protocol.h"
+#include "util/error.h"
 
 namespace save {
+
+/** connect(2) to the daemon's socket failed: no request was sent, so
+ *  the daemon cannot have worked on it. */
+class ServeConnectError : public SimError
+{
+  public:
+    using SimError::SimError;
+};
 
 class ServeClient
 {
@@ -54,24 +64,21 @@ class ServeClient
      * Send one request and wait for the terminal reply. `timeout_ms`
      * bounds every frame read (< 0 waits forever); a sweep that
      * streams progress resets the clock at each frame. Throws
-     * SimError when the daemon is unreachable or times out,
-     * TraceError on protocol corruption.
+     * ServeConnectError when the daemon is unreachable, SimError when
+     * it times out, TraceError on protocol corruption.
      */
     Reply call(const ServeRequest &req,
                const ProgressFn &progress = nullptr,
                int timeout_ms = -1);
 
-    /** Per-point ack callback for batched shard jobs (v2). */
+    /** Per-point ack callback for shard jobs. */
     using AckFn = std::function<void(const ServeShardAck &)>;
 
     /**
-     * Send one batched SSHD shard job (protocol v2) and stream every
-     * per-point ack through `onAck`; the terminal frame becomes the
-     * Reply exactly as in call(). A v1 daemon answers SSHD with a
-     * typed Trace SERR (unknown fourcc), which surfaces here as
-     * Reply::Kind::Error — the coordinator's cue to stop sending this
-     * backend batches. `timeout_ms` bounds every frame read and
-     * resets at each ack.
+     * Send one SSHD shard job and stream every per-point ack through
+     * `onAck`; the terminal frame becomes the Reply exactly as in
+     * call(), and failures throw as in call(). `timeout_ms` bounds
+     * every frame read and resets at each ack.
      */
     Reply callShard(const ServeShardJob &job,
                     const AckFn &onAck = nullptr,

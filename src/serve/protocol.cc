@@ -63,11 +63,10 @@ serveEncodeRequest(const ServeRequest &r)
 ServeRequest
 serveDecodeRequest(uint32_t version, const std::vector<uint8_t> &p)
 {
-    if (version < kServeMinVersion || version > kServeVersion)
+    if (version != kServeVersion)
         throw TraceError("serve protocol version mismatch: peer speaks v" +
                          std::to_string(version) + ", this build is v" +
-                         std::to_string(kServeVersion) + " (oldest v" +
-                         std::to_string(kServeMinVersion) + ")");
+                         std::to_string(kServeVersion));
     const uint8_t *q = p.data();
     const uint8_t *end = q + p.size();
     ServeRequest r;
@@ -179,10 +178,9 @@ serveEncodeShardJob(const ServeShardJob &j)
 ServeShardJob
 serveDecodeShardJob(uint32_t version, const std::vector<uint8_t> &p)
 {
-    if (version < kServeShardVersion || version > kServeVersion)
-        throw TraceError("serve shard job needs protocol v" +
-                         std::to_string(kServeShardVersion) +
-                         ", peer speaks v" + std::to_string(version) +
+    if (version != kServeVersion)
+        throw TraceError("serve shard job version mismatch: peer speaks "
+                         "v" + std::to_string(version) +
                          ", this build is v" +
                          std::to_string(kServeVersion));
     const uint8_t *q = p.data();
@@ -243,14 +241,6 @@ serveKnownFourcc(uint32_t fourcc)
     return fourcc == kServeRequest || fourcc == kServeResult ||
            fourcc == kServeError || fourcc == kServeBusy ||
            fourcc == kServeProgress || fourcc == kServeShardJob;
-}
-
-bool
-serveKnownFourccV1(uint32_t fourcc)
-{
-    return fourcc == kServeRequest || fourcc == kServeResult ||
-           fourcc == kServeError || fourcc == kServeBusy ||
-           fourcc == kServeProgress;
 }
 
 } // namespace save

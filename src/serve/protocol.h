@@ -15,10 +15,10 @@
  *                   or SBSY  (admission queue full: typed load-shed,
  *                             never a hang — resubmit later)
  *
- * Protocol v2 adds the batched shard-job frame for the save-shard
- * coordinator (DESIGN.md §15):
+ * The shard-job frame serves the save-shard coordinator (DESIGN.md
+ * §15):
  *
- *   client -> daemon   SSHD  (arg = version >= 2; priority + deadline
+ *   client -> daemon   SSHD  (arg = protocol version; priority + deadline
  *                             + Fig14Knobs + a list of sweep-point
  *                             indices into fig14Points())
  *   daemon -> client   SPRG* (arg = point index; ServeShardAck
@@ -27,12 +27,10 @@
  *                             merges these in config-key order)
  *   daemon -> client   SRES  (empty: batch complete) or SERR / SBSY
  *
- * Version negotiation is one-sided and safe in both directions: a v2
- * client first reads ServeStatus.version and only sends SSHD to a v2
- * daemon; a v1 daemon that is sent SSHD anyway rejects the unknown
- * fourcc with a typed SERR (TraceError) and keeps serving its v1
- * single-request kinds, which a v2 daemon also still accepts (SREQ
- * frames with arg = 1 decode unchanged).
+ * Versioning is an exact match: daemon and client decode only frames
+ * whose arg carries kServeVersion, and reject any other version with
+ * a typed SERR (TraceError). The coordinator reads ServeStatus.version
+ * first and sends shard jobs only to a daemon of its own version.
  *
  * Every frame is `u32 fourcc, u32 arg, u64 payloadBytes, u32
  * crc32(payload), payload`; any corruption (truncated frame, flipped
@@ -63,13 +61,9 @@
 namespace save {
 
 /** Protocol version; bumped on any frame-layout change. Rides in the
- *  SREQ/SSHD `arg` slot and is echoed in ServeStatus. v2 adds the
- *  batched SSHD shard-job frame; v1 requests decode unchanged. */
+ *  SREQ/SSHD `arg` slot and is echoed in ServeStatus; peers must match
+ *  it exactly. */
 constexpr uint32_t kServeVersion = 2;
-/** Oldest request version this build still decodes. */
-constexpr uint32_t kServeMinVersion = 1;
-/** First version that understands SSHD shard jobs. */
-constexpr uint32_t kServeShardVersion = 2;
 
 /** Frame kinds. */
 constexpr uint32_t kServeRequest = frameFourcc('S', 'R', 'E', 'Q');
@@ -196,8 +190,8 @@ struct ServeShardJob
 };
 
 std::vector<uint8_t> serveEncodeShardJob(const ServeShardJob &j);
-/** Throws TraceError on malformed payload or a version below
- *  kServeShardVersion (`version` is the frame's arg slot). */
+/** Throws TraceError on malformed payload or a version other than
+ *  kServeVersion (`version` is the frame's arg slot). */
 ServeShardJob serveDecodeShardJob(uint32_t version,
                                   const std::vector<uint8_t> &p);
 
@@ -216,9 +210,6 @@ ServeShardAck serveDecodeShardAck(const std::vector<uint8_t> &p);
 
 /** frameReadFd acceptance predicate for serve-protocol fourccs. */
 bool serveKnownFourcc(uint32_t fourcc);
-/** The v1 predicate (no SSHD) — used by the --v1-compat daemon mode
- *  so protocol-skew tests exercise a faithful old-daemon rejection. */
-bool serveKnownFourccV1(uint32_t fourcc);
 
 } // namespace save
 

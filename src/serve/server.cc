@@ -56,28 +56,6 @@ clientGone(int fd)
     return r == 0;
 }
 
-WireErrorInfo
-classifyError(const std::exception &e)
-{
-    WireErrorInfo info;
-    info.what = e.what();
-    if (dynamic_cast<const ConfigError *>(&e) != nullptr)
-        info.kind = WireErrorKind::Config;
-    else if (dynamic_cast<const TraceError *>(&e) != nullptr)
-        info.kind = WireErrorKind::Trace;
-    else if (dynamic_cast<const DeadlockError *>(&e) != nullptr)
-        info.kind = WireErrorKind::Deadlock;
-    else if (dynamic_cast<const CacheError *>(&e) != nullptr)
-        info.kind = WireErrorKind::Cache;
-    else if (dynamic_cast<const AuditError *>(&e) != nullptr)
-        info.kind = WireErrorKind::Audit;
-    else if (dynamic_cast<const std::bad_alloc *>(&e) != nullptr)
-        info.kind = WireErrorKind::Oom;
-    else
-        info.kind = WireErrorKind::Generic;
-    return info;
-}
-
 } // namespace
 
 ServeServer::ServeServer(Options opt) : opt_(std::move(opt))
@@ -295,13 +273,9 @@ ServeServer::handleConnection(int fd)
     bool is_shard = false;
     try {
         // A client that connects and dawdles must not wedge the
-        // accept loop: the whole request has 2s to arrive. In
-        // --v1-compat mode the v1 predicate rejects SSHD with the
-        // same unknown-fourcc TraceError a real v1 build raises.
-        FrameRead r = frameReadFd(
-            fd, f, 2000,
-            opt_.v1Compat ? serveKnownFourccV1 : serveKnownFourcc,
-            kServeMaxPayload, "serve");
+        // accept loop: the whole request has 2s to arrive.
+        FrameRead r = frameReadFd(fd, f, 2000, serveKnownFourcc,
+                                  kServeMaxPayload, "serve");
         if (r != FrameRead::Ok) {
             if (r == FrameRead::Timeout)
                 SAVE_WARN("dropping client: no request within 2s");
@@ -392,7 +366,7 @@ ServeStatus
 ServeServer::statusSnapshot()
 {
     ServeStatus s;
-    s.version = opt_.v1Compat ? 1 : kServeVersion;
+    s.version = kServeVersion;
     s.workers = static_cast<uint32_t>(opt_.workers);
     s.queueCap = static_cast<uint32_t>(queueCap_.load());
     {
@@ -622,7 +596,7 @@ ServeServer::sendErrorReply(int fd, const std::exception &e)
     // Best-effort: the client may already be gone (EPIPE is the very
     // thing that aborted the job).
     frameWriteFd(fd, kServeError, kServeVersion,
-                 wireEncodeError(classifyError(e)));
+                 wireEncodeError(wireClassifyError(e)));
 }
 
 } // namespace save

@@ -67,11 +67,6 @@ class ServeServer
         RuntimeOptions runtime{};
         /** Optional key=value config file re-read on SIGHUP. */
         std::string configPath;
-        /** Emulate a protocol-v1 daemon: advertise version 1 in
-         *  Status and reject SSHD frames exactly as a real v1 build
-         *  would (unknown-fourcc TraceError -> typed SERR). Lets the
-         *  version-skew tests run against this binary. */
-        bool v1Compat = false;
         /** Test hook: sleep this long before every shard point, to
          *  fake a straggler backend (SAVE_SERVE_TEST_POINT_DELAY_MS).
          */

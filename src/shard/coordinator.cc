@@ -139,7 +139,8 @@ ShardCoordinator::requeue(uint32_t idx)
     if (p.phase == PointPhase::Done)
         return;
     // Undo the claim's attempt charge: the point was never tried
-    // (load-shed or returned unworked), only deferred.
+    // (load-shed, returned unworked, or never reached the daemon),
+    // only deferred.
     --p.attempts;
     p.phase = PointPhase::Pending;
     cv_.notify_all();
@@ -232,9 +233,8 @@ ShardCoordinator::daemonLane(const std::string &socket)
 {
     ServeClient client(socket);
 
-    // Version negotiation: only a daemon that speaks the shard
-    // version gets shard jobs; an old one keeps serving its v1 kinds
-    // for other clients, we just leave it alone.
+    // Only a daemon of this build's protocol version gets shard jobs;
+    // any other is left alone for its own clients.
     try {
         ServeRequest sreq;
         sreq.kind = ServeKind::Status;
@@ -242,12 +242,12 @@ ShardCoordinator::daemonLane(const std::string &socket)
             client.call(sreq, nullptr, opt_.rpcTimeoutMs);
         if (reply.kind != ServeClient::Reply::Kind::Ok)
             throw SimError("status probe not answered");
-        if (reply.status.version < kServeShardVersion) {
+        if (reply.status.version != kServeVersion) {
             backendLost(socket,
                         "speaks protocol v" +
                             std::to_string(reply.status.version) +
-                            " (batched shard jobs need v" +
-                            std::to_string(kServeShardVersion) + ")");
+                            " (this build speaks v" +
+                            std::to_string(kServeVersion) + ")");
             return;
         }
     } catch (const std::exception &e) {
@@ -298,6 +298,13 @@ ShardCoordinator::daemonLane(const std::string &socket)
                 // defensively.
                 requeue(idx);
             }
+        } catch (const ServeConnectError &e) {
+            // The job never reached the daemon: hand the point back
+            // uncharged, as for a load-shed, but count it against
+            // this lane so a dead daemon is still excluded.
+            requeue(idx);
+            ++consecutive;
+            fault = socket + ": " + e.what();
         } catch (const std::exception &e) {
             faulted = true;
             fault = socket + ": " + e.what();

@@ -10,8 +10,8 @@
  *    ThreadPool + content-addressed ResultStore), each claiming one
  *    point at a time;
  *  - remote save-serve daemons: one dialer thread per socket,
- *    claiming one point at a time and shipping it as a protocol-v2
- *    SSHD job; its SPRG ack completes the point.
+ *    claiming one point at a time and shipping it as an SSHD shard
+ *    job; its SPRG ack completes the point.
  *
  * Every backend claims its next point only when it is free, so no
  * point waits on a busy daemon while another backend sits idle.
@@ -37,9 +37,14 @@
  *    point is recorded as a permanent failure and yields a
  *    value-initialized result, exactly like the single-host
  *    SweepRunner, so the rest of the sweep still completes;
+ *  - a dispatch that never reached its daemon (the connect failed)
+ *    hands the point back without charging an attempt, as a
+ *    load-shed does: a dead daemon must not use up the budget of
+ *    points a live backend could compute;
  *  - a daemon that fails `kMaxBackendFaults` consecutive dispatches
- *    (or speaks protocol v1 — no SSHD) is excluded with a warning:
- *    graceful degradation to the remaining backends;
+ *    (unreachable ones included), or whose status reports another
+ *    protocol version, is excluded with a warning: graceful
+ *    degradation to the remaining backends;
  *  - a straggler (a dispatched point older than `stragglerMs`) is
  *    speculatively re-dispatched to any idle backend; the first
  *    completion wins and the duplicate is discarded (results are
@@ -160,6 +165,7 @@ class ShardCoordinator
     /** Re-queue after a fault; past the attempt budget the point is
      *  finished as a permanent failure. */
     void requeueFailure(uint32_t idx, const std::string &reason);
+    /** Hand back a point no backend worked on, uncharged. */
     void requeue(uint32_t idx);
     void setFatal(const std::string &msg);
     /** A backend is gone; with none left and work outstanding the

@@ -9,15 +9,14 @@ elmF32(const VecReg &a, const VecReg &b, uint16_t wm)
 {
     // Zero detection over the actual operand values (+-0.0 both count:
     // the product is exactly zero and the accumulation is
-    // ineffectual). Routed through the host-SIMD backend; all backends
-    // agree bit-for-bit with the scalar reference (util/simd.h).
-    return simd::ops().elmF32(a, b, wm);
+    // ineffectual). The oracle shares this lane math (util/simd.h).
+    return simd::elmF32(a, b, wm);
 }
 
 uint32_t
 elmMp(const VecReg &a, const VecReg &b, uint16_t wm)
 {
-    return simd::ops().elmMp(a, b, wm);
+    return simd::elmMp(a, b, wm);
 }
 
 uint16_t

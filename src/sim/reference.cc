@@ -46,14 +46,13 @@ ArchExecutor::exec(const Uop &u)
     uint16_t wm =
         u.wmask >= 0 ? masks_[static_cast<size_t>(u.wmask)] : 0xffffu;
 
-    // Whole-register MAC through the host-SIMD backend; masked lanes
-    // keep the accumulator value bit-exactly, and the zero-skip
-    // semantics are identical to the MGU's (bf16.h / util/simd.h).
+    // Whole-register MAC through the lane helpers the pipeline uses;
+    // masked lanes keep the accumulator value bit-exactly, and the
+    // zero-skip semantics are identical to the MGU's (util/simd.h).
     if (u.isMixedPrecision())
-        c = simd::ops().bf16MacSkipVec(a, b, c,
-                                       simd::expandMask16to32(wm));
+        c = simd::bf16MacSkipVec(a, b, c, simd::expandMask16to32(wm));
     else
-        c = simd::ops().macSkipF32Vec(a, b, c, wm);
+        c = simd::macSkipF32Vec(a, b, c, wm);
 }
 
 } // namespace save

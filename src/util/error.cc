@@ -83,10 +83,4 @@ WorkerError::kindName(Kind kind)
     return "unknown";
 }
 
-CacheError::CacheError(const std::string &what, std::string path,
-                       Context ctx)
-    : SimError(what + " (" + path + ")", ctx), path_(std::move(path))
-{
-}
-
 } // namespace save

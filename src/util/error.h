@@ -5,11 +5,12 @@
  * The gem5-style macros in logging.h (SAVE_PANIC / SAVE_FATAL) kill
  * the process, which is right for internal invariant violations but
  * wrong for everything a long-running sweep should survive: bad user
- * configuration, a wedged slice simulation, a corrupt cache file.
+ * configuration, a wedged slice simulation, a crashed worker process.
  * Those conditions throw a SimError subclass instead, carrying enough
  * context (core id, cycle, uop sequence number, configuration hash)
  * that a failure buried in an hours-long fig14-19 sweep is actionable
- * from the report alone.
+ * from the report alone. A corrupt result-store file is not an error:
+ * the store quarantines it, warns, and simulates the slice again.
  *
  * Taxonomy:
  *   ConfigError   -- the user asked for something impossible; thrown
@@ -21,10 +22,6 @@
  *                    injected slice faults, see fault_injection.h).
  *   DeadlockError -- the retirement watchdog detected no forward
  *                    progress; carries a pipeline snapshot.
- *   CacheError    -- a persistent artifact cannot be read or written;
- *                    carries the path. The result store itself never
- *                    throws (it warns and degrades); the type survives
- *                    as a worker wire error kind.
  *   AuditError    -- the cycle-granular invariant auditor (built with
  *                    -DSAVE_AUDIT=ON; src/sim/auditor.h) found the
  *                    pipeline in an inconsistent state; carries the
@@ -157,19 +154,6 @@ class WorkerError : public SimError
 
   private:
     Kind kind_;
-};
-
-/** Persistent artifact I/O or format failure. */
-class CacheError : public SimError
-{
-  public:
-    CacheError(const std::string &what, std::string path,
-               Context ctx = Context());
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
 };
 
 } // namespace save

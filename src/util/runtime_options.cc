@@ -45,7 +45,6 @@ RuntimeOptions::fromEnv()
     o.cacheDir = envStr("SAVE_CACHE_DIR");
     o.cacheMaxMb = envPosInt("SAVE_CACHE_MAX_MB", 0);
     o.workerBin = envStr("SAVE_WORKER_BIN");
-    o.simd = envStr("SAVE_SIMD");
     return o;
 }
 

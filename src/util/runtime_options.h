@@ -55,10 +55,6 @@ struct RuntimeOptions
      *  executable. Env: SAVE_WORKER_BIN. */
     std::string workerBin;
 
-    /** SIMD backend override ("generic", "avx2", "avx512"); "" = best
-     *  the host supports. Env: SAVE_SIMD. */
-    std::string simd;
-
     /**
      * Fresh, complete read of the environment. Deliberately NOT a
      * cached singleton: one-shot tools keep their read-at-call-time

@@ -1,99 +1,135 @@
 /**
  * @file
- * Runtime-dispatched host-SIMD backends for the simulator's functional
- * lane math. Three backends — generic scalar, AVX2, AVX-512 — implement
- * one table of vector primitives; the best one the host supports is
- * selected once via CPUID, overridable with SAVE_SIMD=generic|avx2|
- * avx512. Every backend is bit-exact with the scalar helpers in
- * isa/bf16.h, which define the FP contract:
+ * Whole-register lane math for the simulator's functional model: the
+ * isa/bf16.h scalar helpers applied across one 512-bit VecReg. The
+ * pipeline (MGU, VPU issue) and the ArchExecutor oracle both call
+ * these, so they share one definition of the FP contract:
  *
  *  - zero-skip MAC: a (signed-)zero multiplicand leaves the
  *    accumulator bit-identical (NaN payloads pass through untouched);
  *  - effectual lanes compute prod = a*b and acc + prod as two separate
- *    IEEE-754 single-precision roundings (-ffp-contract=off semantics:
- *    the SIMD backends use mul+add, never a fused FMA);
+ *    IEEE-754 single-precision roundings (-ffp-contract=off, so the
+ *    compiler never fuses them into an FMA);
  *  - a *computed* NaN result collapses to the canonical quiet NaN
  *    0x7fc00000;
  *  - BF16 lanes widen exactly (<<16) and accumulate in FP32.
  *
- * Deliberately NOT used: the native AVX512-BF16 VDPBF16PS instruction.
- * It contracts the two products into one rounding (and flushes
- * denormal inputs), which is not bit-compatible with the simulator's
- * defined sequential round-to-nearest accumulation — the AVX-512
- * backend instead emulates the two MAC steps with mul+add, preserving
- * bit-exactness. Cross-backend bit-identity is enforced by
- * tests/test_simd and the differential fuzzer.
+ * The mixed-precision MAC is deliberately not modelled on the native
+ * AVX512-BF16 VDPBF16PS instruction: that contracts the two products
+ * of an accumulator lane into one rounding (and flushes denormal
+ * inputs), while the simulator defines sequential round-to-nearest
+ * accumulation, even ML then odd ML.
  */
 
 #ifndef SAVE_UTIL_SIMD_H
 #define SAVE_UTIL_SIMD_H
 
 #include <cstdint>
-#include <string>
 
+#include "isa/bf16.h"
 #include "isa/vec.h"
 
 namespace save::simd {
 
-enum class Backend { Generic = 0, Avx2 = 1, Avx512 = 2 };
-
-/** One backend's vector primitives. All operate on whole VecRegs and
- *  reproduce the isa/bf16.h scalar helpers lane-for-lane. */
-struct Ops
+/** Name of the lane-math implementation, for fingerprint lines. */
+inline const char *
+backendName()
 {
-    /** Per-lane macSkipF32(c, a, b) for lanes set in wm; other lanes
-     *  keep c bit-exactly. */
-    VecReg (*macSkipF32Vec)(const VecReg &a, const VecReg &b,
-                            const VecReg &c, uint16_t wm);
+    return "generic";
+}
 
-    /**
-     * Per-AL mixed-precision MAC: for each accumulator lane, apply
-     * bf16MacSkip for its even ML then its odd ML (sequential FP32
-     * roundings, VDPBF16PS program order), restricted to the MLs set
-     * in ml_mask. ALs with no ML selected keep c bit-exactly.
-     */
-    VecReg (*bf16MacSkipVec)(const VecReg &a, const VecReg &b,
-                             const VecReg &c, uint32_t ml_mask);
-
-    /** Effectual-lane mask: bit i set iff a.f32(i) != 0 && b.f32(i)
-     *  != 0 (NaN counts as nonzero), ANDed with wm. */
-    uint16_t (*elmF32)(const VecReg &a, const VecReg &b, uint16_t wm);
-
-    /** Mixed-precision ELM: bit ml set iff neither bf16 multiplicand
-     *  is a signed zero and the AL's wm bit is set. */
-    uint32_t (*elmMp)(const VecReg &a, const VecReg &b, uint16_t wm);
-
-    /** Bit i set iff FP32 lane i of v is a (signed) zero. */
-    uint16_t (*zeroMaskF32)(const VecReg &v);
-
-    /** Bit ml set iff BF16 lane ml of v is a (signed) zero. */
-    uint32_t (*zeroMaskBf16)(const VecReg &v);
-};
-
-/** The active backend's primitive table (resolved once: CPUID best,
- *  overridden by SAVE_SIMD if set). */
-const Ops &ops();
-
-Backend activeBackend();
-const char *backendName(Backend b);
-/** Name of the active backend ("generic" | "avx2" | "avx512"). */
-const char *backendName();
-
-/** True if the host can execute the given backend. */
-bool backendSupported(Backend b);
-
-/** Space-separated host CPUID SIMD feature list (reporting only). */
-std::string hostFeatures();
+/** Per-lane macSkipF32(c, a, b) for lanes set in wm; other lanes keep
+ *  c bit-exactly. */
+inline VecReg
+macSkipF32Vec(const VecReg &a, const VecReg &b, const VecReg &c,
+              uint16_t wm)
+{
+    VecReg r = c;
+    for (int lane = 0; lane < kVecLanes; ++lane) {
+        if ((wm >> lane) & 1)
+            r.setF32(lane,
+                     macSkipF32(c.f32(lane), a.f32(lane), b.f32(lane)));
+    }
+    return r;
+}
 
 /**
- * Force a specific backend (tests, bench variants). Returns false and
- * leaves the selection unchanged if the host does not support it. Not
- * thread-safe: call only while no simulation is running.
+ * Per-AL mixed-precision MAC: for each accumulator lane, apply
+ * bf16MacSkip for its even ML then its odd ML (sequential FP32
+ * roundings, VDPBF16PS program order), restricted to the MLs set in
+ * ml_mask. ALs with no ML selected keep c bit-exactly.
  */
-bool forceBackend(Backend b);
+inline VecReg
+bf16MacSkipVec(const VecReg &a, const VecReg &b, const VecReg &c,
+               uint32_t ml_mask)
+{
+    VecReg r = c;
+    for (int lane = 0; lane < kVecLanes; ++lane) {
+        if (!((ml_mask >> (kMlPerAl * lane)) & 0x3u))
+            continue;
+        float v = c.f32(lane);
+        for (int s = 0; s < kMlPerAl; ++s) {
+            int ml = kMlPerAl * lane + s;
+            if ((ml_mask >> ml) & 1)
+                v = bf16MacSkip(v, a.bf16(ml), b.bf16(ml));
+        }
+        r.setF32(lane, v);
+    }
+    return r;
+}
 
-/** Parse a SAVE_SIMD-style name; returns false on unknown names. */
-bool parseBackend(const char *name, Backend &out);
+/** Effectual-lane mask: bit i set iff a.f32(i) != 0 && b.f32(i) != 0
+ *  (NaN counts as nonzero), ANDed with wm. */
+inline uint16_t
+elmF32(const VecReg &a, const VecReg &b, uint16_t wm)
+{
+    uint16_t elm = 0;
+    for (int lane = 0; lane < kVecLanes; ++lane) {
+        unsigned eff = static_cast<unsigned>(a.f32(lane) != 0.0f) &
+                       static_cast<unsigned>(b.f32(lane) != 0.0f);
+        elm |= static_cast<uint16_t>(eff << lane);
+    }
+    return elm & wm;
+}
+
+/** Mixed-precision ELM: bit ml set iff neither bf16 multiplicand is a
+ *  signed zero and the AL's wm bit is set. */
+inline uint32_t
+elmMp(const VecReg &a, const VecReg &b, uint16_t wm)
+{
+    uint32_t elm = 0;
+    for (int ml = 0; ml < kMlLanes; ++ml) {
+        if (!((wm >> (ml / kMlPerAl)) & 1))
+            continue;
+        if (!bf16IsZero(a.bf16(ml)) && !bf16IsZero(b.bf16(ml)))
+            elm |= 1u << ml;
+    }
+    return elm;
+}
+
+/** Bit i set iff FP32 lane i of v is a (signed) zero. */
+inline uint16_t
+zeroMaskF32(const VecReg &v)
+{
+    uint16_t m = 0;
+    for (int lane = 0; lane < kVecLanes; ++lane) {
+        if (v.f32(lane) == 0.0f)
+            m |= static_cast<uint16_t>(1u << lane);
+    }
+    return m;
+}
+
+/** Bit ml set iff BF16 lane ml of v is a (signed) zero. */
+inline uint32_t
+zeroMaskBf16(const VecReg &v)
+{
+    uint32_t m = 0;
+    for (int ml = 0; ml < kMlLanes; ++ml) {
+        if (bf16IsZero(v.bf16(ml)))
+            m |= 1u << ml;
+    }
+    return m;
+}
 
 /** Duplicate each of 16 mask bits into an adjacent pair: bit i of m
  *  sets bits 2i and 2i+1 (AL write mask -> ML mask). */

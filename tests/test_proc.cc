@@ -13,6 +13,8 @@
 
 #include <cstring>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -324,6 +326,28 @@ TEST_F(ProcTest, SessionInitAndErrorPayloadsRoundTrip)
     err.kind = WireErrorKind::Config;
     EXPECT_THROW(wireThrowError(wireDecodeError(wireEncodeError(err))),
                  ConfigError);
+}
+
+TEST_F(ProcTest, ClassifiedErrorsRethrowAsTheirType)
+{
+    // save-worker and save-serve map a caught exception onto its wire
+    // kind through one classifier; the receiving side must rethrow
+    // the same type.
+    auto roundTrip = [](const std::exception &e) {
+        wireThrowError(
+            wireDecodeError(wireEncodeError(wireClassifyError(e))));
+    };
+    EXPECT_THROW(roundTrip(ConfigError("bad knob")), ConfigError);
+    EXPECT_THROW(roundTrip(TraceError("bad uop")), TraceError);
+    EXPECT_THROW(roundTrip(DeadlockError("stuck", "")), DeadlockError);
+    EXPECT_THROW(roundTrip(AuditError("broken", "")), AuditError);
+    try {
+        roundTrip(std::bad_alloc());
+        ADD_FAILURE() << "bad_alloc was not rethrown";
+    } catch (const WorkerError &e) {
+        EXPECT_EQ(e.kind(), WorkerError::Kind::Oom);
+    }
+    EXPECT_THROW(roundTrip(std::runtime_error("untyped")), SimError);
 }
 
 // ---------------------------------------------- worker-binary lookup

@@ -1,14 +1,14 @@
 /**
  * @file
- * Shard coordinator tests: protocol-v2 frame round-trips and version
- * windows, the canonical point enumeration, and the coordinator
- * fault matrix — shard-count invariance, daemon crash mid-point,
- * straggler rebalance, one stored record per slice across processes
- * on a shared store, a daemon acking a point outside the sweep,
- * protocol version skew against a v1-emulating daemon, and a
- * coordinator SIGKILLed mid-sweep whose rerun resumes through the
- * store. The acceptance bar throughout is that the merged report is
- * byte-identical to the single-host sweep.
+ * Shard coordinator tests: shard-job frame round-trips and the exact
+ * protocol version match, the canonical point enumeration, and the
+ * coordinator fault matrix — shard-count invariance, daemon crash
+ * mid-point, straggler rebalance, one stored record per slice across
+ * processes on a shared store, a daemon acking a point outside the
+ * sweep, a daemon of another protocol version, a daemon that vanishes
+ * after its status probe, and a coordinator SIGKILLed mid-sweep whose
+ * rerun resumes through the store. The acceptance bar throughout is
+ * that the merged report is byte-identical to the single-host sweep.
  */
 
 #include <gtest/gtest.h>
@@ -182,6 +182,40 @@ class DaemonProc
     std::string socket_;
 };
 
+/** A listening Unix socket at `path`, for an in-test fake daemon. */
+int
+listenUnix(const std::string &path)
+{
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(lfd, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(lfd, reinterpret_cast<struct sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    EXPECT_EQ(::listen(lfd, 4), 0);
+    return lfd;
+}
+
+/** A fake daemon's request on `fd`; false on EOF or timeout. */
+bool
+readRequest(int fd, Frame &f)
+{
+    return frameReadFd(fd, f, 5000, serveKnownFourcc, kServeMaxPayload,
+                       "test") == FrameRead::Ok;
+}
+
+/** Answer a status probe as a daemon speaking `version`. */
+void
+answerStatus(int fd, uint32_t version)
+{
+    ServeStatus st;
+    st.version = version;
+    frameWriteFd(fd, kServeResult, kServeVersion, serveEncodeStatus(st));
+}
+
 /** Run the save-shard binary with stdout/stderr captured to files;
  *  returns the pid (caller waits or kills). */
 pid_t
@@ -280,7 +314,7 @@ storeFrames(const std::string &cas)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Protocol v2 frames
+// Shard-job frames and the protocol version
 // ---------------------------------------------------------------------
 
 TEST(ShardProtocol, JobRoundtrip)
@@ -305,9 +339,9 @@ TEST(ShardProtocol, JobRejectsBadVersions)
     ServeShardJob j;
     j.points = {1};
     std::vector<uint8_t> p = serveEncodeShardJob(j);
-    // A v1 peer can never legally carry SSHD...
-    EXPECT_THROW(serveDecodeShardJob(1, p), TraceError);
-    // ...and a future version is a skew, not a guess.
+    // Versions match exactly: an older peer and a newer one are both
+    // skew, never a guess.
+    EXPECT_THROW(serveDecodeShardJob(kServeVersion - 1, p), TraceError);
     EXPECT_THROW(serveDecodeShardJob(kServeVersion + 1, p), TraceError);
 }
 
@@ -336,23 +370,14 @@ TEST(ShardProtocol, AckRoundtrip)
     EXPECT_EQ(d.result.saveDynamic.bwdWeights, 9.25);
 }
 
-TEST(ShardProtocol, RequestVersionWindow)
+TEST(ShardProtocol, RequestVersionMatchesExactly)
 {
     ServeRequest r;
     r.kind = ServeKind::Ping;
     std::vector<uint8_t> p = serveEncodeRequest(r);
-    // v1 requests must keep decoding on a v2 build (old clients).
-    EXPECT_NO_THROW(serveDecodeRequest(1, p));
     EXPECT_NO_THROW(serveDecodeRequest(kServeVersion, p));
-    EXPECT_THROW(serveDecodeRequest(0, p), TraceError);
+    EXPECT_THROW(serveDecodeRequest(kServeVersion - 1, p), TraceError);
     EXPECT_THROW(serveDecodeRequest(kServeVersion + 1, p), TraceError);
-}
-
-TEST(ShardProtocol, V1PredicateRejectsShardFrames)
-{
-    EXPECT_TRUE(serveKnownFourcc(kServeShardJob));
-    EXPECT_FALSE(serveKnownFourccV1(kServeShardJob));
-    EXPECT_TRUE(serveKnownFourccV1(kServeRequest));
 }
 
 TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
@@ -518,16 +543,7 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
     // that acks an index outside the sweep must not reach the point
     // table: the coordinator accepts only the dispatched point's ack.
     const std::string s = socketPath("bogus");
-    const int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    ASSERT_GE(lfd, 0);
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, s.c_str(), sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<struct sockaddr *>(&addr),
-                     sizeof addr),
-              0);
-    ASSERT_EQ(::listen(lfd, 4), 0);
+    const int lfd = listenUnix(s);
 
     std::thread daemon([&] {
         SimSession::Options so;
@@ -537,12 +553,10 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
         for (int fd; (fd = ::accept(lfd, nullptr, nullptr)) >= 0;
              ::close(fd)) {
             Frame f;
-            if (frameReadFd(fd, f, 5000, serveKnownFourcc,
-                            kServeMaxPayload, "test") != FrameRead::Ok)
+            if (!readRequest(fd, f))
                 continue;
             if (f.fourcc == kServeRequest) { // the status probe
-                frameWriteFd(fd, kServeResult, kServeVersion,
-                             serveEncodeStatus(ServeStatus{}));
+                answerStatus(fd, kServeVersion);
                 continue;
             }
             const ServeShardJob job = serveDecodeShardJob(f.arg, f.payload);
@@ -576,39 +590,78 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
     ::unlink(s.c_str());
 }
 
-TEST(ShardCoordinator, VersionSkewExcludesV1Daemon)
+TEST(ShardCoordinator, VersionSkewExcludesDaemon)
 {
-    std::string s = socketPath("v1");
-    DaemonProc d;
-    d.start(s, {"--workers=1", "--v1-compat"});
-    ASSERT_TRUE(d.waitReady());
+    // A daemon whose status reports another protocol version gets no
+    // shard job: the coordinator excludes it with a warning after the
+    // probe and completes on the remaining backend, bytes unchanged.
+    const std::string s = socketPath("skew");
+    const int lfd = listenUnix(s);
+    std::atomic<int> jobs{0};
+    std::thread daemon([&] {
+        for (int fd; (fd = ::accept(lfd, nullptr, nullptr)) >= 0;
+             ::close(fd)) {
+            Frame f;
+            if (!readRequest(fd, f))
+                continue;
+            if (f.fourcc == kServeShardJob)
+                ++jobs;
+            answerStatus(fd, kServeVersion + 1);
+        }
+    });
 
-    // The emulated old daemon advertises v1 and still answers v1
-    // single requests...
-    ServeClient client(s);
-    ServeRequest sreq;
-    sreq.kind = ServeKind::Status;
-    ServeClient::Reply status = client.call(sreq, nullptr, 5000);
-    ASSERT_EQ(status.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(status.status.version, 1u);
-
-    // ...and rejects a batched shard job with a typed Trace error
-    // instead of hanging or dying.
-    ServeShardJob job;
-    job.knobs = quickKnobs();
-    job.points = {0};
-    ServeClient::Reply shard = client.callShard(job, nullptr, 5000);
-    ASSERT_EQ(shard.kind, ServeClient::Reply::Kind::Error);
-    EXPECT_EQ(shard.error.kind, WireErrorKind::Trace);
-
-    // The coordinator negotiates, excludes it with a warning, and
-    // completes on the remaining backend — bytes unchanged.
     ShardCoordinator::Options o = quickOptions();
     o.inprocLanes = 1;
     o.sockets = {s};
     ShardCoordinator coord(std::move(o));
-    EXPECT_EQ(coord.run(), referenceReport());
+    std::string report;
+    EXPECT_NO_THROW(report = coord.run());
+    EXPECT_EQ(report, referenceReport());
     EXPECT_EQ(coord.stats().backendsExcluded, 1u);
+    EXPECT_EQ(jobs.load(), 0);
+
+    ::shutdown(lfd, SHUT_RDWR); // wakes the accept loop
+    daemon.join();
+    ::close(lfd);
+    ::unlink(s.c_str());
+}
+
+TEST(ShardCoordinator, UnreachableDaemonUsesNoAttempts)
+{
+    // A daemon answers the status probe and then vanishes: it closes
+    // and unlinks its listener before replying, so every shard job to
+    // it fails to connect. Those dispatches never reached a daemon,
+    // so they must not use up the points' one attempt each while the
+    // in-process lane can still compute them; the daemon lane is
+    // excluded after kMaxBackendFaults of them. Slices are long
+    // enough that the lane dispatches before the sweep ends.
+    const std::string reference = singleHostReport(96, 3);
+    const std::string s = socketPath("gone");
+    const int lfd = listenUnix(s);
+    std::thread daemon([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        ::close(lfd);
+        ::unlink(s.c_str());
+        Frame f;
+        if (fd >= 0 && readRequest(fd, f))
+            answerStatus(fd, kServeVersion);
+        ::close(fd);
+    });
+
+    ShardCoordinator::Options o = quickOptions();
+    o.knobs.kSteps = 96;
+    o.knobs.tiles = 3;
+    o.inprocLanes = 1;
+    o.sockets = {s};
+    o.maxAttempts = 1;
+    ShardCoordinator coord(std::move(o));
+    std::string report;
+    EXPECT_NO_THROW(report = coord.run());
+    daemon.join();
+    EXPECT_EQ(report, reference);
+    EXPECT_TRUE(coord.stats().failures.empty());
+    EXPECT_EQ(coord.stats().backendsExcluded, 1u);
+    EXPECT_GT(coord.stats().dispatches, fig14Points().size());
 }
 
 TEST(ShardCoordinator, CoordinatorKillThenRerun)

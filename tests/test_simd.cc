@@ -1,96 +1,36 @@
 /**
  * @file
- * Host-SIMD backend tests (util/simd.h).
+ * Lane-math tests (isa/bf16.h, util/simd.h).
  *
- * The dispatch contract is that every backend — generic scalar, AVX2,
- * AVX-512 — is bit-exact with the scalar helpers in isa/bf16.h. This
- * suite pins that down directly:
+ * The pipeline and the ArchExecutor oracle share the whole-register
+ * helpers of util/simd.h, so the differential fuzzer cannot catch a
+ * bug in them: both sides would agree on the wrong bits. This suite
+ * pins them down directly:
  *
  *  - exhaustive 2^16 BF16 widen/narrow round-trip (the only values
  *    that may change are signaling NaNs, which pick up the quiet bit);
  *  - round-to-nearest-even boundaries of f32ToBf16, including the
  *    overflow-to-infinity edge;
- *  - NaN canonicalization: computed NaNs collapse to 0x7fc00000 on
- *    every backend, pass-through NaNs keep their payload bit-exactly;
+ *  - NaN canonicalization: computed NaNs collapse to 0x7fc00000,
+ *    pass-through NaNs keep their payload bit-exactly;
  *  - randomized VecRegs (zeros, denormals, infinities, NaN payloads)
- *    through every primitive of every host-supported backend, compared
- *    word-for-word against the scalar model;
- *  - the differential fuzzer corpus replayed under each backend.
+ *    through every helper, compared word-for-word against an
+ *    independent scalar model.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "isa/bf16.h"
 #include "isa/vec.h"
-#include "sim/fuzz.h"
 #include "util/simd.h"
 
 namespace save {
 namespace {
-
-namespace fs = std::filesystem;
-
-/** Restores the entry backend on scope exit. */
-class BackendGuard
-{
-  public:
-    BackendGuard() : prev_(simd::activeBackend()) {}
-    ~BackendGuard() { simd::forceBackend(prev_); }
-
-  private:
-    simd::Backend prev_;
-};
-
-std::vector<simd::Backend>
-supportedBackends()
-{
-    std::vector<simd::Backend> out;
-    for (simd::Backend b : {simd::Backend::Generic, simd::Backend::Avx2,
-                            simd::Backend::Avx512})
-        if (simd::backendSupported(b))
-            out.push_back(b);
-    return out;
-}
-
-TEST(SimdDispatch, GenericAlwaysSupported)
-{
-    EXPECT_TRUE(simd::backendSupported(simd::Backend::Generic));
-    // The resolved backend must be one the host can actually run.
-    EXPECT_TRUE(simd::backendSupported(simd::activeBackend()));
-}
-
-TEST(SimdDispatch, ParseBackendNames)
-{
-    simd::Backend b;
-    EXPECT_TRUE(simd::parseBackend("generic", b));
-    EXPECT_EQ(b, simd::Backend::Generic);
-    EXPECT_TRUE(simd::parseBackend("avx2", b));
-    EXPECT_EQ(b, simd::Backend::Avx2);
-    EXPECT_TRUE(simd::parseBackend("avx512", b));
-    EXPECT_EQ(b, simd::Backend::Avx512);
-    EXPECT_FALSE(simd::parseBackend("sse9", b));
-    EXPECT_FALSE(simd::parseBackend("", b));
-}
-
-TEST(SimdDispatch, ForceBackendRoundTrips)
-{
-    BackendGuard guard;
-    for (simd::Backend b : supportedBackends()) {
-        ASSERT_TRUE(simd::forceBackend(b));
-        EXPECT_EQ(simd::activeBackend(), b);
-        EXPECT_STREQ(simd::backendName(), simd::backendName(b));
-    }
-}
 
 TEST(Bf16, RoundTripExhaustive)
 {
@@ -133,49 +73,43 @@ TEST(Bf16, RoundToNearestEvenBoundaries)
             << "f32 0x" << std::hex << c.f32Bits;
 }
 
-TEST(SimdOps, NanCanonicalizationPerBackend)
+TEST(SimdOps, NanCanonicalization)
 {
-    BackendGuard guard;
     const uint32_t payload = 0x7fc12345u; // non-canonical quiet NaN
-    for (simd::Backend b : supportedBackends()) {
-        ASSERT_TRUE(simd::forceBackend(b));
-        const simd::Ops &o = simd::ops();
-        SCOPED_TRACE(simd::backendName(b));
 
-        // Computed NaN (NaN operand on an effectual lane, and
-        // Inf + -Inf from the accumulate) collapses to 0x7fc00000.
-        VecReg a, bb, c;
-        a.setWord(0, payload);
-        bb.setF32(0, 1.0f);
-        c.setF32(0, 2.0f);
-        a.setF32(1, std::bit_cast<float>(0x7f800000u)); // +inf
-        bb.setF32(1, 1.0f);
-        c.setF32(1, std::bit_cast<float>(0xff800000u)); // -inf
-        VecReg r = o.macSkipF32Vec(a, bb, c, 0x0003u);
-        EXPECT_EQ(r.word(0), 0x7fc00000u);
-        EXPECT_EQ(r.word(1), 0x7fc00000u);
+    // Computed NaN (NaN operand on an effectual lane, and
+    // Inf + -Inf from the accumulate) collapses to 0x7fc00000.
+    VecReg a, bb, c;
+    a.setWord(0, payload);
+    bb.setF32(0, 1.0f);
+    c.setF32(0, 2.0f);
+    a.setF32(1, std::bit_cast<float>(0x7f800000u)); // +inf
+    bb.setF32(1, 1.0f);
+    c.setF32(1, std::bit_cast<float>(0xff800000u)); // -inf
+    VecReg r = simd::macSkipF32Vec(a, bb, c, 0x0003u);
+    EXPECT_EQ(r.word(0), 0x7fc00000u);
+    EXPECT_EQ(r.word(1), 0x7fc00000u);
 
-        // Pass-through NaN: a zero multiplicand skips the MAC, and a
-        // masked-off lane never executes; both keep the accumulator's
-        // payload untouched.
-        VecReg az, bz, cz;
-        cz.setWord(0, payload);
-        az.setWord(0, payload);          // a is NaN but b is +0: skip
-        cz.setWord(1, payload);
-        az.setF32(1, 3.0f);
-        bz.setF32(1, 3.0f);              // effectual but masked off
-        VecReg rz = o.macSkipF32Vec(az, bz, cz, 0x0001u);
-        EXPECT_EQ(rz.word(0), payload);
-        EXPECT_EQ(rz.word(1), payload);
+    // Pass-through NaN: a zero multiplicand skips the MAC, and a
+    // masked-off lane never executes; both keep the accumulator's
+    // payload untouched.
+    VecReg az, bz, cz;
+    cz.setWord(0, payload);
+    az.setWord(0, payload);          // a is NaN but b is +0: skip
+    cz.setWord(1, payload);
+    az.setF32(1, 3.0f);
+    bz.setF32(1, 3.0f);              // effectual but masked off
+    VecReg rz = simd::macSkipF32Vec(az, bz, cz, 0x0001u);
+    EXPECT_EQ(rz.word(0), payload);
+    EXPECT_EQ(rz.word(1), payload);
 
-        // BF16: a computed NaN result is canonical too.
-        VecReg am, bm, cm;
-        am.setBf16(0, 0x7fc1);           // quiet NaN multiplicand
-        bm.setBf16(0, 0x3f80);           // 1.0
-        cm.setF32(0, 1.0f);
-        VecReg rm = o.bf16MacSkipVec(am, bm, cm, 0x00000001u);
-        EXPECT_EQ(rm.word(0), 0x7fc00000u);
-    }
+    // BF16: a computed NaN result is canonical too.
+    VecReg am, bm, cm;
+    am.setBf16(0, 0x7fc1);           // quiet NaN multiplicand
+    bm.setBf16(0, 0x3f80);           // 1.0
+    cm.setF32(0, 1.0f);
+    VecReg rm = simd::bf16MacSkipVec(am, bm, cm, 0x00000001u);
+    EXPECT_EQ(rm.word(0), 0x7fc00000u);
 }
 
 /** One word drawn from a special-value-heavy distribution. */
@@ -212,7 +146,9 @@ randomVec(std::mt19937_64 &rng)
     return v;
 }
 
-/** Scalar model of the whole Ops table, built on isa/bf16.h. */
+/** An independent scalar model of the util/simd.h helpers, built on
+ *  isa/bf16.h: bit tests instead of float compares, and a `touched`
+ *  flag instead of the AL pre-check. */
 struct ScalarModel
 {
     static VecReg
@@ -290,9 +226,8 @@ struct ScalarModel
     }
 };
 
-TEST(SimdOps, BackendsMatchScalarModelOnRandomVecRegs)
+TEST(SimdOps, MatchScalarModelOnRandomVecRegs)
 {
-    BackendGuard guard;
     std::mt19937_64 rng(20260808);
     constexpr int kIters = 500;
 
@@ -310,60 +245,13 @@ TEST(SimdOps, BackendsMatchScalarModelOnRandomVecRegs)
         uint16_t exp_zf = ScalarModel::zeroMaskF32(a);
         uint32_t exp_zb = ScalarModel::zeroMaskBf16(b);
 
-        for (simd::Backend back : supportedBackends()) {
-            ASSERT_TRUE(simd::forceBackend(back));
-            const simd::Ops &o = simd::ops();
-            SCOPED_TRACE(std::string(simd::backendName(back)) +
-                         " iter " + std::to_string(it));
-
-            EXPECT_EQ(o.macSkipF32Vec(a, b, c, wm), exp_mac);
-            EXPECT_EQ(o.bf16MacSkipVec(a, b, c, mlm), exp_dp);
-            EXPECT_EQ(o.elmF32(a, b, wm), exp_elm);
-            EXPECT_EQ(o.elmMp(a, b, wm), exp_elmmp);
-            EXPECT_EQ(o.zeroMaskF32(a), exp_zf);
-            EXPECT_EQ(o.zeroMaskBf16(b), exp_zb);
-        }
-    }
-}
-
-/** Strip '#' comment lines, as save-fuzz --run does. */
-std::string
-readEntry(const fs::path &p)
-{
-    std::ifstream f(p);
-    EXPECT_TRUE(f.is_open()) << p;
-    std::ostringstream text;
-    std::string line;
-    while (std::getline(f, line))
-        if (line.empty() || line[0] != '#')
-            text << line << "\n";
-    return text.str();
-}
-
-TEST(SimdOps, FuzzCorpusCleanPerBackend)
-{
-    // The differential matrix (every policy x fast-forward mode vs the
-    // ArchExecutor oracle) must stay clean whichever backend computes
-    // the functional math — the pipeline and the oracle share it, so a
-    // bit-difference between backends would surface as a value
-    // divergence here.
-    std::vector<fs::path> entries;
-    for (const auto &de : fs::directory_iterator(SAVE_CORPUS_DIR))
-        if (de.path().extension() == ".txt")
-            entries.push_back(de.path());
-    std::sort(entries.begin(), entries.end());
-    ASSERT_FALSE(entries.empty());
-
-    BackendGuard guard;
-    for (simd::Backend b : supportedBackends()) {
-        ASSERT_TRUE(simd::forceBackend(b));
-        for (const fs::path &path : entries) {
-            SCOPED_TRACE(std::string(simd::backendName(b)) + " " +
-                         path.filename().string());
-            FuzzProgram p;
-            ASSERT_NO_THROW(p = fuzzParse(readEntry(path)));
-            EXPECT_EQ(fuzzCheck(p), "");
-        }
+        SCOPED_TRACE("iter " + std::to_string(it));
+        EXPECT_EQ(simd::macSkipF32Vec(a, b, c, wm), exp_mac);
+        EXPECT_EQ(simd::bf16MacSkipVec(a, b, c, mlm), exp_dp);
+        EXPECT_EQ(simd::elmF32(a, b, wm), exp_elm);
+        EXPECT_EQ(simd::elmMp(a, b, wm), exp_elmmp);
+        EXPECT_EQ(simd::zeroMaskF32(a), exp_zf);
+        EXPECT_EQ(simd::zeroMaskBf16(b), exp_zb);
     }
 }
 
