@@ -22,8 +22,8 @@ run(int argc, char **argv)
 
     MachineConfig base_m;
     Engine base(base_m, SaveConfig::baseline());
-    BenchResultCache rcache(flags);
-    auto rb = rcache.run(base, g, 1, 2);
+    ResultStore store(storeOptions(flags));
+    auto rb = memoRunGemm(store, base, g, 1, 2);
 
     std::printf("B$ sizing on %s (embedded broadcast, BS=20%% "
                 "NBS=50%%), data design, 2 VPUs:\n\n",
@@ -39,7 +39,7 @@ run(int argc, char **argv)
                 m.bcacheEntries = entries;
                 m.bcachePorts = ports;
                 Engine e(m, SaveConfig{});
-                auto r = rcache.run(e, gl, 1, 2);
+                auto r = memoRunGemm(store, e, gl, 1, 2);
                 std::printf("%-8s %-7d %-6d %7.1f%%  %6.2fx\n",
                             layout == ALayout::PackedKMajor ? "packed"
                                                             : "rowmaj",
@@ -57,7 +57,7 @@ run(int argc, char **argv)
                 "direct-mapped B$ at any size — the locality the "
                 "paper's design exploits is created by the kernel's "
                 "data layout.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return 0;
 }
 

@@ -23,7 +23,7 @@ run(int argc, char **argv)
     KernelSpec spec = makeConvKernel(findConvLayer(net, "resnet2_2b"),
                                      Phase::Forward, net.batch);
     Engine sv(m, SaveConfig{});
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
     VpuPowerModel power;
 
     std::printf("Counter-driven VPU selection on %s, sweeping "
@@ -39,8 +39,8 @@ run(int argc, char **argv)
         GemmConfig g = sliceFor(spec, Precision::Fp32, bs, 0.0, flags,
                                 101 + static_cast<uint64_t>(a));
         VpuChoice choice = chooseVpusByCounters(sv, g);
-        auto r2 = rcache.run(sv, g, 1, 2);
-        auto r1 = rcache.run(sv, g, 1, 1);
+        auto r2 = memoRunGemm(store, sv, g, 1, 2);
+        auto r1 = memoRunGemm(store, sv, g, 1, 1);
         int oracle = r1.timeNs < r2.timeNs ? 1 : 2;
         const KernelResult &chosen = choice.vpus == 1 ? r1 : r2;
         double e2 = power.energy(r2, 2);
@@ -59,7 +59,7 @@ run(int argc, char **argv)
                 "needs both full configurations. Disabling a VPU cuts "
                 "leakage roughly in half while the op count is "
                 "unchanged.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return 0;
 }
 

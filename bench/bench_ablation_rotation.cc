@@ -23,9 +23,9 @@ run(int argc, char **argv)
     KernelSpec spec = makeConvKernel(findConvLayer(net, "resnet3_2b"),
                                      Phase::BwdInput, net.batch);
     Engine base(m, SaveConfig::baseline());
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
     GemmConfig dense = sliceFor(spec, Precision::Fp32, 0, 0, flags);
-    auto rb = rcache.run(base, dense, 1, 2);
+    auto rb = memoRunGemm(store, base, dense, 1, 2);
 
     std::printf("Rotation-state ablation on %s (%dx%d, CW~1), 1 VPU, "
                 "speedup over 2-VPU baseline:\n\n",
@@ -45,7 +45,7 @@ run(int argc, char **argv)
             GemmConfig g = sliceFor(spec, Precision::Fp32, 0.0,
                                     w * 0.1, flags,
                                     91 + static_cast<uint64_t>(w));
-            auto r = rcache.run(e, g, 1, 1);
+            auto r = memoRunGemm(store, e, g, 1, 1);
             std::printf(" %6.2f", speedup(rb, r));
         }
         std::printf("\n");
@@ -54,7 +54,7 @@ run(int argc, char **argv)
                 "the paper's 3 states capture most of the benefit — "
                 "additional states trade more rotator hardware for "
                 "small returns.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return 0;
 }
 

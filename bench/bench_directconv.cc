@@ -80,20 +80,20 @@ run(int argc, char **argv)
     MachineConfig m;
     Engine base(m, SaveConfig::baseline());
     Engine sv(m, SaveConfig{});
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
     GemmConfig dense_g = sliceFor(spec, Precision::Fp32, 0, 0, flags);
-    auto rb = rcache.run(base, dense_g, 1, 2);
+    auto rb = memoRunGemm(store, base, dense_g, 1, 2);
     std::printf("%-18s", "im2col GEMM");
     for (int a = 0; a < 10; a += step) {
         GemmConfig g = sliceFor(spec, Precision::Fp32, a * 0.1, 0.0,
                                 flags, 520 + static_cast<uint64_t>(a));
-        std::printf(" %5.2f", speedup(rb, rcache.run(sv, g, 1, 2)));
+        std::printf(" %5.2f", speedup(rb, memoRunGemm(store, sv, g, 1, 2)));
     }
     std::printf("\n\nBoth kernel forms expose the same broadcast "
                 "sparsity to SAVE; the direct form adds padding-halo "
                 "zeros and strided broadcast streams, which the B$ "
                 "and the MGU handle identically.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return 0;
 }
 

@@ -31,7 +31,7 @@ run(int argc, char **argv)
 
     Engine base(m, SaveConfig::baseline());
     Engine sv(m, SaveConfig{});
-    BenchResultCache cache(flags);
+    ResultStore store(storeOptions(flags));
 
     // The upfront dense baseline doubles as the trace hook: --trace-out
     // records it, --trace-in replays a recording in its place (so a
@@ -50,7 +50,7 @@ run(int argc, char **argv)
         rb = base.recordGemm(dense, trace_out, "fig15-dense-baseline",
                              1, 2);
     } else {
-        rb = cache.run(base, dense, 1, 2);
+        rb = memoRunGemm(store, base, dense, 1, 2);
     }
 
     // Enumerate the whole (vpus, NBS, BS) grid up front and fan the
@@ -75,7 +75,7 @@ run(int argc, char **argv)
                 GemmConfig g = sliceFor(
                     spec, Precision::Bf16, p.a * 0.1, p.w * 0.1, flags,
                     7 + static_cast<uint64_t>(p.w * 10 + p.a));
-                return speedup(rb, cache.run(sv, g, 1, p.vpus));
+                return speedup(rb, memoRunGemm(store, sv, g, 1, p.vpus));
             });
         });
 
@@ -100,7 +100,7 @@ run(int argc, char **argv)
                 "type); 1 VPU starts at 0.71x dense, reaches ~1.96x, "
                 "and beats 2 VPUs when either sparsity exceeds "
                 "~70%%.\n");
-    maybePrintCacheStats(flags, cache.store());
+    maybePrintCacheStats(flags, &store);
     return runner.finish();
 }
 

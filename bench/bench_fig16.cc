@@ -23,7 +23,7 @@ run(int argc, char **argv)
     MachineConfig m;
     Engine base(m, SaveConfig::baseline());
     Engine sv(m, SaveConfig{});
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
 
     std::vector<KernelSpec> kernels = allStudiedKernels();
     std::printf("studied kernels: %zu (13 VGG16 + 53 ResNet-50 conv, "
@@ -91,8 +91,8 @@ run(int argc, char **argv)
                     static_cast<Precision>(key.prec), 0.9, 0.9, flags);
                 GemmConfig dense = g;
                 dense.bsSparsity = dense.nbsSparsity = 0.0;
-                auto rb = rcache.run(base, dense, 1, 2);
-                auto rs = rcache.run(sv, g, 1, key.vpus);
+                auto rb = memoRunGemm(store, base, dense, 1, 2);
+                auto rs = memoRunGemm(store, sv, g, 1, key.vpus);
                 return speedup(rb, rs);
             });
         });
@@ -126,7 +126,7 @@ run(int argc, char **argv)
     }
     std::printf("Paper geomean caps: FP32 1.39x (2 VPUs) / 1.62x "
                 "(1 VPU); MP 1.48x / 1.77x.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return runner.finish();
 }
 

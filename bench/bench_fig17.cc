@@ -28,9 +28,9 @@ run(int argc, char **argv)
                     : "explicit-broadcast");
 
     Engine base(m, SaveConfig::baseline());
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
     GemmConfig dense = sliceFor(spec, Precision::Fp32, 0, 0, flags);
-    auto rb = rcache.run(base, dense, 1, 2);
+    auto rb = memoRunGemm(store, base, dense, 1, 2);
 
     struct Design
     {
@@ -71,7 +71,7 @@ run(int argc, char **argv)
                 GemmConfig g = sliceFor(
                     spec, Precision::Fp32, p.bs, p.w * 0.1, flags,
                     31 + static_cast<uint64_t>(p.w));
-                return speedup(rb, rcache.run(e, g, 1, 2));
+                return speedup(rb, memoRunGemm(store, e, g, 1, 2));
             });
         });
 
@@ -93,7 +93,7 @@ run(int argc, char **argv)
                 "sparsity; the data design keeps gaining with NBS "
                 "while the mask design is limited by L1 bandwidth on "
                 "non-zero broadcasts.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return runner.finish();
 }
 

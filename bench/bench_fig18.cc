@@ -22,7 +22,7 @@ run(int argc, char **argv)
 
     MachineConfig m;
     NetworkModel net = resnet50Pruned();
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
 
     struct Variant
     {
@@ -48,7 +48,7 @@ run(int argc, char **argv)
 
         Engine base(m, SaveConfig::baseline());
         GemmConfig dense = sliceFor(spec, Precision::Fp32, 0, 0, flags);
-        auto rb = rcache.run(base, dense, 1, 2);
+        auto rb = memoRunGemm(store, base, dense, 1, 2);
 
         std::printf("%-9s", "NBS");
         for (int w = 0; w < 10; w += step)
@@ -82,7 +82,7 @@ run(int argc, char **argv)
                     GemmConfig g = sliceFor(
                         spec, Precision::Fp32, 0.0, p.w * 0.1, flags,
                         53 + static_cast<uint64_t>(p.w));
-                    return speedup(rb, rcache.run(e, g, 1, 1));
+                    return speedup(rb, memoRunGemm(store, e, g, 1, 1));
                 });
             });
 
@@ -98,7 +98,7 @@ run(int argc, char **argv)
     std::printf("Paper: with CW~1, plain VC suffers badly and RVC "
                 "recovers; with CW~3, VC+LWD catches up to RVC; "
                 "RVC+LWD is best everywhere and close to HC.\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return runner.finish();
 }
 

@@ -26,9 +26,9 @@ run(int argc, char **argv)
                 spec.shape.nrVecs * 16);
 
     Engine base(m, SaveConfig::baseline());
-    BenchResultCache rcache(flags);
+    ResultStore store(storeOptions(flags));
     GemmConfig dense = sliceFor(spec, Precision::Bf16, 0, 0, flags);
-    auto rb = rcache.run(base, dense, 1, 2);
+    auto rb = memoRunGemm(store, base, dense, 1, 2);
 
     SaveConfig with_mp;
     SaveConfig without_mp;
@@ -52,7 +52,7 @@ run(int argc, char **argv)
                 GemmConfig g = sliceFor(spec, Precision::Bf16, 0.0,
                                         w * 0.1, flags,
                                         71 + static_cast<uint64_t>(w));
-                return speedup(rb, rcache.run(e, g, 1, 1));
+                return speedup(rb, memoRunGemm(store, e, g, 1, 1));
             });
         });
 
@@ -69,7 +69,7 @@ run(int argc, char **argv)
                 "sparsity level, sometimes substantially (exploitable "
                 "sparsity without it is only the square of the ML "
                 "sparsity).\n");
-    maybePrintCacheStats(flags, rcache.store());
+    maybePrintCacheStats(flags, &store);
     return runner.finish();
 }
 

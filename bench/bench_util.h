@@ -63,13 +63,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "engine/engine.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "util/runtime_options.h"
 #include "util/thread_pool.h"
 
 namespace save {
@@ -162,66 +162,48 @@ estimatorOptions(const Flags &flags)
 }
 
 /**
- * Persistent memoization of Engine::runGemm for the figure/table
- * benches that drive the simulator directly (no estimator): a repeat
- * slice — same machine, feature set, and GEMM workload — is served
- * from the content-addressed result store instead of re-simulating.
- * Shares --cache-dir/--cache-max-mb (and the SAVE_CACHE_DIR /
- * SAVE_CACHE_MAX_MB environment) with the estimator-driven benches,
- * and the same store directory: the key space is partitioned by the
- * config/workload digests, so estimator slices and bench slices
- * coexist in one store.
+ * The result store of a bench that memoizes Engine::runGemm through
+ * memoRunGemm (engine/engine.h), opened from --cache-dir and
+ * --cache-max-mb (or the SAVE_CACHE_DIR / SAVE_CACHE_MAX_MB
+ * environment). The estimator-driven benches share the directory:
+ * the key space is partitioned by the config/workload digests, so
+ * estimator slices and bench slices coexist in one store.
  */
-class BenchResultCache
+inline ResultStore::Options
+storeOptions(const Flags &flags)
 {
-  public:
-    explicit BenchResultCache(const Flags &flags)
-    {
-        ResultStore::Options o;
-        o.dir = ResultStore::resolveDir(flags.getStr("cache-dir", ""));
-        o.maxBytes =
-            ResultStore::resolveMaxBytes(flags.getInt("cache-max-mb", 0));
-        store_ = std::make_unique<ResultStore>(o);
-    }
+    return {ResultStore::resolveDir(flags.getStr("cache-dir", "")),
+            ResultStore::resolveMaxBytes(flags.getInt("cache-max-mb", 0))};
+}
 
-    /** eng.runGemm(g, cores, vpus), served from the store when it has
-     *  this exact (machine, features, workload) before. Simulated
-     *  results are persisted as they complete; a cached result is
-     *  bit-identical to the simulation it replaces (the store
-     *  round-trips every stat verbatim). */
-    KernelResult
-    run(const Engine &eng, const GemmConfig &g, int cores, int vpus)
-    {
-        const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
-                         casGemmWorkload(g, cores, vpus)};
-        CasValue v;
-        if (store_->lookup(key, &v)) {
-            KernelResult kr;
-            kr.timeNs = v.timeNs;
-            kr.cycles = v.cycles;
-            kr.coreGhz = v.coreGhz;
-            for (const auto &[name, value] : v.stats)
-                kr.stats.set(name, value);
-            return kr;
-        }
-        KernelResult kr = eng.runGemm(g, cores, vpus);
-        if (std::isfinite(kr.timeNs)) {
-            v = CasValue{};
-            v.timeNs = kr.timeNs;
-            v.cycles = kr.cycles;
-            v.coreGhz = kr.coreGhz;
-            for (const auto &[name, value] : kr.stats.all())
-                v.stats.emplace_back(name, value);
-            store_->insert(key, v);
-        }
-        return kr;
-    }
-
-    const ResultStore *store() const { return store_.get(); }
-
-  private:
-    std::unique_ptr<ResultStore> store_;
-};
+/**
+ * The environment snapshot with --threads, --isolation, --cache-dir,
+ * --cache-max-mb and --worker-bin applied over it, for the tools that
+ * hand one RuntimeOptions to a session (save-serve, save-shard). A bad
+ * isolation mode fails here, not at the first slice.
+ */
+inline RuntimeOptions
+runtimeOptions(const Flags &flags)
+{
+    RuntimeOptions rt = RuntimeOptions::fromEnv();
+    int threads = flags.getInt("threads", 0);
+    if (threads != 0)
+        rt.threads = threads;
+    std::string iso = flags.getStr("isolation", "");
+    if (!iso.empty())
+        rt.isolation = iso;
+    std::string cache_dir = flags.getStr("cache-dir", "");
+    if (!cache_dir.empty())
+        rt.cacheDir = cache_dir;
+    int cache_mb = flags.getInt("cache-max-mb", 0);
+    if (cache_mb != 0)
+        rt.cacheMaxMb = cache_mb;
+    std::string worker_bin = flags.getStr("worker-bin", "");
+    if (!worker_bin.empty())
+        rt.workerBin = worker_bin;
+    rt.resolveIsolation();
+    return rt;
+}
 
 /** --cache-stats: one stderr line of store counters after the run.
  *  Accepts a null store (estimator without one) as a no-op. */
@@ -258,6 +240,38 @@ sweepOptions(const Flags &flags)
         throw ConfigError("--max-failures must be >= 0 (got " +
                           std::to_string(o.maxFailures) + ")");
     return o;
+}
+
+/** Print a sweep's permanent failures to stderr; nothing when there
+ *  are none. `Failure` has `key`, `reason` and `attempts`. */
+template <typename Failure>
+void
+printSweepFailures(const std::vector<Failure> &failures)
+{
+    if (failures.empty())
+        return;
+    std::fprintf(stderr, "%zu sweep point(s) failed permanently:\n",
+                 failures.size());
+    for (const Failure &f : failures)
+        std::fprintf(stderr, "  %s: %s (%d attempts)\n", f.key.c_str(),
+                     f.reason.c_str(), f.attempts);
+}
+
+/** The process exit code for `failures` permanent failures: 0 when
+ *  they stay within --max-failures (said on stderr), 1 otherwise. */
+inline int
+sweepExitCode(size_t failures, int max_failures)
+{
+    if (failures == 0)
+        return 0;
+    if (failures <= static_cast<size_t>(max_failures)) {
+        std::fprintf(stderr,
+                     "%zu failure(s) within --max-failures=%d; "
+                     "exiting 0\n",
+                     failures, max_failures);
+        return 0;
+    }
+    return 1;
 }
 
 /**
@@ -317,28 +331,11 @@ class SweepRunner
            const std::string &extra_report = "")
     {
         std::lock_guard<std::mutex> lk(mu_);
-        size_t total = failures_.size() + extra_failures;
-        if (!failures_.empty()) {
-            std::fprintf(stderr,
-                         "%zu sweep point(s) failed permanently:\n",
-                         failures_.size());
-            for (const Failure &f : failures_)
-                std::fprintf(stderr, "  %s: %s (%d attempts)\n",
-                             f.key.c_str(), f.reason.c_str(),
-                             f.attempts);
-        }
+        printSweepFailures(failures_);
         if (!extra_report.empty())
             std::fprintf(stderr, "%s", extra_report.c_str());
-        if (total == 0)
-            return 0;
-        if (total <= static_cast<size_t>(opt_.maxFailures)) {
-            std::fprintf(stderr,
-                         "%zu failure(s) within --max-failures=%d; "
-                         "exiting 0\n",
-                         total, opt_.maxFailures);
-            return 0;
-        }
-        return 1;
+        return sweepExitCode(failures_.size() + extra_failures,
+                             opt_.maxFailures);
     }
 
   private:

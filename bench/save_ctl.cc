@@ -8,10 +8,13 @@
  *   save-ctl gemm   --socket=PATH [workload] one GEMM slice
  *   save-ctl fig14  --socket=PATH [knobs]    full Fig. 14 sweep
  *
- * A served fig14 sweep prints the report to stdout VERBATIM — byte-
- * identical to `bench_fig14` run in-process with the same knobs
- * (progress lines go to stderr). Exit codes: 0 ok, 1 daemon-side
- * error, 2 usage, 3 shed by admission control (BUSY — retry later).
+ * fig14 sends one request listing every sweep point, collects the
+ * daemon's per-point acks, and renders them through the shared
+ * dnn/fig14_report.h renderer, so stdout is byte-identical to
+ * `bench_fig14` run in-process with the same knobs (progress lines go
+ * to stderr). Exit codes: 0 ok, 1 error (daemon-side, or a point not
+ * acked exactly once), 2 usage, 3 shed by admission control (BUSY —
+ * retry later).
  */
 
 #include <cstdio>
@@ -19,6 +22,7 @@
 #include <string>
 
 #include "bench_util.h"
+#include "dnn/fig14_report.h"
 #include "serve/client.h"
 
 using namespace save;
@@ -47,8 +51,7 @@ printUsage(const char *argv0)
         "fig14 knobs (defaults match bench_fig14):\n"
         "  --grid=N (3)  --ksteps=N (192)  --tiles=N (6)  --cores=N "
         "(1)\n"
-        "  --seed=N (7)  --threads=N (0 = daemon pool)\n"
-        "  --isolation=none|thread|process (daemon default)\n"
+        "  --seed=N (7)\n"
         "exit codes: 0 ok, 1 error, 2 usage, 3 busy (shed; retry)\n",
         argv0);
 }
@@ -154,9 +157,8 @@ runCommand(int argc, char **argv)
         req.fig14.cores = flags.getInt("cores", 1);
         req.fig14.seed =
             static_cast<uint64_t>(flags.getInt("seed", 7));
-        req.fig14.threads = flags.getInt("threads", 0);
-        req.fig14.isolation =
-            fig14IsolationCode(flags.getStr("isolation", ""));
+        for (int i = 0; i < fig14PointCount(); ++i)
+            req.points.push_back(static_cast<uint32_t>(i));
     } else {
         std::fprintf(stderr, "error: unknown command '%s'\n\n",
                      cmd.c_str());
@@ -164,13 +166,24 @@ runCommand(int argc, char **argv)
         return 2;
     }
 
+    // Fig14 acks, by point index. The indices come off the wire, so
+    // each is range-checked before it is used.
+    std::vector<NetResult> results(req.points.size());
+    std::vector<int> acks(req.points.size(), 0);
+    size_t done = 0;
     ServeClient client(socket_path);
-    ServeClient::ProgressFn progress = [](const ServeProgress &p) {
-        std::fprintf(stderr, "progress %u/%u %s\n", p.done, p.total,
-                     p.key.c_str());
-    };
     ServeClient::Reply reply = client.call(
-        req, req.kind == ServeKind::Fig14 ? progress : nullptr,
+        req,
+        [&](const ServeShardAck &a) {
+            if (a.index >= acks.size())
+                throw TraceError("fig14: ack for point " +
+                                 std::to_string(a.index) +
+                                 " outside the sweep");
+            ++acks[a.index];
+            results[a.index] = a.result;
+            std::fprintf(stderr, "progress %zu/%zu %s\n", ++done,
+                         acks.size(), a.key.c_str());
+        },
         timeout_ms);
 
     if (reply.kind == ServeClient::Reply::Kind::Busy) {
@@ -260,14 +273,21 @@ runCommand(int argc, char **argv)
                             reply.gemm.cycles),
                         reply.gemm.coreGhz);
         break;
-    case ServeKind::Fig14:
+    case ServeKind::Fig14: {
+        for (size_t i = 0; i < acks.size(); ++i)
+            if (acks[i] != 1)
+                throw SimError("fig14: point '" + fig14Points()[i].key +
+                               "' was acked " + std::to_string(acks[i]) +
+                               " time(s), expected once");
         // Verbatim: stdout must diff clean against bench_fig14.
+        const std::string report = fig14Report(results);
         if (json)
             std::printf("{\"report\":\"%s\"}\n",
-                        jsonEscape(reply.text).c_str());
+                        jsonEscape(report).c_str());
         else
-            std::fputs(reply.text.c_str(), stdout);
+            std::fputs(report.c_str(), stdout);
         break;
+    }
     }
     return 0;
 }

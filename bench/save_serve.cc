@@ -1,8 +1,9 @@
 /**
  * @file
  * save-serve: the simulation-as-a-service daemon (src/serve,
- * DESIGN.md §14). Binds a Unix-domain socket and serves gemm/fig14
- * simulation requests from save-ctl (or any ServeClient) until
+ * DESIGN.md §14). Binds a Unix-domain socket and serves gemm and
+ * Fig. 14 point requests from save-ctl, save-shard or any
+ * ServeClient until
  * drained by SIGTERM/SIGINT or a `save-ctl drain` request; SIGHUP
  * re-reads --config.
  *
@@ -37,8 +38,8 @@ printUsage(const char *argv0)
         "  --threads=N       simulation fan-out threads shared by all "
         "sessions\n"
         "                    (default: SAVE_THREADS env or hardware)\n"
-        "  --isolation=M     default slice isolation: none | thread | "
-        "process\n"
+        "  --isolation=M     slice isolation for every request: none | "
+        "thread | process\n"
         "                    (default: SAVE_ISOLATION env, then "
         "thread)\n"
         "  --cache-dir=D     shared content-addressed result store "
@@ -68,36 +69,16 @@ main(int argc, char **argv)
     }
     try {
         Flags flags(argc, argv);
-        RuntimeOptions rt = RuntimeOptions::fromEnv();
-        int threads = flags.getInt("threads", 0);
-        if (threads != 0)
-            rt.threads = threads;
-        std::string iso = flags.getStr("isolation", "");
-        if (!iso.empty())
-            rt.isolation = iso;
-        std::string cache_dir = flags.getStr("cache-dir", "");
-        if (!cache_dir.empty())
-            rt.cacheDir = cache_dir;
-        int cache_mb = flags.getInt("cache-max-mb", 0);
-        if (cache_mb != 0)
-            rt.cacheMaxMb = cache_mb;
-        std::string worker_bin = flags.getStr("worker-bin", "");
-        if (!worker_bin.empty())
-            rt.workerBin = worker_bin;
-        // Fail fast on a bad isolation string instead of at the first
-        // request.
-        rt.resolveIsolation();
-
         ServeServer::Options o;
         o.socketPath = flags.getStr("socket", "");
         o.workers = flags.getInt("workers", 2);
         o.queueCap = flags.getInt("queue-cap", 8);
         o.configPath = flags.getStr("config", "");
         // Straggler-injection hook for the shard fault tests: sleep
-        // this long before each shard point.
+        // this long before each Fig14 point.
         if (const char *d = std::getenv("SAVE_SERVE_TEST_POINT_DELAY_MS"))
             o.testPointDelayMs = std::atoi(d);
-        o.runtime = rt;
+        o.runtime = runtimeOptions(flags);
         ServeServer server(std::move(o));
         return server.run();
     } catch (const ConfigError &e) {

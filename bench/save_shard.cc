@@ -1,10 +1,10 @@
 /**
  * @file
  * save-shard: distributed Fig. 14 sweep coordinator (src/shard,
- * DESIGN.md §15). Splits the sweep into point jobs and dispatches
- * them across in-process lanes and remote save-serve daemons (one
- * SSHD shard job per point), then merges the results through
- * the shared fig14 renderer.
+ * DESIGN.md §15). Splits the sweep into points and dispatches them
+ * across in-process lanes and remote save-serve daemons (one
+ * one-point Fig14 request each), then merges the results by index
+ * through the shared fig14 renderer.
  *
  * The merged stdout is byte-identical to `bench_fig14` for the same
  * knobs — for any backend mix, shard count, or fault schedule (CI
@@ -32,7 +32,7 @@ printUsage(const char *argv0)
         "usage: %s [options]\n"
         "  --sockets=A,B,..  save-serve daemon sockets to dispatch "
         "sweep points\n"
-        "                    to, one point per shard job (a daemon of "
+        "                    to, one point per request (a daemon of "
         "another\n"
         "                    protocol version, or one that cannot be "
         "reached,\n"
@@ -81,26 +81,9 @@ run(int argc, char **argv)
     o.stragglerMs = flags.getInt("straggler-ms", 0);
     o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", 120000);
 
-    // The same knob plumbing as bench_fig14 / save-serve: snapshot
-    // the environment once, then let flags override it.
-    RuntimeOptions rt = RuntimeOptions::fromEnv();
-    int threads = flags.getInt("threads", 0);
-    if (threads != 0)
-        rt.threads = threads;
-    std::string iso = flags.getStr("isolation", "");
-    if (!iso.empty())
-        rt.isolation = iso;
-    std::string cache_dir = flags.getStr("cache-dir", "");
-    if (!cache_dir.empty())
-        rt.cacheDir = cache_dir;
-    int cache_mb = flags.getInt("cache-max-mb", 0);
-    if (cache_mb != 0)
-        rt.cacheMaxMb = cache_mb;
-    std::string worker_bin = flags.getStr("worker-bin", "");
-    if (!worker_bin.empty())
-        rt.workerBin = worker_bin;
-    rt.resolveIsolation();
-    o.runtime = rt;
+    // The same knob plumbing as save-serve: snapshot the environment
+    // once, then let flags override it.
+    o.runtime = runtimeOptions(flags);
 
     o.knobs.gridStep = flags.getInt("grid", 3);
     o.knobs.kSteps = flags.getInt("ksteps", o.knobs.kSteps);
@@ -125,27 +108,9 @@ run(int argc, char **argv)
                      st.backendsExcluded);
     // The same failure report and exit contract as
     // SweepRunner::finish, so humans read one format.
-    if (!st.failures.empty()) {
-        std::fprintf(stderr,
-                     "%zu sweep point(s) failed permanently:\n",
-                     st.failures.size());
-        for (const ShardCoordinator::PermanentFailure &f : st.failures)
-            std::fprintf(stderr, "  %s: %s (%d attempts)\n",
-                         f.key.c_str(), f.reason.c_str(), f.attempts);
-    }
+    printSweepFailures(st.failures);
     maybePrintCacheStats(flags, coord.resultStore());
-
-    size_t total = st.failures.size();
-    if (total == 0)
-        return 0;
-    if (total <= static_cast<size_t>(sw.maxFailures)) {
-        std::fprintf(stderr,
-                     "%zu failure(s) within --max-failures=%d; "
-                     "exiting 0\n",
-                     total, sw.maxFailures);
-        return 0;
-    }
-    return 1;
+    return sweepExitCode(st.failures.size(), sw.maxFailures);
 }
 
 int

@@ -33,18 +33,6 @@ optionSalt(const EstimatorOptions &opt)
  *  ends the wait at once. */
 constexpr int kFlightWaitMs = 60000;
 
-CasValue
-toCasValue(const KernelResult &kr)
-{
-    CasValue v;
-    v.timeNs = kr.timeNs;
-    v.cycles = kr.cycles;
-    v.coreGhz = kr.coreGhz;
-    for (const auto &[name, value] : kr.stats.all())
-        v.stats.emplace_back(name, value);
-    return v;
-}
-
 } // namespace
 
 std::string

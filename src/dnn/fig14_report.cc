@@ -48,101 +48,82 @@ printNet(std::string &out, const char *title, const NetResult &r,
 
 } // namespace
 
-const std::vector<Fig14Entry> &
-fig14CnnEntries()
-{
-    static const std::vector<Fig14Entry> entries = {
-        {vgg16Dense(), Precision::Fp32, "VGG16 FP32 dense"},
-        {resnet50Dense(), Precision::Fp32, "ResNet-50 FP32 dense"},
-        {resnet50Pruned(), Precision::Fp32, "ResNet-50 FP32 pruned"},
-        {vgg16Dense(), Precision::Bf16, "VGG16 MP dense"},
-        {resnet50Dense(), Precision::Bf16, "ResNet-50 MP dense"},
-        {resnet50Pruned(), Precision::Bf16, "ResNet-50 MP pruned"},
-    };
-    return entries;
-}
-
-const std::vector<Fig14Entry> &
-fig14GnmtEntries()
-{
-    static const std::vector<Fig14Entry> entries = {
-        {gnmtPruned(), Precision::Fp32, "GNMT FP32 pruned"},
-        {gnmtPruned(), Precision::Bf16, "GNMT MP pruned"},
-    };
-    return entries;
-}
-
 int
 fig14PointCount()
 {
-    return 2 * static_cast<int>(fig14CnnEntries().size() +
-                                fig14GnmtEntries().size());
+    return static_cast<int>(fig14Points().size());
 }
 
 const std::vector<Fig14Point> &
 fig14Points()
 {
     static const std::vector<Fig14Point> points = [] {
-        std::vector<Fig14Point> p;
-        auto add = [&](const Fig14Entry &e, bool training) {
-            std::string key =
-                std::string(training ? "train/" : "infer/") + e.label;
-            p.push_back({e, training, std::move(key)});
+        const std::vector<Fig14Entry> cnn = {
+            {vgg16Dense(), Precision::Fp32, "VGG16 FP32 dense"},
+            {resnet50Dense(), Precision::Fp32, "ResNet-50 FP32 dense"},
+            {resnet50Pruned(), Precision::Fp32, "ResNet-50 FP32 pruned"},
+            {vgg16Dense(), Precision::Bf16, "VGG16 MP dense"},
+            {resnet50Dense(), Precision::Bf16, "ResNet-50 MP dense"},
+            {resnet50Pruned(), Precision::Bf16, "ResNet-50 MP pruned"},
         };
-        // Must mirror fig14Report's walk exactly: index == the order
-        // the renderer asks for results.
-        for (const Fig14Entry &e : fig14CnnEntries())
-            add(e, false);
-        for (const Fig14Entry &e : fig14GnmtEntries())
-            add(e, false);
-        for (const Fig14Entry &e : fig14CnnEntries())
-            add(e, true);
-        for (const Fig14Entry &e : fig14GnmtEntries())
-            add(e, true);
+        const std::vector<Fig14Entry> gnmt = {
+            {gnmtPruned(), Precision::Fp32, "GNMT FP32 pruned"},
+            {gnmtPruned(), Precision::Bf16, "GNMT MP pruned"},
+        };
+        struct Section
+        {
+            const char *heading;
+            const std::vector<Fig14Entry> &entries;
+            bool training;
+        };
+        const Section sections[] = {
+            {"=== Fig. 14a: CNN inference ===\n", cnn, false},
+            {"\n=== Fig. 14b: GNMT inference ===\n", gnmt, false},
+            {"\n=== Fig. 14c: CNN end-to-end training ===\n", cnn, true},
+            {"\n=== Fig. 14d: GNMT end-to-end training ===\n", gnmt,
+             true},
+        };
+        std::vector<Fig14Point> p;
+        for (const Section &s : sections) {
+            const char *heading = s.heading;
+            for (const Fig14Entry &e : s.entries) {
+                p.push_back({e, s.training,
+                             std::string(s.training ? "train/"
+                                                    : "infer/") +
+                                 e.label,
+                             heading});
+                heading = nullptr;
+            }
+        }
         return p;
     }();
     return points;
 }
 
 std::string
-fig14Report(const Fig14Eval &eval, const Fig14Progress &progress)
+fig14Report(const Fig14Eval &eval)
 {
     std::string out;
     out.reserve(8192);
-    const int total = fig14PointCount();
-    int done = 0;
-
-    auto run = [&](const Fig14Entry &e, bool training) {
-        std::string key =
-            std::string(training ? "train/" : "infer/") + e.label;
-        NetResult r = eval(key, e, training);
-        ++done;
-        if (progress)
-            progress(done, total, key);
-        return r;
-    };
-
-    appendf(out, "=== Fig. 14a: CNN inference ===\n");
-    for (const Fig14Entry &e : fig14CnnEntries())
-        printNet(out, e.label, run(e, false), false);
-
-    appendf(out, "\n=== Fig. 14b: GNMT inference ===\n");
-    for (const Fig14Entry &e : fig14GnmtEntries())
-        printNet(out, e.label, run(e, false), false);
-
-    appendf(out, "\n=== Fig. 14c: CNN end-to-end training ===\n");
-    for (const Fig14Entry &e : fig14CnnEntries())
-        printNet(out, e.label, run(e, true), true);
-
-    appendf(out, "\n=== Fig. 14d: GNMT end-to-end training ===\n");
-    for (const Fig14Entry &e : fig14GnmtEntries())
-        printNet(out, e.label, run(e, true), true);
-
+    for (const Fig14Point &p : fig14Points()) {
+        if (p.heading != nullptr)
+            out += p.heading;
+        printNet(out, p.entry.label, eval(p.key, p.entry, p.training),
+                 p.training);
+    }
     appendf(out,
             "\nPaper (dynamic, MP): inference 1.68x/1.37x/1.59x "
             "(VGG/ResNet/ResNet-pruned), 1.39x GNMT; training "
             "1.64x/1.29x/1.42x, 1.28x GNMT.\n");
     return out;
+}
+
+std::string
+fig14Report(const std::vector<NetResult> &results)
+{
+    size_t next = 0;
+    return fig14Report([&](const std::string &, const Fig14Entry &,
+                           bool) { return results.at(next++); });
 }
 
 } // namespace save

@@ -1,8 +1,9 @@
 #include "engine/engine.h"
 
+#include <cmath>
 #include <sstream>
 
-#include "cache/cas_key.h"
+#include "cache/result_store.h"
 #include "sim/multicore.h"
 #include "sim/reference.h"
 #include "trace/trace_writer.h"
@@ -138,6 +139,40 @@ Engine::verifyGemm(const GemmConfig &cfg, int vpus,
         }
     }
     return true;
+}
+
+CasValue
+toCasValue(const KernelResult &kr)
+{
+    CasValue v;
+    v.timeNs = kr.timeNs;
+    v.cycles = kr.cycles;
+    v.coreGhz = kr.coreGhz;
+    for (const auto &[name, value] : kr.stats.all())
+        v.stats.emplace_back(name, value);
+    return v;
+}
+
+KernelResult
+memoRunGemm(ResultStore &store, const Engine &eng, const GemmConfig &g,
+            int cores, int vpus)
+{
+    const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
+                     casGemmWorkload(g, cores, vpus)};
+    CasValue v;
+    if (store.lookup(key, &v)) {
+        KernelResult kr;
+        kr.timeNs = v.timeNs;
+        kr.cycles = v.cycles;
+        kr.coreGhz = v.coreGhz;
+        for (const auto &[name, value] : v.stats)
+            kr.stats.set(name, value);
+        return kr;
+    }
+    KernelResult kr = eng.runGemm(g, cores, vpus);
+    if (std::isfinite(kr.timeNs))
+        store.insert(key, toCasValue(kr));
+    return kr;
 }
 
 } // namespace save

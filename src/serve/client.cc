@@ -55,7 +55,7 @@ ServeClient::ServeClient(std::string socketPath)
 }
 
 ServeClient::Reply
-ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
+ServeClient::call(const ServeRequest &req, const AckFn &onAck,
                   int timeout_ms)
 {
     const int fd = connectTo(path_);
@@ -79,9 +79,10 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
                 throw SimError(
                     "no reply from " + path_ + " within " +
                     std::to_string(timeout_ms) + "ms");
-            if (f.fourcc == kServeProgress) {
-                if (progress)
-                    progress(serveDecodeProgress(f.payload));
+            if (f.fourcc == kServeAck) {
+                ServeShardAck ack = serveDecodeShardAck(f.payload);
+                if (onAck)
+                    onAck(ack);
                 continue;
             }
             if (f.fourcc == kServeResult) {
@@ -93,68 +94,11 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
                 case ServeKind::Gemm:
                     reply.gemm = wireDecodeSliceResult(f.payload);
                     break;
-                case ServeKind::Fig14:
-                    reply.text.assign(f.payload.begin(),
-                                      f.payload.end());
-                    break;
                 case ServeKind::Ping:
                 case ServeKind::Drain:
+                case ServeKind::Fig14:
                     break;
                 }
-                break;
-            }
-            if (f.fourcc == kServeError) {
-                reply.kind = Reply::Kind::Error;
-                reply.error = wireDecodeError(f.payload);
-                break;
-            }
-            if (f.fourcc == kServeBusy) {
-                reply.kind = Reply::Kind::Busy;
-                reply.busy = serveDecodeBusy(f.payload);
-                break;
-            }
-            throw TraceError("serve: unexpected reply frame " +
-                             frameFourccName(f.fourcc));
-        }
-    } catch (...) {
-        ::close(fd);
-        throw;
-    }
-    ::close(fd);
-    return reply;
-}
-
-ServeClient::Reply
-ServeClient::callShard(const ServeShardJob &job, const AckFn &onAck,
-                       int timeout_ms)
-{
-    const int fd = connectTo(path_);
-    Reply reply;
-    try {
-        if (!frameWriteFd(fd, kServeShardJob, kServeVersion,
-                          serveEncodeShardJob(job)))
-            throw SimError(std::string("shard job write failed: ") +
-                           std::strerror(errno));
-        for (;;) {
-            Frame f;
-            FrameRead r = frameReadFd(fd, f, timeout_ms,
-                                      serveKnownFourcc,
-                                      kServeMaxPayload, "serve");
-            if (r == FrameRead::Eof)
-                throw SimError(
-                    "daemon closed the connection mid-batch");
-            if (r == FrameRead::Timeout)
-                throw SimError(
-                    "no shard ack from " + path_ + " within " +
-                    std::to_string(timeout_ms) + "ms");
-            if (f.fourcc == kServeProgress) {
-                ServeShardAck ack = serveDecodeShardAck(f.payload);
-                if (onAck)
-                    onAck(ack);
-                continue;
-            }
-            if (f.fourcc == kServeResult) {
-                reply.kind = Reply::Kind::Ok;
                 break;
             }
             if (f.fourcc == kServeError) {

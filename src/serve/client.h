@@ -1,9 +1,10 @@
 /**
  * @file
  * ServeClient: the client side of the save-serve protocol. One
- * request per connection: connect, send SREQ, consume streamed SPRG
- * progress frames, and return the terminal SRES/SERR/SBSY as a typed
- * Reply. `save-ctl` and the serve tests are the two users.
+ * request per connection: connect, send SREQ, pass each streamed
+ * SPRG point ack to the caller, and return the terminal
+ * SRES/SERR/SBSY as a typed Reply. `save-ctl`, the save-shard
+ * coordinator and the serve tests are its users.
  *
  * Failure policy mirrors the rest of the harness: a failed connect
  * throws ServeConnectError (nothing reached the daemon); timeouts and
@@ -35,8 +36,8 @@ class ServeConnectError : public SimError
 class ServeClient
 {
   public:
-    /** Progress callback for streamed sweeps. */
-    using ProgressFn = std::function<void(const ServeProgress &)>;
+    /** Per-point ack callback for Fig14 requests. */
+    using AckFn = std::function<void(const ServeShardAck &)>;
 
     struct Reply
     {
@@ -54,35 +55,21 @@ class ServeClient
         /** Ok replies, by request kind. */
         ServeStatus status;         ///< Status
         WireSliceResult gemm;       ///< Gemm
-        std::string text;           ///< Fig14 report
     };
 
     /** Does not connect; every call() opens its own connection. */
     explicit ServeClient(std::string socketPath);
 
     /**
-     * Send one request and wait for the terminal reply. `timeout_ms`
-     * bounds every frame read (< 0 waits forever); a sweep that
-     * streams progress resets the clock at each frame. Throws
+     * Send one request and wait for the terminal reply, passing each
+     * point ack of a Fig14 request to `onAck` as it arrives.
+     * `timeout_ms` bounds every frame read (< 0 waits forever), so a
+     * sweep that streams acks resets the clock at each frame. Throws
      * ServeConnectError when the daemon is unreachable, SimError when
      * it times out, TraceError on protocol corruption.
      */
-    Reply call(const ServeRequest &req,
-               const ProgressFn &progress = nullptr,
+    Reply call(const ServeRequest &req, const AckFn &onAck = nullptr,
                int timeout_ms = -1);
-
-    /** Per-point ack callback for shard jobs. */
-    using AckFn = std::function<void(const ServeShardAck &)>;
-
-    /**
-     * Send one SSHD shard job and stream every per-point ack through
-     * `onAck`; the terminal frame becomes the Reply exactly as in
-     * call(), and failures throw as in call(). `timeout_ms` bounds
-     * every frame read and resets at each ack.
-     */
-    Reply callShard(const ServeShardJob &job,
-                    const AckFn &onAck = nullptr,
-                    int timeout_ms = -1);
 
     const std::string &socketPath() const { return path_; }
 

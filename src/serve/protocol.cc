@@ -55,6 +55,9 @@ serveEncodeRequest(const ServeRequest &r)
         break;
     case ServeKind::Fig14:
         framePutStruct(p, r.fig14);
+        framePutU32(p, static_cast<uint32_t>(r.points.size()));
+        for (uint32_t idx : r.points)
+            framePutU32(p, idx);
         break;
     }
     return p;
@@ -91,9 +94,19 @@ serveDecodeRequest(uint32_t version, const std::vector<uint8_t> &p)
         r.cores = static_cast<int32_t>(frameGetU32(q, end));
         r.vpus = static_cast<int32_t>(frameGetU32(q, end));
         break;
-    case ServeKind::Fig14:
+    case ServeKind::Fig14: {
         r.fig14 = frameGetStruct<Fig14Knobs>(q, end, "Fig14Knobs");
+        uint32_t n = frameGetU32(q, end);
+        // Each index needs 4 payload bytes, so a count that outruns
+        // the remaining payload is corruption, not a huge allocation.
+        if (n > static_cast<uint32_t>((end - q) / 4))
+            throw TraceError("serve request: point count " +
+                             std::to_string(n) + " exceeds payload");
+        r.points.reserve(n);
+        for (uint32_t i = 0; i < n; ++i)
+            r.points.push_back(frameGetU32(q, end));
         break;
+    }
     }
     if (q != end)
         throw TraceError("serve request: " +
@@ -119,28 +132,6 @@ serveDecodeStatus(const std::vector<uint8_t> &p)
 }
 
 std::vector<uint8_t>
-serveEncodeProgress(const ServeProgress &pr)
-{
-    std::vector<uint8_t> p;
-    framePutU32(p, pr.done);
-    framePutU32(p, pr.total);
-    framePutString(p, pr.key);
-    return p;
-}
-
-ServeProgress
-serveDecodeProgress(const std::vector<uint8_t> &p)
-{
-    const uint8_t *q = p.data();
-    const uint8_t *end = q + p.size();
-    ServeProgress pr;
-    pr.done = frameGetU32(q, end);
-    pr.total = frameGetU32(q, end);
-    pr.key = frameGetString(q, end);
-    return pr;
-}
-
-std::vector<uint8_t>
 serveEncodeBusy(const ServeBusyInfo &b)
 {
     std::vector<uint8_t> p;
@@ -160,53 +151,6 @@ serveDecodeBusy(const std::vector<uint8_t> &p)
     b.queued = frameGetU32(q, end);
     b.queueCap = frameGetU32(q, end);
     return b;
-}
-
-std::vector<uint8_t>
-serveEncodeShardJob(const ServeShardJob &j)
-{
-    std::vector<uint8_t> p;
-    framePutU32(p, static_cast<uint32_t>(j.priority));
-    framePutU32(p, j.deadlineMs);
-    framePutStruct(p, j.knobs);
-    framePutU32(p, static_cast<uint32_t>(j.points.size()));
-    for (uint32_t idx : j.points)
-        framePutU32(p, idx);
-    return p;
-}
-
-ServeShardJob
-serveDecodeShardJob(uint32_t version, const std::vector<uint8_t> &p)
-{
-    if (version != kServeVersion)
-        throw TraceError("serve shard job version mismatch: peer speaks "
-                         "v" + std::to_string(version) +
-                         ", this build is v" +
-                         std::to_string(kServeVersion));
-    const uint8_t *q = p.data();
-    const uint8_t *end = q + p.size();
-    ServeShardJob j;
-    uint32_t prio = frameGetU32(q, end);
-    if (prio > static_cast<uint32_t>(ServePriority::Low))
-        throw TraceError("serve shard job: unknown priority " +
-                         std::to_string(prio));
-    j.priority = static_cast<ServePriority>(prio);
-    j.deadlineMs = frameGetU32(q, end);
-    j.knobs = frameGetStruct<Fig14Knobs>(q, end, "Fig14Knobs");
-    uint32_t n = frameGetU32(q, end);
-    // Each index needs 4 payload bytes, so a count that outruns the
-    // remaining payload is corruption, not a huge allocation.
-    if (n > static_cast<uint32_t>((end - q) / 4))
-        throw TraceError("serve shard job: point count " +
-                         std::to_string(n) + " exceeds payload");
-    j.points.reserve(n);
-    for (uint32_t i = 0; i < n; ++i)
-        j.points.push_back(frameGetU32(q, end));
-    if (q != end)
-        throw TraceError("serve shard job: " +
-                         std::to_string(end - q) +
-                         " trailing byte(s) after payload");
-    return j;
 }
 
 std::vector<uint8_t>
@@ -240,7 +184,7 @@ serveKnownFourcc(uint32_t fourcc)
 {
     return fourcc == kServeRequest || fourcc == kServeResult ||
            fourcc == kServeError || fourcc == kServeBusy ||
-           fourcc == kServeProgress || fourcc == kServeShardJob;
+           fourcc == kServeAck;
 }
 
 } // namespace save

@@ -9,28 +9,25 @@
  *
  *   client -> daemon   SREQ  (arg = protocol version; kind + priority
  *                             + deadline + kind-specific payload)
- *   daemon -> client   SPRG* (streamed progress, long sweeps only)
- *   daemon -> client   SRES  (arg = echoed kind; kind-specific payload)
+ *   daemon -> client   SPRG* (Fig14 only: arg = point index;
+ *                             ServeShardAck payload: index + key +
+ *                             NetResult, one per completed point)
+ *   daemon -> client   SRES  (arg = echoed kind; kind-specific payload,
+ *                             empty for Fig14)
  *                   or SERR  (SimError-taxonomy kind + message)
  *                   or SBSY  (admission queue full: typed load-shed,
  *                             never a hang — resubmit later)
  *
- * The shard-job frame serves the save-shard coordinator (DESIGN.md
- * §15):
- *
- *   client -> daemon   SSHD  (arg = protocol version; priority + deadline
- *                             + Fig14Knobs + a list of sweep-point
- *                             indices into fig14Points())
- *   daemon -> client   SPRG* (arg = point index; ServeShardAck
- *                             payload: index + key + NetResult, one
- *                             per completed point — the coordinator
- *                             merges these in config-key order)
- *   daemon -> client   SRES  (empty: batch complete) or SERR / SBSY
+ * A Fig14 request names the sweep points it wants as indices into
+ * fig14Points(). The daemon never renders a report: every client
+ * (save-ctl, the save-shard coordinator) renders the acked results
+ * through the one dnn/fig14_report.h renderer, so a remote report is
+ * byte-identical to `bench_fig14` by construction.
  *
  * Versioning is an exact match: daemon and client decode only frames
  * whose arg carries kServeVersion, and reject any other version with
  * a typed SERR (TraceError). The coordinator reads ServeStatus.version
- * first and sends shard jobs only to a daemon of its own version.
+ * first and sends point requests only to a daemon of its own version.
  *
  * Every frame is `u32 fourcc, u32 arg, u64 payloadBytes, u32
  * crc32(payload), payload`; any corruption (truncated frame, flipped
@@ -61,17 +58,17 @@
 namespace save {
 
 /** Protocol version; bumped on any frame-layout change. Rides in the
- *  SREQ/SSHD `arg` slot and is echoed in ServeStatus; peers must match
- *  it exactly. */
-constexpr uint32_t kServeVersion = 2;
+ *  SREQ `arg` slot and is echoed in ServeStatus; peers must match it
+ *  exactly. */
+constexpr uint32_t kServeVersion = 3;
 
 /** Frame kinds. */
 constexpr uint32_t kServeRequest = frameFourcc('S', 'R', 'E', 'Q');
 constexpr uint32_t kServeResult = frameFourcc('S', 'R', 'E', 'S');
 constexpr uint32_t kServeError = frameFourcc('S', 'E', 'R', 'R');
 constexpr uint32_t kServeBusy = frameFourcc('S', 'B', 'S', 'Y');
-constexpr uint32_t kServeProgress = frameFourcc('S', 'P', 'R', 'G');
-constexpr uint32_t kServeShardJob = frameFourcc('S', 'S', 'H', 'D');
+/** One point ack (ServeShardAck) of a Fig14 request. */
+constexpr uint32_t kServeAck = frameFourcc('S', 'P', 'R', 'G');
 
 /** Upper bound on a frame payload; larger lengths are corruption. */
 constexpr uint64_t kServeMaxPayload = 64ull << 20;
@@ -109,7 +106,8 @@ struct ServeRequest
     ServeKind kind = ServeKind::Ping;
     ServePriority priority = ServePriority::Normal;
     /** Wall-clock budget from admission to final frame, ms; 0 = none.
-     *  Checked between queue pop / sweep points (coarse-grained). */
+     *  Checked at queue pop and before each sweep point
+     *  (coarse-grained). */
     uint32_t deadlineMs = 0;
 
     /** Gemm: the slice workload to simulate. */
@@ -119,6 +117,9 @@ struct ServeRequest
 
     /** Fig14: sweep knobs (defaults match bench_fig14). */
     Fig14Knobs fig14{};
+    /** Fig14: the points to compute, as indices into fig14Points();
+     *  validated against the enumeration size on the serving side. */
+    std::vector<uint32_t> points;
 };
 
 std::vector<uint8_t> serveEncodeRequest(const ServeRequest &r);
@@ -151,17 +152,6 @@ struct ServeStatus
 std::vector<uint8_t> serveEncodeStatus(const ServeStatus &s);
 ServeStatus serveDecodeStatus(const std::vector<uint8_t> &p);
 
-/** SPRG payload: sweep progress, one frame per completed point. */
-struct ServeProgress
-{
-    uint32_t done = 0;
-    uint32_t total = 0;
-    std::string key;
-};
-
-std::vector<uint8_t> serveEncodeProgress(const ServeProgress &p);
-ServeProgress serveDecodeProgress(const std::vector<uint8_t> &p);
-
 /** SBSY payload: why admission shed the request. */
 struct ServeBusyInfo
 {
@@ -173,31 +163,10 @@ struct ServeBusyInfo
 std::vector<uint8_t> serveEncodeBusy(const ServeBusyInfo &b);
 ServeBusyInfo serveDecodeBusy(const std::vector<uint8_t> &p);
 
-/**
- * SSHD payload (protocol v2): a batched shard job — one subset of the
- * Fig. 14 sweep, named by indices into fig14Points(). The coordinator
- * carves the sweep into these and fans them across backends.
- */
-struct ServeShardJob
-{
-    ServePriority priority = ServePriority::Normal;
-    /** Wall-clock budget for the whole batch, ms; 0 = none. */
-    uint32_t deadlineMs = 0;
-    Fig14Knobs knobs{};
-    /** Indices into fig14Points(); validated against the enumeration
-     *  size on the serving side. */
-    std::vector<uint32_t> points;
-};
-
-std::vector<uint8_t> serveEncodeShardJob(const ServeShardJob &j);
-/** Throws TraceError on malformed payload or a version other than
- *  kServeVersion (`version` is the frame's arg slot). */
-ServeShardJob serveDecodeShardJob(uint32_t version,
-                                  const std::vector<uint8_t> &p);
-
-/** Per-point SPRG ack for a shard job: the completed point's index,
- *  config key, and full result, streamed as soon as it finishes so
- *  the coordinator can re-dispatch only what is still outstanding. */
+/** Per-point SPRG ack for a Fig14 request: the completed point's
+ *  index, config key, and full result, streamed as soon as it
+ *  finishes so a client can re-dispatch only what is still
+ *  outstanding. */
 struct ServeShardAck
 {
     uint32_t index = 0;

@@ -269,8 +269,6 @@ ServeServer::handleConnection(int fd)
 {
     Frame f;
     ServeRequest req;
-    ServeShardJob shard;
-    bool is_shard = false;
     try {
         // A client that connects and dawdles must not wedge the
         // accept loop: the whole request has 2s to arrive.
@@ -282,15 +280,10 @@ ServeServer::handleConnection(int fd)
             ::close(fd);
             return;
         }
-        if (f.fourcc == kServeShardJob) {
-            shard = serveDecodeShardJob(f.arg, f.payload);
-            is_shard = true;
-        } else if (f.fourcc == kServeRequest) {
-            req = serveDecodeRequest(f.arg, f.payload);
-        } else {
-            throw TraceError("serve: expected SREQ or SSHD, got " +
+        if (f.fourcc != kServeRequest)
+            throw TraceError("serve: expected SREQ, got " +
                              frameFourccName(f.fourcc));
-        }
+        req = serveDecodeRequest(f.arg, f.payload);
     } catch (const std::exception &e) {
         // Corrupt or mismatched request: typed reply, then drop the
         // connection. Never let one bad client kill the daemon.
@@ -300,9 +293,8 @@ ServeServer::handleConnection(int fd)
         return;
     }
 
-    if (!is_shard &&
-        (req.kind == ServeKind::Ping || req.kind == ServeKind::Status ||
-         req.kind == ServeKind::Drain)) {
+    if (req.kind == ServeKind::Ping || req.kind == ServeKind::Status ||
+        req.kind == ServeKind::Drain) {
         controlReply(fd, req);
         ::close(fd);
         return;
@@ -310,15 +302,7 @@ ServeServer::handleConnection(int fd)
 
     Job job;
     job.fd = fd;
-    job.req = req;
-    job.isShard = is_shard;
-    job.shard = std::move(shard);
-    if (is_shard) {
-        // Mirror the batch's class/budget so admission and deadline
-        // bookkeeping below need no shard-specific paths.
-        job.req.priority = job.shard.priority;
-        job.req.deadlineMs = job.shard.deadlineMs;
-    }
+    job.req = std::move(req);
     job.admittedNs = nowNs();
     {
         std::lock_guard<std::mutex> lk(qmu_);
@@ -339,7 +323,7 @@ ServeServer::handleConnection(int fd)
             ::close(fd);
             return;
         }
-        queues_[static_cast<size_t>(req.priority)].push_back(
+        queues_[static_cast<size_t>(job.req.priority)].push_back(
             std::move(job));
         ++queuedTotal_;
         accepted_.fetch_add(1);
@@ -494,42 +478,7 @@ ServeServer::executeJob(SimSession &session, Job &job)
                            std::to_string(job.req.deadlineMs) +
                            "ms exceeded while queued");
 
-        if (job.isShard) {
-            const std::vector<Fig14Point> &pts = fig14Points();
-            for (uint32_t idx : job.shard.points) {
-                if (deadline_ns != 0 && nowNs() > deadline_ns)
-                    throw SimError(
-                        "deadline of " +
-                        std::to_string(job.shard.deadlineMs) +
-                        "ms exceeded mid-batch");
-                if (clientGone(fd))
-                    throw SimError("client disconnected mid-batch");
-                if (idx >= pts.size())
-                    throw ConfigError(
-                        "shard point index " + std::to_string(idx) +
-                        " out of range [0, " +
-                        std::to_string(pts.size()) + ")");
-                if (opt_.testPointDelayMs > 0)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            opt_.testPointDelayMs));
-                ServeShardAck ack;
-                ack.index = idx;
-                ack.key = pts[idx].key;
-                ack.result = session.runFig14Point(
-                    job.shard.knobs, static_cast<int>(idx));
-                if (!frameWriteFd(fd, kServeProgress, idx,
-                                  serveEncodeShardAck(ack)))
-                    throw SimError(
-                        std::string(
-                            "client disconnected (ack write: ") +
-                        std::strerror(errno) + ")");
-            }
-            if (!frameWriteFd(fd, kServeResult, kServeVersion, {}))
-                throw SimError(
-                    std::string("result write failed: ") +
-                    std::strerror(errno));
-        } else if (job.req.kind == ServeKind::Gemm) {
+        if (job.req.kind == ServeKind::Gemm) {
             KernelResult kr =
                 session.runGemm(job.req.gemm, job.req.cores,
                                 job.req.vpus);
@@ -546,34 +495,38 @@ ServeServer::executeJob(SimSession &session, Job &job)
                     std::string("result write failed: ") +
                     std::strerror(errno));
         } else {
-            Fig14Progress progress = [&](int done, int total,
-                                         const std::string &key) {
+            const std::vector<Fig14Point> &pts = fig14Points();
+            for (uint32_t idx : job.req.points) {
                 if (deadline_ns != 0 && nowNs() > deadline_ns)
                     throw SimError(
                         "deadline of " +
                         std::to_string(job.req.deadlineMs) +
-                        "ms exceeded mid-sweep (after " +
-                        std::to_string(done) + "/" +
-                        std::to_string(total) + " points)");
+                        "ms exceeded mid-sweep");
                 if (clientGone(fd))
                     throw SimError("client disconnected mid-sweep");
-                ServeProgress pr;
-                pr.done = static_cast<uint32_t>(done);
-                pr.total = static_cast<uint32_t>(total);
-                pr.key = key;
-                if (!frameWriteFd(fd, kServeProgress, kServeVersion,
-                                  serveEncodeProgress(pr)))
+                if (idx >= pts.size())
+                    throw ConfigError(
+                        "fig14 point index " + std::to_string(idx) +
+                        " out of range [0, " +
+                        std::to_string(pts.size()) + ")");
+                if (opt_.testPointDelayMs > 0)
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(
+                            opt_.testPointDelayMs));
+                ServeShardAck ack;
+                ack.index = idx;
+                ack.key = pts[idx].key;
+                ack.result = session.runFig14Point(
+                    job.req.fig14, static_cast<int>(idx));
+                if (!frameWriteFd(fd, kServeAck, idx,
+                                  serveEncodeShardAck(ack)))
                     throw SimError(
                         std::string(
-                            "client disconnected (progress write: ") +
+                            "client disconnected (ack write: ") +
                         std::strerror(errno) + ")");
-            };
-            std::string report =
-                session.runFig14(job.req.fig14, progress);
-            std::vector<uint8_t> payload(report.begin(), report.end());
+            }
             if (!frameWriteFd(fd, kServeResult,
-                              static_cast<uint32_t>(job.req.kind),
-                              payload))
+                              static_cast<uint32_t>(job.req.kind), {}))
                 throw SimError(
                     std::string("result write failed: ") +
                     std::strerror(errno));
@@ -581,8 +534,7 @@ ServeServer::executeJob(SimSession &session, Job &job)
         completed_.fetch_add(1);
     } catch (const std::exception &e) {
         errors_.fetch_add(1);
-        SAVE_WARN("request ",
-                  job.isShard ? "shard" : serveKindName(job.req.kind),
+        SAVE_WARN("request ", serveKindName(job.req.kind),
                   " failed: ", e.what());
         sendErrorReply(fd, e);
     }

@@ -14,11 +14,11 @@
  *   daemon.
  *
  * Fault and lifetime policy:
- *  - per-request deadlines (ServeRequest::deadlineMs) checked between
- *    queue pop and sweep points (coarse: a single network evaluation
- *    is never interrupted mid-flight);
- *  - client disconnect aborts an in-flight sweep at the next progress
- *    point (EPIPE on the SPRG write, or a zero-byte MSG_PEEK);
+ *  - per-request deadlines (ServeRequest::deadlineMs) checked at
+ *    queue pop and before each sweep point (coarse: a single network
+ *    evaluation is never interrupted mid-flight);
+ *  - client disconnect aborts an in-flight sweep at the next point
+ *    (EPIPE on the SPRG ack write, or a zero-byte MSG_PEEK);
  *  - slice-level faults stay contained by the estimator's retry /
  *    NaN-poisoning / worker-sandbox machinery — a crashing slice
  *    storm degrades that one request, not the daemon;
@@ -67,7 +67,7 @@ class ServeServer
         RuntimeOptions runtime{};
         /** Optional key=value config file re-read on SIGHUP. */
         std::string configPath;
-        /** Test hook: sleep this long before every shard point, to
+        /** Test hook: sleep this long before every Fig14 point, to
          *  fake a straggler backend (SAVE_SERVE_TEST_POINT_DELAY_MS).
          */
         int testPointDelayMs = 0;
@@ -97,10 +97,6 @@ class ServeServer
         ServeRequest req;
         /** CLOCK_MONOTONIC ns admission stamp; 0 deadline = none. */
         uint64_t admittedNs = 0;
-        /** v2 batched shard job (SSHD); req then only carries the
-         *  mirrored priority/deadline for the queue machinery. */
-        bool isShard = false;
-        ServeShardJob shard;
     };
 
     int bindSocket();

@@ -1,45 +1,10 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "cache/cas_key.h"
 #include "util/error.h"
 
 namespace save {
-
-std::string
-fig14IsolationName(int32_t code)
-{
-    switch (code) {
-    case 0:
-        return "";
-    case 1:
-        return "none";
-    case 2:
-        return "thread";
-    case 3:
-        return "process";
-    default:
-        throw ConfigError("unknown isolation code " +
-                          std::to_string(code));
-    }
-}
-
-int32_t
-fig14IsolationCode(const std::string &name)
-{
-    if (name.empty())
-        return 0;
-    if (name == "none")
-        return 1;
-    if (name == "thread")
-        return 2;
-    if (name == "process")
-        return 3;
-    throw ConfigError("unknown isolation mode '" + name +
-                      "' (expected none, thread, or process)");
-}
 
 SimSession::SimSession(Options opt) : opt_(std::move(opt))
 {
@@ -71,32 +36,8 @@ SimSession::~SimSession() = default;
 KernelResult
 SimSession::runGemm(const GemmConfig &g, int cores, int vpus)
 {
-    // Exactly BenchResultCache's key (bench/bench_util.h): salt 0 for
-    // raw Engine runs, so served and benched repeats share entries.
-    const CasKey key{casHashConfig(opt_.mcfg, opt_.scfg, 0),
-                     casGemmWorkload(g, cores, vpus)};
-    CasValue v;
-    if (store_->lookup(key, &v)) {
-        KernelResult kr;
-        kr.timeNs = v.timeNs;
-        kr.cycles = v.cycles;
-        kr.coreGhz = v.coreGhz;
-        for (const auto &[name, value] : v.stats)
-            kr.stats.set(name, value);
-        return kr;
-    }
-    Engine eng(opt_.mcfg, opt_.scfg);
-    KernelResult kr = eng.runGemm(g, cores, vpus);
-    if (std::isfinite(kr.timeNs)) {
-        v = CasValue{};
-        v.timeNs = kr.timeNs;
-        v.cycles = kr.cycles;
-        v.coreGhz = kr.coreGhz;
-        for (const auto &[name, value] : kr.stats.all())
-            v.stats.emplace_back(name, value);
-        store_->insert(key, v);
-    }
-    return kr;
+    return memoRunGemm(*store_, Engine(opt_.mcfg, opt_.scfg), g, cores,
+                       vpus);
 }
 
 TrainingEstimator &
@@ -105,8 +46,7 @@ SimSession::estimatorFor(const Fig14Knobs &k)
     const std::string id =
         std::to_string(k.gridStep) + "/" + std::to_string(k.kSteps) +
         "/" + std::to_string(k.tiles) + "/" + std::to_string(k.cores) +
-        "/" + std::to_string(k.seed) + "/" + std::to_string(k.threads) +
-        "/" + std::to_string(k.isolation);
+        "/" + std::to_string(k.seed);
     std::lock_guard<std::mutex> lk(mu_);
     auto it = estimators_.find(id);
     if (it != estimators_.end())
@@ -118,41 +58,15 @@ SimSession::estimatorFor(const Fig14Knobs &k)
     eo.tiles = k.tiles;
     eo.cores = k.cores;
     eo.seed = k.seed;
-    std::string iso = fig14IsolationName(k.isolation);
-    eo.isolation = iso.empty()
-                       ? opt_.runtime.resolveIsolation()
-                       : RuntimeOptions{.isolation = iso}
-                             .resolveIsolation();
+    eo.isolation = opt_.runtime.resolveIsolation();
     eo.proc.workerBin = opt_.runtime.workerBin;
     eo.validate();
 
-    // threads == 0 fans out over the session pool; an explicit
-    // per-request count gets a dedicated estimator-owned pool (the
-    // estimator handles threads <= 1 as its serial path).
-    ThreadPool *pool = nullptr;
-    if (k.threads == 0)
-        pool = pool_;
-    else
-        eo.threads = k.threads;
-
     auto est = std::make_unique<TrainingEstimator>(
-        opt_.mcfg, opt_.scfg, eo, pool, store_);
+        opt_.mcfg, opt_.scfg, eo, pool_, store_);
     TrainingEstimator &ref = *est;
     estimators_.emplace(id, std::move(est));
     return ref;
-}
-
-std::string
-SimSession::runFig14(const Fig14Knobs &knobs,
-                     const Fig14Progress &progress)
-{
-    TrainingEstimator &est = estimatorFor(knobs);
-    Fig14Eval eval = [&est](const std::string &, const Fig14Entry &e,
-                            bool training) {
-        return training ? est.training(e.net, e.prec)
-                        : est.inference(e.net, e.prec);
-    };
-    return fig14Report(eval, progress);
 }
 
 NetResult

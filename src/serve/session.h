@@ -15,12 +15,13 @@
  *
  * Results are bit-identical to the standalone benches by
  * construction:
- *  - runGemm uses the same CasKey as BenchResultCache
- *    (bench/bench_util.h), so a repeat slice — served or benched — is
- *    answered from the shared store in O(1) without re-simulating;
- *  - runFig14 renders through the shared dnn/fig14_report.h renderer
- *    over TrainingEstimator, so a served sweep's text matches
- *    `bench_fig14` stdout to the byte.
+ *  - runGemm is the benches' own memoRunGemm (engine/engine.h), so a
+ *    repeat slice — served or benched — is answered from the shared
+ *    store in O(1) without re-simulating;
+ *  - runFig14Point evaluates one point of the fig14Points()
+ *    enumeration with the same estimator arithmetic as `bench_fig14`;
+ *    the caller renders the acked points through the shared
+ *    dnn/fig14_report.h renderer.
  */
 
 #ifndef SAVE_SERVE_SESSION_H
@@ -42,8 +43,9 @@
 namespace save {
 
 /** Fig. 14 sweep knobs a session caller can vary per request.
- *  Defaults match bench_fig14 (grid=3 quick sampling). Trivially
- *  copyable: travels as raw bytes in the serve protocol. */
+ *  Defaults match bench_fig14 (grid=3 quick sampling). Threads and
+ *  isolation are the session's own. Trivially copyable: travels as
+ *  raw bytes in the serve protocol. */
 struct Fig14Knobs
 {
     int32_t gridStep = 3;
@@ -51,17 +53,7 @@ struct Fig14Knobs
     int32_t tiles = 6;
     int32_t cores = 1;
     uint64_t seed = 7;
-    /** Fan-out threads; 0 = the session's shared pool. */
-    int32_t threads = 0;
-    /** Isolation override: 0 = session default ("" in RuntimeOptions
-     *  terms), 1 = none, 2 = thread, 3 = process. An enum-as-int so
-     *  the struct stays trivially copyable. */
-    int32_t isolation = 0;
 };
-
-/** Fig14Knobs::isolation codes <-> resolveIsolation strings. */
-std::string fig14IsolationName(int32_t code);
-int32_t fig14IsolationCode(const std::string &name);
 
 class SimSession
 {
@@ -90,30 +82,20 @@ class SimSession
     const RuntimeOptions &runtime() const { return opt_.runtime; }
 
     /**
-     * One GEMM slice simulation, memoized in the content-addressed
-     * store under the exact key BenchResultCache uses: a slice the
+     * One GEMM slice simulation through memoRunGemm: a slice the
      * benches (or a previous request) already ran is answered from
      * the store without re-simulating.
      */
     KernelResult runGemm(const GemmConfig &g, int cores, int vpus);
 
     /**
-     * The full Fig. 14 sweep; returns the report text (byte-identical
-     * to bench_fig14 stdout for the same knobs). `progress` fires
-     * after each of the 16 network evaluations and may throw to abort
-     * the sweep. Estimators are cached per knob tuple, so repeat
-     * sweeps reuse warm in-memory surfaces on top of the persistent
-     * store.
-     */
-    std::string runFig14(const Fig14Knobs &knobs,
-                         const Fig14Progress &progress = nullptr);
-
-    /**
      * One Fig. 14 sweep point by canonical index (fig14Points()
-     * order) — the shard-job unit of work. Identical arithmetic to
-     * the same point inside runFig14: same estimator cache, same
-     * store, so a shard-computed point is bit-identical to the
-     * single-host bench's. Throws ConfigError on a bad index.
+     * order) — the unit of work of a Fig14 request. Identical
+     * arithmetic to the same point inside bench_fig14, so a remotely
+     * computed point is bit-identical to the single-host bench's.
+     * Estimators are cached per knob tuple, so repeat requests reuse
+     * warm in-memory surfaces on top of the persistent store. Throws
+     * ConfigError on a bad index.
      */
     NetResult runFig14Point(const Fig14Knobs &knobs, int index);
 

@@ -233,8 +233,8 @@ ShardCoordinator::daemonLane(const std::string &socket)
 {
     ServeClient client(socket);
 
-    // Only a daemon of this build's protocol version gets shard jobs;
-    // any other is left alone for its own clients.
+    // Only a daemon of this build's protocol version gets point
+    // requests; any other is left alone for its own clients.
     try {
         ServeRequest sreq;
         sreq.kind = ServeKind::Status;
@@ -255,7 +255,7 @@ ShardCoordinator::daemonLane(const std::string &socket)
         return;
     }
 
-    // One point per dispatch: the SSHD frame can carry a list, but a
+    // One point per request: a Fig14 request can carry a list, but a
     // round trip costs microseconds against a point's tens of
     // milliseconds to seconds, and a pre-assigned list would sit on
     // one daemon while other backends go idle. The re-queue calls
@@ -263,16 +263,16 @@ ShardCoordinator::daemonLane(const std::string &socket)
     int consecutive = 0;
     while (std::optional<uint32_t> got = claim()) {
         const uint32_t idx = *got;
-        ServeShardJob job;
-        job.knobs = opt_.knobs;
-        job.deadlineMs = 0;
-        job.points = {idx};
+        ServeRequest req;
+        req.kind = ServeKind::Fig14;
+        req.fig14 = opt_.knobs;
+        req.points = {idx};
 
         bool faulted = false;
         std::string fault;
         try {
-            ServeClient::Reply reply = client.callShard(
-                job,
+            ServeClient::Reply reply = client.call(
+                req,
                 [&](const ServeShardAck &ack) {
                     // The index comes off the wire: only an ack for
                     // the dispatched point may complete a point.
@@ -299,7 +299,7 @@ ShardCoordinator::daemonLane(const std::string &socket)
                 requeue(idx);
             }
         } catch (const ServeConnectError &e) {
-            // The job never reached the daemon: hand the point back
+            // The request never reached the daemon: hand the point back
             // uncharged, as for a load-shed, but count it against
             // this lane so a dead daemon is still excluded.
             requeue(idx);
@@ -331,9 +331,8 @@ ShardCoordinator::daemonLane(const std::string &socket)
 std::string
 ShardCoordinator::run()
 {
-    const std::vector<Fig14Point> &pts = fig14Points();
-    points_.assign(pts.size(), Point{});
-    remaining_ = pts.size();
+    points_.assign(fig14Points().size(), Point{});
+    remaining_ = points_.size();
     stats_ = Stats{};
 
     // The in-process lanes count as ONE backend: they share a session
@@ -361,21 +360,14 @@ ShardCoordinator::run()
         }
     }
 
-    // Merge in config-key order, never arrival order: the one shared
-    // renderer walks the canonical enumeration and pulls each result
-    // from the completed map — byte-identical to bench_fig14 by
-    // construction.
-    uint32_t next = 0;
-    Fig14Eval eval = [&](const std::string &key, const Fig14Entry &,
-                         bool) -> NetResult {
-        const uint32_t idx = next++;
-        if (idx >= pts.size() || pts[idx].key != key)
-            throw SimError("fig14 report walk diverged from "
-                           "fig14Points() at '" +
-                           key + "'");
-        return points_[idx].result;
-    };
-    return fig14Report(eval);
+    // Merge by index, never arrival order: the one shared renderer
+    // walks fig14Points(), so the report is byte-identical to
+    // bench_fig14 by construction.
+    std::vector<NetResult> results;
+    results.reserve(points_.size());
+    for (const Point &p : points_)
+        results.push_back(p.result);
+    return fig14Report(results);
 }
 
 } // namespace save

@@ -10,8 +10,8 @@
  *    ThreadPool + content-addressed ResultStore), each claiming one
  *    point at a time;
  *  - remote save-serve daemons: one dialer thread per socket,
- *    claiming one point at a time and shipping it as an SSHD shard
- *    job; its SPRG ack completes the point.
+ *    claiming one point at a time and sending it as a one-point
+ *    Fig14 request; its SPRG ack completes the point.
  *
  * Every backend claims its next point only when it is free, so no
  * point waits on a busy daemon while another backend sits idle.
@@ -25,8 +25,7 @@
  *    workloads, -ffp-contract=off everywhere), so WHO computes a
  *    point cannot change its value;
  *  - the report is rendered by the one shared dnn/fig14_report.h
- *    renderer, which walks points in config-key order and pulls each
- *    result from the coordinator's completed map — arrival order
+ *    renderer from the results merged by point index — arrival order
  *    never touches the output.
  *
  * Fault policy (the PR-7 triage taxonomy, applied per dispatch):

@@ -2,11 +2,12 @@
  * @file
  * save-serve end-to-end tests: protocol round-trip and corruption
  * rejection, daemon lifecycle (spawned from the real binary),
- * admission control and load shedding, client disconnect mid-sweep,
- * graceful drain with in-flight work, SIGHUP config reload, stale
- * socket reclamation, and the acceptance bar — a served Fig. 14
- * sweep byte-identical to the in-process report across isolation
- * modes, with warm repeats answered from the shared CAS store.
+ * admission control — priority order and load shedding — client
+ * disconnect mid-sweep, graceful drain with in-flight work, SIGHUP
+ * config reload, stale socket reclamation, and the acceptance bar —
+ * a served Fig. 14 sweep, rendered on the client, byte-identical to
+ * the in-process report across isolation modes, with warm repeats
+ * answered from the shared CAS store.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +70,53 @@ quickKnobs()
     k.kSteps = 8;
     k.tiles = 1;
     return k;
+}
+
+/** A Fig14 request for every sweep point. */
+ServeRequest
+sweepRequest(const Fig14Knobs &k)
+{
+    ServeRequest req;
+    req.kind = ServeKind::Fig14;
+    req.fig14 = k;
+    for (int i = 0; i < fig14PointCount(); ++i)
+        req.points.push_back(static_cast<uint32_t>(i));
+    return req;
+}
+
+/** A whole-sweep request slow enough (0.6-1 s in a Release build on
+ *  4 vCPUs, longer under sanitizers) to keep one serve worker busy
+ *  while a test queues work behind it. */
+ServeRequest
+blockerRequest(uint64_t seed)
+{
+    Fig14Knobs k;
+    k.gridStep = 3;
+    k.kSteps = 64;
+    k.tiles = 4;
+    k.seed = seed;
+    return sweepRequest(k);
+}
+
+/** Send `req` and render its acked points on the client, as save-ctl
+ *  does. Empty unless the daemon answered Ok with one ack per point. */
+std::string
+servedReport(ServeClient &client, const ServeRequest &req,
+             int timeout_ms)
+{
+    std::vector<NetResult> results(fig14Points().size());
+    std::vector<int> acks(results.size(), 0);
+    ServeClient::Reply r = client.call(
+        req,
+        [&](const ServeShardAck &a) {
+            ++acks.at(a.index);
+            results[a.index] = a.result;
+        },
+        timeout_ms);
+    const bool whole = r.kind == ServeClient::Reply::Kind::Ok &&
+                       acks == std::vector<int>(results.size(), 1);
+    EXPECT_TRUE(whole) << r.error.what;
+    return whole ? fig14Report(results) : "";
 }
 
 /** In-process reference report for the quick knobs. */
@@ -172,6 +221,23 @@ class DaemonProc
     std::string socket_;
 };
 
+/** A listening Unix socket at `path`, for an in-test fake daemon. */
+int
+listenUnix(const std::string &path)
+{
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    EXPECT_GE(lfd, 0);
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof addr);
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(lfd, reinterpret_cast<struct sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    EXPECT_EQ(::listen(lfd, 4), 0);
+    return lfd;
+}
+
 ServeStatus
 getStatus(ServeClient &client)
 {
@@ -233,16 +299,20 @@ TEST(ServeProtocol, RequestRoundTripAllKinds)
     ServeRequest f;
     f.kind = ServeKind::Fig14;
     f.priority = ServePriority::Low;
+    f.deadlineMs = 4500;
     f.fig14.gridStep = 9;
     f.fig14.kSteps = 8;
     f.fig14.seed = 42;
-    f.fig14.isolation = fig14IsolationCode("process");
+    f.points = {0, 3, 15};
     ServeRequest f2 =
         serveDecodeRequest(kServeVersion, serveEncodeRequest(f));
     EXPECT_EQ(f2.kind, ServeKind::Fig14);
+    EXPECT_EQ(f2.priority, ServePriority::Low);
+    EXPECT_EQ(f2.deadlineMs, 4500u);
     EXPECT_EQ(f2.fig14.gridStep, 9);
+    EXPECT_EQ(f2.fig14.kSteps, 8);
     EXPECT_EQ(f2.fig14.seed, 42u);
-    EXPECT_EQ(fig14IsolationName(f2.fig14.isolation), "process");
+    EXPECT_EQ(f2.points, (std::vector<uint32_t>{0, 3, 15}));
 
     for (ServeKind k :
          {ServeKind::Ping, ServeKind::Status, ServeKind::Drain}) {
@@ -271,7 +341,17 @@ TEST(ServeProtocol, RejectsVersionSkewTruncationAndTrailingBytes)
     EXPECT_THROW(serveDecodeRequest(kServeVersion, trail), TraceError);
 }
 
-TEST(ServeProtocol, StatusProgressBusyRoundTrip)
+TEST(ServeProtocol, Fig14RequestRejectsTruncatedPointList)
+{
+    ServeRequest r;
+    r.kind = ServeKind::Fig14;
+    r.points = {1, 2, 3};
+    std::vector<uint8_t> p = serveEncodeRequest(r);
+    p.resize(p.size() - 4); // drop the last index
+    EXPECT_THROW(serveDecodeRequest(kServeVersion, p), TraceError);
+}
+
+TEST(ServeProtocol, StatusBusyRoundTrip)
 {
     ServeStatus s;
     s.accepted = 7;
@@ -281,15 +361,6 @@ TEST(ServeProtocol, StatusProgressBusyRoundTrip)
     EXPECT_EQ(s2.accepted, 7u);
     EXPECT_EQ(s2.shed, 3u);
     EXPECT_EQ(s2.reloads, 2u);
-
-    ServeProgress pr;
-    pr.done = 3;
-    pr.total = 16;
-    pr.key = "train/VGG16 FP32 dense";
-    ServeProgress pr2 = serveDecodeProgress(serveEncodeProgress(pr));
-    EXPECT_EQ(pr2.done, 3u);
-    EXPECT_EQ(pr2.total, 16u);
-    EXPECT_EQ(pr2.key, pr.key);
 
     ServeBusyInfo b;
     b.reason = "admission queue full (4/4)";
@@ -459,13 +530,7 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
     // Occupy the single worker with a multi-second sweep.
     std::thread blocker([&] {
         ServeClient client(sock);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
-        req.fig14.gridStep = 3;
-        req.fig14.kSteps = 64;
-        req.fig14.tiles = 4;
-        client.call(req, nullptr, 300000);
+        client.call(blockerRequest(7), nullptr, 300000);
     });
 
     ServeClient client(sock);
@@ -516,6 +581,89 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
     EXPECT_GE(getStatus(client).shed, 1u);
 }
 
+TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
+{
+    // One worker, kept busy by a multi-second sweep, so a Normal and
+    // then a High request both wait in the queue: the High one must
+    // leave it first, whatever its kind.
+    std::string sock = socketPath("prio");
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ASSERT_TRUE(d.waitReady());
+    ServeClient client(sock);
+
+    uint64_t round = 0;
+    for (ServeKind high_kind : {ServeKind::Fig14, ServeKind::Gemm}) {
+        SCOPED_TRACE(serveKindName(high_kind));
+        ++round;
+        // A new seed per round: the session keeps each knob tuple's
+        // estimator, so a repeated blocker would finish at once.
+        std::thread blocker([&] {
+            ServeClient c(sock);
+            c.call(blockerRequest(100 + round), nullptr, 300000);
+        });
+        EXPECT_GE(pollStatus(client,
+                             [](const ServeStatus &s) {
+                                 return s.active >= 1;
+                             })
+                      .active,
+                  1u);
+
+        std::mutex mu;
+        std::vector<std::string> order;
+        auto submit = [&](const ServeRequest &req, std::string tag) {
+            return std::thread([&, req, tag] {
+                ServeClient c(sock);
+                ServeClient::Reply r = c.call(req, nullptr, 300000);
+                EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Ok)
+                    << tag << ": " << r.error.what;
+                std::lock_guard<std::mutex> lk(mu);
+                order.push_back(tag);
+            });
+        };
+
+        ServeRequest normal;
+        normal.kind = ServeKind::Gemm;
+        normal.gemm.kSteps = 64;
+        normal.gemm.tiles = 2;
+        normal.gemm.seed = 500 + round;
+        std::thread normal_client = submit(normal, "normal");
+        EXPECT_GE(pollStatus(client,
+                             [](const ServeStatus &s) {
+                                 return s.queued >= 1;
+                             })
+                      .queued,
+                  1u);
+
+        ServeRequest high;
+        high.kind = high_kind;
+        high.priority = ServePriority::High;
+        if (high_kind == ServeKind::Fig14) {
+            high.fig14 = quickKnobs();
+            high.points = {0};
+        } else {
+            high.gemm.kSteps = 16;
+            high.gemm.tiles = 1;
+            high.gemm.seed = 600 + round;
+        }
+        std::thread high_client = submit(high, "high");
+        // Both must wait behind the blocker, or the order proves
+        // nothing.
+        EXPECT_GE(pollStatus(client,
+                             [](const ServeStatus &s) {
+                                 return s.queued >= 2;
+                             })
+                      .queued,
+                  2u);
+
+        blocker.join();
+        normal_client.join();
+        high_client.join();
+        ASSERT_EQ(order.size(), 2u);
+        EXPECT_EQ(order[0], "high");
+    }
+}
+
 TEST(ServeDaemon, MidSweepClientDisconnectKeepsServing)
 {
     std::string sock = socketPath("disc");
@@ -536,16 +684,14 @@ TEST(ServeDaemon, MidSweepClientDisconnectKeepsServing)
                             reinterpret_cast<struct sockaddr *>(&addr),
                             sizeof(addr)),
                   0);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
         ASSERT_TRUE(frameWriteFd(fd, kServeRequest, kServeVersion,
-                                 serveEncodeRequest(req)));
+                                 serveEncodeRequest(
+                                     sweepRequest(quickKnobs()))));
         ::close(fd);
     }
 
-    // The daemon must notice (pre-execution probe or the first
-    // progress write) and move on to the next client.
+    // The daemon must notice (pre-execution probe, the probe before
+    // a point, or an ack write) and move on to the next client.
     ServeClient client(sock);
     for (int waited = 0; waited < 120000; waited += 100) {
         if (getStatus(client).errors >= 1)
@@ -572,14 +718,10 @@ TEST(ServeDaemon, DrainWaitsForInflightWork)
     std::atomic<bool> sweep_ok{false};
     std::thread inflight([&] {
         ServeClient client(sock);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
-        req.fig14.kSteps = 64; // slow enough to still be in flight
-        req.fig14.tiles = 2;
-        ServeClient::Reply r = client.call(req, nullptr, 300000);
-        if (r.kind == ServeClient::Reply::Kind::Ok &&
-            !r.text.empty())
+        Fig14Knobs k = quickKnobs();
+        k.kSteps = 64; // slow enough to still be in flight
+        k.tiles = 2;
+        if (!servedReport(client, sweepRequest(k), 300000).empty())
             sweep_ok.store(true);
     });
 
@@ -663,26 +805,17 @@ TEST(ServeFig14, ServedReportIsByteIdenticalAndWarmFromCas)
             {"--workers=1", "--queue-cap=4", "--cache-dir=" + cache});
     ASSERT_TRUE(d.waitReady());
 
-    // Served first (cold: populates the shared store).
+    // Served first (cold: populates the shared store), one ack per
+    // point, rendered on the client.
     ServeClient client(sock);
-    ServeRequest req;
-    req.kind = ServeKind::Fig14;
-    req.fig14 = quickKnobs();
-    int progress_frames = 0;
-    ServeClient::Reply served = client.call(
-        req,
-        [&](const ServeProgress &p) {
-            ++progress_frames;
-            EXPECT_EQ(p.total, 16u);
-        },
-        300000);
-    ASSERT_EQ(served.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(progress_frames, 16);
+    const ServeRequest req = sweepRequest(quickKnobs());
+    const std::string served = servedReport(client, req, 300000);
+    ASSERT_FALSE(served.empty());
 
     // In-process reference over the SAME store: warm, and the bytes
     // must match exactly.
     std::string ref = inprocReport(cache);
-    EXPECT_EQ(served.text, ref);
+    EXPECT_EQ(served, ref);
 
     // save-ctl must print the identical bytes to stdout.
     std::string cmd = std::string(SAVE_CTL_BIN_PATH) +
@@ -717,9 +850,7 @@ TEST(ServeFig14, ServedReportIsByteIdenticalAndWarmFromCas)
              {"--workers=1", "--queue-cap=4", "--cache-dir=" + cache});
     ASSERT_TRUE(d2.waitReady());
     ServeClient client2(sock2);
-    ServeClient::Reply warm = client2.call(req, nullptr, 300000);
-    ASSERT_EQ(warm.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(warm.text, ref);
+    EXPECT_EQ(servedReport(client2, req, 300000), ref);
     ServeStatus s2 = getStatus(client2);
     EXPECT_GE(s2.casHits, 1u);
 }
@@ -728,22 +859,18 @@ TEST(ServeFig14, ByteIdenticalAcrossIsolationNoneAndProcess)
 {
     std::string ref = inprocReport("");
 
-    std::string sock = socketPath("iso");
-    DaemonProc d;
-    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none",
-                   "--worker-bin=" SAVE_WORKER_BIN_PATH});
-    ASSERT_TRUE(d.waitReady());
-
-    ServeClient client(sock);
+    // Isolation is the daemon's own: one daemon per mode.
     for (const char *iso : {"none", "process"}) {
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
-        req.fig14.isolation = fig14IsolationCode(iso);
-        ServeClient::Reply r = client.call(req, nullptr, 600000);
-        ASSERT_EQ(r.kind, ServeClient::Reply::Kind::Ok)
-            << "isolation=" << iso << ": " << r.error.what;
-        EXPECT_EQ(r.text, ref) << "isolation=" << iso;
+        std::string sock = socketPath("iso");
+        DaemonProc d;
+        d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none",
+                       std::string("--isolation=") + iso,
+                       "--worker-bin=" SAVE_WORKER_BIN_PATH});
+        ASSERT_TRUE(d.waitReady());
+        ServeClient client(sock);
+        EXPECT_EQ(servedReport(client, sweepRequest(quickKnobs()), 600000),
+                  ref)
+            << "isolation=" << iso;
     }
 }
 
@@ -755,9 +882,7 @@ TEST(ServeDaemon, DeadlineExceededReturnsTypedError)
     ASSERT_TRUE(d.waitReady());
 
     ServeClient client(sock);
-    ServeRequest req;
-    req.kind = ServeKind::Fig14;
-    req.fig14 = quickKnobs();
+    ServeRequest req = sweepRequest(quickKnobs());
     req.deadlineMs = 1; // expires before the sweep can finish
     ServeClient::Reply r = client.call(req, nullptr, 300000);
     EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
@@ -768,4 +893,52 @@ TEST(ServeDaemon, DeadlineExceededReturnsTypedError)
     ping.kind = ServeKind::Ping;
     EXPECT_EQ(client.call(ping, nullptr, 5000).kind,
               ServeClient::Reply::Kind::Ok);
+}
+
+TEST(ServeFig14, CtlRejectsASweepWithAPointMissing)
+{
+    // A faulty daemon answers Ok but never acks the last point.
+    // save-ctl must not render a report with a hole in it: it exits 1
+    // and names the point.
+    const std::string sock = socketPath("hole");
+    const int lfd = listenUnix(sock);
+    std::thread daemon([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        Frame f;
+        if (fd >= 0 && frameReadFd(fd, f, 5000, serveKnownFourcc,
+                                   kServeMaxPayload,
+                                   "test") == FrameRead::Ok) {
+            const ServeRequest req = serveDecodeRequest(f.arg, f.payload);
+            for (size_t i = 0; i + 1 < req.points.size(); ++i) {
+                ServeShardAck ack;
+                ack.index = req.points[i];
+                ack.key = fig14Points()[ack.index].key;
+                frameWriteFd(fd, kServeAck, ack.index,
+                             serveEncodeShardAck(ack));
+            }
+            frameWriteFd(fd, kServeResult,
+                         static_cast<uint32_t>(req.kind), {});
+        }
+        ::close(fd);
+    });
+
+    const std::string dir = tmpDir("hole");
+    const std::string cmd = std::string(SAVE_CTL_BIN_PATH) +
+                            " fig14 --socket=" + sock +
+                            " --grid=9 --ksteps=8 --tiles=1 > " + dir +
+                            "/out 2> " + dir + "/err";
+    const int status = std::system(cmd.c_str());
+    daemon.join();
+    ::close(lfd);
+    ::unlink(sock.c_str());
+
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::string out, err;
+    readFileBytes(dir + "/out", out, nullptr);
+    readFileBytes(dir + "/err", err, nullptr);
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_NE(err.find("'" + fig14Points().back().key + "' was acked 0"),
+              std::string::npos)
+        << err;
 }

@@ -1,14 +1,14 @@
 /**
  * @file
- * Shard coordinator tests: shard-job frame round-trips and the exact
- * protocol version match, the canonical point enumeration, and the
- * coordinator fault matrix — shard-count invariance, daemon crash
- * mid-point, straggler rebalance, one stored record per slice across
- * processes on a shared store, a daemon acking a point outside the
- * sweep, a daemon of another protocol version, a daemon that vanishes
- * after its status probe, and a coordinator SIGKILLed mid-sweep whose
- * rerun resumes through the store. The acceptance bar throughout is
- * that the merged report is byte-identical to the single-host sweep.
+ * Shard coordinator tests: point acks, the exact protocol version
+ * match, the canonical point enumeration, and the coordinator fault
+ * matrix — shard-count invariance, daemon crash mid-point, straggler
+ * rebalance, one stored record per slice across processes on a
+ * shared store, a daemon acking a point outside the sweep, a daemon
+ * of another protocol version, a daemon that vanishes after its
+ * status probe, and a coordinator SIGKILLed mid-sweep whose rerun
+ * resumes through the store. The acceptance bar throughout is that
+ * the merged report is byte-identical to the single-host sweep.
  */
 
 #include <gtest/gtest.h>
@@ -314,45 +314,8 @@ storeFrames(const std::string &cas)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Shard-job frames and the protocol version
+// Point acks, the protocol version and the point enumeration
 // ---------------------------------------------------------------------
-
-TEST(ShardProtocol, JobRoundtrip)
-{
-    ServeShardJob j;
-    j.priority = ServePriority::High;
-    j.deadlineMs = 4500;
-    j.knobs = quickKnobs();
-    j.points = {0, 3, 15};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-
-    ServeShardJob d = serveDecodeShardJob(kServeVersion, p);
-    EXPECT_EQ(d.priority, ServePriority::High);
-    EXPECT_EQ(d.deadlineMs, 4500u);
-    EXPECT_EQ(d.knobs.gridStep, 9);
-    EXPECT_EQ(d.knobs.kSteps, 8);
-    EXPECT_EQ(d.points, (std::vector<uint32_t>{0, 3, 15}));
-}
-
-TEST(ShardProtocol, JobRejectsBadVersions)
-{
-    ServeShardJob j;
-    j.points = {1};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-    // Versions match exactly: an older peer and a newer one are both
-    // skew, never a guess.
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion - 1, p), TraceError);
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion + 1, p), TraceError);
-}
-
-TEST(ShardProtocol, JobRejectsTruncatedPointList)
-{
-    ServeShardJob j;
-    j.points = {1, 2, 3};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-    p.resize(p.size() - 4); // drop the last index
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion, p), TraceError);
-}
 
 TEST(ShardProtocol, AckRoundtrip)
 {
@@ -555,21 +518,21 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
             Frame f;
             if (!readRequest(fd, f))
                 continue;
-            if (f.fourcc == kServeRequest) { // the status probe
+            const ServeRequest req = serveDecodeRequest(f.arg, f.payload);
+            if (req.kind == ServeKind::Status) {
                 answerStatus(fd, kServeVersion);
                 continue;
             }
-            const ServeShardJob job = serveDecodeShardJob(f.arg, f.payload);
-            for (uint32_t idx : job.points) {
+            for (uint32_t idx : req.points) {
                 ServeShardAck ack;
                 ack.index = 1u << 30; // not a point of this sweep
-                frameWriteFd(fd, kServeProgress, ack.index,
+                frameWriteFd(fd, kServeAck, ack.index,
                              serveEncodeShardAck(ack));
                 ack.index = idx;
                 ack.key = fig14Points()[idx].key;
                 ack.result =
-                    session.runFig14Point(job.knobs, static_cast<int>(idx));
-                frameWriteFd(fd, kServeProgress, idx,
+                    session.runFig14Point(req.fig14, static_cast<int>(idx));
+                frameWriteFd(fd, kServeAck, idx,
                              serveEncodeShardAck(ack));
             }
             frameWriteFd(fd, kServeResult, kServeVersion, {});
@@ -593,8 +556,9 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
 TEST(ShardCoordinator, VersionSkewExcludesDaemon)
 {
     // A daemon whose status reports another protocol version gets no
-    // shard job: the coordinator excludes it with a warning after the
-    // probe and completes on the remaining backend, bytes unchanged.
+    // point request: the coordinator excludes it with a warning after
+    // the probe and completes on the remaining backend, bytes
+    // unchanged.
     const std::string s = socketPath("skew");
     const int lfd = listenUnix(s);
     std::atomic<int> jobs{0};
@@ -604,7 +568,8 @@ TEST(ShardCoordinator, VersionSkewExcludesDaemon)
             Frame f;
             if (!readRequest(fd, f))
                 continue;
-            if (f.fourcc == kServeShardJob)
+            if (serveDecodeRequest(f.arg, f.payload).kind ==
+                ServeKind::Fig14)
                 ++jobs;
             answerStatus(fd, kServeVersion + 1);
         }
@@ -629,13 +594,16 @@ TEST(ShardCoordinator, VersionSkewExcludesDaemon)
 TEST(ShardCoordinator, UnreachableDaemonUsesNoAttempts)
 {
     // A daemon answers the status probe and then vanishes: it closes
-    // and unlinks its listener before replying, so every shard job to
-    // it fails to connect. Those dispatches never reached a daemon,
+    // and unlinks its listener before replying, so every point request
+    // to it fails to connect. Those dispatches never reached a daemon,
     // so they must not use up the points' one attempt each while the
     // in-process lane can still compute them; the daemon lane is
-    // excluded after kMaxBackendFaults of them. Slices are long
-    // enough that the lane dispatches before the sweep ends.
-    const std::string reference = singleHostReport(96, 3);
+    // excluded after kMaxBackendFaults of them. Its backoff sleeps
+    // 0.1 + 0.2 s before the third dispatch, so the in-process sweep
+    // must outlast that: on one thread these slices take about a
+    // second in an optimized build (at 96 K-steps on two threads a
+    // fast host finished first in 4 of 15 runs).
+    const std::string reference = singleHostReport(192, 3);
     const std::string s = socketPath("gone");
     const int lfd = listenUnix(s);
     std::thread daemon([&] {
@@ -649,8 +617,9 @@ TEST(ShardCoordinator, UnreachableDaemonUsesNoAttempts)
     });
 
     ShardCoordinator::Options o = quickOptions();
-    o.knobs.kSteps = 96;
+    o.knobs.kSteps = 192;
     o.knobs.tiles = 3;
+    o.runtime.threads = 1;
     o.inprocLanes = 1;
     o.sockets = {s};
     o.maxAttempts = 1;
