@@ -1,46 +1,10 @@
 /**
  * @file
- * Shared helpers for the per-figure/table reproduction harnesses:
- * trivial flag parsing and the standard slice configuration used
- * across figures.
- *
- * Common flags:
- *   --grid=N        sparsity-grid stride for estimator-driven figures
- *   --ksteps=N      slice K length
- *   --tiles=N       register tiles per slice
- *   --cores=N       active cores per slice simulation
- *   --seed=N        estimator workload seed (default 7)
- *   --threads=N     host threads for the simulation fan-out
- *                   (0 = SAVE_THREADS env or hardware concurrency)
- *   --cache-dir=D   persistent result store ("none" disables; default
- *                   is the SAVE_CACHE_DIR environment variable)
- *   --cache-max-mb=N result-store size cap; LRU eviction past it
- *                   (0 = SAVE_CACHE_MAX_MB env, unlimited by default)
- *   --cache-stats   print store counters (hits/misses/inserts/
- *                   evictions/bytes) to stderr after the run
- *   --max-retries=N retries for a failed sweep point / slice (default 2)
- *   --fail-fast     abort the sweep on the first permanent failure
- *   --max-failures=N tolerated permanent failures before a nonzero
- *                   exit (default 0: any failure fails the run, but
- *                   only after the whole sweep completes)
- *   --trace-events=F write a Perfetto/Chrome pipeline event trace of
- *                   every machine the bench runs (sets
- *                   SAVE_TRACE_EVENTS; see src/trace/event_trace.h)
- *
- * Isolation flags (sandboxed slice workers, src/proc; results are
- * bit-identical across modes):
- *   --isolation=M   none | thread (default) | process; default is the
- *                   SAVE_ISOLATION environment variable
- *   --workers=N     worker processes (0 = match --threads)
- *   --worker-timeout-ms=N  per-slice wall-clock deadline (SIGKILL on
- *                   expiry; default 30000)
- *   --max-worker-crashes=N  pool-wide crash budget before degrading
- *                   to in-process execution (default 8)
- *   --worker-max-slices=N  recycle each worker after N slices (0 =
- *                   never)
- *   --worker-rss-mb=N  RLIMIT_AS cap per worker (0 = none)
- *   --worker-bin=P  explicit save-worker binary (default: sibling of
- *                   the bench, or SAVE_WORKER_BIN)
+ * Shared flag handling of the reproduction harnesses: the --key=value
+ * reader, the flag reference (printBenchUsage, which `--help`
+ * prints), benchMain's error policy, and sweepMain, the whole
+ * program of every sweep bench (fig14-fig19, the three ablations,
+ * directconv; sweep/sweep.h).
  *
  * Resuming: every sweep persists its slices in the result store as
  * they complete, so an interrupted run resumes by rerunning the same
@@ -52,25 +16,15 @@
 #define SAVE_BENCH_BENCH_UTIL_H
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <type_traits>
-#include <vector>
 
-#include "cache/result_store.h"
-#include "dnn/estimator.h"
-#include "dnn/networks.h"
-#include "engine/engine.h"
+#include "shard/coordinator.h"
 #include "util/error.h"
-#include "util/logging.h"
 #include "util/runtime_options.h"
-#include "util/thread_pool.h"
 
 namespace save {
 
@@ -130,63 +84,20 @@ class Flags
     char **argv_;
 };
 
-/** Estimator options from flags (grid=3 keeps default runs quick;
- *  --grid=1 reproduces the paper's full 10% sampling). */
-inline EstimatorOptions
-estimatorOptions(const Flags &flags)
-{
-    EstimatorOptions o;
-    o.gridStep = flags.getInt("grid", 3);
-    o.kSteps = flags.getInt("ksteps", o.kSteps);
-    o.tiles = flags.getInt("tiles", o.tiles);
-    o.cores = flags.getInt("cores", o.cores);
-    o.seed = static_cast<uint64_t>(
-        flags.getInt("seed", static_cast<int>(o.seed)));
-    o.threads = flags.getInt("threads", 0);
-    o.cacheDir = flags.getStr("cache-dir", "");
-    o.cacheMaxMb = flags.getInt("cache-max-mb", 0);
-    o.maxRetries = flags.getInt("max-retries", o.maxRetries);
-    o.failFast = flags.has("fail-fast");
-    o.isolation = flags.getStr("isolation", "");
-    o.proc.workers = flags.getInt("workers", o.proc.workers);
-    o.proc.sliceTimeoutMs =
-        flags.getInt("worker-timeout-ms", o.proc.sliceTimeoutMs);
-    o.proc.maxWorkerCrashes =
-        flags.getInt("max-worker-crashes", o.proc.maxWorkerCrashes);
-    o.proc.maxSlicesPerWorker =
-        flags.getInt("worker-max-slices", o.proc.maxSlicesPerWorker);
-    o.proc.rssCapMb = flags.getInt("worker-rss-mb", o.proc.rssCapMb);
-    o.proc.workerBin = flags.getStr("worker-bin", "");
-    o.validate();
-    return o;
-}
-
-/**
- * The result store of a bench that memoizes Engine::runGemm through
- * memoRunGemm (engine/engine.h), opened from --cache-dir and
- * --cache-max-mb (or the SAVE_CACHE_DIR / SAVE_CACHE_MAX_MB
- * environment). The estimator-driven benches share the directory:
- * the key space is partitioned by the config/workload digests, so
- * estimator slices and bench slices coexist in one store.
- */
-inline ResultStore::Options
-storeOptions(const Flags &flags)
-{
-    return {ResultStore::resolveDir(flags.getStr("cache-dir", "")),
-            ResultStore::resolveMaxBytes(flags.getInt("cache-max-mb", 0))};
-}
-
 /**
  * The environment snapshot with --threads, --isolation, --cache-dir,
  * --cache-max-mb and --worker-bin applied over it, for the tools that
- * hand one RuntimeOptions to a session (save-serve, save-shard). A bad
- * isolation mode fails here, not at the first slice.
+ * hand one RuntimeOptions to a session (save-serve, the sweep
+ * benches). A bad isolation mode fails here, not at the first slice.
  */
 inline RuntimeOptions
 runtimeOptions(const Flags &flags)
 {
     RuntimeOptions rt = RuntimeOptions::fromEnv();
     int threads = flags.getInt("threads", 0);
+    if (threads < 0)
+        throw ConfigError("--threads must be >= 0 (got " +
+                          std::to_string(threads) + ")");
     if (threads != 0)
         rt.threads = threads;
     std::string iso = flags.getStr("isolation", "");
@@ -205,162 +116,6 @@ runtimeOptions(const Flags &flags)
     return rt;
 }
 
-/** --cache-stats: one stderr line of store counters after the run.
- *  Accepts a null store (estimator without one) as a no-op. */
-inline void
-maybePrintCacheStats(const Flags &flags, const ResultStore *store)
-{
-    if (!flags.has("cache-stats") || store == nullptr)
-        return;
-    std::fprintf(stderr, "cache %s: %s\n",
-                 store->enabled() ? store->dir().c_str() : "(disabled)",
-                 store->statsSnapshot().toJson().c_str());
-}
-
-/** Sweep robustness knobs shared by the bench harnesses. */
-struct SweepOptions
-{
-    int maxRetries = 2;
-    bool failFast = false;
-    /** Permanent failures tolerated before finish() returns nonzero. */
-    int maxFailures = 0;
-};
-
-inline SweepOptions
-sweepOptions(const Flags &flags)
-{
-    SweepOptions o;
-    o.maxRetries = flags.getInt("max-retries", o.maxRetries);
-    o.failFast = flags.has("fail-fast");
-    o.maxFailures = flags.getInt("max-failures", o.maxFailures);
-    if (o.maxRetries < 0)
-        throw ConfigError("--max-retries must be >= 0 (got " +
-                          std::to_string(o.maxRetries) + ")");
-    if (o.maxFailures < 0)
-        throw ConfigError("--max-failures must be >= 0 (got " +
-                          std::to_string(o.maxFailures) + ")");
-    return o;
-}
-
-/** Print a sweep's permanent failures to stderr; nothing when there
- *  are none. `Failure` has `key`, `reason` and `attempts`. */
-template <typename Failure>
-void
-printSweepFailures(const std::vector<Failure> &failures)
-{
-    if (failures.empty())
-        return;
-    std::fprintf(stderr, "%zu sweep point(s) failed permanently:\n",
-                 failures.size());
-    for (const Failure &f : failures)
-        std::fprintf(stderr, "  %s: %s (%d attempts)\n", f.key.c_str(),
-                     f.reason.c_str(), f.attempts);
-}
-
-/** The process exit code for `failures` permanent failures: 0 when
- *  they stay within --max-failures (said on stderr), 1 otherwise. */
-inline int
-sweepExitCode(size_t failures, int max_failures)
-{
-    if (failures == 0)
-        return 0;
-    if (failures <= static_cast<size_t>(max_failures)) {
-        std::fprintf(stderr,
-                     "%zu failure(s) within --max-failures=%d; "
-                     "exiting 0\n",
-                     failures, max_failures);
-        return 0;
-    }
-    return 1;
-}
-
-/**
- * Fault-isolated sweep driver.
- *
- * point() runs one sweep point with the retry policy and — when
- * retries are exhausted without --fail-fast — records a failure and
- * yields a NaN (floating-point T) or value-initialized result so the
- * rest of the sweep still completes. finish() prints the failure
- * report and maps it to the process exit code.
- *
- * Thread-safe: point() may be called concurrently from parallelSweep
- * workers.
- */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions opt) : opt_(std::move(opt)) {}
-
-    template <typename T, typename Fn>
-    T
-    point(const std::string &key, Fn fn)
-    {
-        const int attempts = 1 + opt_.maxRetries;
-        for (int a = 1;; ++a) {
-            try {
-                return fn();
-            } catch (const std::exception &e) {
-                if (a < attempts) {
-                    SAVE_WARN("sweep point '", key, "' attempt ", a,
-                              "/", attempts, " failed: ", e.what(),
-                              "; retrying");
-                    continue;
-                }
-                if (opt_.failFast)
-                    throw;
-                {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    failures_.push_back(
-                        {key, e.what(), attempts});
-                }
-                SAVE_WARN("sweep point '", key,
-                          "' failed permanently after ", attempts,
-                          " attempt(s): ", e.what());
-                return failedValue<T>();
-            }
-        }
-    }
-
-    /**
-     * Print the failure report (stderr), then return the process exit
-     * code: 0 when total failures (sweep + `extra`, e.g. estimator
-     * slice failures) stay within --max-failures, 1 otherwise.
-     */
-    int
-    finish(size_t extra_failures = 0,
-           const std::string &extra_report = "")
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        printSweepFailures(failures_);
-        if (!extra_report.empty())
-            std::fprintf(stderr, "%s", extra_report.c_str());
-        return sweepExitCode(failures_.size() + extra_failures,
-                             opt_.maxFailures);
-    }
-
-  private:
-    struct Failure
-    {
-        std::string key;
-        std::string reason;
-        int attempts;
-    };
-
-    template <typename T>
-    static T
-    failedValue()
-    {
-        if constexpr (std::is_floating_point_v<T>)
-            return std::numeric_limits<T>::quiet_NaN();
-        else
-            return T{};
-    }
-
-    SweepOptions opt_;
-    std::mutex mu_;
-    std::vector<Failure> failures_;
-};
-
 /** Print the shared flag reference (stderr). */
 inline void
 printBenchUsage(const char *argv0)
@@ -369,7 +124,8 @@ printBenchUsage(const char *argv0)
         stderr,
         "usage: %s [--flag=value ...]\n"
         "  --grid=N         sparsity-grid stride (1 = paper's full "
-        "sampling)\n"
+        "sampling;\n"
+        "                   default: the sweep's own)\n"
         "  --ksteps=N       slice K length\n"
         "  --tiles=N        register tiles per slice\n"
         "  --cores=N        active cores per slice simulation\n"
@@ -382,10 +138,20 @@ printBenchUsage(const char *argv0)
         "(0 = env)\n"
         "  --cache-stats    print store counters to stderr after the "
         "run\n"
-        "  --max-retries=N  retries per failed sweep point (default "
-        "2)\n"
-        "  --fail-fast      abort on the first permanent failure\n"
+        "  --max-retries=N  retries per failed sweep point and slice "
+        "(default 2)\n"
+        "  --fail-fast      end on the first permanent failure\n"
         "  --max-failures=N tolerated failures before exit 1\n"
+        "  --sockets=A,B    save-serve daemons to send sweep points "
+        "to as well\n"
+        "  --inproc=N       in-process lanes (default: the fan-out "
+        "threads;\n"
+        "                   0 = daemons only)\n"
+        "  --straggler-ms=N re-dispatch a point in flight longer than "
+        "this\n"
+        "                   (default 0: never)\n"
+        "  --rpc-timeout-ms=N  per-frame daemon read deadline "
+        "(default 120000)\n"
         "  --trace-events=F write a Perfetto/Chrome pipeline event "
         "trace\n"
         "                   (same as SAVE_TRACE_EVENTS=F)\n"
@@ -449,39 +215,102 @@ benchMain(int argc, char **argv, Fn body)
 }
 
 /**
- * Evaluate fn(0..n-1) across the global thread pool and return the
- * results in index order. Each point must be independent (every
- * simulation here is seeded), so the output is identical to a serial
- * loop — only wall-clock changes.
+ * The whole program of `bench_<name>`: run sweep `name` through a
+ * ShardCoordinator built from the flags — in-process lanes, plus the
+ * --sockets daemons — and print its report on stdout. Run-dependent
+ * counters go to stderr only: stdout must be byte-identical across
+ * thread counts, cache states, isolation modes and backend mixes.
+ * Exits 1 when more points failed for good than --max-failures
+ * allows.
  */
-template <typename Fn>
-auto
-parallelSweep(int n, Fn fn) -> std::vector<decltype(fn(0))>
+inline int
+sweepMain(int argc, char **argv, const char *name)
 {
-    std::vector<decltype(fn(0))> out(static_cast<size_t>(n));
-    ThreadPool::global().parallelFor(
-        n, [&](int64_t i) { out[static_cast<size_t>(i)] =
-                                fn(static_cast<int>(i)); });
-    return out;
-}
+    return benchMain(argc, argv, [&] {
+        Flags flags(argc, argv);
+        const SweepSpec &spec = findSweep(name);
+        ShardCoordinator::Options o;
+        o.sweep = name;
+        o.runtime = runtimeOptions(flags);
+        const int fanout = o.runtime.resolveIsolation() == "none"
+                               ? 1
+                               : o.runtime.resolveThreads();
+        o.sockets = shardParseSockets(flags.getStr("sockets", ""));
+        o.inprocLanes = flags.getInt("inproc", fanout);
+        o.stragglerMs = flags.getInt("straggler-ms", o.stragglerMs);
+        o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", o.rpcTimeoutMs);
+        o.maxRetries = flags.getInt("max-retries", o.maxRetries);
+        o.failFast = flags.has("fail-fast");
+        o.knobs.gridStep = flags.getInt("grid", spec.defaultGrid);
+        o.knobs.kSteps = flags.getInt("ksteps", o.knobs.kSteps);
+        o.knobs.tiles = flags.getInt("tiles", o.knobs.tiles);
+        o.knobs.cores = flags.getInt("cores", o.knobs.cores);
+        o.knobs.seed = static_cast<uint64_t>(
+            flags.getInt("seed", static_cast<int>(o.knobs.seed)));
+        o.proc.workers = flags.getInt("workers", o.proc.workers);
+        o.proc.sliceTimeoutMs =
+            flags.getInt("worker-timeout-ms", o.proc.sliceTimeoutMs);
+        o.proc.maxWorkerCrashes =
+            flags.getInt("max-worker-crashes", o.proc.maxWorkerCrashes);
+        o.proc.maxSlicesPerWorker =
+            flags.getInt("worker-max-slices", o.proc.maxSlicesPerWorker);
+        o.proc.rssCapMb = flags.getInt("worker-rss-mb", o.proc.rssCapMb);
+        o.proc.validate();
+        const int max_failures = flags.getInt("max-failures", 0);
+        if (max_failures < 0)
+            throw ConfigError("--max-failures must be >= 0 (got " +
+                              std::to_string(max_failures) + ")");
 
-/** Slice config for a one-off kernel sweep. */
-inline GemmConfig
-sliceFor(const KernelSpec &spec, Precision prec, double bs, double nbs,
-         const Flags &flags, uint64_t seed = 7)
-{
-    GemmConfig g = spec.slice(prec, bs, nbs,
-                              flags.getInt("ksteps", 192), seed);
-    g.tiles = flags.getInt("tiles", 6);
-    return g;
-}
+        ShardCoordinator coord(std::move(o));
+        std::fprintf(stderr, "simulation fan-out: %d thread(s)\n", fanout);
+        const std::string report = coord.run();
+        std::fputs(report.c_str(), stdout);
 
-inline const char *
-fmtPct(double s)
-{
-    static char buf[16];
-    std::snprintf(buf, sizeof(buf), "%.0f%%", 100 * s);
-    return buf;
+        const SimSession *session = coord.session();
+        if (session != nullptr)
+            std::fprintf(
+                stderr, "slice simulations: %lu, persistent hits: %lu\n",
+                static_cast<unsigned long>(session->simulations()),
+                static_cast<unsigned long>(
+                    session->resultStore()->hits()));
+        const ShardCoordinator::Stats &st = coord.stats();
+        if (!st.failures.empty()) {
+            std::fprintf(stderr,
+                         "%zu sweep point(s) failed permanently:\n",
+                         st.failures.size());
+            for (const ShardCoordinator::PermanentFailure &f :
+                 st.failures)
+                std::fprintf(stderr, "  %s: %s (%d attempts)\n",
+                             f.key.c_str(), f.reason.c_str(),
+                             f.attempts);
+        }
+        if (session != nullptr)
+            std::fputs(session->failureReport().c_str(), stderr);
+        if (st.requeues > 0 || st.speculative > 0 ||
+            st.backendsExcluded > 0)
+            std::fprintf(stderr,
+                         "shard: %zu requeue(s), %zu speculative "
+                         "re-dispatch(es), %zu backend(s) excluded\n",
+                         st.requeues, st.speculative,
+                         st.backendsExcluded);
+        const ResultStore *store = coord.resultStore();
+        if (flags.has("cache-stats") && store != nullptr)
+            std::fprintf(stderr, "cache %s: %s\n",
+                         store->enabled() ? store->dir().c_str()
+                                          : "(disabled)",
+                         store->statsSnapshot().toJson().c_str());
+
+        if (st.failures.empty())
+            return 0;
+        if (st.failures.size() <= static_cast<size_t>(max_failures)) {
+            std::fprintf(stderr,
+                         "%zu failure(s) within --max-failures=%d; "
+                         "exiting 0\n",
+                         st.failures.size(), max_failures);
+            return 0;
+        }
+        return 1;
+    });
 }
 
 } // namespace save

@@ -6,15 +6,17 @@
  *   save-ctl status --socket=PATH [--json]   daemon counters
  *   save-ctl drain  --socket=PATH            graceful shutdown
  *   save-ctl gemm   --socket=PATH [workload] one GEMM slice
- *   save-ctl fig14  --socket=PATH [knobs]    full Fig. 14 sweep
+ *   save-ctl <sweep> --socket=PATH [knobs]   a whole sweep: fig14 ...
+ *                                            directconv (sweep/sweep.h)
  *
- * fig14 sends one request listing every sweep point, collects the
- * daemon's per-point acks, and renders them through the shared
- * dnn/fig14_report.h renderer, so stdout is byte-identical to
- * `bench_fig14` run in-process with the same knobs (progress lines go
- * to stderr). Exit codes: 0 ok, 1 error (daemon-side, or a point not
- * acked exactly once), 2 usage, 3 shed by admission control (BUSY —
- * retry later).
+ * A sweep command sends one request listing every point of the
+ * sweep, collects the daemon's per-point acks, and renders them
+ * through the sweep's one renderer, so stdout is byte-identical to
+ * `bench_<sweep>` run in-process with the same knobs (progress lines
+ * go to stderr). Exit codes: 0 ok, 1 error (daemon-side, a point that
+ * failed, or a point not acked exactly once with the sweep's width of
+ * values), 2 usage, 3 shed by admission control (BUSY — retry
+ * later).
  */
 
 #include <cstdio>
@@ -22,7 +24,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "dnn/fig14_report.h"
 #include "serve/client.h"
 
 using namespace save;
@@ -34,8 +35,10 @@ printUsage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <ping|status|drain|gemm|fig14> --socket=PATH "
+        "usage: %s <ping|status|drain|gemm|SWEEP> --socket=PATH "
         "[options]\n"
+        "  SWEEP is a sweep name: fig14 fig15 fig16 fig17 fig18 fig19\n"
+        "  ablation_rotation ablation_dvfs ablation_bcache directconv\n"
         "common options:\n"
         "  --socket=PATH     daemon socket (required)\n"
         "  --json            machine-readable output\n"
@@ -48,10 +51,9 @@ printUsage(const char *argv0)
         "  --mr=N (4)  --nr=N (6)  --ksteps=N (128)  --tiles=N (1)\n"
         "  --bs-pct=N (0)  --nbs-pct=N (0)  --seed=N (1)\n"
         "  --precision=fp32|bf16 (fp32)  --cores=N (1)  --vpus=N (2)\n"
-        "fig14 knobs (defaults match bench_fig14):\n"
-        "  --grid=N (3)  --ksteps=N (192)  --tiles=N (6)  --cores=N "
-        "(1)\n"
-        "  --seed=N (7)\n"
+        "sweep knobs (defaults match bench_<sweep>):\n"
+        "  --grid=N (the sweep's own)  --ksteps=N (192)  --tiles=N (6)\n"
+        "  --cores=N (1)  --seed=N (7)\n"
         "exit codes: 0 ok, 1 error, 2 usage, 3 busy (shed; retry)\n",
         argv0);
 }
@@ -120,6 +122,8 @@ runCommand(int argc, char **argv)
     const int timeout_ms = flags.getInt("timeout-ms", -1);
 
     ServeRequest req;
+    const SweepSpec *spec = nullptr;
+    std::vector<std::string> keys;
     req.priority = parsePriority(flags.getStr("priority", "normal"));
     req.deadlineMs =
         static_cast<uint32_t>(flags.getInt("deadline-ms", 0));
@@ -149,38 +153,45 @@ runCommand(int argc, char **argv)
                               prec + "')");
         req.cores = flags.getInt("cores", 1);
         req.vpus = flags.getInt("vpus", 2);
-    } else if (cmd == "fig14") {
-        req.kind = ServeKind::Fig14;
-        req.fig14.gridStep = flags.getInt("grid", 3);
-        req.fig14.kSteps = flags.getInt("ksteps", 192);
-        req.fig14.tiles = flags.getInt("tiles", 6);
-        req.fig14.cores = flags.getInt("cores", 1);
-        req.fig14.seed =
-            static_cast<uint64_t>(flags.getInt("seed", 7));
-        for (int i = 0; i < fig14PointCount(); ++i)
-            req.points.push_back(static_cast<uint32_t>(i));
     } else {
-        std::fprintf(stderr, "error: unknown command '%s'\n\n",
-                     cmd.c_str());
-        printUsage(argv[0]);
-        return 2;
+        // Anything else names a sweep; an unknown name is a usage
+        // error listing the known ones.
+        spec = &findSweep(cmd);
+        req.kind = ServeKind::Sweep;
+        req.sweep = cmd;
+        req.knobs.gridStep = flags.getInt("grid", spec->defaultGrid);
+        req.knobs.kSteps = flags.getInt("ksteps", req.knobs.kSteps);
+        req.knobs.tiles = flags.getInt("tiles", req.knobs.tiles);
+        req.knobs.cores = flags.getInt("cores", req.knobs.cores);
+        req.knobs.seed = static_cast<uint64_t>(
+            flags.getInt("seed", static_cast<int>(req.knobs.seed)));
+        req.knobs.validate();
+        keys = sweepKeys(*spec, req.knobs);
+        for (size_t i = 0; i < keys.size(); ++i)
+            req.points.push_back(static_cast<uint32_t>(i));
     }
 
-    // Fig14 acks, by point index. The indices come off the wire, so
-    // each is range-checked before it is used.
-    std::vector<NetResult> results(req.points.size());
+    // Sweep acks, by point index. Each ack comes off the wire, so its
+    // index and width are checked before it is used.
+    SweepResults results(req.points.size());
     std::vector<int> acks(req.points.size(), 0);
     size_t done = 0;
     ServeClient client(socket_path);
     ServeClient::Reply reply = client.call(
         req,
-        [&](const ServeShardAck &a) {
+        [&](const ServePointAck &a) {
             if (a.index >= acks.size())
-                throw TraceError("fig14: ack for point " +
+                throw TraceError(cmd + ": ack for point " +
                                  std::to_string(a.index) +
                                  " outside the sweep");
+            if (a.values.size() != spec->width)
+                throw TraceError(cmd + ": point '" + keys[a.index] +
+                                 "' acked " +
+                                 std::to_string(a.values.size()) +
+                                 " value(s), expected " +
+                                 std::to_string(spec->width));
             ++acks[a.index];
-            results[a.index] = a.result;
+            results[a.index] = a.values;
             std::fprintf(stderr, "progress %zu/%zu %s\n", ++done,
                          acks.size(), a.key.c_str());
         },
@@ -273,14 +284,14 @@ runCommand(int argc, char **argv)
                             reply.gemm.cycles),
                         reply.gemm.coreGhz);
         break;
-    case ServeKind::Fig14: {
+    case ServeKind::Sweep: {
         for (size_t i = 0; i < acks.size(); ++i)
             if (acks[i] != 1)
-                throw SimError("fig14: point '" + fig14Points()[i].key +
+                throw SimError(cmd + ": point '" + keys[i] +
                                "' was acked " + std::to_string(acks[i]) +
                                " time(s), expected once");
-        // Verbatim: stdout must diff clean against bench_fig14.
-        const std::string report = fig14Report(results);
+        // Verbatim: stdout must diff clean against bench_<sweep>.
+        const std::string report = spec->render(req.knobs, results);
         if (json)
             std::printf("{\"report\":\"%s\"}\n",
                         jsonEscape(report).c_str());

@@ -2,10 +2,10 @@
  * @file
  * save-serve: the simulation-as-a-service daemon (src/serve,
  * DESIGN.md §14). Binds a Unix-domain socket and serves gemm and
- * Fig. 14 point requests from save-ctl, save-shard or any
- * ServeClient until
- * drained by SIGTERM/SIGINT or a `save-ctl drain` request; SIGHUP
- * re-reads --config.
+ * sweep point requests (any sweep of sweep/sweep.h, by name) from
+ * save-ctl, a `bench_<sweep> --sockets=...` coordinator or any
+ * ServeClient until drained by SIGTERM/SIGINT or a `save-ctl drain`
+ * request; SIGHUP re-reads --config.
  *
  * Every SAVE_* environment knob is snapshotted once at startup into
  * a RuntimeOptions and then overridden by flags; the daemon never
@@ -75,7 +75,7 @@ main(int argc, char **argv)
         o.queueCap = flags.getInt("queue-cap", 8);
         o.configPath = flags.getStr("config", "");
         // Straggler-injection hook for the shard fault tests: sleep
-        // this long before each Fig14 point.
+        // this long before each sweep point.
         if (const char *d = std::getenv("SAVE_SERVE_TEST_POINT_DELAY_MS"))
             o.testPointDelayMs = std::atoi(d);
         o.runtime = runtimeOptions(flags);

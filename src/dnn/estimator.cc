@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "dnn/surface.h"
+#include "sweep/sweep.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -49,21 +50,10 @@ resolveIsolation(const std::string &opt)
 void
 EstimatorOptions::validate() const
 {
-    if (gridStep < 1 || gridStep > 9)
-        throw ConfigError("EstimatorOptions.gridStep must be in [1, 9] "
-                          "(got " + std::to_string(gridStep) + ")");
+    SweepKnobs{gridStep, kSteps, tiles, cores, seed}.validate();
     if (threads < 0)
         throw ConfigError("EstimatorOptions.threads must be >= 0 "
                           "(got " + std::to_string(threads) + ")");
-    if (kSteps < 1)
-        throw ConfigError("EstimatorOptions.kSteps must be >= 1 "
-                          "(got " + std::to_string(kSteps) + ")");
-    if (tiles < 1)
-        throw ConfigError("EstimatorOptions.tiles must be >= 1 "
-                          "(got " + std::to_string(tiles) + ")");
-    if (cores < 1)
-        throw ConfigError("EstimatorOptions.cores must be >= 1 "
-                          "(got " + std::to_string(cores) + ")");
     if (maxRetries < 0)
         throw ConfigError("EstimatorOptions.maxRetries must be >= 0 "
                           "(got " + std::to_string(maxRetries) + ")");

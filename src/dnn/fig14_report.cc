@@ -1,22 +1,10 @@
 #include "dnn/fig14_report.h"
 
-#include <cstdarg>
-#include <cstdio>
+#include "sweep/sweep.h"
 
 namespace save {
 
 namespace {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 void
 printRow(std::string &out, const char *cfg, const PhaseBreakdown &bd,

@@ -1,9 +1,8 @@
 /**
  * @file
- * The Fig. 14 sweep — the point enumeration and report rendering —
- * shared by `bench_fig14`, `save-ctl fig14` and the save-shard
- * coordinator. The latter two collect points a save-serve daemon
- * computed and render them here.
+ * The Fig. 14 sweep's point enumeration and report rendering, which
+ * the fig14 SweepSpec (sweep/fig14.cc) wraps: `bench_fig14`,
+ * `save-ctl fig14` and every daemon reach them through that spec.
  *
  * The acceptance bar for every remote path is byte-identity: a
  * served or sharded Fig. 14 sweep must match `bench_fig14` run

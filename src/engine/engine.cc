@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "cache/result_store.h"
@@ -151,28 +150,6 @@ toCasValue(const KernelResult &kr)
     for (const auto &[name, value] : kr.stats.all())
         v.stats.emplace_back(name, value);
     return v;
-}
-
-KernelResult
-memoRunGemm(ResultStore &store, const Engine &eng, const GemmConfig &g,
-            int cores, int vpus)
-{
-    const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
-                     casGemmWorkload(g, cores, vpus)};
-    CasValue v;
-    if (store.lookup(key, &v)) {
-        KernelResult kr;
-        kr.timeNs = v.timeNs;
-        kr.cycles = v.cycles;
-        kr.coreGhz = v.coreGhz;
-        for (const auto &[name, value] : v.stats)
-            kr.stats.set(name, value);
-        return kr;
-    }
-    KernelResult kr = eng.runGemm(g, cores, vpus);
-    if (std::isfinite(kr.timeNs))
-        store.insert(key, toCasValue(kr));
-    return kr;
 }
 
 } // namespace save

@@ -92,23 +92,11 @@ speedup(const KernelResult &base, const KernelResult &other)
     return base.timeNs / other.timeNs;
 }
 
-class ResultStore;
 struct CasValue;
 
 /** A run as a result-store record. Every stat is kept verbatim, so a
  *  stored result is bit-identical to the run it came from. */
 CasValue toCasValue(const KernelResult &kr);
-
-/**
- * eng.runGemm(g, cores, vpus), memoized in `store`: a slice with the
- * same machine, feature set and workload is read from the store
- * instead of simulated again, and a finite fresh result is stored as
- * it completes. The key's config digest is salted with 0 (a raw
- * Engine run), so the figure benches and the serve daemon share
- * entries in one store.
- */
-KernelResult memoRunGemm(ResultStore &store, const Engine &eng,
-                         const GemmConfig &g, int cores, int vpus);
 
 } // namespace save
 

@@ -80,7 +80,7 @@ ServeClient::call(const ServeRequest &req, const AckFn &onAck,
                     "no reply from " + path_ + " within " +
                     std::to_string(timeout_ms) + "ms");
             if (f.fourcc == kServeAck) {
-                ServeShardAck ack = serveDecodeShardAck(f.payload);
+                ServePointAck ack = serveDecodePointAck(f.payload);
                 if (onAck)
                     onAck(ack);
                 continue;
@@ -96,7 +96,7 @@ ServeClient::call(const ServeRequest &req, const AckFn &onAck,
                     break;
                 case ServeKind::Ping:
                 case ServeKind::Drain:
-                case ServeKind::Fig14:
+                case ServeKind::Sweep:
                     break;
                 }
                 break;

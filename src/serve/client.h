@@ -3,8 +3,8 @@
  * ServeClient: the client side of the save-serve protocol. One
  * request per connection: connect, send SREQ, pass each streamed
  * SPRG point ack to the caller, and return the terminal
- * SRES/SERR/SBSY as a typed Reply. `save-ctl`, the save-shard
- * coordinator and the serve tests are its users.
+ * SRES/SERR/SBSY as a typed Reply. `save-ctl`, the shard coordinator
+ * and the serve tests are its users.
  *
  * Failure policy mirrors the rest of the harness: a failed connect
  * throws ServeConnectError (nothing reached the daemon); timeouts and
@@ -36,8 +36,8 @@ class ServeConnectError : public SimError
 class ServeClient
 {
   public:
-    /** Per-point ack callback for Fig14 requests. */
-    using AckFn = std::function<void(const ServeShardAck &)>;
+    /** Per-point ack callback for Sweep requests. */
+    using AckFn = std::function<void(const ServePointAck &)>;
 
     struct Reply
     {
@@ -62,7 +62,7 @@ class ServeClient
 
     /**
      * Send one request and wait for the terminal reply, passing each
-     * point ack of a Fig14 request to `onAck` as it arrives.
+     * point ack of a Sweep request to `onAck` as it arrives.
      * `timeout_ms` bounds every frame read (< 0 waits forever), so a
      * sweep that streams acks resets the clock at each frame. Throws
      * ServeConnectError when the daemon is unreachable, SimError when

@@ -16,8 +16,8 @@ serveKindName(ServeKind k)
         return "drain";
     case ServeKind::Gemm:
         return "gemm";
-    case ServeKind::Fig14:
-        return "fig14";
+    case ServeKind::Sweep:
+        return "sweep";
     }
     return "?";
 }
@@ -53,8 +53,9 @@ serveEncodeRequest(const ServeRequest &r)
         framePutU32(p, static_cast<uint32_t>(r.cores));
         framePutU32(p, static_cast<uint32_t>(r.vpus));
         break;
-    case ServeKind::Fig14:
-        framePutStruct(p, r.fig14);
+    case ServeKind::Sweep:
+        framePutString(p, r.sweep);
+        framePutStruct(p, r.knobs);
         framePutU32(p, static_cast<uint32_t>(r.points.size()));
         for (uint32_t idx : r.points)
             framePutU32(p, idx);
@@ -74,7 +75,7 @@ serveDecodeRequest(uint32_t version, const std::vector<uint8_t> &p)
     const uint8_t *end = q + p.size();
     ServeRequest r;
     uint32_t kind = frameGetU32(q, end);
-    if (kind > static_cast<uint32_t>(ServeKind::Fig14))
+    if (kind > static_cast<uint32_t>(ServeKind::Sweep))
         throw TraceError("serve request: unknown kind " +
                          std::to_string(kind));
     r.kind = static_cast<ServeKind>(kind);
@@ -94,8 +95,9 @@ serveDecodeRequest(uint32_t version, const std::vector<uint8_t> &p)
         r.cores = static_cast<int32_t>(frameGetU32(q, end));
         r.vpus = static_cast<int32_t>(frameGetU32(q, end));
         break;
-    case ServeKind::Fig14: {
-        r.fig14 = frameGetStruct<Fig14Knobs>(q, end, "Fig14Knobs");
+    case ServeKind::Sweep: {
+        r.sweep = frameGetString(q, end);
+        r.knobs = frameGetStruct<SweepKnobs>(q, end, "SweepKnobs");
         uint32_t n = frameGetU32(q, end);
         // Each index needs 4 payload bytes, so a count that outruns
         // the remaining payload is corruption, not a huge allocation.
@@ -154,26 +156,36 @@ serveDecodeBusy(const std::vector<uint8_t> &p)
 }
 
 std::vector<uint8_t>
-serveEncodeShardAck(const ServeShardAck &a)
+serveEncodePointAck(const ServePointAck &a)
 {
     std::vector<uint8_t> p;
     framePutU32(p, a.index);
     framePutString(p, a.key);
-    framePutStruct(p, a.result);
+    framePutU32(p, static_cast<uint32_t>(a.values.size()));
+    for (double v : a.values)
+        framePutF64(p, v);
     return p;
 }
 
-ServeShardAck
-serveDecodeShardAck(const std::vector<uint8_t> &p)
+ServePointAck
+serveDecodePointAck(const std::vector<uint8_t> &p)
 {
     const uint8_t *q = p.data();
     const uint8_t *end = q + p.size();
-    ServeShardAck a;
+    ServePointAck a;
     a.index = frameGetU32(q, end);
     a.key = frameGetString(q, end);
-    a.result = frameGetStruct<NetResult>(q, end, "NetResult");
+    uint32_t n = frameGetU32(q, end);
+    // As for a request's point list: a count that outruns the payload
+    // is corruption, not a huge allocation.
+    if (n > static_cast<uint32_t>((end - q) / 8))
+        throw TraceError("serve point ack: value count " +
+                         std::to_string(n) + " exceeds payload");
+    a.values.reserve(n);
+    for (uint32_t i = 0; i < n; ++i)
+        a.values.push_back(frameGetF64(q, end));
     if (q != end)
-        throw TraceError("serve shard ack: " +
+        throw TraceError("serve point ack: " +
                          std::to_string(end - q) +
                          " trailing byte(s) after payload");
     return a;

@@ -9,20 +9,23 @@
  *
  *   client -> daemon   SREQ  (arg = protocol version; kind + priority
  *                             + deadline + kind-specific payload)
- *   daemon -> client   SPRG* (Fig14 only: arg = point index;
- *                             ServeShardAck payload: index + key +
- *                             NetResult, one per completed point)
+ *   daemon -> client   SPRG* (Sweep only: arg = point index;
+ *                             ServePointAck payload: index + key +
+ *                             the point's values, one per completed
+ *                             point)
  *   daemon -> client   SRES  (arg = echoed kind; kind-specific payload,
- *                             empty for Fig14)
+ *                             empty for Sweep)
  *                   or SERR  (SimError-taxonomy kind + message)
  *                   or SBSY  (admission queue full: typed load-shed,
  *                             never a hang — resubmit later)
  *
- * A Fig14 request names the sweep points it wants as indices into
- * fig14Points(). The daemon never renders a report: every client
- * (save-ctl, the save-shard coordinator) renders the acked results
- * through the one dnn/fig14_report.h renderer, so a remote report is
- * byte-identical to `bench_fig14` by construction.
+ * A Sweep request names a sweep (sweep/sweep.h), its knobs, and the
+ * points it wants as indices into the sweep's points(knobs). The
+ * daemon checks all three before the first point runs and never
+ * renders a report: every client (save-ctl, the shard coordinator)
+ * renders the acked values through the spec's one renderer, so a
+ * remote report is byte-identical to `bench_<sweep>` by
+ * construction.
  *
  * Versioning is an exact match: daemon and client decode only frames
  * whose arg carries kServeVersion, and reject any other version with
@@ -51,8 +54,8 @@
 
 #include "kernels/gemm.h"
 #include "proc/wire_codec.h"
-#include "serve/session.h"
 #include "sim/config.h"
+#include "sweep/sweep.h"
 #include "util/frame.h"
 
 namespace save {
@@ -60,21 +63,21 @@ namespace save {
 /** Protocol version; bumped on any frame-layout change. Rides in the
  *  SREQ `arg` slot and is echoed in ServeStatus; peers must match it
  *  exactly. */
-constexpr uint32_t kServeVersion = 3;
+constexpr uint32_t kServeVersion = 4;
 
 /** Frame kinds. */
 constexpr uint32_t kServeRequest = frameFourcc('S', 'R', 'E', 'Q');
 constexpr uint32_t kServeResult = frameFourcc('S', 'R', 'E', 'S');
 constexpr uint32_t kServeError = frameFourcc('S', 'E', 'R', 'R');
 constexpr uint32_t kServeBusy = frameFourcc('S', 'B', 'S', 'Y');
-/** One point ack (ServeShardAck) of a Fig14 request. */
+/** One point ack (ServePointAck) of a Sweep request. */
 constexpr uint32_t kServeAck = frameFourcc('S', 'P', 'R', 'G');
 
 /** Upper bound on a frame payload; larger lengths are corruption. */
 constexpr uint64_t kServeMaxPayload = 64ull << 20;
 
 /** Request kinds. Ping/Status/Drain are control requests answered
- *  inline by the accept loop; Gemm/Fig14 are work requests that pass
+ *  inline by the accept loop; Gemm/Sweep are work requests that pass
  *  through admission control. */
 enum class ServeKind : uint8_t
 {
@@ -82,7 +85,7 @@ enum class ServeKind : uint8_t
     Status = 1,
     Drain = 2,
     Gemm = 3,
-    Fig14 = 4,
+    Sweep = 4,
 };
 
 /** Admission priority classes: the queue is drained High before
@@ -115,10 +118,11 @@ struct ServeRequest
     int32_t cores = 1;
     int32_t vpus = 2;
 
-    /** Fig14: sweep knobs (defaults match bench_fig14). */
-    Fig14Knobs fig14{};
-    /** Fig14: the points to compute, as indices into fig14Points();
-     *  validated against the enumeration size on the serving side. */
+    /** Sweep: the sweep's name, its knobs, and the points to compute
+     *  as indices into its points(knobs); the serving side validates
+     *  all three. */
+    std::string sweep;
+    SweepKnobs knobs{};
     std::vector<uint32_t> points;
 };
 
@@ -163,19 +167,19 @@ struct ServeBusyInfo
 std::vector<uint8_t> serveEncodeBusy(const ServeBusyInfo &b);
 ServeBusyInfo serveDecodeBusy(const std::vector<uint8_t> &p);
 
-/** Per-point SPRG ack for a Fig14 request: the completed point's
- *  index, config key, and full result, streamed as soon as it
- *  finishes so a client can re-dispatch only what is still
- *  outstanding. */
-struct ServeShardAck
+/** Per-point SPRG ack for a Sweep request: the completed point's
+ *  index, key, and values, streamed as soon as it finishes so a
+ *  client can re-dispatch only what is still outstanding. */
+struct ServePointAck
 {
     uint32_t index = 0;
     std::string key;
-    NetResult result{};
+    std::vector<double> values;
 };
 
-std::vector<uint8_t> serveEncodeShardAck(const ServeShardAck &a);
-ServeShardAck serveDecodeShardAck(const std::vector<uint8_t> &p);
+std::vector<uint8_t> serveEncodePointAck(const ServePointAck &a);
+/** Throws TraceError on a value count that outruns the payload. */
+ServePointAck serveDecodePointAck(const std::vector<uint8_t> &p);
 
 /** frameReadFd acceptance predicate for serve-protocol fourccs. */
 bool serveKnownFourcc(uint32_t fourcc);

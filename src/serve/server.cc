@@ -479,9 +479,9 @@ ServeServer::executeJob(SimSession &session, Job &job)
                            "ms exceeded while queued");
 
         if (job.req.kind == ServeKind::Gemm) {
-            KernelResult kr =
-                session.runGemm(job.req.gemm, job.req.cores,
-                                job.req.vpus);
+            KernelResult kr = session.runGemm(
+                Engine(session.machine(), session.save()), job.req.gemm,
+                job.req.cores, job.req.vpus);
             WireSliceResult res;
             res.timeNs = kr.timeNs;
             res.cycles = kr.cycles;
@@ -495,7 +495,19 @@ ServeServer::executeJob(SimSession &session, Job &job)
                     std::string("result write failed: ") +
                     std::strerror(errno));
         } else {
-            const std::vector<Fig14Point> &pts = fig14Points();
+            // The whole request is checked before its first point: a
+            // bad name, knob or index is a Config SERR, never a grid
+            // loop that does not end or a half-run sweep.
+            const SweepSpec &spec = findSweep(job.req.sweep);
+            job.req.knobs.validate();
+            const std::vector<std::string> keys =
+                sweepKeys(spec, job.req.knobs);
+            for (uint32_t idx : job.req.points)
+                if (idx >= keys.size())
+                    throw ConfigError(
+                        std::string(spec.name) + " point index " +
+                        std::to_string(idx) + " out of range [0, " +
+                        std::to_string(keys.size()) + ")");
             for (uint32_t idx : job.req.points) {
                 if (deadline_ns != 0 && nowNs() > deadline_ns)
                     throw SimError(
@@ -504,22 +516,16 @@ ServeServer::executeJob(SimSession &session, Job &job)
                         "ms exceeded mid-sweep");
                 if (clientGone(fd))
                     throw SimError("client disconnected mid-sweep");
-                if (idx >= pts.size())
-                    throw ConfigError(
-                        "fig14 point index " + std::to_string(idx) +
-                        " out of range [0, " +
-                        std::to_string(pts.size()) + ")");
                 if (opt_.testPointDelayMs > 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(
                             opt_.testPointDelayMs));
-                ServeShardAck ack;
+                ServePointAck ack;
                 ack.index = idx;
-                ack.key = pts[idx].key;
-                ack.result = session.runFig14Point(
-                    job.req.fig14, static_cast<int>(idx));
+                ack.key = keys[idx];
+                ack.values = session.runPoint(spec, job.req.knobs, idx);
                 if (!frameWriteFd(fd, kServeAck, idx,
-                                  serveEncodeShardAck(ack)))
+                                  serveEncodePointAck(ack)))
                     throw SimError(
                         std::string(
                             "client disconnected (ack write: ") +

@@ -21,7 +21,11 @@
  *    (EPIPE on the SPRG ack write, or a zero-byte MSG_PEEK);
  *  - slice-level faults stay contained by the estimator's retry /
  *    NaN-poisoning / worker-sandbox machinery — a crashing slice
- *    storm degrades that one request, not the daemon;
+ *    storm degrades that one request, not the daemon; a point whose
+ *    slice failed for good ends its request with an SERR naming it
+ *    (SimSession::runPoint), never an ack;
+ *  - a Sweep request with an unknown name, a bad knob or an index
+ *    outside the sweep gets a Config SERR before any point runs;
  *  - SIGTERM/SIGINT (or a Drain request) drains gracefully: stop
  *    accepting, finish queued + in-flight work, exit 0;
  *  - SIGHUP re-reads the optional config file (queue_cap=N) and bumps
@@ -67,7 +71,7 @@ class ServeServer
         RuntimeOptions runtime{};
         /** Optional key=value config file re-read on SIGHUP. */
         std::string configPath;
-        /** Test hook: sleep this long before every Fig14 point, to
+        /** Test hook: sleep this long before every sweep point, to
          *  fake a straggler backend (SAVE_SERVE_TEST_POINT_DELAY_MS).
          */
         int testPointDelayMs = 0;

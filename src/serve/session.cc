@@ -1,10 +1,24 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "cache/cas_key.h"
 #include "util/error.h"
 
 namespace save {
+
+namespace {
+
+std::string
+knobId(const SweepKnobs &k)
+{
+    return std::to_string(k.gridStep) + "/" + std::to_string(k.kSteps) +
+           "/" + std::to_string(k.tiles) + "/" + std::to_string(k.cores) +
+           "/" + std::to_string(k.seed);
+}
+
+} // namespace
 
 SimSession::SimSession(Options opt) : opt_(std::move(opt))
 {
@@ -34,19 +48,32 @@ SimSession::SimSession(Options opt) : opt_(std::move(opt))
 SimSession::~SimSession() = default;
 
 KernelResult
-SimSession::runGemm(const GemmConfig &g, int cores, int vpus)
+SimSession::runGemm(const Engine &eng, const GemmConfig &g, int cores,
+                    int vpus)
 {
-    return memoRunGemm(*store_, Engine(opt_.mcfg, opt_.scfg), g, cores,
-                       vpus);
+    const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
+                     casGemmWorkload(g, cores, vpus)};
+    KernelResult kr;
+    CasValue v;
+    if (store_->lookup(key, &v)) {
+        kr.timeNs = v.timeNs;
+        kr.cycles = v.cycles;
+        kr.coreGhz = v.coreGhz;
+        for (const auto &[name, value] : v.stats)
+            kr.stats.set(name, value);
+        return kr;
+    }
+    kr = eng.runGemm(g, cores, vpus);
+    gemmSims_.fetch_add(1, std::memory_order_relaxed);
+    if (std::isfinite(kr.timeNs))
+        store_->insert(key, toCasValue(kr));
+    return kr;
 }
 
 TrainingEstimator &
-SimSession::estimatorFor(const Fig14Knobs &k)
+SimSession::estimator(const SweepKnobs &k)
 {
-    const std::string id =
-        std::to_string(k.gridStep) + "/" + std::to_string(k.kSteps) +
-        "/" + std::to_string(k.tiles) + "/" + std::to_string(k.cores) +
-        "/" + std::to_string(k.seed);
+    const std::string id = knobId(k);
     std::lock_guard<std::mutex> lk(mu_);
     auto it = estimators_.find(id);
     if (it != estimators_.end())
@@ -59,48 +86,77 @@ SimSession::estimatorFor(const Fig14Knobs &k)
     eo.cores = k.cores;
     eo.seed = k.seed;
     eo.isolation = opt_.runtime.resolveIsolation();
+    eo.maxRetries = opt_.maxRetries;
+    eo.failFast = opt_.failFast;
+    eo.proc = opt_.proc;
     eo.proc.workerBin = opt_.runtime.workerBin;
+    // A one-thread pool still runs two threads (the caller joins
+    // parallelFor), so one thread gets no pool: strictly serial.
+    ThreadPool *pool = pool_->size() > 1 ? pool_ : nullptr;
+    eo.threads = pool ? 0 : 1;
     eo.validate();
 
-    auto est = std::make_unique<TrainingEstimator>(
-        opt_.mcfg, opt_.scfg, eo, pool_, store_);
+    auto est = std::make_unique<TrainingEstimator>(opt_.mcfg, opt_.scfg,
+                                                   eo, pool, store_);
     TrainingEstimator &ref = *est;
     estimators_.emplace(id, std::move(est));
     return ref;
 }
 
-NetResult
-SimSession::runFig14Point(const Fig14Knobs &knobs, int index)
+std::vector<double>
+SimSession::runPoint(const SweepSpec &spec, const SweepKnobs &knobs,
+                     size_t index)
 {
-    const std::vector<Fig14Point> &pts = fig14Points();
-    if (index < 0 || index >= static_cast<int>(pts.size()))
-        throw ConfigError("fig14 point index " + std::to_string(index) +
-                          " out of range [0, " +
-                          std::to_string(pts.size()) + ")");
-    const Fig14Point &p = pts[static_cast<size_t>(index)];
-    TrainingEstimator &est = estimatorFor(knobs);
-    return p.training ? est.training(p.entry.net, p.entry.prec)
-                      : est.inference(p.entry.net, p.entry.prec);
+    knobs.validate();
+    const std::vector<SweepPoint> points = spec.points(knobs);
+    if (index >= points.size())
+        throw ConfigError(std::string(spec.name) + " point index " +
+                          std::to_string(index) + " out of range [0, " +
+                          std::to_string(points.size()) + ")");
+    const SweepPoint &p = points[index];
+    std::vector<double> values = p.run(*this);
+    if (values.size() != spec.width)
+        throw SimError(std::string(spec.name) + " point '" + p.key +
+                       "' returned " + std::to_string(values.size()) +
+                       " value(s), expected " +
+                       std::to_string(spec.width));
+    if (std::none_of(values.begin(), values.end(),
+                     [](double v) { return std::isnan(v); }))
+        return values;
+
+    std::string why = std::string(spec.name) + " point '" + p.key +
+                      "' holds a failed slice";
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        auto it = estimators_.find(knobId(knobs));
+        if (it != estimators_.end()) {
+            const std::vector<SliceFailure> f = it->second->failures();
+            if (!f.empty())
+                why += " (first: " + f.front().point + ": " +
+                       f.front().reason + ")";
+        }
+    }
+    throw SimError(why);
 }
 
 uint64_t
 SimSession::simulations() const
 {
-    uint64_t n = 0;
+    uint64_t n = gemmSims_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto &[id, est] : estimators_)
         n += est->simulations();
     return n;
 }
 
-uint64_t
-SimSession::sliceFailures() const
+std::string
+SimSession::failureReport() const
 {
-    uint64_t n = 0;
+    std::string report;
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto &[id, est] : estimators_)
-        n += est->failures().size();
-    return n;
+        report += est->failureReport();
+    return report;
 }
 
 } // namespace save

@@ -13,47 +13,34 @@
  * save-serve daemon does: one session per serve worker, all sharing
  * one ThreadPool and one content-addressed store.
  *
- * Results are bit-identical to the standalone benches by
- * construction:
- *  - runGemm is the benches' own memoRunGemm (engine/engine.h), so a
- *    repeat slice — served or benched — is answered from the shared
- *    store in O(1) without re-simulating;
- *  - runFig14Point evaluates one point of the fig14Points()
- *    enumeration with the same estimator arithmetic as `bench_fig14`;
- *    the caller renders the acked points through the shared
- *    dnn/fig14_report.h renderer.
+ * It is the only way a sweep point (sweep/sweep.h) reaches the
+ * engine: runPoint runs one point of a SweepSpec, and the point
+ * reaches the result store through runGemm and the Fig. 14 estimator
+ * through estimator(). Every backend of the shard coordinator and
+ * every daemon computes a point here, so a point's value cannot
+ * depend on where it ran.
  */
 
 #ifndef SAVE_SERVE_SESSION_H
 #define SAVE_SERVE_SESSION_H
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "dnn/fig14_report.h"
 #include "engine/engine.h"
+#include "sweep/sweep.h"
 #include "util/runtime_options.h"
 #include "util/thread_pool.h"
 
 namespace save {
-
-/** Fig. 14 sweep knobs a session caller can vary per request.
- *  Defaults match bench_fig14 (grid=3 quick sampling). Threads and
- *  isolation are the session's own. Trivially copyable: travels as
- *  raw bytes in the serve protocol. */
-struct Fig14Knobs
-{
-    int32_t gridStep = 3;
-    int32_t kSteps = 192;
-    int32_t tiles = 6;
-    int32_t cores = 1;
-    uint64_t seed = 7;
-};
 
 class SimSession
 {
@@ -65,6 +52,13 @@ class SimSession
         /** Environment snapshot; callers override fields explicitly.
          *  The session never consults getenv after construction. */
         RuntimeOptions runtime{};
+        /** Slice retries, fail-fast and the sandbox worker knobs of
+         *  the session's estimators (EstimatorOptions fields of the
+         *  same names). proc.workers == 0 matches the fan-out; the
+         *  worker binary is runtime.workerBin. */
+        int maxRetries = 2;
+        bool failFast = false;
+        ProcOptions proc{};
         /** Borrowed handles (must outlive the session); null = the
          *  session creates its own from `runtime`. */
         ThreadPool *sharedPool = nullptr;
@@ -82,36 +76,43 @@ class SimSession
     const RuntimeOptions &runtime() const { return opt_.runtime; }
 
     /**
-     * One GEMM slice simulation through memoRunGemm: a slice the
-     * benches (or a previous request) already ran is answered from
-     * the store without re-simulating.
+     * Point `index` of `spec` at `knobs`: the unit of work of every
+     * sweep backend. Throws ConfigError on a bad knob or an index
+     * outside spec.points(knobs). Throws SimError when the result is
+     * not spec.width values, or holds a NaN — the marker of a slice
+     * that failed permanently — naming the point and the first failed
+     * slice, so a failed point is never taken for a result.
      */
-    KernelResult runGemm(const GemmConfig &g, int cores, int vpus);
+    std::vector<double> runPoint(const SweepSpec &spec,
+                                 const SweepKnobs &knobs, size_t index);
 
     /**
-     * One Fig. 14 sweep point by canonical index (fig14Points()
-     * order) — the unit of work of a Fig14 request. Identical
-     * arithmetic to the same point inside bench_fig14, so a remotely
-     * computed point is bit-identical to the single-host bench's.
-     * Estimators are cached per knob tuple, so repeat requests reuse
-     * warm in-memory surfaces on top of the persistent store. Throws
-     * ConfigError on a bad index.
+     * eng.runGemm, memoized in the session's store: a slice with the
+     * same machine, feature set and workload is read from the store
+     * instead of simulated again, and a finite fresh result is stored
+     * as it completes. The key's config digest is salted with 0 (a raw
+     * Engine run), so every bench, daemon and request shares entries.
      */
-    NetResult runFig14Point(const Fig14Knobs &knobs, int index);
+    KernelResult runGemm(const Engine &eng, const GemmConfig &g,
+                         int cores, int vpus);
 
-    /** Slice simulations actually executed across all estimators this
-     *  session created (store misses). */
+    /** The session's whole-network estimator for `knobs` (one per knob
+     *  tuple, so repeat points reuse its in-memory surfaces on top of
+     *  the store). */
+    TrainingEstimator &estimator(const SweepKnobs &knobs);
+
+    /** Slice simulations actually executed by this session (store
+     *  misses): every estimator's plus runGemm's. */
     uint64_t simulations() const;
 
-    /** Permanently failed slice points across all estimators. */
-    uint64_t sliceFailures() const;
+    /** Every estimator's failure and worker-pool report; empty when
+     *  clean. */
+    std::string failureReport() const;
 
     /** The session's store (shared or owned; never null). */
     const ResultStore *resultStore() const { return store_; }
 
   private:
-    TrainingEstimator &estimatorFor(const Fig14Knobs &k);
-
     Options opt_;
 
     std::unique_ptr<ThreadPool> owned_pool_;
@@ -119,6 +120,8 @@ class SimSession
 
     std::unique_ptr<ResultStore> owned_store_;
     ResultStore *store_ = nullptr;
+
+    std::atomic<uint64_t> gemmSims_{0};
 
     /** Estimators keyed by the sweep-knob tuple; guarded by mu_. */
     mutable std::mutex mu_;

@@ -6,7 +6,6 @@
 
 #include <time.h>
 
-#include "dnn/fig14_report.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "util/error.h"
@@ -44,26 +43,29 @@ shardParseSockets(const std::string &list)
     return out;
 }
 
-ShardCoordinator::ShardCoordinator(Options opt) : opt_(std::move(opt))
+ShardCoordinator::ShardCoordinator(Options opt)
+    : opt_(std::move(opt)), spec_(findSweep(opt_.sweep))
 {
+    opt_.knobs.validate();
     if (opt_.inprocLanes < 0)
         throw ConfigError("--inproc must be >= 0 (got " +
                           std::to_string(opt_.inprocLanes) + ")");
     if (opt_.inprocLanes == 0 && opt_.sockets.empty())
         throw ConfigError("no backends: need --inproc >= 1 or at "
                           "least one --sockets entry");
-    if (opt_.maxAttempts < 1)
-        throw ConfigError("--max-attempts must be >= 1 (got " +
-                          std::to_string(opt_.maxAttempts) + ")");
+    if (opt_.maxRetries < 0)
+        throw ConfigError("--max-retries must be >= 0 (got " +
+                          std::to_string(opt_.maxRetries) + ")");
     if (opt_.stragglerMs < 0)
         throw ConfigError("--straggler-ms must be >= 0 (got " +
                           std::to_string(opt_.stragglerMs) + ")");
 
     if (opt_.inprocLanes > 0) {
         SimSession::Options so;
-        so.mcfg = opt_.mcfg;
-        so.scfg = opt_.scfg;
         so.runtime = opt_.runtime;
+        so.maxRetries = opt_.maxRetries;
+        so.failFast = opt_.failFast;
+        so.proc = opt_.proc;
         session_ = std::make_unique<SimSession>(std::move(so));
     }
 }
@@ -118,14 +120,14 @@ ShardCoordinator::claim()
 }
 
 void
-ShardCoordinator::complete(uint32_t idx, const NetResult &r)
+ShardCoordinator::complete(uint32_t idx, const std::vector<double> &values)
 {
     std::lock_guard<std::mutex> lk(mu_);
     Point &p = points_[idx];
     if (p.phase == PointPhase::Done)
         return; // a speculative duplicate lost the race
     p.phase = PointPhase::Done;
-    p.result = r;
+    p.result = values;
     --remaining_;
     ++stats_.computed;
     cv_.notify_all();
@@ -154,35 +156,40 @@ ShardCoordinator::requeueFailure(uint32_t idx, const std::string &reason)
     if (p.phase == PointPhase::Done)
         return;
     ++stats_.requeues;
-    if (p.attempts >= opt_.maxAttempts) {
+    const int max_attempts = opt_.maxRetries + 1;
+    const std::string &key = keys_[idx];
+    if (p.attempts >= max_attempts) {
         // Budget exhausted: finish the point as a permanent failure
-        // with a value-initialized result — the SweepRunner contract,
-        // so the rest of the sweep (and the report) still completes.
+        // with a value-initialized result, so the rest of the sweep
+        // (and the report) still completes.
         p.phase = PointPhase::Done;
-        p.failed = true;
-        p.result = NetResult{};
+        p.result.assign(spec_.width, 0.0);
         --remaining_;
-        stats_.failures.push_back(
-            {fig14Points()[idx].key, reason, p.attempts});
-        SAVE_WARN("shard point '", fig14Points()[idx].key,
-                  "' failed permanently after ", p.attempts,
-                  " dispatch(es): ", reason);
+        stats_.failures.push_back({key, reason, p.attempts});
+        SAVE_WARN("sweep point '", key, "' failed permanently after ",
+                  p.attempts, " attempt(s): ", reason);
+        if (opt_.failFast && !fatal_) {
+            fatal_ = true;
+            fatalIsConfig_ = false;
+            fatalMsg_ = "sweep point '" + key + "' failed after " +
+                        std::to_string(p.attempts) +
+                        " attempt(s): " + reason;
+        }
     } else {
-        SAVE_WARN("shard point '", fig14Points()[idx].key,
-                  "' dispatch ", p.attempts, "/", opt_.maxAttempts,
-                  " failed: ", reason, "; re-queuing");
+        SAVE_WARN("sweep point '", key, "' attempt ", p.attempts, "/",
+                  max_attempts, " failed: ", reason, "; re-queuing");
         p.phase = PointPhase::Pending;
     }
     cv_.notify_all();
 }
 
 void
-ShardCoordinator::setFatal(const std::string &msg)
+ShardCoordinator::setFatal(const std::string &msg, bool config)
 {
     std::lock_guard<std::mutex> lk(mu_);
     if (!fatal_) {
         fatal_ = true;
-        fatalIsConfig_ = true;
+        fatalIsConfig_ = config;
         fatalMsg_ = msg;
     }
     cv_.notify_all();
@@ -209,18 +216,16 @@ ShardCoordinator::backendLost(const std::string &who,
 }
 
 void
-ShardCoordinator::inprocLane(int lane)
+ShardCoordinator::inprocLane()
 {
-    (void)lane;
     while (std::optional<uint32_t> got = claim()) {
         const uint32_t idx = *got;
         try {
-            complete(idx, session_->runFig14Point(
-                              opt_.knobs, static_cast<int>(idx)));
+            complete(idx, session_->runPoint(spec_, opt_.knobs, idx));
         } catch (const ConfigError &e) {
             // Triage: a config fault would fail identically on every
             // backend — abort the run instead of burning the budget.
-            setFatal(e.what());
+            setFatal(e.what(), true);
             return;
         } catch (const std::exception &e) {
             requeueFailure(idx, e.what());
@@ -255,7 +260,7 @@ ShardCoordinator::daemonLane(const std::string &socket)
         return;
     }
 
-    // One point per request: a Fig14 request can carry a list, but a
+    // One point per request: a Sweep request can carry a list, but a
     // round trip costs microseconds against a point's tens of
     // milliseconds to seconds, and a pre-assigned list would sit on
     // one daemon while other backends go idle. The re-queue calls
@@ -264,20 +269,32 @@ ShardCoordinator::daemonLane(const std::string &socket)
     while (std::optional<uint32_t> got = claim()) {
         const uint32_t idx = *got;
         ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = opt_.knobs;
+        req.kind = ServeKind::Sweep;
+        req.sweep = spec_.name;
+        req.knobs = opt_.knobs;
         req.points = {idx};
 
         bool faulted = false;
         std::string fault;
         try {
+            // The ack comes off the wire: only an ack for the
+            // dispatched point, with the spec's width of values, may
+            // complete it.
+            std::string bad_ack = "answered without acking the point";
             ServeClient::Reply reply = client.call(
                 req,
-                [&](const ServeShardAck &ack) {
-                    // The index comes off the wire: only an ack for
-                    // the dispatched point may complete a point.
-                    if (ack.index == idx)
-                        complete(idx, ack.result);
+                [&](const ServePointAck &ack) {
+                    if (ack.index != idx)
+                        return;
+                    if (ack.values.size() != spec_.width) {
+                        bad_ack = "acked " +
+                                  std::to_string(ack.values.size()) +
+                                  " value(s), expected " +
+                                  std::to_string(spec_.width);
+                        return;
+                    }
+                    complete(idx, ack.values);
+                    bad_ack.clear();
                 },
                 opt_.rpcTimeoutMs);
             if (reply.kind == ServeClient::Reply::Kind::Busy) {
@@ -287,16 +304,16 @@ ShardCoordinator::daemonLane(const std::string &socket)
                 ++consecutive;
             } else if (reply.kind == ServeClient::Reply::Kind::Error) {
                 if (reply.error.kind == WireErrorKind::Config) {
-                    setFatal(socket + ": " + reply.error.what);
+                    setFatal(socket + ": " + reply.error.what, true);
                     return;
                 }
                 faulted = true;
                 fault = socket + ": " + reply.error.what;
+            } else if (!bad_ack.empty()) {
+                faulted = true;
+                fault = socket + ": " + bad_ack;
             } else {
                 consecutive = 0;
-                // The point should have acked; re-queue it
-                // defensively.
-                requeue(idx);
             }
         } catch (const ServeConnectError &e) {
             // The request never reached the daemon: hand the point back
@@ -331,7 +348,8 @@ ShardCoordinator::daemonLane(const std::string &socket)
 std::string
 ShardCoordinator::run()
 {
-    points_.assign(fig14Points().size(), Point{});
+    keys_ = sweepKeys(spec_, opt_.knobs);
+    points_.assign(keys_.size(), Point{});
     remaining_ = points_.size();
     stats_ = Stats{};
 
@@ -345,7 +363,7 @@ ShardCoordinator::run()
     lanes.reserve(static_cast<size_t>(opt_.inprocLanes) +
                   opt_.sockets.size());
     for (int i = 0; i < opt_.inprocLanes; ++i)
-        lanes.emplace_back(&ShardCoordinator::inprocLane, this, i);
+        lanes.emplace_back(&ShardCoordinator::inprocLane, this);
     for (const std::string &s : opt_.sockets)
         lanes.emplace_back(&ShardCoordinator::daemonLane, this, s);
     for (std::thread &t : lanes)
@@ -360,14 +378,14 @@ ShardCoordinator::run()
         }
     }
 
-    // Merge by index, never arrival order: the one shared renderer
-    // walks fig14Points(), so the report is byte-identical to
-    // bench_fig14 by construction.
-    std::vector<NetResult> results;
+    // Merge by index, never arrival order: the spec's one renderer
+    // reads results in point order, so the report is byte-identical
+    // to any other run of the sweep by construction.
+    SweepResults results;
     results.reserve(points_.size());
-    for (const Point &p : points_)
-        results.push_back(p.result);
-    return fig14Report(results);
+    for (Point &p : points_)
+        results.push_back(std::move(p.result));
+    return spec_.render(opt_.knobs, results);
 }
 
 } // namespace save

@@ -2,9 +2,10 @@
  * @file
  * Hardened-harness coverage: error taxonomy and validate() rejection
  * messages, the retirement watchdog (via forced fault injection), the
- * estimator's retry/fault-isolation policy, the sweep runner's retries
- * and failure report, deadline-bounded reads, and flag parsing. Store
- * corruption and quarantine live in test_result_store.
+ * estimator's retry/fault-isolation policy, deadline-bounded reads,
+ * and flag parsing. Store corruption and quarantine live in
+ * test_result_store; a sweep point's retries, failure report and exit
+ * code live in test_shard (ShardCoordinator and bench_fig14).
  *
  * Every fault here is injected deterministically (FaultInjector), so
  * the recovery paths run on every CI invocation, not just when
@@ -30,6 +31,7 @@
 #include "util/error.h"
 #include "util/fault_injection.h"
 #include "util/frame.h"
+#include "util/logging.h"
 #include "util/posix_io.h"
 
 namespace save {
@@ -318,59 +320,6 @@ TEST_F(RobustnessTest, ParsePlanAcceptsSpecAndRejectsGarbage)
     EXPECT_THROW(FaultInjector::parsePlan("nonsense=1"), ConfigError);
 }
 
-// -------------------------------------------------------- sweep runner
-
-TEST_F(RobustnessTest, SweepRunnerIsolatesAndReportsFailures)
-{
-    SweepOptions opt;
-    opt.maxRetries = 1;
-
-    int attempts = 0;
-    setQuietLogging(true);
-    SweepRunner r(opt);
-    // Fails on the first attempt, succeeds on the retry.
-    double ok = r.point<double>("flaky", [&attempts] {
-        if (++attempts == 1)
-            throw TraceError("transient");
-        return 7.0;
-    });
-    EXPECT_DOUBLE_EQ(ok, 7.0);
-    EXPECT_EQ(attempts, 2);
-
-    // Exhausts retries: NaN result, sweep continues, finish() fails.
-    double bad = r.point<double>("doomed", []() -> double {
-        throw TraceError("permanent");
-    });
-    setQuietLogging(false);
-    EXPECT_TRUE(std::isnan(bad));
-    EXPECT_EQ(r.finish(), 1);
-}
-
-TEST_F(RobustnessTest, SweepRunnerFailFastRethrows)
-{
-    SweepOptions opt;
-    opt.maxRetries = 0;
-    opt.failFast = true;
-    SweepRunner r(opt);
-    EXPECT_THROW(r.point<double>(
-                     "x", []() -> double { throw TraceError("boom"); }),
-                 TraceError);
-}
-
-TEST_F(RobustnessTest, SweepRunnerHonorsMaxFailures)
-{
-    SweepOptions opt;
-    opt.maxRetries = 0;
-    opt.maxFailures = 1;
-    setQuietLogging(true);
-    SweepRunner r(opt);
-    r.point<double>("one", []() -> double { throw TraceError("x"); });
-    EXPECT_EQ(r.finish(), 0); // one failure tolerated
-    r.point<double>("two", []() -> double { throw TraceError("y"); });
-    EXPECT_EQ(r.finish(), 1); // threshold exceeded
-    setQuietLogging(false);
-}
-
 // ------------------------------------------- deadline-bounded reads
 
 namespace {
@@ -494,9 +443,9 @@ TEST_F(RobustnessTest, FlagsRejectMalformedIntegers)
     const char *argv_ok[] = {"bench", "--grid=3", "--threads=-1"};
     Flags ok(3, const_cast<char **>(argv_ok));
     EXPECT_EQ(ok.getInt("grid", 1), 3);
-    // -1 parses, but estimatorOptions() validation rejects it with an
-    // actionable message instead of the old assert-abort.
-    EXPECT_THROW(estimatorOptions(ok), ConfigError);
+    // -1 parses, but runtimeOptions() rejects it with an actionable
+    // message instead of the old assert-abort.
+    EXPECT_THROW(runtimeOptions(ok), ConfigError);
 }
 
 } // namespace

@@ -4,10 +4,13 @@
  * rejection, daemon lifecycle (spawned from the real binary),
  * admission control — priority order and load shedding — client
  * disconnect mid-sweep, graceful drain with in-flight work, SIGHUP
- * config reload, stale socket reclamation, and the acceptance bar —
- * a served Fig. 14 sweep, rendered on the client, byte-identical to
- * the in-process report across isolation modes, with warm repeats
- * answered from the shared CAS store.
+ * config reload, stale socket reclamation, the checks a Sweep
+ * request gets before its first point (name, knobs) and the poison
+ * rule after each, and the acceptance bar — a served Fig. 14 sweep,
+ * rendered on the client, byte-identical to the in-process report
+ * across isolation modes, with warm repeats answered from the shared
+ * CAS store. Every sweep's served and sharded reports are pinned
+ * against the goldens in test_sweep.
  */
 
 #include <gtest/gtest.h>
@@ -62,23 +65,24 @@ socketPath(const char *tag)
 }
 
 /** The quick sweep knobs every test uses (the CI smoke config). */
-Fig14Knobs
+SweepKnobs
 quickKnobs()
 {
-    Fig14Knobs k;
+    SweepKnobs k;
     k.gridStep = 9;
     k.kSteps = 8;
     k.tiles = 1;
     return k;
 }
 
-/** A Fig14 request for every sweep point. */
+/** A fig14 Sweep request for every point. */
 ServeRequest
-sweepRequest(const Fig14Knobs &k)
+sweepRequest(const SweepKnobs &k)
 {
     ServeRequest req;
-    req.kind = ServeKind::Fig14;
-    req.fig14 = k;
+    req.kind = ServeKind::Sweep;
+    req.sweep = "fig14";
+    req.knobs = k;
     for (int i = 0; i < fig14PointCount(); ++i)
         req.points.push_back(static_cast<uint32_t>(i));
     return req;
@@ -90,7 +94,7 @@ sweepRequest(const Fig14Knobs &k)
 ServeRequest
 blockerRequest(uint64_t seed)
 {
-    Fig14Knobs k;
+    SweepKnobs k;
     k.gridStep = 3;
     k.kSteps = 64;
     k.tiles = 4;
@@ -104,19 +108,37 @@ std::string
 servedReport(ServeClient &client, const ServeRequest &req,
              int timeout_ms)
 {
-    std::vector<NetResult> results(fig14Points().size());
+    const SweepSpec &spec = findSweep(req.sweep);
+    SweepResults results(spec.points(req.knobs).size());
     std::vector<int> acks(results.size(), 0);
     ServeClient::Reply r = client.call(
         req,
-        [&](const ServeShardAck &a) {
+        [&](const ServePointAck &a) {
             ++acks.at(a.index);
-            results[a.index] = a.result;
+            results[a.index] = a.values;
         },
         timeout_ms);
     const bool whole = r.kind == ServeClient::Reply::Kind::Ok &&
                        acks == std::vector<int>(results.size(), 1);
     EXPECT_TRUE(whole) << r.error.what;
-    return whole ? fig14Report(results) : "";
+    return whole ? spec.render(req.knobs, results) : "";
+}
+
+/** Run `cmd` through the shell; its exit code, with stdout and
+ *  stderr captured into `out` and `err`. */
+int
+runShell(const std::string &cmd, std::string &out, std::string &err)
+{
+    static std::atomic<int> counter{0};
+    const std::string base = "/tmp/ss_sh_" + std::to_string(::getpid()) +
+                             "_" + std::to_string(counter.fetch_add(1));
+    const int status = std::system(
+        (cmd + " > " + base + ".out 2> " + base + ".err").c_str());
+    readFileBytes(base + ".out", out, nullptr);
+    readFileBytes(base + ".err", err, nullptr);
+    ::unlink((base + ".out").c_str());
+    ::unlink((base + ".err").c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /** In-process reference report for the quick knobs. */
@@ -297,21 +319,23 @@ TEST(ServeProtocol, RequestRoundTripAllKinds)
     EXPECT_EQ(g2.vpus, 1);
 
     ServeRequest f;
-    f.kind = ServeKind::Fig14;
+    f.kind = ServeKind::Sweep;
     f.priority = ServePriority::Low;
     f.deadlineMs = 4500;
-    f.fig14.gridStep = 9;
-    f.fig14.kSteps = 8;
-    f.fig14.seed = 42;
+    f.sweep = "ablation_dvfs";
+    f.knobs.gridStep = 9;
+    f.knobs.kSteps = 8;
+    f.knobs.seed = 42;
     f.points = {0, 3, 15};
     ServeRequest f2 =
         serveDecodeRequest(kServeVersion, serveEncodeRequest(f));
-    EXPECT_EQ(f2.kind, ServeKind::Fig14);
+    EXPECT_EQ(f2.kind, ServeKind::Sweep);
     EXPECT_EQ(f2.priority, ServePriority::Low);
     EXPECT_EQ(f2.deadlineMs, 4500u);
-    EXPECT_EQ(f2.fig14.gridStep, 9);
-    EXPECT_EQ(f2.fig14.kSteps, 8);
-    EXPECT_EQ(f2.fig14.seed, 42u);
+    EXPECT_EQ(f2.sweep, "ablation_dvfs");
+    EXPECT_EQ(f2.knobs.gridStep, 9);
+    EXPECT_EQ(f2.knobs.kSteps, 8);
+    EXPECT_EQ(f2.knobs.seed, 42u);
     EXPECT_EQ(f2.points, (std::vector<uint32_t>{0, 3, 15}));
 
     for (ServeKind k :
@@ -341,14 +365,35 @@ TEST(ServeProtocol, RejectsVersionSkewTruncationAndTrailingBytes)
     EXPECT_THROW(serveDecodeRequest(kServeVersion, trail), TraceError);
 }
 
-TEST(ServeProtocol, Fig14RequestRejectsTruncatedPointList)
+TEST(ServeProtocol, SweepRequestRejectsTruncatedPointList)
 {
     ServeRequest r;
-    r.kind = ServeKind::Fig14;
+    r.kind = ServeKind::Sweep;
+    r.sweep = "fig14";
     r.points = {1, 2, 3};
     std::vector<uint8_t> p = serveEncodeRequest(r);
     p.resize(p.size() - 4); // drop the last index
     EXPECT_THROW(serveDecodeRequest(kServeVersion, p), TraceError);
+}
+
+TEST(ServeProtocol, AckRejectsAValueCountPastItsPayload)
+{
+    ServePointAck a;
+    a.index = 2;
+    a.key = "vpus2/w0/a0";
+    a.values = {1.5, 2.5};
+    std::vector<uint8_t> p = serveEncodePointAck(a);
+    ServePointAck d = serveDecodePointAck(p);
+    EXPECT_EQ(d.values, a.values);
+
+    // The u32 count sits right before the values: claim one more
+    // value than the payload holds.
+    const size_t count_at = p.size() - 2 * sizeof(double) - 4;
+    p[count_at] = 3;
+    EXPECT_THROW(serveDecodePointAck(p), TraceError);
+    // A count far past the payload fails before any allocation.
+    p[count_at + 3] = 0x7f;
+    EXPECT_THROW(serveDecodePointAck(p), TraceError);
 }
 
 TEST(ServeProtocol, StatusBusyRoundTrip)
@@ -374,7 +419,7 @@ TEST(ServeProtocol, StatusBusyRoundTrip)
 TEST(ServeProtocol, FrameReadRejectsBitFlipAndTruncation)
 {
     ServeRequest r;
-    r.kind = ServeKind::Fig14;
+    r.kind = ServeKind::Sweep;
     std::vector<uint8_t> payload = serveEncodeRequest(r);
     std::vector<uint8_t> frame =
         frameEncode(kServeRequest, kServeVersion, payload);
@@ -593,7 +638,7 @@ TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
     ServeClient client(sock);
 
     uint64_t round = 0;
-    for (ServeKind high_kind : {ServeKind::Fig14, ServeKind::Gemm}) {
+    for (ServeKind high_kind : {ServeKind::Sweep, ServeKind::Gemm}) {
         SCOPED_TRACE(serveKindName(high_kind));
         ++round;
         // A new seed per round: the session keeps each knob tuple's
@@ -638,8 +683,9 @@ TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
         ServeRequest high;
         high.kind = high_kind;
         high.priority = ServePriority::High;
-        if (high_kind == ServeKind::Fig14) {
-            high.fig14 = quickKnobs();
+        if (high_kind == ServeKind::Sweep) {
+            high.sweep = "fig14";
+            high.knobs = quickKnobs();
             high.points = {0};
         } else {
             high.gemm.kSteps = 16;
@@ -718,7 +764,7 @@ TEST(ServeDaemon, DrainWaitsForInflightWork)
     std::atomic<bool> sweep_ok{false};
     std::thread inflight([&] {
         ServeClient client(sock);
-        Fig14Knobs k = quickKnobs();
+        SweepKnobs k = quickKnobs();
         k.kSteps = 64; // slow enough to still be in flight
         k.tiles = 2;
         if (!servedReport(client, sweepRequest(k), 300000).empty())
@@ -895,6 +941,35 @@ TEST(ServeDaemon, DeadlineExceededReturnsTypedError)
               ServeClient::Reply::Kind::Ok);
 }
 
+/** A fake daemon on listener `lfd` for one request: it acks every
+ *  point (but the last, with `skip_last`) with `width` values each,
+ *  then answers Ok. */
+std::thread
+fakeAckingDaemon(int lfd, size_t width, bool skip_last)
+{
+    return std::thread([=] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        Frame f;
+        if (fd >= 0 && frameReadFd(fd, f, 5000, serveKnownFourcc,
+                                   kServeMaxPayload,
+                                   "test") == FrameRead::Ok) {
+            const ServeRequest req = serveDecodeRequest(f.arg, f.payload);
+            const size_t n = req.points.size() - (skip_last ? 1 : 0);
+            for (size_t i = 0; i < n; ++i) {
+                ServePointAck ack;
+                ack.index = req.points[i];
+                ack.key = fig14Points()[ack.index].key;
+                ack.values.assign(width, 1.0);
+                frameWriteFd(fd, kServeAck, ack.index,
+                             serveEncodePointAck(ack));
+            }
+            frameWriteFd(fd, kServeResult,
+                         static_cast<uint32_t>(req.kind), {});
+        }
+        ::close(fd);
+    });
+}
+
 TEST(ServeFig14, CtlRejectsASweepWithAPointMissing)
 {
     // A faulty daemon answers Ok but never acks the last point.
@@ -902,43 +977,107 @@ TEST(ServeFig14, CtlRejectsASweepWithAPointMissing)
     // and names the point.
     const std::string sock = socketPath("hole");
     const int lfd = listenUnix(sock);
-    std::thread daemon([&] {
-        const int fd = ::accept(lfd, nullptr, nullptr);
-        Frame f;
-        if (fd >= 0 && frameReadFd(fd, f, 5000, serveKnownFourcc,
-                                   kServeMaxPayload,
-                                   "test") == FrameRead::Ok) {
-            const ServeRequest req = serveDecodeRequest(f.arg, f.payload);
-            for (size_t i = 0; i + 1 < req.points.size(); ++i) {
-                ServeShardAck ack;
-                ack.index = req.points[i];
-                ack.key = fig14Points()[ack.index].key;
-                frameWriteFd(fd, kServeAck, ack.index,
-                             serveEncodeShardAck(ack));
-            }
-            frameWriteFd(fd, kServeResult,
-                         static_cast<uint32_t>(req.kind), {});
-        }
-        ::close(fd);
-    });
-
-    const std::string dir = tmpDir("hole");
-    const std::string cmd = std::string(SAVE_CTL_BIN_PATH) +
-                            " fig14 --socket=" + sock +
-                            " --grid=9 --ksteps=8 --tiles=1 > " + dir +
-                            "/out 2> " + dir + "/err";
-    const int status = std::system(cmd.c_str());
+    std::thread daemon =
+        fakeAckingDaemon(lfd, findSweep("fig14").width, true);
+    std::string out, err;
+    const int rc = runShell(std::string(SAVE_CTL_BIN_PATH) +
+                                " fig14 --socket=" + sock +
+                                " --grid=9 --ksteps=8 --tiles=1",
+                            out, err);
     daemon.join();
     ::close(lfd);
     ::unlink(sock.c_str());
 
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 1);
-    std::string out, err;
-    readFileBytes(dir + "/out", out, nullptr);
-    readFileBytes(dir + "/err", err, nullptr);
+    EXPECT_EQ(rc, 1);
     EXPECT_TRUE(out.empty()) << out;
     EXPECT_NE(err.find("'" + fig14Points().back().key + "' was acked 0"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ServeSweep, CtlRejectsAnAckOfTheWrongWidth)
+{
+    // Every point is acked, but with 3 values where fig14 has 20:
+    // save-ctl must exit 1 rather than render from short results.
+    const std::string sock = socketPath("width");
+    const int lfd = listenUnix(sock);
+    std::thread daemon = fakeAckingDaemon(lfd, 3, false);
+    std::string out, err;
+    const int rc = runShell(std::string(SAVE_CTL_BIN_PATH) +
+                                " fig14 --socket=" + sock +
+                                " --grid=9 --ksteps=8 --tiles=1",
+                            out, err);
+    daemon.join();
+    ::close(lfd);
+    ::unlink(sock.c_str());
+
+    EXPECT_EQ(rc, 1);
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_NE(err.find("acked 3 value(s), expected 20"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ServeSweep, UnknownNameAndBadKnobsAreConfigErrors)
+{
+    // The daemon checks a Sweep request's name and knobs before any
+    // point runs: a grid stride of 0 would never end the grid loop,
+    // so it must come back as a Config SERR, and the daemon must keep
+    // serving.
+    std::string sock = socketPath("badreq");
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ASSERT_TRUE(d.waitReady());
+    ServeClient client(sock);
+
+    ServeRequest unknown = sweepRequest(quickKnobs());
+    unknown.sweep = "fig99";
+    ServeRequest no_grid = sweepRequest(quickKnobs());
+    no_grid.sweep = "fig15";
+    no_grid.knobs.gridStep = 0;
+    no_grid.points = {0};
+    ServeRequest no_tiles = sweepRequest(quickKnobs());
+    no_tiles.knobs.tiles = 0;
+    ServeRequest past_end = sweepRequest(quickKnobs());
+    past_end.points = {0, static_cast<uint32_t>(fig14PointCount())};
+    int acks = 0;
+    for (const ServeRequest &req : {unknown, no_grid, no_tiles, past_end}) {
+        ServeClient::Reply r = client.call(
+            req, [&](const ServePointAck &) { ++acks; }, 60000);
+        EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error)
+            << req.sweep << " gridStep=" << req.knobs.gridStep;
+        EXPECT_EQ(r.error.kind, WireErrorKind::Config) << r.error.what;
+    }
+    EXPECT_EQ(acks, 0);
+
+    ServeRequest ping;
+    ping.kind = ServeKind::Ping;
+    EXPECT_EQ(client.call(ping, nullptr, 5000).kind,
+              ServeClient::Reply::Kind::Ok);
+    EXPECT_EQ(getStatus(client).errors, 4u);
+}
+
+TEST(ServeSweep, PoisonedPointIsAnError)
+{
+    // Every slice fails for good in the daemon, so every point's
+    // result holds the estimator's NaN marker. That is an error, not
+    // a result: save-ctl exits 1 and names the point.
+    std::string sock = socketPath("poison");
+    ::setenv("SAVE_FAULT_INJECT", "slice=1,times=999,seed=3", 1);
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ::unsetenv("SAVE_FAULT_INJECT");
+    ASSERT_TRUE(d.waitReady());
+
+    std::string out, err;
+    const int rc = runShell(std::string(SAVE_CTL_BIN_PATH) +
+                                " fig14 --socket=" + sock +
+                                " --grid=9 --ksteps=8 --tiles=1",
+                            out, err);
+    EXPECT_EQ(rc, 1);
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_NE(err.find("'" + fig14Points().front().key +
+                       "' holds a failed slice"),
               std::string::npos)
         << err;
 }

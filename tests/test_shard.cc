@@ -4,9 +4,10 @@
  * match, the canonical point enumeration, and the coordinator fault
  * matrix — shard-count invariance, daemon crash mid-point, straggler
  * rebalance, one stored record per slice across processes on a
- * shared store, a daemon acking a point outside the sweep, a daemon
- * of another protocol version, a daemon that vanishes after its
- * status probe, and a coordinator SIGKILLed mid-sweep whose rerun
+ * shared store, a daemon acking a point outside the sweep or with
+ * the wrong width of values, a daemon of another protocol version, a
+ * daemon that vanishes after its status probe, points whose slices
+ * fail for good, and a bench_fig14 SIGKILLed mid-sweep whose rerun
  * resumes through the store. The acceptance bar throughout is that
  * the merged report is byte-identical to the single-host sweep.
  */
@@ -37,6 +38,7 @@
 #include "serve/protocol.h"
 #include "shard/coordinator.h"
 #include "util/error.h"
+#include "util/fault_injection.h"
 #include "util/frame.h"
 #include "util/posix_io.h"
 
@@ -47,7 +49,7 @@ namespace {
 std::string
 tmpDir(const char *tag)
 {
-    std::string t = "/tmp/save_shard_test_" + std::string(tag) + "_" +
+    std::string t = "/tmp/shard_test_" + std::string(tag) + "_" +
                     std::to_string(::getpid()) + "_XXXXXX";
     std::vector<char> buf(t.begin(), t.end());
     buf.push_back('\0');
@@ -66,10 +68,10 @@ socketPath(const char *tag)
 }
 
 /** The quick sweep knobs every test uses (the CI smoke config). */
-Fig14Knobs
+SweepKnobs
 quickKnobs()
 {
-    Fig14Knobs k;
+    SweepKnobs k;
     k.gridStep = 9;
     k.kSteps = 8;
     k.tiles = 1;
@@ -216,14 +218,14 @@ answerStatus(int fd, uint32_t version)
     frameWriteFd(fd, kServeResult, kServeVersion, serveEncodeStatus(st));
 }
 
-/** Run the save-shard binary with stdout/stderr captured to files;
+/** Run the bench_fig14 binary with stdout/stderr captured to files;
  *  returns the pid (caller waits or kills). */
 pid_t
-spawnShard(const std::vector<std::string> &extra_args,
+spawnFig14(const std::vector<std::string> &extra_args,
            const std::string &out_path, const std::string &err_path)
 {
     std::vector<std::string> args;
-    args.push_back(SAVE_SHARD_BIN_PATH);
+    args.push_back(SAVE_FIG14_BIN_PATH);
     for (const std::string &a : extra_args)
         args.push_back(a);
     // The first match of a flag wins, so an extra argument overrides
@@ -246,7 +248,7 @@ spawnShard(const std::vector<std::string> &extra_args,
         for (std::string &a : args)
             argv.push_back(a.data());
         argv.push_back(nullptr);
-        ::execv(SAVE_SHARD_BIN_PATH, argv.data());
+        ::execv(SAVE_FIG14_BIN_PATH, argv.data());
         ::_exit(127);
     }
     return pid;
@@ -319,18 +321,16 @@ storeFrames(const std::string &cas)
 
 TEST(ShardProtocol, AckRoundtrip)
 {
-    ServeShardAck a;
+    ServePointAck a;
     a.index = 7;
     a.key = "train/GNMT MP pruned";
-    a.result.baseline2.forward = 123.5;
-    a.result.saveDynamic.bwdWeights = 9.25;
-    std::vector<uint8_t> p = serveEncodeShardAck(a);
+    a.values = {123.5, 0.0, -1.0 / 3.0, 9.25};
+    std::vector<uint8_t> p = serveEncodePointAck(a);
 
-    ServeShardAck d = serveDecodeShardAck(p);
+    ServePointAck d = serveDecodePointAck(p);
     EXPECT_EQ(d.index, 7u);
     EXPECT_EQ(d.key, "train/GNMT MP pruned");
-    EXPECT_EQ(d.result.baseline2.forward, 123.5);
-    EXPECT_EQ(d.result.saveDynamic.bwdWeights, 9.25);
+    EXPECT_EQ(d.values, a.values);
 }
 
 TEST(ShardProtocol, RequestVersionMatchesExactly)
@@ -347,6 +347,9 @@ TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
 {
     const std::vector<Fig14Point> &pts = fig14Points();
     ASSERT_EQ(static_cast<int>(pts.size()), fig14PointCount());
+    const std::vector<std::string> keys =
+        sweepKeys(findSweep("fig14"), quickKnobs());
+    ASSERT_EQ(keys.size(), pts.size());
 
     // The renderer must ask for keys in exactly the enumeration
     // order — that equality is what makes index-addressed dispatch
@@ -358,8 +361,10 @@ TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
         return NetResult{};
     });
     ASSERT_EQ(walk.size(), pts.size());
-    for (size_t i = 0; i < pts.size(); ++i)
+    for (size_t i = 0; i < pts.size(); ++i) {
         EXPECT_EQ(walk[i], pts[i].key) << "index " << i;
+        EXPECT_EQ(keys[i], pts[i].key) << "index " << i;
+    }
 }
 
 TEST(ShardProtocol, SocketListParsing)
@@ -524,16 +529,16 @@ TEST(ShardCoordinator, AckForAnotherPointIsIgnored)
                 continue;
             }
             for (uint32_t idx : req.points) {
-                ServeShardAck ack;
+                ServePointAck ack;
                 ack.index = 1u << 30; // not a point of this sweep
                 frameWriteFd(fd, kServeAck, ack.index,
-                             serveEncodeShardAck(ack));
+                             serveEncodePointAck(ack));
                 ack.index = idx;
                 ack.key = fig14Points()[idx].key;
-                ack.result =
-                    session.runFig14Point(req.fig14, static_cast<int>(idx));
+                ack.values =
+                    session.runPoint(findSweep(req.sweep), req.knobs, idx);
                 frameWriteFd(fd, kServeAck, idx,
-                             serveEncodeShardAck(ack));
+                             serveEncodePointAck(ack));
             }
             frameWriteFd(fd, kServeResult, kServeVersion, {});
         }
@@ -569,7 +574,7 @@ TEST(ShardCoordinator, VersionSkewExcludesDaemon)
             if (!readRequest(fd, f))
                 continue;
             if (serveDecodeRequest(f.arg, f.payload).kind ==
-                ServeKind::Fig14)
+                ServeKind::Sweep)
                 ++jobs;
             answerStatus(fd, kServeVersion + 1);
         }
@@ -622,7 +627,7 @@ TEST(ShardCoordinator, UnreachableDaemonUsesNoAttempts)
     o.runtime.threads = 1;
     o.inprocLanes = 1;
     o.sockets = {s};
-    o.maxAttempts = 1;
+    o.maxRetries = 0;
     ShardCoordinator coord(std::move(o));
     std::string report;
     EXPECT_NO_THROW(report = coord.run());
@@ -657,7 +662,7 @@ TEST(ShardCoordinator, CoordinatorKillThenRerun)
                 return true;
         return false;
     };
-    pid_t pid = spawnShard(args, dir + "/out1", dir + "/err1");
+    pid_t pid = spawnFig14(args, dir + "/out1", dir + "/err1");
     ASSERT_GT(pid, 0);
     bool stored = false;
     for (int waited = 0; waited < 120000 && !stored; waited += 5) {
@@ -676,7 +681,7 @@ TEST(ShardCoordinator, CoordinatorKillThenRerun)
     std::vector<std::string> rerun = args;
     rerun.push_back("--cache-stats");
     const auto t0 = std::chrono::steady_clock::now();
-    pid = spawnShard(rerun, dir + "/out2", dir + "/err2");
+    pid = spawnFig14(rerun, dir + "/out2", dir + "/err2");
     ASSERT_GT(pid, 0);
     ASSERT_EQ(waitExit(pid), 0) << slurp(dir + "/err2");
     // Waiting out a dead owner's flight (the follower timeout is 60 s)
@@ -694,5 +699,134 @@ TEST(ShardCoordinator, CoordinatorKillThenRerun)
     const size_t frames = storeFrames(cas);
     ResultStore reread(ResultStore::Options{cas, 0});
     EXPECT_EQ(frames, reread.records());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ShardCoordinator, PoisonedPointFailsTheSweep)
+{
+    // Every slice fails for good, so every point's result holds the
+    // estimator's NaN marker. Each point must use up its attempts and
+    // end as a permanent failure naming it — never a result.
+    FaultPlan plan;
+    plan.sliceProb = 1.0;
+    plan.sliceTimes = 999;
+    plan.seed = 3;
+    FaultInjector::global().configure(plan);
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 2;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_NO_THROW(coord.run());
+    FaultInjector::global().reset();
+
+    const ShardCoordinator::Stats &st = coord.stats();
+    ASSERT_EQ(st.failures.size(), fig14Points().size());
+    for (const ShardCoordinator::PermanentFailure &f : st.failures) {
+        EXPECT_EQ(f.attempts, 3) << f.key;
+        EXPECT_NE(f.reason.find("'" + f.key + "' holds a failed slice"),
+                  std::string::npos)
+            << f.reason;
+    }
+    EXPECT_EQ(st.computed, 0u);
+}
+
+TEST(ShardCoordinator, FailFastEndsTheRunWithThePointsError)
+{
+    // Under fail-fast the first point to use up its attempts ends the
+    // run with its error instead of being recorded and skipped.
+    FaultPlan plan;
+    plan.sliceProb = 1.0;
+    plan.sliceTimes = 999;
+    FaultInjector::global().configure(plan);
+    ShardCoordinator::Options o = quickOptions();
+    o.failFast = true;
+    o.maxRetries = 0;
+    ShardCoordinator coord(std::move(o));
+    std::string what;
+    try {
+        coord.run();
+    } catch (const SimError &e) {
+        what = e.what();
+    }
+    FaultInjector::global().reset();
+    EXPECT_NE(what.find("failed after 1 attempt(s)"), std::string::npos)
+        << what;
+}
+
+TEST(ShardCoordinator, AckOfTheWrongWidthFailsTheAttempt)
+{
+    // A daemon acks the dispatched point with 3 values where fig14
+    // has 20. The ack must not complete the point: with no retries it
+    // fails for good, and after kMaxBackendFaults such dispatches the
+    // daemon is excluded; the in-process lane finishes the rest.
+    const std::string s = socketPath("width");
+    const int lfd = listenUnix(s);
+    std::thread daemon([&] {
+        for (int fd; (fd = ::accept(lfd, nullptr, nullptr)) >= 0;
+             ::close(fd)) {
+            Frame f;
+            if (!readRequest(fd, f))
+                continue;
+            const ServeRequest req = serveDecodeRequest(f.arg, f.payload);
+            if (req.kind == ServeKind::Status) {
+                answerStatus(fd, kServeVersion);
+                continue;
+            }
+            for (uint32_t idx : req.points) {
+                ServePointAck ack;
+                ack.index = idx;
+                ack.key = fig14Points()[idx].key;
+                ack.values = {1.0, 2.0, 3.0};
+                frameWriteFd(fd, kServeAck, idx, serveEncodePointAck(ack));
+            }
+            frameWriteFd(fd, kServeResult, kServeVersion, {});
+        }
+    });
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 1;
+    o.sockets = {s};
+    o.maxRetries = 0;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_NO_THROW(coord.run());
+    const ShardCoordinator::Stats &st = coord.stats();
+    EXPECT_GE(st.failures.size(), 1u);
+    for (const ShardCoordinator::PermanentFailure &f : st.failures)
+        EXPECT_NE(f.reason.find("acked 3 value(s), expected 20"),
+                  std::string::npos)
+            << f.reason;
+    EXPECT_EQ(st.computed + st.failures.size(), fig14Points().size());
+
+    ::shutdown(lfd, SHUT_RDWR); // wakes the accept loop
+    daemon.join();
+    ::close(lfd);
+    ::unlink(s.c_str());
+}
+
+TEST(ShardCoordinator, Fig14BenchExitsByMaxFailures)
+{
+    // A sweep whose every slice fails for good fails the run: 16
+    // poisoned points, a failure report naming them, and exit 1 —
+    // unless --max-failures tolerates them all.
+    const std::string dir = tmpDir("maxfail");
+    ::setenv("SAVE_FAULT_INJECT", "slice=1,times=999,seed=3", 1);
+    const pid_t strict = spawnFig14({}, dir + "/out1", dir + "/err1");
+    const int strict_rc = waitExit(strict);
+    const std::string tolerate =
+        "--max-failures=" + std::to_string(fig14PointCount());
+    const pid_t lax =
+        spawnFig14({tolerate}, dir + "/out2", dir + "/err2");
+    const int lax_rc = waitExit(lax);
+    ::unsetenv("SAVE_FAULT_INJECT");
+
+    EXPECT_EQ(strict_rc, 1);
+    const std::string err = slurp(dir + "/err1");
+    EXPECT_NE(err.find(std::to_string(fig14PointCount()) +
+                       " sweep point(s) failed permanently"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("surface point(s) failed permanently"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(lax_rc, 0) << slurp(dir + "/err2");
     std::filesystem::remove_all(dir);
 }
