@@ -22,6 +22,7 @@
 #include "util/logging.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace save {
 
@@ -50,6 +51,11 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
         Chain ch;
         ch.rot = e.rot;
         chains_.emplace(chain_id, std::move(ch));
+        // Its front is the youngest live entry, so chain_order_ stays
+        // sorted by appending.
+        SAVE_ASSERT(chain_order_.empty() || chain_order_.back().first < e.seq,
+                    "new chain front older than an existing chain's");
+        chain_order_.emplace_back(e.seq, chain_id);
     }
     e.chainId = chain_id;
     Chain &ch = chains_.at(chain_id);
@@ -61,41 +67,63 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
 void
 VectorScheduler::onEntryReleased(int rs_idx)
 {
-    (void)rs_idx; // chain nodes detect released entries by seq mismatch
+    RsEntry &e = c_.rs.at(rs_idx);
+    if (e.inCw) {
+        e.inCw = false;
+        --cw_;
+    }
+    // Chain nodes detect released entries by seq mismatch; the chain
+    // is trimmed at the end of this cycle's scheduleChains.
+    if (e.chainId >= 0) {
+        Chain &ch = chains_.at(e.chainId);
+        if (!ch.trimQueued) {
+            ch.trimQueued = true;
+            trim_queue_.push_back(e.chainId);
+        }
+    }
 }
 
 void
 VectorScheduler::rebuildAfterSquash()
 {
-    if (!c_.scfg.enabled || !c_.scfg.mpCompress) {
-        chains_.clear();
-        return;
-    }
-    // Discard partial results: any AL whose final value has not been
-    // scheduled for writeback gets all of its effectual MLs back and
-    // will be recomputed from the accumulator input (SecV-B).
-    for (int idx : c_.rs.order()) {
-        RsEntry &e = c_.rs.at(idx);
-        if (!e.uop.isMixedPrecision() || !e.elmValid)
-            continue;
-        for (int al = 0; al < kVecLanes; ++al) {
-            if ((e.alScheduled >> al) & 1)
-                continue;
-            uint32_t al_mls = e.elm & (0x3u << (kMlPerAl * al));
-            if (al_mls)
-                e.pendingMl |= al_mls;
-        }
-        e.pendingAl = mpAlMask(e.pendingMl);
-        e.chainId = -1;
-    }
-    // Rebuild the chain structures over the survivors, in age order,
-    // using the surviving dst->RS links.
     chains_.clear();
-    std::vector<int> order = c_.rs.order();
-    for (int idx : order) {
-        RsEntry &e = c_.rs.at(idx);
-        if (e.uop.isMixedPrecision())
-            onVfmaAllocated(idx);
+    chain_order_.clear();
+    trim_queue_.clear();
+    if (c_.scfg.enabled && c_.scfg.mpCompress) {
+        // Discard partial results: any AL whose final value has not
+        // been scheduled for writeback gets all of its effectual MLs
+        // back and will be recomputed from the accumulator input
+        // (SecV-B).
+        for (int idx = c_.rs.first(); idx != Rs::kEnd;
+             idx = c_.rs.next(idx)) {
+            RsEntry &e = c_.rs.at(idx);
+            if (!e.uop.isMixedPrecision() || !e.elmValid)
+                continue;
+            for (int al = 0; al < kVecLanes; ++al) {
+                if ((e.alScheduled >> al) & 1)
+                    continue;
+                uint32_t al_mls = e.elm & (0x3u << (kMlPerAl * al));
+                if (al_mls)
+                    e.pendingMl |= al_mls;
+            }
+            e.pendingAl = mpAlMask(e.pendingMl);
+            e.chainId = -1;
+        }
+        // Rebuild the chain structures (and their order) over the
+        // survivors, in age order, using the surviving dst->RS links.
+        for (int idx = c_.rs.first(); idx != Rs::kEnd;
+             idx = c_.rs.next(idx)) {
+            if (c_.rs.at(idx).uop.isMixedPrecision())
+                onVfmaAllocated(idx);
+        }
+    }
+    // The squash freed slots with Rs::release, bypassing
+    // onEntryReleased, and restored pending lanes: recount the
+    // combination window.
+    cw_ = 0;
+    for (int idx = c_.rs.first(); idx != Rs::kEnd; idx = c_.rs.next(idx)) {
+        c_.rs.at(idx).inCw = false;
+        refreshCw(idx);
     }
 }
 
@@ -129,25 +157,44 @@ VectorScheduler::advanceCursor(Chain &chain, int al)
 }
 
 void
-VectorScheduler::trimChain(int chain_id)
+VectorScheduler::trimChains()
 {
-    auto it = chains_.find(chain_id);
-    if (it == chains_.end())
-        return;
-    Chain &ch = it->second;
-    while (!ch.nodes.empty()) {
-        const ChainNode &n = ch.nodes.front();
-        const RsEntry &e = c_.rs.at(n.rsIdx);
-        if (e.valid && e.seq == n.seq)
-            break;
-        ch.nodes.pop_front();
-        for (auto &cur : ch.cursor)
-            cur = std::max(0, cur - 1);
-        if (!ch.nodes.empty())
-            ch.frontSeq = ch.nodes.front().seq;
+    for (int id : trim_queue_) {
+        auto it = chains_.find(id);
+        Chain &ch = it->second;
+        ch.trimQueued = false;
+        // Keys are unique (each is a live entry's seq), so the chain's
+        // current key finds it.
+        auto pos = std::lower_bound(chain_order_.begin(),
+                                    chain_order_.end(),
+                                    std::make_pair(ch.frontSeq, id));
+        SAVE_ASSERT(pos != chain_order_.end() && pos->second == id,
+                    "chain missing from the chain order");
+        while (!ch.nodes.empty()) {
+            const ChainNode &n = ch.nodes.front();
+            const RsEntry &e = c_.rs.at(n.rsIdx);
+            if (e.valid && e.seq == n.seq)
+                break;
+            ch.nodes.pop_front();
+            for (auto &cur : ch.cursor)
+                cur = std::max(0, cur - 1);
+            if (!ch.nodes.empty())
+                ch.frontSeq = ch.nodes.front().seq;
+        }
+        if (ch.nodes.empty()) {
+            chains_.erase(it);
+            chain_order_.erase(pos);
+            continue;
+        }
+        // The front only moves younger: slide the chain toward the
+        // tail to its new rank.
+        pos->first = ch.frontSeq;
+        for (auto nxt = pos + 1;
+             nxt != chain_order_.end() && nxt->first < pos->first;
+             ++pos, ++nxt)
+            std::iter_swap(pos, nxt);
     }
-    if (ch.nodes.empty())
-        chains_.erase(it);
+    trim_queue_.clear();
 }
 
 uint64_t
@@ -181,19 +228,8 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
         return; // waiting on the forwarded partial result (fast path:
                 // skips the cursor walk; advanceCursor is idempotent)
 
-    // Claim-availability precheck: in a saturated cycle most calls die
-    // at claimSlot below, after paying for the cursor walk and the
-    // readiness probes. The target temp position is known without the
-    // cursor, so test it first. Everything the skipped prefix would
-    // have updated (cursor advance, chain-base capture) is a pure
-    // cache whose deferral is invisible: the accumulator lane value is
-    // stable once published, and a cycle with every temp claimed
-    // always issues them (activity), so the fast-forward horizon never
-    // sees the deferred init.
+    // The caller checked that this temp position is open.
     int temp_lane = (al + chain.rot + kVecLanes) % kVecLanes;
-    if (!slotAvailable(temp_lane, 1))
-        return;
-
     advanceCursor(chain, al);
     int &cursor = chain.cursor[static_cast<size_t>(al)];
     if (cursor >= static_cast<int>(chain.nodes.size()))
@@ -218,8 +254,7 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
     }
 
     int vpu = claimSlot(temp_lane, 1, false);
-    if (vpu < 0)
-        return;
+    SAVE_ASSERT(vpu >= 0, "chain AL tried on a closed temp position");
 
     float v = ca.value;
     int taken = 0;
@@ -286,21 +321,23 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
 void
 VectorScheduler::scheduleChains()
 {
-    if (chains_.empty())
-        return;
-
     // Oldest chain first (front-entry program order).
-    chain_order_.clear();
-    for (auto &[id, ch] : chains_)
-        chain_order_.emplace_back(ch.frontSeq, id);
-    std::sort(chain_order_.begin(), chain_order_.end());
-
-    for (auto &[seq, id] : chain_order_) {
+    for (const auto &[seq, id] : chain_order_) {
         (void)seq;
-        // Once every temp is claimed and type-1 positions are all
-        // taken, no remaining chain AL can schedule this cycle; every
-        // skipped call would have failed its claim precheck.
-        if (!mpCapacityLeft())
+        // Only ALs whose rotated temp position is still open are
+        // tried: in a saturated cycle most would otherwise die at
+        // claimSlot after paying for the cursor walk and the readiness
+        // probes. Everything a skipped call would have updated (cursor
+        // advance, chain-base capture) is a pure cache whose deferral
+        // is invisible: the accumulator lane value is stable once
+        // published, and a position is only closed when no temp is
+        // free, so every temp issues this cycle (activity) and the
+        // fast-forward horizon never sees the deferred init. One mask
+        // per chain suffices: its ALs land on distinct positions, and
+        // a claim never closes another position to a mixed-precision
+        // lane.
+        const uint16_t open = mpFreePositions();
+        if (!open)
             break;
         Chain &ch = chains_.at(id);
         // Union of pending effectual MLs over the chain's live nodes:
@@ -315,16 +352,16 @@ VectorScheduler::scheduleChains()
             if (e.valid && e.seq == n.seq)
                 pending_union |= e.pendingMl;
         }
-        for (uint16_t m = mpAlMask(pending_union); m;) {
+        // AL al lands on temp position (al + rot) mod 16.
+        const uint16_t reachable = std::rotr(open, ch.rot);
+        for (uint16_t m = mpAlMask(pending_union) & reachable; m;) {
             int al = lowestSetBit(m);
             m &= static_cast<uint16_t>(m - 1);
+            SAVE_PROF_WALK(c_.prof_, Chains);
             scheduleChainAl(ch, al);
         }
     }
-    for (auto &[seq, id] : chain_order_) {
-        (void)seq;
-        trimChain(id);
-    }
+    trimChains();
 }
 
 } // namespace save

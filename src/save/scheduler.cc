@@ -38,8 +38,26 @@ void
 VectorScheduler::maybeRelease(int rs_idx)
 {
     const RsEntry &e = c_.rs.at(rs_idx);
-    if (e.valid && e.pendingAl == 0 && e.passPending == 0)
+    if (!e.valid)
+        return;
+    if (e.pendingAl == 0 && e.passPending == 0)
         c_.releaseEntry(rs_idx);
+    else
+        refreshCw(rs_idx); // every lane-issue site ends here
+}
+
+void
+VectorScheduler::refreshCw(int rs_idx)
+{
+    // An ELM implies both multiplicands are ready; cReady is the
+    // accumulator register's full readiness.
+    RsEntry &e = c_.rs.at(rs_idx);
+    const bool in =
+        e.elmValid && e.cReady && (e.pendingAl != 0 || e.pendingMl != 0);
+    if (in != e.inCw) {
+        e.inCw = in;
+        cw_ += in ? 1 : -1;
+    }
 }
 
 int
@@ -65,30 +83,17 @@ VectorScheduler::claimSlot(int lane, int type, bool hc)
     return -1;
 }
 
-bool
-VectorScheduler::slotAvailable(int lane, int type) const
+uint16_t
+VectorScheduler::mpFreePositions() const
 {
+    uint16_t open = 0;
     for (const Temp &t : temps_) {
         if (t.type == -1)
-            return true;
-        if (t.type != type || t.hc)
-            continue;
-        if (!((t.lanesUsed >> lane) & 1))
-            return true;
+            return 0xffffu;
+        if (t.type == 1 && !t.hc)
+            open |= static_cast<uint16_t>(~t.lanesUsed);
     }
-    return false;
-}
-
-bool
-VectorScheduler::mpCapacityLeft() const
-{
-    for (const Temp &t : temps_) {
-        if (t.type == -1)
-            return true;
-        if (t.type == 1 && !t.hc && t.lanesUsed != 0xffffu)
-            return true;
-    }
-    return false;
+    return open;
 }
 
 bool
@@ -110,15 +115,13 @@ VectorScheduler::passThrough()
     // to the destination; modeled as a one-cycle register move without
     // a VPU slot (paper SecIII: fully-ineffectual uops are removed
     // from the RS without issuing).
-    // Only post-ELM entries can have pass lanes; capture the list
-    // successor first since maybeRelease unlinks the current entry.
-    for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;) {
-        int nxt = c_.rs.nextInList(idx);
+    // The pass list holds exactly the issuable entries with pass lanes
+    // left, oldest first; capture the successor first since an entry
+    // leaves the list when its last pass lane publishes.
+    for (int idx = c_.rs.firstPass(); idx != Rs::kEnd;) {
+        int nxt = c_.rs.nextPass(idx);
         RsEntry &e = c_.rs.at(idx);
-        if (!e.passPending) {
-            idx = nxt;
-            continue;
-        }
+        SAVE_PROF_WALK(c_.prof_, Pass);
         uint16_t avail = e.passPending & c_.prf.laneReady(e.pc);
         if (!c_.scfg.laneWiseDep && !c_.prf.fullyReady(e.pc))
             avail = 0;
@@ -137,7 +140,10 @@ VectorScheduler::passThrough()
         if (c_.etrace_)
             c_.etrace_->passLanes(c_.now(), e.seq, avail);
         e.passPending &= static_cast<uint16_t>(~avail);
-        maybeRelease(idx);
+        if (!e.passPending) {
+            c_.rs.removePass(idx);
+            maybeRelease(idx);
+        }
         idx = nxt;
     }
 }
@@ -155,6 +161,7 @@ VectorScheduler::scheduleBaseline()
         RsEntry &e = c_.rs.at(idx);
         SAVE_ASSERT(e.valid && e.seq == c_.baseline_ready_[taken].first,
                     "stale baseline ready-queue entry");
+        SAVE_PROF_WALK(c_.prof_, Select);
 
         bool mp = e.uop.isMixedPrecision();
         int vpu = -1;
@@ -214,6 +221,7 @@ VectorScheduler::scheduleCoalesced()
             break;
         int nxt = c_.rs.nextInList(idx);
         RsEntry &e = c_.rs.at(idx);
+        SAVE_PROF_WALK(c_.prof_, Select);
         if (e.uop.isMixedPrecision() && c_.scfg.mpCompress) {
             idx = nxt; // handled by the chain path
             continue;
@@ -327,6 +335,7 @@ VectorScheduler::scheduleHc()
     for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;) {
         int nxt = c_.rs.nextInList(idx);
         RsEntry &e = c_.rs.at(idx);
+        SAVE_PROF_WALK(c_.prof_, Select);
         if (e.uop.isMixedPrecision() && c_.scfg.mpCompress) {
             idx = nxt;
             continue;
@@ -432,21 +441,12 @@ VectorScheduler::step()
     // operands including the full accumulator available — bounded by
     // the number of accumulator registers, since same-accumulator
     // VFMAs carry a true dependence ("often 24-28" for a large GEMM).
-    // Candidates all carry an ELM (readiness implies the MGU ran), so
-    // scanning the issuable sublist suffices.
-    int cw = 0;
-    for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;
-         idx = c_.rs.nextInList(idx)) {
-        const RsEntry &e = c_.rs.at(idx);
-        if (e.aReady && e.bReady && (e.pendingAl || e.pendingMl) &&
-            c_.prf.fullyReady(e.pc)) {
-            ++cw;
-        }
-    }
-    if (cw > 0) {
-        c_.st_cw_sum_.add(cw);
+    // Kept current by refreshCw/onEntryReleased, so sampling it here
+    // costs no walk.
+    if (cw_ > 0) {
+        c_.st_cw_sum_.add(cw_);
         c_.st_cw_cycles_.add();
-        c_.fx_cw_ = cw;
+        c_.fx_cw_ = cw_;
     }
 
     if (c_.scfg.mpCompress)

@@ -20,12 +20,27 @@
  * queues of effectual multiplicand lanes, packed two per temp AL slot
  * in program order, with partial results forwarded at half latency.
  *
- * Select scans only the RS sublist it needs — the post-ELM issuable
- * list (or, under the baseline policy, the pending list, which is
- * then the full age order) — and operand readiness comes from the
- * writeback-wakeup flags, so no per-cycle full-RS polling remains.
- * The per-cycle temps are fixed-capacity members: steady-state
- * scheduling performs no heap allocation.
+ * The scheduler never rescans the RS. What it walks or samples each
+ * cycle is kept current by the events that change it:
+ *
+ *  - Pass-through walks the RS pass list (issuable entries with pass
+ *    lanes left).
+ *  - Coalesced and HC select walk the issuable list; the baseline
+ *    select takes from the core's ready queue.
+ *  - The combination-window (CW) size is a running count over a
+ *    per-entry flag (RsEntry::inCw), re-evaluated when the entry's
+ *    ELM arrives, its accumulator becomes fully ready, its last
+ *    pending lane issues (maybeRelease), and when it leaves the RS.
+ *  - The chain order (oldest front first) persists across cycles: a
+ *    new chain is appended (its front is the youngest entry), and
+ *    only chains that lost a node since the last trim are trimmed and
+ *    moved.
+ *  - A chain accumulator lane is tried only if its rotated temp
+ *    position can still take a mixed-precision lane this cycle.
+ *
+ * Operand readiness comes from the writeback-wakeup flags. The
+ * per-cycle temps are fixed-capacity members: steady-state scheduling
+ * performs no heap allocation.
  */
 
 #ifndef SAVE_SAVE_SCHEDULER_H
@@ -60,8 +75,12 @@ class VectorScheduler
     /** Hook: a VFMA entered the RS (links mixed-precision chains). */
     void onVfmaAllocated(int rs_idx);
 
-    /** Hook: an RS slot was released. */
+    /** Hook: an RS slot is about to be released. */
     void onEntryReleased(int rs_idx);
+
+    /** Hook: an input of the entry's combination-window membership
+     *  changed (ELM generated, accumulator fully ready). */
+    void refreshCw(int rs_idx);
 
     /** True when no chain work remains (drain check). */
     bool idle() const { return chains_.empty(); }
@@ -108,14 +127,11 @@ class VectorScheduler
      */
     int claimSlot(int lane, int type, bool hc);
 
-    /** Would claimSlot(lane, type, false) succeed right now? Pure
-     *  probe: no temp state is touched. */
-    bool slotAvailable(int lane, int type) const;
-
-    /** True while any temp could still take a positional
-     *  mixed-precision lane this cycle (free temp, or a non-full
-     *  type-1 temp). */
-    bool mpCapacityLeft() const;
+    /** Temp lane positions a positional mixed-precision lane could
+     *  still take this cycle (any, if a temp is free; else the open
+     *  lanes of non-HC type-1 temps). Positions only fill within a
+     *  cycle, so a clear bit stays clear until the next step. */
+    uint16_t mpFreePositions() const;
 
     /** True while any temp could still take a positional lane of some
      *  type (free temp, or any non-full non-HC temp). */
@@ -152,14 +168,17 @@ class VectorScheduler
         std::array<int, kVecLanes> cursor{};
         int8_t rot = 0;
         uint64_t frontSeq = 0;
+        /** A node left the RS since the last trim (on trim_queue_). */
+        bool trimQueued = false;
     };
 
     void scheduleChains();
     void scheduleChainAl(Chain &chain, int al);
     /** Advance an AL cursor over consumed/ineffectual nodes. */
     void advanceCursor(Chain &chain, int al);
-    /** Drop fully-passed front nodes; erase exhausted chains. */
-    void trimChain(int chain_id);
+    /** For each queued chain: drop released front nodes, erase it if
+     *  none are left, and keep chain_order_ sorted. */
+    void trimChains();
     bool nodeConsumed(const ChainNode &n, int al) const;
 
     friend class Auditor;
@@ -167,10 +186,15 @@ class VectorScheduler
     Core &c_;
     std::unordered_map<int, Chain> chains_;
     int next_chain_id_ = 0;
+    /** (frontSeq, chain id) of every chain, oldest front first. */
+    std::vector<std::pair<uint64_t, int>> chain_order_;
+    /** Chains that lost a node since the last trimChains(). */
+    std::vector<int> trim_queue_;
+    /** Entries with inCw set: the combination-window size. */
+    int cw_ = 0;
 
     /** Reusable per-cycle scratch (no steady-state allocation). */
     std::vector<Temp> temps_;
-    std::vector<std::pair<uint64_t, int>> chain_order_;
 
     StatRef st_passthrough_lanes_;
     StatRef st_baseline_issues_;

@@ -68,6 +68,7 @@ Auditor::check(const char *when) const
     checkWaiters();
     checkEventTargets();
     checkSaveState();
+    checkCombinationWindow();
     checkLaneOrder();
     checkChains();
 }
@@ -134,44 +135,63 @@ Auditor::checkRsLists() const
             fail("valid RS slot " + std::to_string(idx) +
                  " missing from the age list");
     }
-    // The pending/issuable sublists partition the age list, each
-    // age-ordered, with membership decided exactly by elmValid.
-    for (int list = 0; list < 2; ++list) {
-        int count = 0;
-        prev_seq = 0;
-        int head = list == 0 ? rs.firstPending() : rs.firstIssuable();
-        for (int idx = head; idx != Rs::kEnd; idx = rs.nextInList(idx)) {
-            const RsEntry &e = rs.at(idx);
-            if (!e.valid)
-                fail("RS sublist holds invalid slot " +
-                     std::to_string(idx));
-            if (rs_mark_[static_cast<size_t>(idx)] != 1)
-                fail("RS slot " + std::to_string(idx) +
-                     " on two scheduler sublists");
-            rs_mark_[static_cast<size_t>(idx)] = 2;
-            if (e.elmValid != (list == 1))
-                fail("RS slot " + std::to_string(idx) + " on the " +
-                     (list == 0 ? "pending" : "issuable") +
-                     " sublist with elmValid=" +
-                     std::to_string(e.elmValid));
-            if (count > 0 && e.seq <= prev_seq)
-                fail("RS sublist age order broken at slot " +
-                     std::to_string(idx));
-            prev_seq = e.seq;
-            ++count;
-        }
-        int expect = list == 0 ? rs.pendingCount() : rs.issuableCount();
-        if (count != expect)
-            fail("RS sublist length " + std::to_string(count) +
-                 " != recorded count " + std::to_string(expect));
+    // Each event-maintained list holds exactly the live entries its
+    // definition names, oldest first: a missing entry is never
+    // scheduled (missed wakeup), an extra one is walked for nothing.
+    // Pending and issuable are disjoint because elmValid splits them;
+    // under the baseline select (no ELMs) all three stay empty.
+    const bool save_on = c_.scfg.enabled &&
+                         c_.scfg.policy != SchedPolicy::Baseline;
+    checkRsList("pending", rs.firstPending(), &Rs::nextInList,
+                rs.pendingCount(), [save_on](const RsEntry &e) {
+                    return save_on && !e.elmValid && e.aReady && e.bReady;
+                });
+    checkRsList("issuable", rs.firstIssuable(), &Rs::nextInList,
+                rs.issuableCount(),
+                [](const RsEntry &e) { return e.elmValid; });
+    checkRsList("pass", rs.firstPass(), &Rs::nextPass, rs.passCount(),
+                [](const RsEntry &e) {
+                    return e.elmValid && e.passPending != 0;
+                });
+}
+
+template <typename Member>
+void
+Auditor::checkRsList(const char *name, int first,
+                     int (Rs::*next)(int) const, int count,
+                     Member member) const
+{
+    const Rs &rs = c_.rs;
+    auto list = [name] { return std::string("RS ") + name + " list"; };
+    // rs_mark_ is 1 on every live slot (checkRsLists); 2 once seen.
+    int n = 0;
+    uint64_t prev_seq = 0;
+    for (int idx = first; idx != Rs::kEnd; idx = (rs.*next)(idx)) {
+        const RsEntry &e = rs.at(idx);
+        if (!e.valid || rs_mark_[static_cast<size_t>(idx)] == 0)
+            fail(list() + " holds invalid slot " + std::to_string(idx));
+        if (rs_mark_[static_cast<size_t>(idx)] == 2)
+            fail(list() + " visits slot " + std::to_string(idx) + " twice");
+        rs_mark_[static_cast<size_t>(idx)] = 2;
+        if (!member(e))
+            fail(list() + " holds seq " + std::to_string(e.seq) +
+                 ", which does not belong on it");
+        if (n > 0 && e.seq <= prev_seq)
+            fail(list() + " age order broken at seq " +
+                 std::to_string(e.seq));
+        prev_seq = e.seq;
+        ++n;
     }
-    for (int idx = 0; idx < rs.capacity(); ++idx) {
-        if (rs.at(idx).valid && rs_mark_[static_cast<size_t>(idx)] != 2)
-            fail("valid RS slot " + std::to_string(idx) +
-                 " on no scheduler sublist");
+    if (n != count)
+        fail(list() + " length " + std::to_string(n) +
+             " != recorded count " + std::to_string(count));
+    for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx)) {
+        uint8_t &mark = rs_mark_[static_cast<size_t>(idx)];
+        if (mark != 2 && member(rs.at(idx)))
+            fail("seq " + std::to_string(rs.at(idx).seq) +
+                 " missing from the " + list());
+        mark = 1;
     }
-    if (rs.pendingCount() + rs.issuableCount() != rs.size())
-        fail("RS sublist sizes do not sum to the RS size");
 }
 
 void
@@ -299,6 +319,52 @@ void
 Auditor::checkWaiters() const
 {
     const Rs &rs = c_.rs;
+    // Completeness: each readiness flag the pipeline reads equals its
+    // register's full readiness, and each such source not yet ready
+    // has a waiter (the only way the flag can turn on). A and B are
+    // read under every policy; C by the baseline select, and under
+    // SAVE by the combination-window count, for entries with an ELM
+    // and effectual work left.
+    for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx)) {
+        const RsEntry &e = rs.at(idx);
+        const bool c_read = c_.baseline_select_ ||
+                            (e.elmValid && (e.pendingAl || e.pendingMl));
+        const struct
+        {
+            int phys;
+            bool ready;
+            Core::RegWaiter::Src src;
+            const char *name;
+        } srcs[] = {
+            {e.pa, e.aReady, Core::RegWaiter::Src::A, "A"},
+            {e.pb, e.bReady, Core::RegWaiter::Src::B, "B"},
+            {c_read ? e.pc : kNoReg, e.cReady, Core::RegWaiter::Src::C,
+             "C"},
+        };
+        for (const auto &src : srcs) {
+            if (src.phys == kNoReg)
+                continue;
+            auto at = [&] {
+                return std::string(" for source ") + src.name +
+                       " of seq " + std::to_string(e.seq);
+            };
+            if (src.ready != c_.prf.fullyReady(src.phys))
+                fail("readiness flag " + std::to_string(src.ready) +
+                     " disagrees with register " +
+                     std::to_string(src.phys) + at());
+            if (src.ready)
+                continue;
+            bool found = false;
+            for (const Core::RegWaiter &w :
+                 c_.reg_waiters_[static_cast<size_t>(src.phys)]) {
+                if (w.rsIdx == idx && w.seq == e.seq && w.src == src.src)
+                    found = true;
+            }
+            if (!found)
+                fail("no waiter on register " +
+                     std::to_string(src.phys) + at());
+        }
+    }
     for (size_t phys = 0; phys < c_.reg_waiters_.size(); ++phys) {
         const auto &ws = c_.reg_waiters_[phys];
         if (ws.empty())
@@ -624,6 +690,31 @@ Auditor::checkSaveState() const
 }
 
 void
+Auditor::checkCombinationWindow() const
+{
+    // The scheduler's running CW count against the statistic's
+    // definition, recounted: ELM generated, both multiplicands and the
+    // whole accumulator ready, and effectual work unissued.
+    const Rs &rs = c_.rs;
+    const VectorScheduler &s = *c_.sched_;
+    int cw = 0;
+    for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx)) {
+        const RsEntry &e = rs.at(idx);
+        const bool in = e.elmValid && e.aReady && e.bReady &&
+                        (e.pendingAl || e.pendingMl) &&
+                        c_.prf.fullyReady(e.pc);
+        if (in != e.inCw)
+            fail("combination-window flag " + std::to_string(e.inCw) +
+                 " at seq " + std::to_string(e.seq) + ", expected " +
+                 std::to_string(in));
+        cw += in ? 1 : 0;
+    }
+    if (cw != s.cw_)
+        fail("combination-window count " + std::to_string(s.cw_) +
+             " != recount " + std::to_string(cw));
+}
+
+void
 Auditor::checkLaneOrder() const
 {
     // Lane-wise dependence order (paper SecIV-C / Algorithm 1): a lane
@@ -658,11 +749,33 @@ Auditor::checkChains() const
     bool chain_mode = c_.scfg.enabled && c_.scfg.mpCompress &&
                       c_.scfg.policy != SchedPolicy::Baseline;
     if (!chain_mode) {
-        if (!s.chains_.empty())
+        if (!s.chains_.empty() || !s.chain_order_.empty())
             fail("accumulator chains exist without mixed-precision "
                  "compression");
         return;
     }
+    // The kept chain order is every live chain, oldest front first,
+    // and every queued trim has run.
+    if (s.chain_order_.size() != s.chains_.size())
+        fail("chain order holds " + std::to_string(s.chain_order_.size()) +
+             " chains but " + std::to_string(s.chains_.size()) + " exist");
+    for (size_t i = 0; i < s.chain_order_.size(); ++i) {
+        const auto &[seq, id] = s.chain_order_[i];
+        auto it = s.chains_.find(id);
+        if (it == s.chains_.end())
+            fail("chain order names erased chain " + std::to_string(id));
+        if (it->second.frontSeq != seq)
+            fail("chain order key " + std::to_string(seq) + " of chain " +
+                 std::to_string(id) + " != its front seq " +
+                 std::to_string(it->second.frontSeq));
+        if (i > 0 && s.chain_order_[i - 1].first >= seq)
+            fail("chain order not sorted by front seq at chain " +
+                 std::to_string(id));
+        if (it->second.trimQueued)
+            fail("chain " + std::to_string(id) + " left untrimmed");
+    }
+    if (!s.trim_queue_.empty())
+        fail("chain trim queue not drained");
     // Live RS entry -> owning chain, for the at-most-one-node check.
     std::fill(rs_mark_.begin(), rs_mark_.end(), 0);
     for (const auto &[id, ch] : s.chains_) {

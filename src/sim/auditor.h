@@ -32,6 +32,7 @@
 namespace save {
 
 class Core;
+class Rs;
 
 /** Invariant checker bound to one core (friend of Core and
  *  VectorScheduler; strictly read-only). */
@@ -60,12 +61,18 @@ class Auditor
 
     void checkRob() const;
     void checkRsLists() const;
+    /** One age-ordered RS list (`first`/`next`) holds exactly the
+     *  live entries that satisfy `member`. */
+    template <typename Member>
+    void checkRsList(const char *name, int first, int (Rs::*next)(int)
+                     const, int count, Member member) const;
     void checkRobRsLink() const;
     void checkPrf() const;
     void checkWaiters() const;
     void checkBaselineReady() const;
     void checkEventTargets() const;
     void checkSaveState() const;
+    void checkCombinationWindow() const;
     void checkLaneOrder() const;
     void checkChains() const;
 

@@ -198,6 +198,15 @@ Core::releaseEntry(int rs_idx)
     const RsEntry &e = rs.at(rs_idx);
     if (e.dstPhys != kNoReg)
         vfma_dst_to_rs_[static_cast<size_t>(e.dstPhys)] = -1;
+    if (!e.cReady && e.pc != kNoReg && !prf.fullyReady(e.pc)) {
+        // A mixed-precision chain node issues from the forwarded
+        // partial result, so it can leave before its own accumulator
+        // register is fully ready: its C waiter leaves with it.
+        std::erase_if(reg_waiters_[static_cast<size_t>(e.pc)],
+                      [&](const RegWaiter &w) {
+                          return w.rsIdx == rs_idx && w.seq == e.seq;
+                      });
+    }
     sched_->onEntryReleased(rs_idx);
     rs.release(rs_idx);
 }
@@ -232,6 +241,8 @@ Core::addWaiters(int rs_idx, const RsEntry &e)
     if (!e.bReady && e.pb != kNoReg)
         reg_waiters_[static_cast<size_t>(e.pb)].push_back(
             {rs_idx, e.seq, RegWaiter::Src::B});
+    // Under SAVE the accumulator waiter is enlisted at ELM generation
+    // (mguStage), and only for entries with effectual work.
     if (baseline_select_ && !e.cReady && e.pc != kNoReg)
         reg_waiters_[static_cast<size_t>(e.pc)].push_back(
             {rs_idx, e.seq, RegWaiter::Src::C});
@@ -240,7 +251,18 @@ Core::addWaiters(int rs_idx, const RsEntry &e)
 void
 Core::onOperandReady(int rs_idx, const RsEntry &e)
 {
-    if (!baseline_select_ || !e.aReady || !e.bReady || !e.cReady)
+    if (!baseline_select_) {
+        // After the ELM only the accumulator can still become ready,
+        // which may put the entry in the combination window. Before
+        // it, the MGU takes entries whose multiplicands are both in,
+        // oldest first, from the pending sublist.
+        if (e.elmValid)
+            sched_->refreshCw(rs_idx);
+        else if (e.aReady && e.bReady && !rs.listed(rs_idx))
+            rs.addPending(rs_idx);
+        return;
+    }
+    if (!e.aReady || !e.bReady || !e.cReady)
         return;
     // Readiness flags each transition exactly once per entry, so the
     // wake that completes the set enqueues the entry exactly once.
@@ -800,15 +822,13 @@ Core::mguStage()
     if (!scfg.enabled || scfg.policy == SchedPolicy::Baseline)
         return;
     int budget = mcfg.issueWidth; // one MGU per allocation slot
-    // The pending sublist holds exactly the VFMAs without an ELM yet;
-    // readiness flags are maintained by writeback wakeup.
+    // The pending sublist holds exactly the VFMAs without an ELM yet
+    // whose multiplicands are ready (joined on the readying wakeup),
+    // oldest first.
     for (int idx = rs.firstPending(); idx != Rs::kEnd && budget != 0;) {
         int nxt = rs.nextInList(idx);
         RsEntry &e = rs.at(idx);
-        if (!e.aReady || !e.bReady) {
-            idx = nxt;
-            continue;
-        }
+        SAVE_PROF_WALK(prof_, Dispatch);
 
         const VecReg &a = operandA(e);
         const VecReg &b = operandB(e);
@@ -833,6 +853,19 @@ Core::mguStage()
         e.passPending = static_cast<uint16_t>(~e.pendingAl);
         e.elmValid = true;
         rs.promote(idx);
+        if (e.passPending)
+            rs.addPass(idx);
+        if (e.pendingAl) {
+            // The accumulator becoming fully ready is what admits an
+            // entry with effectual work to the combination window, so
+            // from here on it waits on that; the rest never join, and
+            // skip the wakeup.
+            e.cReady = prf.fullyReady(e.pc);
+            if (!e.cReady)
+                reg_waiters_[static_cast<size_t>(e.pc)].push_back(
+                    {idx, e.seq, RegWaiter::Src::C});
+        }
+        sched_->refreshCw(idx);
         activity_ = true;
         if (etrace_)
             etrace_->elm(cycle_, e.seq, e.elm, e.pendingAl);

@@ -288,8 +288,11 @@ class Core
     void wakeWaiters(int phys);
     /** Enlist a just-allocated RS entry on its not-ready sources. */
     void addWaiters(int rs_idx, const RsEntry &e);
-    /** A readiness flag of the entry just turned on: under the
-     *  baseline select, enqueue it once all three operands are in. */
+    /** A readiness flag of the entry just turned on (or it was just
+     *  allocated). Under the baseline select: enqueue it once all
+     *  three operands are in. Under SAVE: put it on the RS pending
+     *  sublist once both multiplicands are, and refresh its
+     *  combination-window membership once it has an ELM. */
     void onOperandReady(int rs_idx, const RsEntry &e);
 
     void pushEvent(Event ev);
@@ -369,8 +372,8 @@ class Core
      *  fully ready; stale entries are filtered by seq). */
     std::vector<std::vector<RegWaiter>> reg_waiters_;
     /** True when the baseline whole-instruction select is in use
-     *  (SAVE disabled or policy Baseline): entries then carry cReady
-     *  and fully-ready VFMAs queue on baseline_ready_. */
+     *  (SAVE disabled or policy Baseline): fully-ready VFMAs then
+     *  queue on baseline_ready_. */
     bool baseline_select_ = false;
     /** Age-ordered (seq, RS index) queue of fully-ready unissued
      *  VFMAs, maintained event-driven by the readiness wakeups so the

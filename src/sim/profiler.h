@@ -6,13 +6,21 @@
  * -DSAVE_PROFILE=ON); the default build compiles every probe away to
  * nothing, so the cycle loop carries zero profiling cost. When built
  * in, each pipeline stage's wall time and visit count are accumulated
- * per core and a table is printed to stderr at sim end
+ * per core, with the number of RS entries the issue and dispatch
+ * stages walk, and a table is printed to stderr at sim end
  * (Core::finalizeStats), e.g.:
  *
  *   -- SAVE_PROFILE core 0 (123456 cycles) --
  *   stage          visits        ns/visit     total ms   share
  *   writeback      123456            41.2          5.1   12.3%
  *   ...
+ *   rs walk        entries   per issue cycle
+ *   issue.pass      456789             3.7
+ *   ...
+ *
+ * An "rs walk" row counts RS entries visited (issue.chains: chain
+ * accumulator-lane calls), divided by the stepped cycles (the issue
+ * stage's visits; fast-forwarded cycles walk nothing).
  *
  * Timing uses the steady clock per stage visit; the profiler is for
  * relative attribution (which stage eats the wall time), not absolute
@@ -45,6 +53,15 @@ enum class ProfStage : uint8_t {
     Dispatch,   // MGU / ELM generation
     Rename,     // allocate/rename front end
     FastFwd,    // stall fast-forward bookkeeping
+    kCount,
+};
+
+/** RS walks counted by the self-profiler, in entries visited. */
+enum class ProfWalk : uint8_t {
+    Pass,     // pass-through over the pass list
+    Select,   // baseline / coalesced / HC select
+    Chains,   // mixed-precision chain accumulator lanes tried
+    Dispatch, // MGU over the pending sublist
     kCount,
 };
 
@@ -114,10 +131,31 @@ class StageProfiler
                     static_cast<double>(total));
             table += line;
         }
+        static const char *walk_names[] = {
+            "issue.pass", "issue.select", "issue.chains", "dispatch",
+        };
+        const uint64_t stepped =
+            buckets_[static_cast<size_t>(ProfStage::Issue)].visits;
+        if (stepped != 0) {
+            std::snprintf(line, sizeof(line), "%-12s %12s %15s\n",
+                          "rs walk", "entries", "per issue cycle");
+            table += line;
+            for (size_t i = 0; i < walks_.size(); ++i) {
+                std::snprintf(
+                    line, sizeof(line), "%-12s %12llu %15.2f\n",
+                    walk_names[i],
+                    static_cast<unsigned long long>(walks_[i]),
+                    static_cast<double>(walks_[i]) /
+                        static_cast<double>(stepped));
+                table += line;
+            }
+        }
         if (!table.empty() && table.back() == '\n')
             table.pop_back();
         SAVE_INFORM(table);
     }
+
+    void count(ProfWalk w) { ++walks_[static_cast<size_t>(w)]; }
 
   private:
     struct Bucket
@@ -127,12 +165,15 @@ class StageProfiler
     };
 
     std::array<Bucket, static_cast<size_t>(ProfStage::kCount)> buckets_{};
+    std::array<uint64_t, static_cast<size_t>(ProfWalk::kCount)> walks_{};
 };
 
 #define SAVE_PROF_SCOPE(prof, stage)                                        \
     ::save::StageProfiler::Scope save_prof_scope_##__LINE__(                \
         prof, ::save::ProfStage::stage)
 #define SAVE_PROF_REPORT(prof, core, cycles) (prof).report(core, cycles)
+/** One RS entry visited by the given walk. */
+#define SAVE_PROF_WALK(prof, walk) (prof).count(::save::ProfWalk::walk)
 
 #else // !SAVE_PROFILE
 
@@ -145,6 +186,9 @@ class StageProfiler
     do {                                                                    \
     } while (0)
 #define SAVE_PROF_REPORT(prof, core, cycles)                                \
+    do {                                                                    \
+    } while (0)
+#define SAVE_PROF_WALK(prof, walk)                                          \
     do {                                                                    \
     } while (0)
 

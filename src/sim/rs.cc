@@ -35,17 +35,7 @@ Rs::allocEntry()
     RsEntry &e = slots_[static_cast<size_t>(idx)];
     e = RsEntry{};
     e.valid = true;
-
-    Node &n = nodes_[static_cast<size_t>(idx)];
-    n.aprev = age_tail_;
-    n.anext = kEnd;
-    if (age_tail_ != kEnd)
-        nodes_[static_cast<size_t>(age_tail_)].anext = idx;
-    else
-        age_head_ = idx;
-    age_tail_ = idx;
-
-    listPushBack(idx, 0);
+    linkAfter(age_, &Node::age, age_.tail, idx);
     ++size_;
     return idx;
 }
@@ -58,54 +48,54 @@ Rs::release(int idx)
     slots_[static_cast<size_t>(idx)].valid = false;
 
     Node &n = nodes_[static_cast<size_t>(idx)];
-    if (n.aprev != kEnd)
-        nodes_[static_cast<size_t>(n.aprev)].anext = n.anext;
-    else
-        age_head_ = n.anext;
-    if (n.anext != kEnd)
-        nodes_[static_cast<size_t>(n.anext)].aprev = n.aprev;
-    else
-        age_tail_ = n.aprev;
-    n.aprev = n.anext = kEnd;
-
-    listUnlink(idx);
+    unlink(age_, &Node::age, idx);
+    if (n.list != kNoList) {
+        unlink(sub_[n.list], &Node::sub, idx);
+        n.list = kNoList;
+    }
+    if (n.onPass)
+        removePass(idx);
     free_.push_back(idx);
     --size_;
+}
+
+void
+Rs::addPending(int idx)
+{
+    Node &n = nodes_[static_cast<size_t>(idx)];
+    SAVE_ASSERT(n.list == kNoList, "RS entry already on a sublist");
+    n.list = kPendingList;
+    linkBySeq(sub_[kPendingList], &Node::sub, idx);
 }
 
 void
 Rs::promote(int idx)
 {
     Node &n = nodes_[static_cast<size_t>(idx)];
-    SAVE_ASSERT(n.list == 0, "promoting an already-issuable RS entry");
-    listUnlink(idx);
+    SAVE_ASSERT(n.list == kPendingList,
+                "promoting an RS entry that is not pending");
+    unlink(sub_[kPendingList], &Node::sub, idx);
+    n.list = kIssuableList;
+    linkBySeq(sub_[kIssuableList], &Node::sub, idx);
+}
 
-    // Age-ordered insert: walk back from the tail. ELMs usually arrive
-    // in rough age order, so the walk is short in practice.
-    const uint64_t seq = slots_[static_cast<size_t>(idx)].seq;
-    int after = tail_[1];
-    while (after != kEnd && slots_[static_cast<size_t>(after)].seq > seq)
-        after = nodes_[static_cast<size_t>(after)].sprev;
+void
+Rs::addPass(int idx)
+{
+    Node &n = nodes_[static_cast<size_t>(idx)];
+    SAVE_ASSERT(n.list == kIssuableList && !n.onPass,
+                "pass list takes issuable entries once");
+    n.onPass = true;
+    linkBySeq(pass_, &Node::pass, idx);
+}
 
-    n.list = 1;
-    n.sprev = after;
-    if (after == kEnd) {
-        n.snext = head_[1];
-        if (head_[1] != kEnd)
-            nodes_[static_cast<size_t>(head_[1])].sprev = idx;
-        else
-            tail_[1] = idx;
-        head_[1] = idx;
-    } else {
-        Node &a = nodes_[static_cast<size_t>(after)];
-        n.snext = a.snext;
-        if (a.snext != kEnd)
-            nodes_[static_cast<size_t>(a.snext)].sprev = idx;
-        else
-            tail_[1] = idx;
-        a.snext = idx;
-    }
-    ++list_size_[1];
+void
+Rs::removePass(int idx)
+{
+    Node &n = nodes_[static_cast<size_t>(idx)];
+    SAVE_ASSERT(n.onPass, "RS entry is not on the pass list");
+    n.onPass = false;
+    unlink(pass_, &Node::pass, idx);
 }
 
 std::vector<int>
@@ -113,42 +103,54 @@ Rs::order() const
 {
     std::vector<int> out;
     out.reserve(static_cast<size_t>(size_));
-    for (int i = age_head_; i != kEnd;
-         i = nodes_[static_cast<size_t>(i)].anext)
+    for (int i = first(); i != kEnd; i = next(i))
         out.push_back(i);
     return out;
 }
 
 void
-Rs::listUnlink(int idx)
+Rs::linkAfter(List &l, Link Node::*field, int after, int idx)
 {
-    Node &n = nodes_[static_cast<size_t>(idx)];
-    int l = n.list;
-    if (n.sprev != kEnd)
-        nodes_[static_cast<size_t>(n.sprev)].snext = n.snext;
+    Link &n = nodes_[static_cast<size_t>(idx)].*field;
+    n.prev = after;
+    int &succ = after == kEnd
+        ? l.head
+        : (nodes_[static_cast<size_t>(after)].*field).next;
+    n.next = succ;
+    if (succ != kEnd)
+        (nodes_[static_cast<size_t>(succ)].*field).prev = idx;
     else
-        head_[l] = n.snext;
-    if (n.snext != kEnd)
-        nodes_[static_cast<size_t>(n.snext)].sprev = n.sprev;
-    else
-        tail_[l] = n.sprev;
-    n.sprev = n.snext = kEnd;
-    --list_size_[l];
+        l.tail = idx;
+    succ = idx;
+    ++l.size;
 }
 
 void
-Rs::listPushBack(int idx, int list)
+Rs::linkBySeq(List &l, Link Node::*field, int idx)
 {
-    Node &n = nodes_[static_cast<size_t>(idx)];
-    n.list = static_cast<uint8_t>(list);
-    n.sprev = tail_[list];
-    n.snext = kEnd;
-    if (tail_[list] != kEnd)
-        nodes_[static_cast<size_t>(tail_[list])].snext = idx;
+    // Walk back from the tail: wakeups and ELMs arrive in rough age
+    // order, so the walk is almost always empty.
+    const uint64_t seq = slots_[static_cast<size_t>(idx)].seq;
+    int after = l.tail;
+    while (after != kEnd && slots_[static_cast<size_t>(after)].seq > seq)
+        after = (nodes_[static_cast<size_t>(after)].*field).prev;
+    linkAfter(l, field, after, idx);
+}
+
+void
+Rs::unlink(List &l, Link Node::*field, int idx)
+{
+    Link &n = nodes_[static_cast<size_t>(idx)].*field;
+    if (n.prev != kEnd)
+        (nodes_[static_cast<size_t>(n.prev)].*field).next = n.next;
     else
-        head_[list] = idx;
-    tail_[list] = idx;
-    ++list_size_[list];
+        l.head = n.next;
+    if (n.next != kEnd)
+        (nodes_[static_cast<size_t>(n.next)].*field).prev = n.prev;
+    else
+        l.tail = n.prev;
+    n.prev = n.next = kEnd;
+    --l.size;
 }
 
 } // namespace save

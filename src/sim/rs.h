@@ -11,19 +11,29 @@
  * (the seed implementation kept a side vector and paid an O(n)
  * std::find per release).
  *
- * Besides the full age list, every entry sits on exactly one of two
- * age-ordered scheduler sublists:
+ * Besides the full age list, an entry sits on at most one of two
+ * age-ordered scheduler sublists, and an issuable entry may also sit
+ * on the pass list:
  *
- *   pending  -- no ELM yet; what the MGU stage scans.
- *   issuable -- ELM generated; what select/pass-through/combination-
- *               window logic scans. (Under the baseline policy no ELM
- *               is ever generated, so the baseline select simply scans
- *               the pending list — which is then the full age order.)
+ *   pending  -- no ELM yet and both multiplicands ready: what the MGU
+ *               stage takes from the head, up to its width per cycle.
+ *               An entry joins on the wakeup that readies its second
+ *               multiplicand (or at allocation if both already are);
+ *               until then it is on neither sublist.
+ *   issuable -- ELM generated: what the SAVE select walks.
+ *   pass     -- issuable entries with pass-through lanes not yet
+ *               published (passPending != 0): what pass-through walks.
+ *               Joins at ELM generation, leaves when the last pass
+ *               lane publishes or on release.
  *
- * promote() moves an entry from pending to issuable with an
- * age-ordered insertion, so both sublists stay oldest-first even when
- * a late operand makes an old entry's ELM arrive after a younger
- * one's.
+ * Under the baseline select no ELM is ever generated and nothing
+ * walks these lists, so entries stay on none of them: that select
+ * takes from the core's event-driven ready queue of fully-ready VFMAs
+ * (baseline_ready_).
+ *
+ * Wakeups and ELMs arrive in no particular age order, so every
+ * sublist insert is by seq (walking back from the tail, which is
+ * almost always where the entry belongs); each list stays oldest-first.
  */
 
 #ifndef SAVE_SIM_RS_H
@@ -56,9 +66,12 @@ struct RsEntry
      *  register-writeback wakeup (Core::wakeWaiters), not polling. */
     bool aReady = false;
     bool bReady = false;
-    /** Accumulator fully ready. Only maintained under the baseline
-     *  select (which needs the whole register at once); the positional
-     *  policies consume per-lane PRF ready masks directly. */
+    /** Accumulator fully ready. Maintained by wakeup for every entry
+     *  under the baseline select (which needs the whole register at
+     *  once), and under SAVE from ELM generation on for entries with
+     *  effectual work (the combination-window count samples it);
+     *  elsewhere it may lag. The positional policies' lane issue reads
+     *  the per-lane PRF ready masks directly. */
     bool cReady = false;
     /** Value delivered by an embedded-broadcast memory operand. */
     VecReg bcastVal;
@@ -85,6 +98,9 @@ struct RsEntry
     int chainId = -1;
     /** Baseline/load path: the op has been issued whole. */
     bool issued = false;
+    /** Counted in the scheduler's combination window (ELM generated,
+     *  unissued work, accumulator fully ready). */
+    bool inCw = false;
 };
 
 /** Fixed-capacity RS with intrusive age-ordered lists. */
@@ -100,22 +116,36 @@ class Rs
     int size() const { return size_; }
     int capacity() const { return capacity_; }
 
-    /** Insert at the tail of the age order (and of the pending
-     *  sublist). Throws ConfigError if the RS is full — overflow means
-     *  the allocator's rs.full() back-pressure check was bypassed. */
+    /** Insert at the tail of the age order, on no sublist. Throws
+     *  ConfigError if the RS is full — overflow means the allocator's
+     *  rs.full() back-pressure check was bypassed. */
     int push(RsEntry e);
 
-    /** Allocate a cleared entry at the age/pending tail for in-place
+    /** Allocate a cleared entry at the age tail for in-place
      *  construction (hot path: avoids copying an RsEntry through the
      *  call). Same overflow contract as push. */
     int allocEntry();
 
-    /** Free a slot: O(1) unlink from the age order and its sublist. */
+    /** Free a slot: O(1) unlink from the age order and every list. */
     void release(int idx);
 
+    /** Both multiplicands of a pre-ELM entry are ready: put it on the
+     *  pending sublist, in age order. */
+    void addPending(int idx);
+
     /** Move an entry from the pending to the issuable sublist (MGU
-     *  handoff), inserting by seq so the sublist stays age-ordered. */
+     *  handoff), in age order. */
     void promote(int idx);
+
+    /** Put an issuable entry on the pass list / take it off. */
+    void addPass(int idx);
+    void removePass(int idx);
+
+    /** True once the entry is on the pending or issuable sublist. */
+    bool listed(int idx) const
+    {
+        return nodes_[static_cast<size_t>(idx)].list != kNoList;
+    }
 
     RsEntry &at(int idx) { return slots_[static_cast<size_t>(idx)]; }
     const RsEntry &at(int idx) const
@@ -125,51 +155,78 @@ class Rs
 
     /** Full age-order iteration (oldest first). Capture next(idx)
      *  before releasing idx inside a loop. */
-    int first() const { return age_head_; }
+    int first() const { return age_.head; }
     int next(int idx) const
     {
-        return nodes_[static_cast<size_t>(idx)].anext;
+        return nodes_[static_cast<size_t>(idx)].age.next;
     }
 
-    /** Pending (pre-ELM) sublist, oldest first. */
-    int firstPending() const { return head_[0]; }
+    /** Pending (pre-ELM, multiplicands ready) sublist, oldest first. */
+    int firstPending() const { return sub_[kPendingList].head; }
     /** Issuable (post-ELM) sublist, oldest first. */
-    int firstIssuable() const { return head_[1]; }
+    int firstIssuable() const { return sub_[kIssuableList].head; }
     int nextInList(int idx) const
     {
-        return nodes_[static_cast<size_t>(idx)].snext;
+        return nodes_[static_cast<size_t>(idx)].sub.next;
     }
-    int issuableCount() const { return list_size_[1]; }
-    int pendingCount() const { return list_size_[0]; }
+    int pendingCount() const { return sub_[kPendingList].size; }
+    int issuableCount() const { return sub_[kIssuableList].size; }
+
+    /** Pass list, oldest first. */
+    int firstPass() const { return pass_.head; }
+    int nextPass(int idx) const
+    {
+        return nodes_[static_cast<size_t>(idx)].pass.next;
+    }
+    int passCount() const { return pass_.size; }
 
     /** Valid slot indices, oldest first — materialized copy for cold
      *  paths (snapshots, squash rebuild) and tests. */
     std::vector<int> order() const;
 
   private:
-    struct Node
+    static constexpr uint8_t kPendingList = 0;
+    static constexpr uint8_t kIssuableList = 1;
+    static constexpr uint8_t kNoList = 2;
+
+    struct Link
     {
-        int aprev = kEnd;
-        int anext = kEnd;
-        int sprev = kEnd;
-        int snext = kEnd;
-        /** Which sublist the slot is on: 0 pending, 1 issuable. */
-        uint8_t list = 0;
+        int prev = kEnd;
+        int next = kEnd;
     };
 
-    void listUnlink(int idx);
-    void listPushBack(int idx, int list);
+    struct List
+    {
+        int head = kEnd;
+        int tail = kEnd;
+        int size = 0;
+    };
+
+    struct Node
+    {
+        Link age;
+        Link sub;
+        Link pass;
+        /** Which scheduler sublist the slot is on. */
+        uint8_t list = kNoList;
+        bool onPass = false;
+    };
+
+    /** Insert idx into l through the links at `field`, right after
+     *  `after` (kEnd: at the head). */
+    void linkAfter(List &l, Link Node::*field, int after, int idx);
+    /** Insert idx after the youngest member of l older than it. */
+    void linkBySeq(List &l, Link Node::*field, int idx);
+    void unlink(List &l, Link Node::*field, int idx);
 
     int capacity_;
     int size_ = 0;
     std::vector<RsEntry> slots_;
     std::vector<Node> nodes_;
     std::vector<int> free_;
-    int age_head_ = kEnd;
-    int age_tail_ = kEnd;
-    int head_[2] = {kEnd, kEnd};
-    int tail_[2] = {kEnd, kEnd};
-    int list_size_[2] = {0, 0};
+    List age_;
+    List sub_[2];
+    List pass_;
 };
 
 } // namespace save

@@ -177,6 +177,55 @@ TEST(Rs, AgeOrderMaintained)
     EXPECT_EQ(rs.order().back(), d);
 }
 
+TEST(Rs, SublistsStayAgeOrderedWhateverTheEventOrder)
+{
+    Rs rs(4);
+    RsEntry e;
+    int slot[4];
+    for (int i = 0; i < 4; ++i) {
+        e.seq = static_cast<uint64_t>(i + 1);
+        slot[i] = rs.push(e);
+    }
+    auto walk = [&](int first, int (Rs::*next)(int) const) {
+        std::vector<int> out;
+        for (int idx = first; idx != Rs::kEnd; idx = (rs.*next)(idx))
+            out.push_back(idx);
+        return out;
+    };
+
+    // Multiplicands become ready out of age order; an entry still
+    // waiting on one is on no sublist.
+    rs.addPending(slot[2]);
+    rs.addPending(slot[0]);
+    rs.addPending(slot[3]);
+    EXPECT_FALSE(rs.listed(slot[1]));
+    EXPECT_EQ(walk(rs.firstPending(), &Rs::nextInList),
+              (std::vector<int>{slot[0], slot[2], slot[3]}));
+
+    // ELMs arrive out of age order too.
+    rs.promote(slot[3]);
+    rs.promote(slot[0]);
+    EXPECT_EQ(walk(rs.firstIssuable(), &Rs::nextInList),
+              (std::vector<int>{slot[0], slot[3]}));
+    EXPECT_EQ(walk(rs.firstPending(), &Rs::nextInList),
+              (std::vector<int>{slot[2]}));
+
+    rs.addPass(slot[3]);
+    rs.addPass(slot[0]);
+    EXPECT_EQ(walk(rs.firstPass(), &Rs::nextPass),
+              (std::vector<int>{slot[0], slot[3]}));
+    rs.removePass(slot[0]);
+    EXPECT_EQ(walk(rs.firstPass(), &Rs::nextPass),
+              (std::vector<int>{slot[3]}));
+
+    // Release takes an entry off every list it is on.
+    rs.release(slot[3]);
+    EXPECT_EQ(rs.passCount(), 0);
+    EXPECT_EQ(rs.issuableCount(), 1);
+    EXPECT_EQ(rs.pendingCount(), 1);
+    EXPECT_EQ(rs.size(), 3);
+}
+
 TEST(Rs, FullAndCapacity)
 {
     Rs rs(2);

@@ -628,12 +628,19 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
 
 TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
 {
-    // One worker, kept busy by a multi-second sweep, so a Normal and
-    // then a High request both wait in the queue: the High one must
-    // leave it first, whatever its kind.
+    // One worker, held by a blocker sweep, so a Normal and then a High
+    // request both wait in the queue: the High one must leave it
+    // first, whatever its kind. The daemon sleeps before every sweep
+    // point, so the blocker holds the worker for at least
+    // kHoldPoints x kPointDelayMs however fast the simulator is.
+    constexpr int kPointDelayMs = 500;
+    constexpr uint32_t kHoldPoints = 6;
     std::string sock = socketPath("prio");
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS",
+             std::to_string(kPointDelayMs).c_str(), 1);
     DaemonProc d;
     d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
     ASSERT_TRUE(d.waitReady());
     ServeClient client(sock);
 
@@ -641,11 +648,22 @@ TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
     for (ServeKind high_kind : {ServeKind::Sweep, ServeKind::Gemm}) {
         SCOPED_TRACE(serveKindName(high_kind));
         ++round;
-        // A new seed per round: the session keeps each knob tuple's
-        // estimator, so a repeated blocker would finish at once.
+        // Start from an idle daemon: the previous round's last job is
+        // still counted active for a moment after its reply, and would
+        // pass for the blocker below while a Normal request overtakes
+        // the real one.
+        const ServeStatus idle =
+            pollStatus(client, [](const ServeStatus &s) {
+                return s.active == 0 && s.queued == 0;
+            });
+        ASSERT_EQ(idle.active, 0u);
+        ASSERT_EQ(idle.queued, 0u);
+
         std::thread blocker([&] {
+            ServeRequest hold = sweepRequest(quickKnobs());
+            hold.points.resize(kHoldPoints);
             ServeClient c(sock);
-            c.call(blockerRequest(100 + round), nullptr, 300000);
+            c.call(hold, nullptr, 300000);
         });
         EXPECT_GE(pollStatus(client,
                              [](const ServeStatus &s) {
@@ -667,11 +685,12 @@ TEST(ServeDaemon, AdmissionServesHigherPriorityFirst)
             });
         };
 
-        ServeRequest normal;
-        normal.kind = ServeKind::Gemm;
-        normal.gemm.kSteps = 64;
-        normal.gemm.tiles = 2;
-        normal.gemm.seed = 500 + round;
+        // A one-point sweep, so the daemon sleeps before serving it:
+        // its reply trails the High one's by at least kPointDelayMs,
+        // far more than a busy host can delay the client threads that
+        // record the order.
+        ServeRequest normal = sweepRequest(quickKnobs());
+        normal.points = {1};
         std::thread normal_client = submit(normal, "normal");
         EXPECT_GE(pollStatus(client,
                              [](const ServeStatus &s) {
