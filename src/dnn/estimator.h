@@ -76,8 +76,10 @@ struct EstimatorOptions
     uint64_t seed = 7;
     /** Host threads for the slice-simulation fan-out: 0 shares the
      *  process-global pool (SAVE_THREADS or hardware concurrency),
-     *  1 runs strictly serially, N >= 2 uses a dedicated N-thread
-     *  pool. Results are identical for every setting. */
+     *  1 runs strictly serially, N >= 2 builds a dedicated N-worker
+     *  pool. parallelFor's calling thread simulates slices too, so up
+     *  to N+1 slices are in flight at once (threads = 2 runs three).
+     *  Results are identical for every setting. */
     int threads = 0;
     /** Persistent result-store directory. Empty defers to the
      *  SAVE_CACHE_DIR environment variable; "none" disables
@@ -231,7 +233,9 @@ class TrainingEstimator
      *  directory is configured). For counters/diagnostics. */
     const ResultStore *resultStore() const { return store_; }
 
-    /** Worker threads the fan-out uses (1 = serial path). */
+    /** Pool workers the fan-out uses (1 = serial path). With N >= 2
+     *  workers the calling thread simulates as well, so up to N+1
+     *  slices run at once. */
     int threads() const;
 
     /** Surface points that exhausted their retries. Their times are

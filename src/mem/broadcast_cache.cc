@@ -98,13 +98,6 @@ BroadcastCache::invalidate(uint64_t line_addr)
     }
 }
 
-void
-BroadcastCache::invalidateAll()
-{
-    for (auto &e : table_)
-        e.valid = false;
-}
-
 double
 BroadcastCache::hitRate() const
 {

@@ -60,8 +60,6 @@ class BroadcastCache
     /** Back-invalidate on L1-D eviction of the line at addr. */
     void invalidate(uint64_t line_addr);
 
-    void invalidateAll();
-
     BcastCacheKind kind() const { return kind_; }
     double hitRate() const;
 

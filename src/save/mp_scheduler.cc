@@ -20,6 +20,7 @@
 #include "trace/event_trace.h"
 #include "util/bitutil.h"
 #include "util/logging.h"
+#include "util/simd.h"
 
 #include <algorithm>
 #include <bit>
@@ -40,17 +41,14 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
         ? -1
         : c_.vfma_dst_to_rs_[static_cast<size_t>(e.pc)];
     if (prod_idx >= 0 && prod_idx != rs_idx) {
+        // A live producer's chain is live: a chain is freed only once
+        // every node has left the RS.
         const RsEntry &prod = c_.rs.at(prod_idx);
-        if (prod.valid && prod.uop.dst == e.uop.dst &&
-            prod.chainId >= 0 && chains_.count(prod.chainId)) {
+        if (prod.valid && prod.uop.dst == e.uop.dst && prod.chainId >= 0)
             chain_id = prod.chainId;
-        }
     }
     if (chain_id < 0) {
-        chain_id = next_chain_id_++;
-        Chain ch;
-        ch.rot = e.rot;
-        chains_.emplace(chain_id, std::move(ch));
+        chain_id = newChain(e.rot);
         // Its front is the youngest live entry, so chain_order_ stays
         // sorted by appending.
         SAVE_ASSERT(chain_order_.empty() || chain_order_.back().first < e.seq,
@@ -58,10 +56,63 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
         chain_order_.emplace_back(e.seq, chain_id);
     }
     e.chainId = chain_id;
-    Chain &ch = chains_.at(chain_id);
+    Chain &ch = chains_[static_cast<size_t>(chain_id)];
     ch.nodes.push_back({rs_idx, e.seq});
     if (ch.nodes.size() == 1)
         ch.frontSeq = e.seq;
+    // Only a squash survivor is linked with its ELM already generated.
+    if (e.elmValid)
+        addPendingAls(ch, e.pendingMl);
+}
+
+int
+VectorScheduler::newChain(int8_t rot)
+{
+    int id;
+    if (free_chain_ids_.empty()) {
+        id = static_cast<int>(chains_.size());
+        chains_.emplace_back();
+    } else {
+        id = free_chain_ids_.back();
+        free_chain_ids_.pop_back();
+    }
+    Chain &ch = chains_[static_cast<size_t>(id)];
+    std::vector<ChainNode> nodes = std::move(ch.nodes);
+    ch = Chain{};
+    ch.nodes = std::move(nodes);
+    ch.rot = rot;
+    ch.live = true;
+    return id;
+}
+
+void
+VectorScheduler::freeChain(int id)
+{
+    Chain &ch = chains_[static_cast<size_t>(id)];
+    ch.nodes.clear();
+    ch.live = false;
+    free_chain_ids_.push_back(id);
+}
+
+void
+VectorScheduler::onElmGenerated(int rs_idx)
+{
+    const RsEntry &e = c_.rs.at(rs_idx);
+    if (e.chainId >= 0)
+        addPendingAls(chains_[static_cast<size_t>(e.chainId)],
+                      e.pendingMl);
+    refreshCw(rs_idx);
+}
+
+void
+VectorScheduler::addPendingAls(Chain &chain, uint32_t pending_ml)
+{
+    for (uint16_t m = mpAlMask(pending_ml); m;) {
+        int al = lowestSetBit(m);
+        m &= static_cast<uint16_t>(m - 1);
+        if (chain.pendingNodes[static_cast<size_t>(al)]++ == 0)
+            chain.pendingAls |= static_cast<uint16_t>(1u << al);
+    }
 }
 
 void
@@ -75,7 +126,7 @@ VectorScheduler::onEntryReleased(int rs_idx)
     // Chain nodes detect released entries by seq mismatch; the chain
     // is trimmed at the end of this cycle's scheduleChains.
     if (e.chainId >= 0) {
-        Chain &ch = chains_.at(e.chainId);
+        Chain &ch = chains_[static_cast<size_t>(e.chainId)];
         if (!ch.trimQueued) {
             ch.trimQueued = true;
             trim_queue_.push_back(e.chainId);
@@ -86,7 +137,10 @@ VectorScheduler::onEntryReleased(int rs_idx)
 void
 VectorScheduler::rebuildAfterSquash()
 {
-    chains_.clear();
+    for (const auto &[seq, id] : chain_order_) {
+        (void)seq;
+        freeChain(id);
+    }
     chain_order_.clear();
     trim_queue_.clear();
     if (c_.scfg.enabled && c_.scfg.mpCompress) {
@@ -97,20 +151,18 @@ VectorScheduler::rebuildAfterSquash()
         for (int idx = c_.rs.first(); idx != Rs::kEnd;
              idx = c_.rs.next(idx)) {
             RsEntry &e = c_.rs.at(idx);
-            if (!e.uop.isMixedPrecision() || !e.elmValid)
+            if (!e.uop.isMixedPrecision())
                 continue;
-            for (int al = 0; al < kVecLanes; ++al) {
-                if ((e.alScheduled >> al) & 1)
-                    continue;
-                uint32_t al_mls = e.elm & (0x3u << (kMlPerAl * al));
-                if (al_mls)
-                    e.pendingMl |= al_mls;
-            }
-            e.pendingAl = mpAlMask(e.pendingMl);
             e.chainId = -1;
+            if (!e.elmValid)
+                continue;
+            e.pendingMl |=
+                e.elm & ~simd::expandMask16to32(e.alScheduled);
+            e.pendingAl = mpAlMask(e.pendingMl);
         }
-        // Rebuild the chain structures (and their order) over the
-        // survivors, in age order, using the surviving dst->RS links.
+        // Rebuild the chain structures (their order and per-AL pending
+        // counts) over the survivors, in age order, using the surviving
+        // dst->RS links.
         for (int idx = c_.rs.first(); idx != Rs::kEnd;
              idx = c_.rs.next(idx)) {
             if (c_.rs.at(idx).uop.isMixedPrecision())
@@ -125,17 +177,6 @@ VectorScheduler::rebuildAfterSquash()
         c_.rs.at(idx).inCw = false;
         refreshCw(idx);
     }
-}
-
-bool
-VectorScheduler::nodeConsumed(const ChainNode &n, int al) const
-{
-    const RsEntry &e = c_.rs.at(n.rsIdx);
-    if (!e.valid || e.seq != n.seq)
-        return true; // released: everything consumed
-    if (!e.elmValid)
-        return false;
-    return (e.pendingMl & (0x3u << (kMlPerAl * al))) == 0;
 }
 
 void
@@ -160,8 +201,7 @@ void
 VectorScheduler::trimChains()
 {
     for (int id : trim_queue_) {
-        auto it = chains_.find(id);
-        Chain &ch = it->second;
+        Chain &ch = chains_[static_cast<size_t>(id)];
         ch.trimQueued = false;
         // Keys are unique (each is a live entry's seq), so the chain's
         // current key finds it.
@@ -170,22 +210,22 @@ VectorScheduler::trimChains()
                                     std::make_pair(ch.frontSeq, id));
         SAVE_ASSERT(pos != chain_order_.end() && pos->second == id,
                     "chain missing from the chain order");
-        while (!ch.nodes.empty()) {
-            const ChainNode &n = ch.nodes.front();
+        int dropped = 0;
+        for (const ChainNode &n : ch.nodes) {
             const RsEntry &e = c_.rs.at(n.rsIdx);
             if (e.valid && e.seq == n.seq)
                 break;
-            ch.nodes.pop_front();
-            for (auto &cur : ch.cursor)
-                cur = std::max(0, cur - 1);
-            if (!ch.nodes.empty())
-                ch.frontSeq = ch.nodes.front().seq;
+            ++dropped;
         }
-        if (ch.nodes.empty()) {
-            chains_.erase(it);
+        if (dropped == static_cast<int>(ch.nodes.size())) {
+            freeChain(id);
             chain_order_.erase(pos);
             continue;
         }
+        ch.nodes.erase(ch.nodes.begin(), ch.nodes.begin() + dropped);
+        for (auto &cur : ch.cursor)
+            cur = std::max(0, cur - dropped);
+        ch.frontSeq = ch.nodes.front().seq;
         // The front only moves younger: slide the chain toward the
         // tail to its new rank.
         pos->first = ch.frontSeq;
@@ -205,9 +245,9 @@ VectorScheduler::nextTimeWake(uint64_t now) const
     // passing; everything else the scheduler waits on arrives through
     // a publish/completion event the core already tracks.
     uint64_t best = kNeverCycle;
-    for (const auto &[id, ch] : chains_) {
-        (void)id;
-        for (const ChainAl &ca : ch.al) {
+    for (const auto &[seq, id] : chain_order_) {
+        (void)seq;
+        for (const ChainAl &ca : chains_[static_cast<size_t>(id)].al) {
             // >= not >: wakeHorizon probes with cycle_ already advanced
             // to the next un-executed cycle, so a forwarded result that
             // becomes ready exactly at `now` must pin the horizon here
@@ -300,6 +340,8 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
                 c_.now() + static_cast<uint64_t>(c_.fmaLatency(true)));
             e2.pendingAl &= static_cast<uint16_t>(~(1u << al));
             e2.alScheduled |= static_cast<uint16_t>(1u << al);
+            if (--chain.pendingNodes[static_cast<size_t>(al)] == 0)
+                chain.pendingAls &= static_cast<uint16_t>(~(1u << al));
             maybeRelease(n.rsIdx);
             ++cur;
         } else {
@@ -339,22 +381,15 @@ VectorScheduler::scheduleChains()
         const uint16_t open = mpFreePositions();
         if (!open)
             break;
-        Chain &ch = chains_.at(id);
-        // Union of pending effectual MLs over the chain's live nodes:
-        // an AL with no bit anywhere can schedule nothing this cycle
-        // (its cursor either runs to the end or parks on a node whose
-        // ELM is still unknown — both no-ops), so only ALs in the
-        // union pay the per-AL cursor walk. One sequential O(nodes)
-        // scan replaces sixteen of them.
-        uint32_t pending_union = 0;
-        for (const ChainNode &n : ch.nodes) {
-            const RsEntry &e = c_.rs.at(n.rsIdx);
-            if (e.valid && e.seq == n.seq)
-                pending_union |= e.pendingMl;
-        }
+        Chain &ch = chains_[static_cast<size_t>(id)];
+        // Only ALs with pending MLs on some node can schedule anything
+        // (any other AL's cursor either runs to the end or parks on a
+        // node whose ELM is still unknown — both no-ops). The per-AL
+        // counts behind that mask are kept by events: ELM generation
+        // counts up, an AL completing in scheduleChainAl counts down.
         // AL al lands on temp position (al + rot) mod 16.
         const uint16_t reachable = std::rotr(open, ch.rot);
-        for (uint16_t m = mpAlMask(pending_union) & reachable; m;) {
+        for (uint16_t m = ch.pendingAls & reachable; m;) {
             int al = lowestSetBit(m);
             m &= static_cast<uint16_t>(m - 1);
             SAVE_PROF_WALK(c_.prof_, Chains);

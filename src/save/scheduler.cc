@@ -1,5 +1,7 @@
 #include "save/scheduler.h"
 
+#include <bit>
+
 #include "isa/bf16.h"
 #include "sim/core.h"
 #include "trace/event_trace.h"
@@ -114,10 +116,12 @@ VectorScheduler::passThrough()
     // Lanes whose product is ineffectual forward the accumulator input
     // to the destination; modeled as a one-cycle register move without
     // a VPU slot (paper SecIII: fully-ineffectual uops are removed
-    // from the RS without issuing).
-    // The pass list holds exactly the issuable entries with pass lanes
-    // left, oldest first; capture the successor first since an entry
-    // leaves the list when its last pass lane publishes.
+    // from the RS without issuing). One masked record per entry per
+    // cycle carries every lane it passes.
+    // The pass list holds exactly the entries with an ELM and pass
+    // lanes left (chain entries too), oldest first; capture the
+    // successor first since an entry leaves the list when its last
+    // pass lane publishes.
     for (int idx = c_.rs.firstPass(); idx != Rs::kEnd;) {
         int nxt = c_.rs.nextPass(idx);
         RsEntry &e = c_.rs.at(idx);
@@ -129,13 +133,7 @@ VectorScheduler::passThrough()
             idx = nxt;
             continue;
         }
-        const VecReg &cval = c_.prf.value(e.pc);
-        for (uint16_t m = avail; m;) {
-            int lane = lowestSetBit(m);
-            m &= static_cast<uint16_t>(m - 1);
-            c_.schedulePublish(e.dstPhys, lane, cval.f32(lane), e.robIdx,
-                               c_.now() + 1);
-        }
+        c_.schedulePassThrough(e.dstPhys, avail, e.pc, e.robIdx);
         st_passthrough_lanes_.add(popcount(avail));
         if (c_.etrace_)
             c_.etrace_->passLanes(c_.now(), e.seq, avail);
@@ -212,7 +210,8 @@ VectorScheduler::scheduleCoalesced()
     // Algorithm 1's lane-major priority select, since walking entries
     // oldest-first hands each temp lane position to the oldest
     // instruction wanting it. Only the post-ELM issuable sublist can
-    // have schedulable lanes.
+    // have schedulable lanes; chain-scheduled mixed-precision entries
+    // are not on it.
     for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;) {
         // Once every temp position is claimed no remaining entry can
         // place a lane; the rest of the walk would only recompute
@@ -222,10 +221,6 @@ VectorScheduler::scheduleCoalesced()
         int nxt = c_.rs.nextInList(idx);
         RsEntry &e = c_.rs.at(idx);
         SAVE_PROF_WALK(c_.prof_, Select);
-        if (e.uop.isMixedPrecision() && c_.scfg.mpCompress) {
-            idx = nxt; // handled by the chain path
-            continue;
-        }
         uint16_t avail = schedulableAls(e);
         if (!avail) {
             idx = nxt;
@@ -240,11 +235,10 @@ VectorScheduler::scheduleCoalesced()
 
         if (avail == 0xffffu) {
             // Dense fast path: a fully-effectual entry fills a whole
-            // temp (every rotated position is distinct), so one scan
-            // decides what sixteen claimSlot calls would. Only valid
-            // when no earlier temp could have absorbed a lane — a
-            // partially-filled matching temp falls back to the exact
-            // per-lane walk.
+            // free temp (every rotated position is distinct) and issues
+            // as one whole-register write. Only valid when no earlier
+            // temp could have absorbed a lane — a partially-filled
+            // matching temp falls back to the mask claims below.
             int vpu = -1;
             for (size_t v = 0; v < temps_.size(); ++v) {
                 const Temp &t = temps_[v];
@@ -256,7 +250,7 @@ VectorScheduler::scheduleCoalesced()
                 }
                 if (t.lanesUsed == 0xffffu)
                     continue; // full: cannot take any lane
-                vpu = -2;     // partial match: per-lane semantics
+                vpu = -2;     // partial match: mask claims
                 break;
             }
             if (vpu >= 0) {
@@ -289,38 +283,57 @@ VectorScheduler::scheduleCoalesced()
             }
         }
 
-        int claimed = 0;
-        for (uint16_t m = avail; m;) {
-            int lane = lowestSetBit(m);
-            m &= static_cast<uint16_t>(m - 1);
-            int temp_lane = (lane + e.rot + kVecLanes) % kVecLanes;
-            int vpu = claimSlot(temp_lane, type, false);
-            if (vpu < 0)
+        // Each lane lands in the first type-compatible temp whose
+        // rotated position is free. Positions only fill, and an entry's
+        // lanes take distinct positions, so each temp in VPU order takes
+        // every still-unplaced position it has free at once.
+        uint16_t unplaced = std::rotl(avail, e.rot);
+        uint16_t claimed = 0;
+        for (size_t v = 0; v < temps_.size() && unplaced; ++v) {
+            Temp &t = temps_[v];
+            if (t.type != -1 && (t.type != type || t.hc))
                 continue;
-
-            float r = cv.f32(lane);
-            if (mp) {
-                // Both multiplicand lanes of the AL execute in the
-                // slot; ineffectual ones contribute an exact zero.
-                for (int s = 0; s < kMlPerAl; ++s) {
-                    int ml = kMlPerAl * lane + s;
-                    if ((e.elm >> ml) & 1)
-                        r = bf16MacSkip(r, a.bf16(ml), b.bf16(ml));
+            const uint16_t take =
+                static_cast<uint16_t>(unplaced & ~t.lanesUsed);
+            if (!take)
+                continue;
+            unplaced &= static_cast<uint16_t>(~take);
+            t.lanesUsed |= take;
+            t.type = type;
+            t.count += popcount(take);
+            // Back to source lanes, written in lane order.
+            const uint16_t lanes = std::rotr(take, e.rot);
+            claimed |= lanes;
+            for (uint16_t m = lanes; m;) {
+                int lane = lowestSetBit(m);
+                m &= static_cast<uint16_t>(m - 1);
+                float r = cv.f32(lane);
+                if (mp) {
+                    // Both multiplicand lanes of the AL execute in the
+                    // slot; ineffectual ones contribute an exact zero.
+                    for (int s = 0; s < kMlPerAl; ++s) {
+                        int ml = kMlPerAl * lane + s;
+                        if ((e.elm >> ml) & 1)
+                            r = bf16MacSkip(r, a.bf16(ml), b.bf16(ml));
+                    }
+                } else {
+                    r = macSkipF32(r, a.f32(lane), b.f32(lane));
                 }
-                e.pendingMl &= ~(0x3u << (kMlPerAl * lane));
-            } else {
-                r = macSkipF32(r, a.f32(lane), b.f32(lane));
+                t.writes.push_back(
+                    {e.dstPhys, static_cast<int8_t>(lane), r, e.robIdx});
+                if (c_.etrace_)
+                    c_.etrace_->coalesceLane(
+                        c_.now(), e.seq, lane,
+                        (lane + e.rot + kVecLanes) % kVecLanes,
+                        static_cast<int>(v), false);
             }
-            temps_[static_cast<size_t>(vpu)].writes.push_back(
-                {e.dstPhys, static_cast<int8_t>(lane), r, e.robIdx});
-            e.pendingAl &= static_cast<uint16_t>(~(1u << lane));
-            ++claimed;
-            if (c_.etrace_)
-                c_.etrace_->coalesceLane(c_.now(), e.seq, lane,
-                                         temp_lane, vpu, false);
         }
-        if (claimed)
-            st_coalesced_lanes_.add(claimed);
+        if (claimed) {
+            e.pendingAl &= static_cast<uint16_t>(~claimed);
+            if (mp)
+                e.pendingMl &= ~simd::expandMask16to32(claimed);
+            st_coalesced_lanes_.add(popcount(claimed));
+        }
         maybeRelease(idx);
         idx = nxt;
     }
@@ -336,10 +349,6 @@ VectorScheduler::scheduleHc()
         int nxt = c_.rs.nextInList(idx);
         RsEntry &e = c_.rs.at(idx);
         SAVE_PROF_WALK(c_.prof_, Select);
-        if (e.uop.isMixedPrecision() && c_.scfg.mpCompress) {
-            idx = nxt;
-            continue;
-        }
         uint16_t avail = schedulableAls(e);
         if (!avail) {
             idx = nxt;

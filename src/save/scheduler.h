@@ -20,23 +20,32 @@
  * queues of effectual multiplicand lanes, packed two per temp AL slot
  * in program order, with partial results forwarded at half latency.
  *
- * The scheduler never rescans the RS. What it walks or samples each
- * cycle is kept current by the events that change it:
+ * The scheduler never rescans the RS, and its per-cycle work scales
+ * with masks and events rather than lanes. What it walks or samples
+ * each cycle is kept current by the events that change it:
  *
- *  - Pass-through walks the RS pass list (issuable entries with pass
- *    lanes left).
+ *  - Pass-through walks the RS pass list (entries with an ELM and
+ *    pass lanes left) and schedules one masked publish per entry: the
+ *    lanes are copied from the accumulator input when it drains.
  *  - Coalesced and HC select walk the issuable list; the baseline
- *    select takes from the core's ready queue.
+ *    select takes from the core's ready queue. Coalesced select claims
+ *    temp positions by mask: each temp, in VPU order, takes all of an
+ *    entry's still-unplaced rotated lanes it has free.
  *  - The combination-window (CW) size is a running count over a
  *    per-entry flag (RsEntry::inCw), re-evaluated when the entry's
  *    ELM arrives, its accumulator becomes fully ready, its last
  *    pending lane issues (maybeRelease), and when it leaves the RS.
- *  - The chain order (oldest front first) persists across cycles: a
- *    new chain is appended (its front is the youngest entry), and
- *    only chains that lost a node since the last trim are trimmed and
- *    moved.
- *  - A chain accumulator lane is tried only if its rotated temp
- *    position can still take a mixed-precision lane this cycle.
+ *  - Chains live in a slab indexed by chain id, with a free-id list;
+ *    a reused slot keeps its node capacity. The chain order (oldest
+ *    front first) persists across cycles: a new chain is appended
+ *    (its front is the youngest entry), and only chains that lost a
+ *    node since the last trim are trimmed and moved.
+ *  - Each chain keeps, per accumulator lane, the count of its live
+ *    nodes with MLs pending there, and the mask of non-zero counts:
+ *    ELM generation counts up, an AL completing counts down, a squash
+ *    recounts. Only ALs in that mask whose rotated temp position can
+ *    still take a mixed-precision lane this cycle are tried.
+ *  - A chain entry joins no select sublist, so select never visits it.
  *
  * Operand readiness comes from the writeback-wakeup flags. The
  * per-cycle temps are fixed-capacity members: steady-state scheduling
@@ -48,8 +57,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,12 +85,17 @@ class VectorScheduler
     /** Hook: an RS slot is about to be released. */
     void onEntryReleased(int rs_idx);
 
+    /** Hook: the MGU generated the entry's ELM. Counts a chain
+     *  entry's pending MLs into its chain and refreshes the entry's
+     *  combination-window membership. */
+    void onElmGenerated(int rs_idx);
+
     /** Hook: an input of the entry's combination-window membership
      *  changed (ELM generated, accumulator fully ready). */
     void refreshCw(int rs_idx);
 
     /** True when no chain work remains (drain check). */
-    bool idle() const { return chains_.empty(); }
+    bool idle() const { return chain_order_.empty(); }
 
     /**
      * Earliest cycle after now at which a blocked mixed-precision
@@ -161,32 +173,49 @@ class VectorScheduler
         uint64_t seq;
     };
 
+    /** One slab slot. A reused slot keeps its nodes' capacity, so the
+     *  chain path does not allocate in steady state. */
     struct Chain
     {
-        std::deque<ChainNode> nodes;
+        /** Linked entries in program order; released ones stay until
+         *  the next trim drops the released prefix. */
+        std::vector<ChainNode> nodes;
         std::array<ChainAl, kVecLanes> al{};
         std::array<int, kVecLanes> cursor{};
+        /** Per AL: live nodes with an ELM and MLs pending there. */
+        std::array<uint16_t, kVecLanes> pendingNodes{};
+        /** ALs whose pendingNodes count is non-zero. */
+        uint16_t pendingAls = 0;
         int8_t rot = 0;
         uint64_t frontSeq = 0;
         /** A node left the RS since the last trim (on trim_queue_). */
         bool trimQueued = false;
+        /** In use (on chain_order_), not on free_chain_ids_. */
+        bool live = false;
     };
 
+    /** Take a slab slot for a new chain (a free one first). */
+    int newChain(int8_t rot);
+    /** Return a chain's slot to the free list. */
+    void freeChain(int id);
     void scheduleChains();
     void scheduleChainAl(Chain &chain, int al);
+    /** Count a node's pending MLs into its chain's per-AL counts. */
+    static void addPendingAls(Chain &chain, uint32_t pending_ml);
     /** Advance an AL cursor over consumed/ineffectual nodes. */
     void advanceCursor(Chain &chain, int al);
-    /** For each queued chain: drop released front nodes, erase it if
+    /** For each queued chain: drop released front nodes, free it if
      *  none are left, and keep chain_order_ sorted. */
     void trimChains();
-    bool nodeConsumed(const ChainNode &n, int al) const;
 
     friend class Auditor;
 
     Core &c_;
-    std::unordered_map<int, Chain> chains_;
-    int next_chain_id_ = 0;
-    /** (frontSeq, chain id) of every chain, oldest front first. */
+    /** Chain slab, indexed by chain id (RsEntry::chainId). */
+    std::vector<Chain> chains_;
+    /** Ids of the slab slots not in use. */
+    std::vector<int> free_chain_ids_;
+    /** (frontSeq, chain id) of every live chain, oldest front first. */
     std::vector<std::pair<uint64_t, int>> chain_order_;
     /** Chains that lost a node since the last trimChains(). */
     std::vector<int> trim_queue_;

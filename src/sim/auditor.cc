@@ -1,6 +1,7 @@
 #include "sim/auditor.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -8,6 +9,7 @@
 #include "save/scheduler.h"
 #include "sim/core.h"
 #include "sim/mgu.h"
+#include "util/bitutil.h"
 #include "util/error.h"
 
 namespace save {
@@ -45,6 +47,7 @@ Auditor::Auditor(Core &core) : c_(core), stride_(envAuditStride())
     lane_bm_.resize(static_cast<size_t>(core.rob.capacity()) *
                     kVecLanes);
     lane_count_.resize(static_cast<size_t>(core.rob.capacity()));
+    rob_unsched_.resize(static_cast<size_t>(core.rob.capacity()));
 }
 
 void
@@ -140,15 +143,21 @@ Auditor::checkRsLists() const
     // scheduled (missed wakeup), an extra one is walked for nothing.
     // Pending and issuable are disjoint because elmValid splits them;
     // under the baseline select (no ELMs) all three stay empty.
+    // Mixed-precision entries the chain path schedules sit on no select
+    // sublist once their ELM is out (select would only skip them), but
+    // their pass lanes keep them on the pass list.
     const bool save_on = c_.scfg.enabled &&
                          c_.scfg.policy != SchedPolicy::Baseline;
+    const bool chain_mode = save_on && c_.scfg.mpCompress;
     checkRsList("pending", rs.firstPending(), &Rs::nextInList,
                 rs.pendingCount(), [save_on](const RsEntry &e) {
                     return save_on && !e.elmValid && e.aReady && e.bReady;
                 });
     checkRsList("issuable", rs.firstIssuable(), &Rs::nextInList,
-                rs.issuableCount(),
-                [](const RsEntry &e) { return e.elmValid; });
+                rs.issuableCount(), [chain_mode](const RsEntry &e) {
+                    return e.elmValid &&
+                           !(chain_mode && e.uop.isMixedPrecision());
+                });
     checkRsList("pass", rs.firstPass(), &Rs::nextPass, rs.passCount(),
                 [](const RsEntry &e) {
                     return e.elmValid && e.passPending != 0;
@@ -481,11 +490,34 @@ Auditor::checkEventTargets() const
         ++lane_count_[static_cast<size_t>(rob_idx)];
     };
 
+    // A ring record is accounted lane by lane. A pass-through record
+    // reads its source lanes when it drains, so the source must stay
+    // live with every masked lane ready.
     size_t ring_total = 0;
     for (const auto &bucket : c_.pub_ring_) {
         ring_total += bucket.size();
-        for (const Core::PendingPublish &p : bucket)
-            checkLaneTarget(p.phys, p.lane, p.robIdx, "publish ring");
+        for (const Core::PendingPublish &p : bucket) {
+            if (p.lanes == 0 ||
+                (p.srcPhys == kNoReg && popcount(p.lanes) != 1))
+                fail("publish ring record for register " +
+                     std::to_string(p.phys) + " has lane mask " +
+                     hex(p.lanes));
+            for (uint16_t m = p.lanes; m; m &= static_cast<uint16_t>(m - 1))
+                checkLaneTarget(p.phys, lowestSetBit(m), p.robIdx,
+                                "publish ring");
+            if (p.srcPhys == kNoReg)
+                continue;
+            if (p.srcPhys < 0 || p.srcPhys >= c_.prf.numRegs() ||
+                free_bm_[static_cast<size_t>(p.srcPhys)])
+                fail("pass-through record reads freed register " +
+                     std::to_string(p.srcPhys));
+            const uint16_t unready = static_cast<uint16_t>(
+                p.lanes & ~c_.prf.laneReady(p.srcPhys));
+            if (unready)
+                fail("pass-through record copies lanes " + hex(unready) +
+                     " of register " + std::to_string(p.srcPhys) +
+                     " before they were published");
+        }
     }
     if (ring_total != c_.pub_count_)
         fail("publish-ring count " + std::to_string(c_.pub_count_) +
@@ -556,15 +588,30 @@ Auditor::checkEventTargets() const
                             "VPU pipeline");
         });
     }
-    // In-flight writes per entry can never exceed its unwritten lanes.
+    // Lane accounting: every unwritten lane of a ROB entry is either
+    // in flight (counted above) or still unscheduled in its RS entry —
+    // all sixteen before the ELM, else its pending and pass lanes. A
+    // write lost on the way (a dropped mask bit) breaks the sum.
+    std::fill(rob_unsched_.begin(), rob_unsched_.end(), 0);
+    for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx)) {
+        const RsEntry &e = rs.at(idx);
+        if (e.robIdx >= 0 && e.robIdx < rob.capacity())
+            rob_unsched_[static_cast<size_t>(e.robIdx)] = e.elmValid
+                ? popcount(static_cast<uint16_t>(e.pendingAl |
+                                                 e.passPending))
+                : kVecLanes;
+    }
     for (int i = 0; i < rob.capacity(); ++i) {
-        if (lane_count_[static_cast<size_t>(i)] >
-            rob.at(i).lanesPending)
+        if (!rob.at(i).valid)
+            continue; // checkLaneTarget rejects writes aimed here
+        const int inflight = lane_count_[static_cast<size_t>(i)];
+        const int unsched = rob_unsched_[static_cast<size_t>(i)];
+        if (inflight + unsched != rob.at(i).lanesPending)
             fail("ROB seq " + std::to_string(rob.at(i).seq) + ": " +
-                 std::to_string(lane_count_[static_cast<size_t>(i)]) +
-                 " in-flight lane writes but only " +
                  std::to_string(rob.at(i).lanesPending) +
-                 " lanes pending");
+                 " lanes pending but " + std::to_string(inflight) +
+                 " in flight and " + std::to_string(unsched) +
+                 " unscheduled in the RS");
     }
 
     for (const Core::PendingStore &s : c_.pending_stores_) {
@@ -644,11 +691,8 @@ Auditor::checkSaveState() const
         if (e.uop.isMixedPrecision()) {
             uint32_t expect = elmMp(c_.operandA(e), c_.operandB(e),
                                     e.wm);
-            if (expect == 0 && !c_.scfg.bsSkip) {
-                for (int lane = 0; lane < kVecLanes; ++lane)
-                    if ((e.wm >> lane) & 1)
-                        expect |= 0x3u << (kMlPerAl * lane);
-            }
+            if (expect == 0 && !c_.scfg.bsSkip)
+                expect = simd::expandMask16to32(e.wm);
             if (e.elm != expect)
                 fail("mixed-precision ELM " + hex(e.elm) +
                      " disagrees with operand values (expected " +
@@ -748,37 +792,71 @@ Auditor::checkChains() const
     const Rs &rs = c_.rs;
     bool chain_mode = c_.scfg.enabled && c_.scfg.mpCompress &&
                       c_.scfg.policy != SchedPolicy::Baseline;
+    // The slab: its free list and its live slots partition it.
+    const int slots = static_cast<int>(s.chains_.size());
+    std::vector<uint8_t> &on_free = chain_mark_;
+    on_free.assign(s.chains_.size(), 0);
+    for (int id : s.free_chain_ids_) {
+        if (id < 0 || id >= slots)
+            fail("chain free list holds out-of-range id " +
+                 std::to_string(id));
+        if (on_free[static_cast<size_t>(id)])
+            fail("chain slot " + std::to_string(id) +
+                 " on the free list twice");
+        if (s.chains_[static_cast<size_t>(id)].live)
+            fail("live chain slot " + std::to_string(id) +
+                 " on the free list");
+        on_free[static_cast<size_t>(id)] = 1;
+    }
+    size_t live = 0;
+    for (int id = 0; id < slots; ++id) {
+        if (s.chains_[static_cast<size_t>(id)].live)
+            ++live;
+        else if (!on_free[static_cast<size_t>(id)])
+            fail("chain slot " + std::to_string(id) +
+                 " is neither live nor free (leaked)");
+    }
     if (!chain_mode) {
-        if (!s.chains_.empty() || !s.chain_order_.empty())
+        if (live != 0 || !s.chain_order_.empty())
             fail("accumulator chains exist without mixed-precision "
                  "compression");
         return;
     }
     // The kept chain order is every live chain, oldest front first,
     // and every queued trim has run.
-    if (s.chain_order_.size() != s.chains_.size())
+    if (s.chain_order_.size() != live)
         fail("chain order holds " + std::to_string(s.chain_order_.size()) +
-             " chains but " + std::to_string(s.chains_.size()) + " exist");
+             " chains but " + std::to_string(live) +
+             " slab slots are live");
+    auto liveChain = [&](int id) {
+        return id >= 0 && id < slots &&
+               s.chains_[static_cast<size_t>(id)].live;
+    };
     for (size_t i = 0; i < s.chain_order_.size(); ++i) {
         const auto &[seq, id] = s.chain_order_[i];
-        auto it = s.chains_.find(id);
-        if (it == s.chains_.end())
-            fail("chain order names erased chain " + std::to_string(id));
-        if (it->second.frontSeq != seq)
+        if (!liveChain(id))
+            fail("chain order names free chain slot " + std::to_string(id));
+        const VectorScheduler::Chain &ch =
+            s.chains_[static_cast<size_t>(id)];
+        if (ch.frontSeq != seq)
             fail("chain order key " + std::to_string(seq) + " of chain " +
                  std::to_string(id) + " != its front seq " +
-                 std::to_string(it->second.frontSeq));
+                 std::to_string(ch.frontSeq));
         if (i > 0 && s.chain_order_[i - 1].first >= seq)
             fail("chain order not sorted by front seq at chain " +
                  std::to_string(id));
-        if (it->second.trimQueued)
+        if (ch.trimQueued)
             fail("chain " + std::to_string(id) + " left untrimmed");
     }
     if (!s.trim_queue_.empty())
         fail("chain trim queue not drained");
     // Live RS entry -> owning chain, for the at-most-one-node check.
     std::fill(rs_mark_.begin(), rs_mark_.end(), 0);
-    for (const auto &[id, ch] : s.chains_) {
+    for (int id = 0; id < slots; ++id) {
+        const VectorScheduler::Chain &ch =
+            s.chains_[static_cast<size_t>(id)];
+        if (!ch.live)
+            continue;
         if (ch.nodes.empty())
             fail("chain " + std::to_string(id) + " has no nodes");
         if (ch.frontSeq != ch.nodes.front().seq)
@@ -791,6 +869,7 @@ Auditor::checkChains() const
                 fail("chain " + std::to_string(id) +
                      " front node is stale (untrimmed)");
         }
+        std::array<int, kVecLanes> pending{};
         uint64_t prev_seq = 0;
         bool first = true;
         for (const auto &n : ch.nodes) {
@@ -815,7 +894,29 @@ Auditor::checkChains() const
             if (!e.uop.isMixedPrecision())
                 fail("FP32 VFMA linked into accumulator chain " +
                      std::to_string(id));
+            if (!e.elmValid)
+                continue;
+            for (uint16_t m = mpAlMask(e.pendingMl); m;
+                 m &= static_cast<uint16_t>(m - 1))
+                ++pending[static_cast<size_t>(lowestSetBit(m))];
         }
+        // The per-AL pending counts are kept by events (ELM up, AL
+        // completion down, squash rebuild); recount them here.
+        uint16_t mask = 0;
+        for (int al = 0; al < kVecLanes; ++al) {
+            const int kept = ch.pendingNodes[static_cast<size_t>(al)];
+            if (kept != pending[static_cast<size_t>(al)])
+                fail("chain " + std::to_string(id) + " counts " +
+                     std::to_string(kept) + " nodes pending on AL " +
+                     std::to_string(al) + ", recount " +
+                     std::to_string(pending[static_cast<size_t>(al)]));
+            if (kept)
+                mask |= static_cast<uint16_t>(1u << al);
+        }
+        if (ch.pendingAls != mask)
+            fail("chain " + std::to_string(id) + " pending-AL mask " +
+                 hex(ch.pendingAls) + " != its non-zero counts " +
+                 hex(mask));
         for (int cur : ch.cursor) {
             if (cur < 0 || cur > static_cast<int>(ch.nodes.size()))
                 fail("chain " + std::to_string(id) +
@@ -823,7 +924,7 @@ Auditor::checkChains() const
         }
     }
     // Every live mixed-precision entry must be linked into exactly the
-    // chain it names.
+    // chain it names, and that chain must be live.
     for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx)) {
         const RsEntry &e = rs.at(idx);
         if (!e.uop.isMixedPrecision())
@@ -831,9 +932,9 @@ Auditor::checkChains() const
         if (e.chainId < 0)
             fail("mixed-precision entry seq " + std::to_string(e.seq) +
                  " has no accumulator chain");
-        if (!s.chains_.count(e.chainId))
+        if (!liveChain(e.chainId))
             fail("entry seq " + std::to_string(e.seq) +
-                 " names erased chain " + std::to_string(e.chainId));
+                 " names free chain slot " + std::to_string(e.chainId));
         if (!rs_mark_[static_cast<size_t>(idx)])
             fail("entry seq " + std::to_string(e.seq) +
                  " missing from its chain's node list");

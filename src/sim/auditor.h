@@ -87,6 +87,8 @@ class Auditor
     mutable std::vector<uint8_t> rs_mark_;   // per RS slot
     mutable std::vector<uint8_t> lane_bm_;   // per (robIdx, lane)
     mutable std::vector<int> lane_count_;    // in-flight writes per robIdx
+    mutable std::vector<int> rob_unsched_;   // RS-unscheduled lanes per robIdx
+    mutable std::vector<uint8_t> chain_mark_; // per chain slot: free
 };
 
 } // namespace save

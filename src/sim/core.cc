@@ -10,6 +10,7 @@
 #include "sim/auditor.h"
 #include "sim/mgu.h"
 #include "trace/event_trace.h"
+#include "util/bitutil.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -150,18 +151,6 @@ Core::fmaLatency(bool mixed_precision) const
     return mixed_precision ? mcfg.mpFmaLatency : mcfg.fp32FmaLatency;
 }
 
-const VecReg &
-Core::operandA(const RsEntry &e) const
-{
-    return e.pa == kNoReg ? e.bcastVal : prf.value(e.pa);
-}
-
-const VecReg &
-Core::operandB(const RsEntry &e) const
-{
-    return prf.value(e.pb);
-}
-
 void
 Core::pushEvent(Event ev)
 {
@@ -177,7 +166,8 @@ Core::schedulePublish(int phys, int lane, float value, int robIdx,
     SAVE_ASSERT(at_cycle > cycle_, "publish must be in the future");
     if (at_cycle - cycle_ < kPubRingSlots) {
         pub_ring_[at_cycle % kPubRingSlots].push_back(
-            {phys, static_cast<int16_t>(lane), value, robIdx});
+            {phys, robIdx, kNoReg, static_cast<uint16_t>(1u << lane),
+             value});
         ++pub_count_;
         activity_ = true;
         return;
@@ -190,6 +180,16 @@ Core::schedulePublish(int phys, int lane, float value, int robIdx,
     ev.value = value;
     ev.robIdx = robIdx;
     pushEvent(ev);
+}
+
+void
+Core::schedulePassThrough(int phys, uint16_t lanes, int src_phys,
+                          int robIdx)
+{
+    pub_ring_[(cycle_ + 1) % kPubRingSlots].push_back(
+        {phys, robIdx, src_phys, lanes, 0.0f});
+    ++pub_count_;
+    activity_ = true;
 }
 
 void
@@ -286,26 +286,6 @@ Core::drained() const
         if (!v.idle())
             return false;
     return true;
-}
-
-uint64_t
-Core::run(uint64_t max_cycles)
-{
-    while (!drained()) {
-        step();
-        if (cycle_ >= max_cycles)
-            fireWatchdog("cycle budget exceeded");
-        if (fastforward_ && !activity_) {
-            uint64_t h = std::min(wakeHorizon(), max_cycles);
-            if (h != kNeverCycle && h > cycle_) {
-                fastForwardTo(h);
-                if (cycle_ >= max_cycles)
-                    fireWatchdog("cycle budget exceeded");
-            }
-        }
-    }
-    finalizeStats();
-    return cycle_;
 }
 
 uint64_t
@@ -476,9 +456,19 @@ Core::processEvents()
     if (!bucket.empty()) {
         activity_ = true;
         for (const PendingPublish &p : bucket) {
-            if (prf.publishLane(p.phys, p.lane, p.value))
+            bool full;
+            int n = 1;
+            if (p.srcPhys == kNoReg) {
+                full = prf.publishLane(p.phys, lowestSetBit(p.lanes),
+                                       p.value);
+            } else {
+                full = prf.publishLanes(p.phys, p.lanes,
+                                        prf.value(p.srcPhys));
+                n = popcount(p.lanes);
+            }
+            if (full)
                 wakeWaiters(p.phys);
-            if (rob.laneDone(p.robIdx) && etrace_)
+            if (rob.lanesDone(p.robIdx, n) && etrace_)
                 etrace_->writeback(cycle_, rob.at(p.robIdx).seq,
                                    p.robIdx);
         }
@@ -834,12 +824,8 @@ Core::mguStage()
         const VecReg &b = operandB(e);
         if (e.uop.isMixedPrecision()) {
             uint32_t m = elmMp(a, b, e.wm);
-            if (m == 0 && !scfg.bsSkip) {
-                // Ablation: do not skip fully-ineffectual VFMAs.
-                for (int lane = 0; lane < kVecLanes; ++lane)
-                    if ((e.wm >> lane) & 1)
-                        m |= 0x3u << (kMlPerAl * lane);
-            }
+            if (m == 0 && !scfg.bsSkip) // ablation: no skipping
+                m = simd::expandMask16to32(e.wm);
             e.elm = m;
             e.pendingMl = m;
             e.pendingAl = mpAlMask(m);
@@ -852,7 +838,10 @@ Core::mguStage()
         }
         e.passPending = static_cast<uint16_t>(~e.pendingAl);
         e.elmValid = true;
-        rs.promote(idx);
+        // The chain path schedules a chain entry's effectual lanes, so
+        // it joins no select sublist; its pass lanes still use the
+        // pass list.
+        rs.promote(idx, e.chainId < 0);
         if (e.passPending)
             rs.addPass(idx);
         if (e.pendingAl) {
@@ -865,7 +854,7 @@ Core::mguStage()
                 reg_waiters_[static_cast<size_t>(e.pc)].push_back(
                     {idx, e.seq, RegWaiter::Src::C});
         }
-        sched_->refreshCw(idx);
+        sched_->onElmGenerated(idx);
         activity_ = true;
         if (etrace_)
             etrace_->elm(cycle_, e.seq, e.elm, e.pendingAl);

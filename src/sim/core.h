@@ -99,17 +99,13 @@ class Core
 
     void bindTrace(TraceSource *trace);
 
-    /** Run until drained; returns elapsed cycles. */
-    uint64_t run(uint64_t max_cycles = ~0ull);
-
     /** Advance one cycle; false once fully drained. */
     bool step();
 
     bool drained() const;
 
     /** Fold end-of-run derived values (VPU ops, B$ hit rate) into the
-     *  stat group. Called by run(); Multicore calls it after stepping
-     *  cores manually. */
+     *  stat group. Multicore::run calls it once the cores drain. */
     void finalizeStats();
 
     /** Stall fast-forward (SAVE_FASTFORWARD, default on) ------------- */
@@ -191,12 +187,22 @@ class Core
     std::vector<VpuPipeline> vpus;
 
     /** Multiplicand A of an RS entry (register or loaded broadcast). */
-    const VecReg &operandA(const RsEntry &e) const;
-    const VecReg &operandB(const RsEntry &e) const;
+    const VecReg &
+    operandA(const RsEntry &e) const
+    {
+        return e.pa == kNoReg ? e.bcastVal : prf.value(e.pa);
+    }
+    const VecReg &operandB(const RsEntry &e) const { return prf.value(e.pb); }
 
     /** Schedule a future single-lane register write. */
     void schedulePublish(int phys, int lane, float value, int robIdx,
                          uint64_t at_cycle);
+
+    /** Schedule next cycle's pass-through of `lanes`: one masked copy
+     *  from src_phys (the entry's accumulator input, whose `lanes` are
+     *  ready) into phys. */
+    void schedulePassThrough(int phys, uint16_t lanes, int src_phys,
+                             int robIdx);
 
     /** Free an RS slot whose issue obligations are done. */
     void releaseEntry(int rs_idx);
@@ -256,17 +262,27 @@ class Core
         Src src;
     };
 
-    /** A scheduled single-lane register write. Publishes are by far
-     *  the most frequent event and always land within a few cycles
-     *  (FMA latency + crossbar extras), so they live in a calendar
-     *  ring of per-cycle buckets instead of the event heap; only
-     *  far-future events (load completions) pay the heap. */
+    /** A scheduled register write. Publishes are by far the most
+     *  frequent event and always land within a few cycles (FMA latency
+     *  + crossbar extras), so they live in a calendar ring of per-cycle
+     *  buckets instead of the event heap; only far-future events (load
+     *  completions) pay the heap.
+     *
+     *  A record either writes `value` to its one lane (srcPhys ==
+     *  kNoReg: a chain result), or passes an entry's `lanes` through
+     *  from its accumulator input srcPhys, read when the record drains.
+     *  That read is sound: the lanes were ready when the record was
+     *  made, ready lanes never change while the register is live, and
+     *  srcPhys stays live until the next writer of its logical register
+     *  commits — the entry itself or a younger uop, neither of which
+     *  can commit before these lanes publish (the auditor checks). */
     struct PendingPublish
     {
         int phys;
-        int16_t lane;
-        float value;
         int robIdx;
+        int srcPhys;
+        uint16_t lanes;
+        float value;
     };
     static constexpr uint64_t kPubRingSlots = 64;
 

@@ -18,18 +18,41 @@
 #include <cstdint>
 
 #include "isa/vec.h"
+#include "util/simd.h"
 
 namespace save {
 
-/** 16-bit effectual-lane mask for an FP32 VFMA. */
-uint16_t elmF32(const VecReg &a, const VecReg &b, uint16_t wm);
+/** 16-bit effectual-lane mask for an FP32 VFMA. Zero detection is over
+ *  the actual operand values (+-0.0 both count: the product is exactly
+ *  zero and the accumulation is ineffectual); the oracle shares this
+ *  lane math (util/simd.h). */
+inline uint16_t
+elmF32(const VecReg &a, const VecReg &b, uint16_t wm)
+{
+    return simd::elmF32(a, b, wm);
+}
 
 /** 32-bit effectual-multiplicand-lane mask for a mixed-precision VFMA.
  *  The write mask is per accumulator lane and masks both of its MLs. */
-uint32_t elmMp(const VecReg &a, const VecReg &b, uint16_t wm);
+inline uint32_t
+elmMp(const VecReg &a, const VecReg &b, uint16_t wm)
+{
+    return simd::elmMp(a, b, wm);
+}
 
-/** Accumulator lanes that have at least one effectual ML. */
-uint16_t mpAlMask(uint32_t ml_mask);
+/** Accumulator lanes that have at least one effectual ML: OR each ML
+ *  pair onto its even bit, then gather the even bits (the inverse of
+ *  simd::expandMask16to32). */
+constexpr uint16_t
+mpAlMask(uint32_t ml_mask)
+{
+    uint32_t x = (ml_mask | (ml_mask >> 1)) & 0x55555555u;
+    x = (x | (x >> 1)) & 0x33333333u;
+    x = (x | (x >> 2)) & 0x0f0f0f0fu;
+    x = (x | (x >> 4)) & 0x00ff00ffu;
+    x = (x | (x >> 8)) & 0x0000ffffu;
+    return static_cast<uint16_t>(x);
+}
 
 } // namespace save
 

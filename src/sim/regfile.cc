@@ -30,66 +30,4 @@ PhysRegFile::release(int idx)
     free_.push_back(idx);
 }
 
-const VecReg &
-PhysRegFile::value(int idx) const
-{
-    return regs_[static_cast<size_t>(idx)].value;
-}
-
-VecReg &
-PhysRegFile::value(int idx)
-{
-    return regs_[static_cast<size_t>(idx)].value;
-}
-
-uint16_t
-PhysRegFile::laneReady(int idx) const
-{
-    return regs_[static_cast<size_t>(idx)].ready;
-}
-
-bool
-PhysRegFile::laneIsReady(int idx, int lane) const
-{
-    return (regs_[static_cast<size_t>(idx)].ready >> lane) & 1;
-}
-
-bool
-PhysRegFile::fullyReady(int idx) const
-{
-    return regs_[static_cast<size_t>(idx)].ready == 0xffffu;
-}
-
-bool
-PhysRegFile::setLaneReady(int idx, int lane)
-{
-    uint16_t &r = regs_[static_cast<size_t>(idx)].ready;
-    bool was = r == 0xffffu;
-    r |= static_cast<uint16_t>(1u << lane);
-    return !was && r == 0xffffu;
-}
-
-bool
-PhysRegFile::setAllReady(int idx)
-{
-    uint16_t &r = regs_[static_cast<size_t>(idx)].ready;
-    bool was = r == 0xffffu;
-    r = 0xffffu;
-    return !was;
-}
-
-bool
-PhysRegFile::publishLane(int idx, int lane, float v)
-{
-    regs_[static_cast<size_t>(idx)].value.setF32(lane, v);
-    return setLaneReady(idx, lane);
-}
-
-bool
-PhysRegFile::publishAll(int idx, const VecReg &v)
-{
-    regs_[static_cast<size_t>(idx)].value = v;
-    return setAllReady(idx);
-}
-
 } // namespace save

@@ -57,33 +57,6 @@ Rob::popHead()
     --count_;
 }
 
-bool
-Rob::laneDone(int idx)
-{
-    RobEntry &e = buf_[static_cast<size_t>(idx)];
-    SAVE_ASSERT(e.valid && e.lanesPending > 0,
-                "lane writeback on a finished entry");
-    if (--e.lanesPending == 0) {
-        e.done = true;
-        return true;
-    }
-    return false;
-}
-
-bool
-Rob::lanesDone(int idx, int n)
-{
-    RobEntry &e = buf_[static_cast<size_t>(idx)];
-    SAVE_ASSERT(e.valid && e.lanesPending >= n,
-                "lane writeback on a finished entry");
-    e.lanesPending -= n;
-    if (e.lanesPending == 0) {
-        e.done = true;
-        return true;
-    }
-    return false;
-}
-
 void
 Rob::squashYoungest(int n)
 {

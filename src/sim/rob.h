@@ -14,6 +14,7 @@
 
 #include "isa/uop.h"
 #include "sim/regfile.h"
+#include "util/logging.h"
 
 namespace save {
 
@@ -76,11 +77,23 @@ class Rob
 
     /** Mark one lane of a VFMA entry written back; true when this was
      *  the last pending lane (the entry just completed). */
-    bool laneDone(int idx);
+    bool laneDone(int idx) { return lanesDone(idx, 1); }
 
-    /** Mark `n` lanes of a VFMA entry written back at once (whole-
-     *  register writeback); true when the entry just completed. */
-    bool lanesDone(int idx, int n);
+    /** Mark `n` lanes of a VFMA entry written back at once (masked or
+     *  whole-register writeback); true when the entry just completed.
+     *  Inline: every lane publish lands here. */
+    bool
+    lanesDone(int idx, int n)
+    {
+        RobEntry &e = buf_[static_cast<size_t>(idx)];
+        SAVE_ASSERT(e.valid && e.lanesPending >= n,
+                    "lane writeback on a finished entry");
+        e.lanesPending -= n;
+        if (e.lanesPending != 0)
+            return false;
+        e.done = true;
+        return true;
+    }
 
     /** Mark a non-lane entry complete; true when it was not already. */
     bool markDone(int idx);

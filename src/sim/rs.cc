@@ -49,10 +49,9 @@ Rs::release(int idx)
 
     Node &n = nodes_[static_cast<size_t>(idx)];
     unlink(age_, &Node::age, idx);
-    if (n.list != kNoList) {
+    if (n.list == kPendingList || n.list == kIssuableList)
         unlink(sub_[n.list], &Node::sub, idx);
-        n.list = kNoList;
-    }
+    n.list = kNoList;
     if (n.onPass)
         removePass(idx);
     free_.push_back(idx);
@@ -69,12 +68,16 @@ Rs::addPending(int idx)
 }
 
 void
-Rs::promote(int idx)
+Rs::promote(int idx, bool select)
 {
     Node &n = nodes_[static_cast<size_t>(idx)];
     SAVE_ASSERT(n.list == kPendingList,
                 "promoting an RS entry that is not pending");
     unlink(sub_[kPendingList], &Node::sub, idx);
+    if (!select) {
+        n.list = kOffSelect;
+        return;
+    }
     n.list = kIssuableList;
     linkBySeq(sub_[kIssuableList], &Node::sub, idx);
 }
@@ -83,8 +86,9 @@ void
 Rs::addPass(int idx)
 {
     Node &n = nodes_[static_cast<size_t>(idx)];
-    SAVE_ASSERT(n.list == kIssuableList && !n.onPass,
-                "pass list takes issuable entries once");
+    SAVE_ASSERT((n.list == kIssuableList || n.list == kOffSelect) &&
+                    !n.onPass,
+                "pass list takes entries with an ELM once");
     n.onPass = true;
     linkBySeq(pass_, &Node::pass, idx);
 }

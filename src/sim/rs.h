@@ -12,19 +12,23 @@
  * std::find per release).
  *
  * Besides the full age list, an entry sits on at most one of two
- * age-ordered scheduler sublists, and an issuable entry may also sit
- * on the pass list:
+ * age-ordered scheduler sublists, and an entry with an ELM may also
+ * sit on the pass list:
  *
  *   pending  -- no ELM yet and both multiplicands ready: what the MGU
  *               stage takes from the head, up to its width per cycle.
  *               An entry joins on the wakeup that readies its second
  *               multiplicand (or at allocation if both already are);
  *               until then it is on neither sublist.
- *   issuable -- ELM generated: what the SAVE select walks.
- *   pass     -- issuable entries with pass-through lanes not yet
- *               published (passPending != 0): what pass-through walks.
- *               Joins at ELM generation, leaves when the last pass
- *               lane publishes or on release.
+ *   issuable -- ELM generated: what the coalesced/HC select walks.
+ *               A mixed-precision entry that the chain path schedules
+ *               (SecV compression) leaves the pending sublist at its
+ *               ELM for no select sublist: select would only skip it.
+ *   pass     -- entries with an ELM and pass-through lanes not yet
+ *               published (passPending != 0), chain entries included:
+ *               what pass-through walks. Joins at ELM generation,
+ *               leaves when the last pass lane publishes or on
+ *               release.
  *
  * Under the baseline select no ELM is ever generated and nothing
  * walks these lists, so entries stay on none of them: that select
@@ -133,15 +137,16 @@ class Rs
      *  pending sublist, in age order. */
     void addPending(int idx);
 
-    /** Move an entry from the pending to the issuable sublist (MGU
-     *  handoff), in age order. */
-    void promote(int idx);
+    /** MGU handoff: take an entry off the pending sublist, onto the
+     *  issuable sublist in age order if `select` walks it, else (a
+     *  chain-scheduled entry) onto no select sublist. */
+    void promote(int idx, bool select);
 
-    /** Put an issuable entry on the pass list / take it off. */
+    /** Put an entry with an ELM on the pass list / take it off. */
     void addPass(int idx);
     void removePass(int idx);
 
-    /** True once the entry is on the pending or issuable sublist. */
+    /** True once the entry is on the pending sublist or has left it. */
     bool listed(int idx) const
     {
         return nodes_[static_cast<size_t>(idx)].list != kNoList;
@@ -188,6 +193,8 @@ class Rs
     static constexpr uint8_t kPendingList = 0;
     static constexpr uint8_t kIssuableList = 1;
     static constexpr uint8_t kNoList = 2;
+    /** ELM generated, but on no select sublist (chain-scheduled). */
+    static constexpr uint8_t kOffSelect = 3;
 
     struct Link
     {

@@ -34,12 +34,6 @@ StatGroup::has(const std::string &name) const
 }
 
 void
-StatGroup::clear()
-{
-    values_.clear();
-}
-
-void
 StatGroup::merge(const StatGroup &other)
 {
     for (const auto &[name, value] : other.values_)

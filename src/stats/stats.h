@@ -33,13 +33,10 @@ class StatGroup
     /**
      * Stable pointer to the named counter (created at zero if absent),
      * for hot paths that would otherwise pay a string lookup per add.
-     * std::map nodes never move, so the pointer stays valid until
-     * clear() is called; callers must re-acquire after clear().
+     * std::map nodes never move, so the pointer stays valid for the
+     * group's lifetime.
      */
     double *handle(const std::string &name) { return &values_[name]; }
-
-    /** Reset all counters to zero. Invalidates handle() pointers. */
-    void clear();
 
     /** Merge another group into this one by summing matching names. */
     void merge(const StatGroup &other);

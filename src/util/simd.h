@@ -38,6 +38,19 @@ backendName()
     return "generic";
 }
 
+/** Duplicate each of 16 mask bits into an adjacent pair: bit i of m
+ *  sets bits 2i and 2i+1 (AL write mask -> ML mask). */
+constexpr uint32_t
+expandMask16to32(uint16_t m)
+{
+    uint32_t x = m;
+    x = (x | (x << 8)) & 0x00ff00ffu;
+    x = (x | (x << 4)) & 0x0f0f0f0fu;
+    x = (x | (x << 2)) & 0x33333333u;
+    x = (x | (x << 1)) & 0x55555555u;
+    return x | (x << 1);
+}
+
 /** Per-lane macSkipF32(c, a, b) for lanes set in wm; other lanes keep
  *  c bit-exactly. */
 inline VecReg
@@ -93,18 +106,23 @@ elmF32(const VecReg &a, const VecReg &b, uint16_t wm)
 }
 
 /** Mixed-precision ELM: bit ml set iff neither bf16 multiplicand is a
- *  signed zero and the AL's wm bit is set. */
+ *  signed zero and the AL's wm bit is set. Both BF16 halves of each
+ *  32-bit word are tested with masks, so there is no per-ML loop. */
 inline uint32_t
 elmMp(const VecReg &a, const VecReg &b, uint16_t wm)
 {
     uint32_t elm = 0;
-    for (int ml = 0; ml < kMlLanes; ++ml) {
-        if (!((wm >> (ml / kMlPerAl)) & 1))
-            continue;
-        if (!bf16IsZero(a.bf16(ml)) && !bf16IsZero(b.bf16(ml)))
-            elm |= 1u << ml;
+    for (int lane = 0; lane < kVecLanes; ++lane) {
+        const uint32_t wa = a.word(lane);
+        const uint32_t wb = b.word(lane);
+        const uint32_t lo = static_cast<uint32_t>((wa & 0x7fffu) != 0) &
+                            static_cast<uint32_t>((wb & 0x7fffu) != 0);
+        const uint32_t hi =
+            static_cast<uint32_t>((wa & 0x7fff0000u) != 0) &
+            static_cast<uint32_t>((wb & 0x7fff0000u) != 0);
+        elm |= (lo | hi << 1) << (kMlPerAl * lane);
     }
-    return elm;
+    return elm & expandMask16to32(wm);
 }
 
 /** Bit i set iff FP32 lane i of v is a (signed) zero. */
@@ -129,19 +147,6 @@ zeroMaskBf16(const VecReg &v)
             m |= 1u << ml;
     }
     return m;
-}
-
-/** Duplicate each of 16 mask bits into an adjacent pair: bit i of m
- *  sets bits 2i and 2i+1 (AL write mask -> ML mask). */
-constexpr uint32_t
-expandMask16to32(uint16_t m)
-{
-    uint32_t x = m;
-    x = (x | (x << 8)) & 0x00ff00ffu;
-    x = (x | (x << 4)) & 0x0f0f0f0fu;
-    x = (x | (x << 2)) & 0x33333333u;
-    x = (x | (x << 1)) & 0x55555555u;
-    return x | (x << 1);
 }
 
 } // namespace save::simd

@@ -203,8 +203,8 @@ TEST(Rs, SublistsStayAgeOrderedWhateverTheEventOrder)
               (std::vector<int>{slot[0], slot[2], slot[3]}));
 
     // ELMs arrive out of age order too.
-    rs.promote(slot[3]);
-    rs.promote(slot[0]);
+    rs.promote(slot[3], true);
+    rs.promote(slot[0], true);
     EXPECT_EQ(walk(rs.firstIssuable(), &Rs::nextInList),
               (std::vector<int>{slot[0], slot[3]}));
     EXPECT_EQ(walk(rs.firstPending(), &Rs::nextInList),
@@ -218,12 +218,24 @@ TEST(Rs, SublistsStayAgeOrderedWhateverTheEventOrder)
     EXPECT_EQ(walk(rs.firstPass(), &Rs::nextPass),
               (std::vector<int>{slot[3]}));
 
+    // A chain-scheduled entry leaves the pending sublist for no select
+    // sublist, yet its pass lanes still put it on the pass list.
+    rs.promote(slot[2], false);
+    EXPECT_TRUE(rs.listed(slot[2]));
+    EXPECT_EQ(rs.pendingCount(), 0);
+    EXPECT_EQ(walk(rs.firstIssuable(), &Rs::nextInList),
+              (std::vector<int>{slot[0], slot[3]}));
+    rs.addPass(slot[2]);
+    EXPECT_EQ(walk(rs.firstPass(), &Rs::nextPass),
+              (std::vector<int>{slot[2], slot[3]}));
+
     // Release takes an entry off every list it is on.
     rs.release(slot[3]);
+    rs.release(slot[2]);
     EXPECT_EQ(rs.passCount(), 0);
     EXPECT_EQ(rs.issuableCount(), 1);
-    EXPECT_EQ(rs.pendingCount(), 1);
-    EXPECT_EQ(rs.size(), 3);
+    EXPECT_EQ(rs.pendingCount(), 0);
+    EXPECT_EQ(rs.size(), 2);
 }
 
 TEST(Rs, FullAndCapacity)

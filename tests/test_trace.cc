@@ -9,7 +9,9 @@
  *   the live run across SAVE policies and precisions, for GEMM, conv-
  *   lowered, and LSTM-lowered slices, single- and multi-core
  * - pipeline event tracer: attaching it must not change a single stat,
- *   and its output must be loadable Chrome-trace JSON
+ *   its output must be loadable Chrome-trace JSON, and every issue hook
+ *   (baseline issue, dense and per-lane coalescing, chain MLs, pass
+ *   lanes, squash) must emit
  * - SAVE_FAULT_INJECT cache-bitflip tampering of a freshly recorded
  *   trace file is caught at open time
  */
@@ -543,6 +545,75 @@ TEST_F(TraceTest, EventTracerDoesNotChangeStats)
               std::string::npos);
     EXPECT_EQ(text.back(), '\n');
     EXPECT_EQ(text[text.size() - 2], '}');
+}
+
+/** Stats of one single-core slice, traced into `session` when one is
+ *  given, with a fault injected at `fault_seq` when it is >= 0. */
+std::map<std::string, double>
+runSlice(const SaveConfig &scfg, const GemmConfig &g,
+         EventTraceSession *session, int64_t fault_seq = -1)
+{
+    MemoryImage image;
+    GemmWorkload w = buildGemm(g, image);
+    MachineConfig m;
+    m.cores = 1;
+    Multicore mc(m, scfg, 2, &image);
+    w.warmup(mc.hierarchy());
+    if (session)
+        mc.attachEventTrace(session);
+    if (fault_seq >= 0)
+        mc.core(0).injectFaultAtSeq(static_cast<uint64_t>(fault_seq));
+    VectorTrace t(w.trace);
+    mc.bindTraces({&t});
+    mc.run(10'000'000);
+    return mc.core(0).stats().all();
+}
+
+TEST_F(TraceTest, EventTracerCoversEveryIssueHook)
+{
+    // Every issue path a policy can take, each run with and without a
+    // tracer: the baseline select, coalescing on a sparse FP32 slice,
+    // mixed-precision chains on a sparse BF16 slice, and a squash on a
+    // dense FP32 slice (whose fully effectual VFMAs coalesce whole).
+    struct Case
+    {
+        const char *name;
+        SaveConfig scfg;
+        GemmConfig g;
+        int64_t faultSeq;
+    };
+    GemmConfig fp32 = tinySlice(Precision::Fp32, 0.5, 0.6);
+    GemmConfig bf16 = tinySlice(Precision::Bf16, 0.8, 0.8);
+    GemmConfig dense = tinySlice(Precision::Fp32, 0.0, 0.0);
+    const std::vector<Case> cases = {
+        {"baseline", SaveConfig::baseline(), fp32, -1},
+        {"rvc_fp32_50_60", SaveConfig{}, fp32, -1},
+        {"rvc_bf16_80_80", SaveConfig{}, bf16, -1},
+        {"rvc_fp32_dense_squash", SaveConfig{}, dense, 100},
+    };
+    std::string text;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto plain = runSlice(c.scfg, c.g, nullptr, c.faultSeq);
+        std::string json = path(std::string(c.name) + ".json");
+        {
+            EventTraceSession session(json);
+            EXPECT_EQ(runSlice(c.scfg, c.g, &session, c.faultSeq), plain);
+        }
+        std::ifstream in(json);
+        ASSERT_TRUE(in.good());
+        text.append((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    }
+    // Instant events are named by kind: baseline issue, dense and
+    // per-lane coalescing, chain MLs, pass-through lanes, squash.
+    for (const char *kind :
+         {"issue", "dense", "lane", "chain", "pass", "squash"}) {
+        EXPECT_NE(text.find(std::string("{\"name\":\"") + kind +
+                            "\",\"ph\":\"i\""),
+                  std::string::npos)
+            << "no " << kind << " event";
+    }
 }
 
 TEST_F(TraceTest, EventTracerEnvAutoAttaches)
