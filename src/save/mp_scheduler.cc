@@ -20,7 +20,6 @@
 #include "trace/event_trace.h"
 #include "util/bitutil.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 #include <algorithm>
 #include <bit>
@@ -60,9 +59,6 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
     ch.nodes.push_back({rs_idx, e.seq});
     if (ch.nodes.size() == 1)
         ch.frontSeq = e.seq;
-    // Only a squash survivor is linked with its ELM already generated.
-    if (e.elmValid)
-        addPendingAls(ch, e.pendingMl);
 }
 
 int
@@ -135,7 +131,7 @@ VectorScheduler::onEntryReleased(int rs_idx)
 }
 
 void
-VectorScheduler::rebuildAfterSquash()
+VectorScheduler::flush()
 {
     for (const auto &[seq, id] : chain_order_) {
         (void)seq;
@@ -143,40 +139,9 @@ VectorScheduler::rebuildAfterSquash()
     }
     chain_order_.clear();
     trim_queue_.clear();
-    if (c_.scfg.enabled && c_.scfg.mpCompress) {
-        // Discard partial results: any AL whose final value has not
-        // been scheduled for writeback gets all of its effectual MLs
-        // back and will be recomputed from the accumulator input
-        // (SecV-B).
-        for (int idx = c_.rs.first(); idx != Rs::kEnd;
-             idx = c_.rs.next(idx)) {
-            RsEntry &e = c_.rs.at(idx);
-            if (!e.uop.isMixedPrecision())
-                continue;
-            e.chainId = -1;
-            if (!e.elmValid)
-                continue;
-            e.pendingMl |=
-                e.elm & ~simd::expandMask16to32(e.alScheduled);
-            e.pendingAl = mpAlMask(e.pendingMl);
-        }
-        // Rebuild the chain structures (their order and per-AL pending
-        // counts) over the survivors, in age order, using the surviving
-        // dst->RS links.
-        for (int idx = c_.rs.first(); idx != Rs::kEnd;
-             idx = c_.rs.next(idx)) {
-            if (c_.rs.at(idx).uop.isMixedPrecision())
-                onVfmaAllocated(idx);
-        }
-    }
-    // The squash freed slots with Rs::release, bypassing
-    // onEntryReleased, and restored pending lanes: recount the
-    // combination window.
+    // The core freed every RS slot with Rs::release, which bypasses
+    // onEntryReleased.
     cw_ = 0;
-    for (int idx = c_.rs.first(); idx != Rs::kEnd; idx = c_.rs.next(idx)) {
-        c_.rs.at(idx).inCw = false;
-        refreshCw(idx);
-    }
 }
 
 void
@@ -339,7 +304,6 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
                 e2.dstPhys, al, v, e2.robIdx,
                 c_.now() + static_cast<uint64_t>(c_.fmaLatency(true)));
             e2.pendingAl &= static_cast<uint16_t>(~(1u << al));
-            e2.alScheduled |= static_cast<uint16_t>(1u << al);
             if (--chain.pendingNodes[static_cast<size_t>(al)] == 0)
                 chain.pendingAls &= static_cast<uint16_t>(~(1u << al));
             maybeRelease(n.rsIdx);

@@ -19,6 +19,8 @@
  * chain machinery in mp_scheduler.cc: per (accumulator-chain, AL)
  * queues of effectual multiplicand lanes, packed two per temp AL slot
  * in program order, with partial results forwarded at half latency.
+ * A fault flushes the whole window (SecIII), so a squash drops every
+ * chain and its partial results with it (flush(), SecV-B).
  *
  * The scheduler never rescans the RS, and its per-cycle work scales
  * with masks and events rather than lanes. What it walks or samples
@@ -34,7 +36,8 @@
  *  - The combination-window (CW) size is a running count over a
  *    per-entry flag (RsEntry::inCw), re-evaluated when the entry's
  *    ELM arrives, its accumulator becomes fully ready, its last
- *    pending lane issues (maybeRelease), and when it leaves the RS.
+ *    pending lane issues (maybeRelease), and when it leaves the RS;
+ *    a squash flush zeroes it.
  *  - Chains live in a slab indexed by chain id, with a free-id list;
  *    a reused slot keeps its node capacity. The chain order (oldest
  *    front first) persists across cycles: a new chain is appended
@@ -43,8 +46,9 @@
  *  - Each chain keeps, per accumulator lane, the count of its live
  *    nodes with MLs pending there, and the mask of non-zero counts:
  *    ELM generation counts up, an AL completing counts down, a squash
- *    recounts. Only ALs in that mask whose rotated temp position can
- *    still take a mixed-precision lane this cycle are tried.
+ *    flush frees the chain. Only ALs in that mask whose rotated temp
+ *    position can still take a mixed-precision lane this cycle are
+ *    tried.
  *  - A chain entry joins no select sublist, so select never visits it.
  *
  * Operand readiness comes from the writeback-wakeup flags. The
@@ -107,13 +111,11 @@ class VectorScheduler
     uint64_t nextTimeWake(uint64_t now) const;
 
     /**
-     * Exception support (paper SecV-B): discard partial results of
-     * surviving mixed-precision VFMAs (restore the pending-ML state
-     * of any accumulator lane whose final value was not yet scheduled
-     * for writeback) and rebuild the chain structures over the
-     * surviving RS contents. Called by the core after a squash.
+     * Exception support (paper SecV-B): the core has flushed the whole
+     * window, so free every chain, and with them every partial
+     * mixed-precision result, and zero the combination window.
      */
-    void rebuildAfterSquash();
+    void flush();
 
   private:
     /** One VPU's in-flight temp being assembled this cycle. */

@@ -553,12 +553,8 @@ Auditor::checkEventTargets() const
         }
     };
 
-    for (const Core::Event &ev : c_.events_.container()) {
-        if (ev.kind == Core::Event::Publish)
-            checkLaneTarget(ev.phys, ev.lane, ev.robIdx, "event heap");
-        else
-            checkLoadReq(ev.load, "in-flight load");
-    }
+    for (const Core::Event &ev : c_.events_.container())
+        checkLoadReq(ev.load, "in-flight load");
 
     size_t load_ring_total = 0;
     for (const auto &bucket : c_.load_ring_) {
@@ -676,8 +672,7 @@ Auditor::checkSaveState() const
         const RsEntry &e = rs.at(idx);
         std::string at = " at seq " + std::to_string(e.seq);
         if (!e.elmValid) {
-            if (e.pendingMl || e.pendingAl || e.passPending ||
-                e.alScheduled)
+            if (e.pendingMl || e.pendingAl || e.passPending)
                 fail("lane state set before ELM generation" + at);
             continue;
         }
@@ -704,10 +699,6 @@ Auditor::checkSaveState() const
                 fail("pendingAl " + hex(e.pendingAl) +
                      " != AL projection of pendingMl " +
                      hex(mpAlMask(e.pendingMl)) + at);
-            if (e.alScheduled & ~elm_als)
-                fail("AL scheduled outside the effectual set" + at);
-            if (e.alScheduled & e.pendingAl)
-                fail("AL both scheduled and pending" + at);
             if (e.passPending & elm_als)
                 fail("effectual AL marked pass-through" + at);
         } else {
@@ -727,7 +718,7 @@ Auditor::checkSaveState() const
                 fail("pending AL outside the ELM" + at);
             if (e.passPending & e.elm)
                 fail("effectual lane marked pass-through" + at);
-            if (e.pendingMl || e.alScheduled)
+            if (e.pendingMl)
                 fail("mixed-precision state on an FP32 VFMA" + at);
         }
     }
@@ -901,7 +892,7 @@ Auditor::checkChains() const
                 ++pending[static_cast<size_t>(lowestSetBit(m))];
         }
         // The per-AL pending counts are kept by events (ELM up, AL
-        // completion down, squash rebuild); recount them here.
+        // completion down); recount them here.
         uint16_t mask = 0;
         for (int al = 0; al < kVecLanes; ++al) {
             const int kept = ch.pendingNodes[static_cast<size_t>(al)];
@@ -942,32 +933,33 @@ Auditor::checkChains() const
 }
 
 void
-Auditor::checkAfterSquash(uint64_t fault_seq) const
+Auditor::checkAfterSquash() const
 {
     when_ = "post-squash";
-    auto young = [&](uint64_t seq, const char *what) {
-        if (seq >= fault_seq)
-            fail(std::string(what) + " still references squashed seq " +
-                 std::to_string(seq) + " (fault seq " +
-                 std::to_string(fault_seq) + ")");
+    // The fault is taken at the ROB head, once everything older has
+    // committed, so nothing in flight survives it (SecIII, SecV-B).
+    auto empty = [&](bool is_empty, const char *what) {
+        if (!is_empty)
+            fail(std::string("the window is not empty after a squash: ") +
+                 what + " still holds work");
     };
-    const Rs &rs = c_.rs;
-    for (int idx = rs.first(); idx != Rs::kEnd; idx = rs.next(idx))
-        young(rs.at(idx).seq, "RS");
-    const Rob &rob = c_.rob;
-    for (int i = 0; i < rob.size(); ++i)
-        young(rob.at(rob.indexFromHead(i)).seq, "ROB");
-    for (const Core::LoadReq &req : c_.load_queue_)
-        young(req.seq, "load queue");
-    for (const Core::Event &ev : c_.events_.container()) {
-        if (ev.kind == Core::Event::LoadDone)
-            young(ev.load.seq, "in-flight load");
-    }
     for (const auto &ws : c_.reg_waiters_)
-        for (const Core::RegWaiter &w : ws)
-            young(w.seq, "register waiter list");
-    for (const Core::InflightStore &s : c_.inflight_store_lines_)
-        young(s.seq, "in-flight store-line list");
+        empty(ws.empty(), "a register waiter list");
+    for (const auto &v : c_.vpus)
+        v.forEachInFlight([&](const LaneWrite &, uint64_t) {
+            empty(false, "a VPU pipeline");
+        });
+    empty(c_.rob.empty(), "the ROB");
+    empty(c_.rs.size() == 0, "the RS");
+    empty(c_.baseline_ready_.empty(), "the baseline ready queue");
+    empty(c_.load_queue_.empty(), "the load queue");
+    empty(c_.events_.empty(), "the event heap");
+    empty(c_.pub_count_ == 0, "the publish ring");
+    empty(c_.load_ring_count_ == 0, "the load ring");
+    empty(c_.pending_stores_.empty(), "the pending-store list");
+    empty(c_.inflight_store_lines_.empty(), "the in-flight store-line list");
+    empty(c_.sched_->chain_order_.empty(), "the accumulator chain order");
+    empty(c_.sched_->cw_ == 0, "the combination-window count");
     check("post-squash");
 }
 

@@ -45,9 +45,10 @@ class Auditor
      *  `when` tags the failure message ("cycle", "post-squash", ...). */
     void check(const char *when) const;
 
-    /** Squash-specific sweep: nothing live may reference a sequence
-     *  number at or above the squashed range, then a full check. */
-    void checkAfterSquash(uint64_t fault_seq) const;
+    /** Squash-specific sweep: the whole window is empty (ROB, RS,
+     *  waiters, ready and load queues, events, both rings, VPU writes,
+     *  store lists, chains and the CW count), then a full check. */
+    void checkAfterSquash() const;
 
     /** Stride gate (SAVE_AUDIT_STRIDE). */
     bool

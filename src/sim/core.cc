@@ -98,6 +98,13 @@ Core::Core(const MachineConfig &machine_cfg, const SaveConfig &save_cfg,
                           std::to_string(machine_cfg.numVpus) +
                           "] (got " + std::to_string(active_vpus) +
                           ")");
+    // A chain result publishes mpFmaLatency cycles out, into a ring
+    // bucket; the ring must reach that far.
+    if (machine_cfg.mpFmaLatency >= static_cast<int>(kPubRingSlots))
+        throw ConfigError("MachineConfig.mpFmaLatency must be < " +
+                          std::to_string(kPubRingSlots) + " (got " +
+                          std::to_string(machine_cfg.mpFmaLatency) +
+                          ")");
     watchdog_cycles_ = machine_cfg.watchdogCycles > 0
         ? static_cast<uint64_t>(machine_cfg.watchdogCycles)
         : envWatchdogCycles();
@@ -125,7 +132,6 @@ Core::Core(const MachineConfig &machine_cfg, const SaveConfig &save_cfg,
     baseline_ready_.reserve(static_cast<size_t>(rs.capacity()));
     wb_scratch_.reserve(4 * kVecLanes);
     wb_vec_scratch_.reserve(4);
-    squashed_rob_.assign(static_cast<size_t>(rob.capacity()), 0);
     {
         // Pre-size the event heap's backing store.
         std::vector<Event> backing;
@@ -152,34 +158,15 @@ Core::fmaLatency(bool mixed_precision) const
 }
 
 void
-Core::pushEvent(Event ev)
-{
-    ev.order = event_order_++;
-    events_.push(ev);
-    activity_ = true;
-}
-
-void
 Core::schedulePublish(int phys, int lane, float value, int robIdx,
                       uint64_t at_cycle)
 {
-    SAVE_ASSERT(at_cycle > cycle_, "publish must be in the future");
-    if (at_cycle - cycle_ < kPubRingSlots) {
-        pub_ring_[at_cycle % kPubRingSlots].push_back(
-            {phys, robIdx, kNoReg, static_cast<uint16_t>(1u << lane),
-             value});
-        ++pub_count_;
-        activity_ = true;
-        return;
-    }
-    Event ev{};
-    ev.cycle = at_cycle;
-    ev.kind = Event::Publish;
-    ev.phys = phys;
-    ev.lane = lane;
-    ev.value = value;
-    ev.robIdx = robIdx;
-    pushEvent(ev);
+    SAVE_ASSERT(at_cycle > cycle_ && at_cycle - cycle_ < kPubRingSlots,
+                "publish must land within the publish ring's reach");
+    pub_ring_[at_cycle % kPubRingSlots].push_back(
+        {phys, robIdx, kNoReg, static_cast<uint16_t>(1u << lane), value});
+    ++pub_count_;
+    activity_ = true;
 }
 
 void
@@ -504,18 +491,10 @@ Core::processEvents()
         lbucket.clear();
     }
     while (!events_.empty() && events_.top().cycle <= cycle_) {
-        Event ev = events_.top();
+        LoadReq req = events_.top().load;
         events_.pop();
         activity_ = true;
-        if (ev.kind == Event::Publish) {
-            if (prf.publishLane(ev.phys, ev.lane, ev.value))
-                wakeWaiters(ev.phys);
-            if (rob.laneDone(ev.robIdx) && etrace_)
-                etrace_->writeback(cycle_, rob.at(ev.robIdx).seq,
-                                   ev.robIdx);
-            continue;
-        }
-        completeLoad(ev.load);
+        completeLoad(req);
     }
 }
 
@@ -573,19 +552,17 @@ Core::commit()
 void
 Core::squash()
 {
-    // 1. Walk the ROB youngest-first down to the faulting entry,
-    //    undoing renaming and collecting the uops for replay.
-    int total = rob.size();
-    int squash_count = 0;
+    // The fault is taken at the ROB head, so everything older has
+    // committed and nothing in flight survives: the whole window is
+    // flushed (paper SecIII, SecV-B).
+    //
+    // 1. Walk the ROB youngest-first, undoing renaming and collecting
+    //    the uops for replay. The renamer keeps no retirement map, so
+    //    each mapping is rolled back in turn.
+    const int squash_count = rob.size();
     squash_uops_.clear();
-    std::fill(squashed_rob_.begin(), squashed_rob_.end(), 0);
-    for (int i = total - 1; i >= 0; --i) {
-        int idx = rob.indexFromHead(i);
-        RobEntry &e = rob.at(idx);
-        if (e.seq < fault_seq_)
-            break;
-        ++squash_count;
-        squashed_rob_[static_cast<size_t>(idx)] = 1;
+    for (int i = squash_count - 1; i >= 0; --i) {
+        RobEntry &e = rob.at(rob.indexFromHead(i));
         squash_uops_.push_back(e.uop);
         if (e.dstPhys != kNoReg) {
             renamer_.restoreMapping(e.uop.dst, e.oldPhys);
@@ -600,85 +577,34 @@ Core::squash()
         }
         if (e.op == Opcode::SetMask)
             renamer_.setMask(e.uop.wmask, e.prevMask);
-        if (e.isStore) {
-            std::erase_if(pending_stores_, [idx](const PendingStore &s) {
-                return s.robIdx == idx;
-            });
-        }
     }
-    rob.squashYoungest(squash_count);
+    rob.clear();
 
-    // 2. Drop squashed reservation-station entries.
-    for (int idx = rs.first(); idx != Rs::kEnd;) {
-        int nxt = rs.next(idx);
-        if (rs.at(idx).seq >= fault_seq_)
-            rs.release(idx);
-        idx = nxt;
-    }
+    // 2. Empty the rest of the window. RS slots are freed oldest first,
+    //    so the replay reuses them in the same order. In-flight VPU ops
+    //    keep their pipeline slots, and so their timing, but write
+    //    nothing. The scheduler drops its chains and with them every
+    //    partial mixed-precision result (SecV-B).
+    while (rs.first() != Rs::kEnd)
+        rs.release(rs.first());
+    for (auto &ws : reg_waiters_)
+        ws.clear();
+    baseline_ready_.clear();
+    load_queue_.clear();
+    pending_stores_.clear();
+    inflight_store_lines_.clear();
+    events_.clear();
+    for (auto &bucket : pub_ring_)
+        bucket.clear();
+    pub_count_ = 0;
+    for (auto &bucket : load_ring_)
+        bucket.clear();
+    load_ring_count_ = 0;
+    for (auto &vpu : vpus)
+        vpu.dropWrites();
+    sched_->flush();
 
-    // 3. Drop in-flight work belonging to squashed instructions:
-    //    queued loads, completion events, and VPU lane writes.
-    std::erase_if(load_queue_, [this](const LoadReq &req) {
-        return req.seq >= fault_seq_;
-    });
-    std::erase_if(inflight_store_lines_, [this](const InflightStore &s) {
-        return s.seq >= fault_seq_;
-    });
-    // Squashed RS entries leave register-wakeup waiters behind; the
-    // seq check in wakeWaiters would skip them, but the replay reuses
-    // the freed RS slots, so the lists would accumulate one stale
-    // record per squashed source operand. Purge them so the strong
-    // invariant holds: every waiter references a live entry.
-    for (auto &ws : reg_waiters_) {
-        std::erase_if(ws, [this](const RegWaiter &w) {
-            return w.seq >= fault_seq_;
-        });
-    }
-    std::erase_if(baseline_ready_, [this](const auto &r) {
-        return r.first >= fault_seq_;
-    });
-    {
-        kept_events_.clear();
-        while (!events_.empty()) {
-            const Event &ev = events_.top();
-            bool drop;
-            if (ev.kind == Event::Publish) {
-                drop = squashed_rob_[static_cast<size_t>(ev.robIdx)] != 0;
-            } else {
-                drop = ev.load.seq >= fault_seq_;
-            }
-            if (!drop)
-                kept_events_.push_back(ev);
-            events_.pop();
-        }
-        for (Event &ev : kept_events_)
-            events_.push(std::move(ev));
-    }
-    for (auto &bucket : pub_ring_) {
-        size_t before = bucket.size();
-        std::erase_if(bucket, [this](const PendingPublish &p) {
-            return squashed_rob_[static_cast<size_t>(p.robIdx)] != 0;
-        });
-        pub_count_ -= before - bucket.size();
-    }
-    for (auto &bucket : load_ring_) {
-        size_t before = bucket.size();
-        std::erase_if(bucket, [this](const LoadReq &req) {
-            return req.seq >= fault_seq_;
-        });
-        load_ring_count_ -= before - bucket.size();
-    }
-    for (auto &vpu : vpus) {
-        vpu.discardIf([&](const LaneWrite &w) {
-            return squashed_rob_[static_cast<size_t>(w.robIdx)] != 0;
-        });
-    }
-
-    // 4. Discard partial mixed-precision results of the survivors and
-    //    rebuild the chain bookkeeping (paper SecV-B).
-    sched_->rebuildAfterSquash();
-
-    // 5. Queue the squashed instructions for re-execution, oldest
+    // 3. Queue the squashed instructions for re-execution, oldest
     //    first, ahead of the not-yet-fetched remainder of the trace.
     for (auto it = squash_uops_.rbegin(); it != squash_uops_.rend(); ++it)
         replay_.push_back(*it);
@@ -691,7 +617,7 @@ Core::squash()
         etrace_->squash(cycle_, fault_seq_, squash_count);
 #ifdef SAVE_AUDIT_ENABLED
     if (auditor_)
-        auditor_->checkAfterSquash(fault_seq_);
+        auditor_->checkAfterSquash();
 #endif
 }
 
@@ -781,17 +707,13 @@ Core::issueLoads()
         if (done_cycle - cycle_ < kPubRingSlots) {
             load_ring_[done_cycle % kPubRingSlots].push_back(req);
             ++load_ring_count_;
-            // Issuing a load is progress (the next queued load may be
-            // waiting on this cycle's port budget): never fast-forward
-            // over it, exactly like the heap path's pushEvent.
-            activity_ = true;
         } else {
-            Event ev{};
-            ev.cycle = done_cycle;
-            ev.kind = Event::LoadDone;
-            ev.load = req;
-            pushEvent(ev);
+            events_.push({done_cycle, event_order_++, req});
         }
+        // Issuing a load is progress (the next queued load may be
+        // waiting on this cycle's port budget): never fast-forward
+        // over it.
+        activity_ = true;
         st_loads_issued_.add();
         load_queue_.pop_front();
     }

@@ -141,10 +141,11 @@ class Core
     /**
      * Precise-exception support: arm a fault on the uop with the
      * given sequence number. When it reaches the ROB head, everything
-     * from it (inclusive) onward is squashed — rename map rolled
-     * back, in-flight lane writes and partial mixed-precision results
-     * discarded (paper SecV-B) — the handler latency elapses, and the
-     * squashed instructions re-execute. Architectural state must be
+     * older has committed, so the whole window is flushed: the rename
+     * map is rolled back, and every in-flight load, lane write and
+     * partial mixed-precision result is discarded (paper SecIII,
+     * SecV-B). The handler latency elapses, and the flushed
+     * instructions re-execute. Architectural state must be
      * indistinguishable from an uninterrupted run.
      */
     void injectFaultAtSeq(uint64_t seq);
@@ -194,7 +195,9 @@ class Core
     }
     const VecReg &operandB(const RsEntry &e) const { return prf.value(e.pb); }
 
-    /** Schedule a future single-lane register write. */
+    /** Schedule a single-lane register write at_cycle, which must lie
+     *  within the publish ring's reach (fewer than kPubRingSlots
+     *  cycles out; the constructor bounds mpFmaLatency to match). */
     void schedulePublish(int phys, int lane, float value, int robIdx,
                          uint64_t at_cycle);
 
@@ -224,16 +227,13 @@ class Core
         Opcode op = Opcode::LoadVec;
     };
 
+    /** A far-future load completion (L2/L3/DRAM); near ones use the
+     *  load ring. */
     struct Event
     {
         uint64_t cycle;
         uint64_t order;
-        enum Kind { LoadDone, Publish } kind;
-        LoadReq load;          // LoadDone payload
-        int phys = kNoReg;     // Publish payload
-        int lane = 0;
-        float value = 0.0f;
-        int robIdx = -1;
+        LoadReq load;
 
         bool
         operator>(const Event &o) const
@@ -250,6 +250,8 @@ class Core
     {
         using priority_queue::priority_queue;
         const std::vector<Event> &container() const { return c; }
+        /** Drop every event, keeping the backing store's capacity. */
+        void clear() { c.clear(); }
     };
 
     /** RS entry waiting for a source register to become fully ready;
@@ -263,10 +265,10 @@ class Core
     };
 
     /** A scheduled register write. Publishes are by far the most
-     *  frequent event and always land within a few cycles (FMA latency
-     *  + crossbar extras), so they live in a calendar ring of per-cycle
-     *  buckets instead of the event heap; only far-future events (load
-     *  completions) pay the heap.
+     *  frequent event and always land within a few cycles (a chain
+     *  result mpFmaLatency out, a pass-through the next cycle), so
+     *  they live in a calendar ring of per-cycle buckets; only
+     *  far-future load completions pay the event heap.
      *
      *  A record either writes `value` to its one lane (srcPhys ==
      *  kNoReg: a chain result), or passes an entry's `lanes` through
@@ -289,7 +291,9 @@ class Core
     void processEvents();
     void processWriteback();
     void commit();
-    /** Squash every in-flight uop with seq >= fault_seq_. */
+    /** Flush the whole window for a fault at the ROB head: roll back
+     *  renaming, queue every uncommitted uop for replay, and empty
+     *  the ROB, the RS and everything in flight. */
     void squash();
     /** Next uop from the replay queue or the trace. */
     bool nextUop(Uop &u);
@@ -310,8 +314,6 @@ class Core
      *  sublist once both multiplicands are, and refresh its
      *  combination-window membership once it has an ELM. */
     void onOperandReady(int rs_idx, const RsEntry &e);
-
-    void pushEvent(Event ev);
 
     /** Retirement + fault-injection watchdogs (run after every cycle
      *  advance, stepped or fast-forwarded). */
@@ -407,8 +409,6 @@ class Core
     std::vector<LaneWrite> wb_scratch_;
     std::vector<VecWrite> wb_vec_scratch_;
     std::vector<Uop> squash_uops_;
-    std::vector<char> squashed_rob_;
-    std::vector<Event> kept_events_;
 
     StatGroup stats_;
     StatRef st_committed_;

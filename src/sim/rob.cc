@@ -58,15 +58,12 @@ Rob::popHead()
 }
 
 void
-Rob::squashYoungest(int n)
+Rob::clear()
 {
-    SAVE_ASSERT(n >= 0 && n <= count_, "squashing more than the ROB "
-                "holds");
-    for (int i = 0; i < n; ++i) {
-        tail_ = (tail_ + capacity_ - 1) % capacity_;
-        buf_[static_cast<size_t>(tail_)].valid = false;
-        --count_;
-    }
+    for (int i = 0; i < count_; ++i)
+        buf_[static_cast<size_t>(indexFromHead(i))].valid = false;
+    tail_ = head_;
+    count_ = 0;
 }
 
 bool

@@ -4,6 +4,8 @@
  * completion. VFMA entries complete lane-by-lane (SAVE writes each
  * coalesced lane result back to its own destination position), so an
  * entry tracks a pending-lane count rather than a single done bit.
+ * A fault is taken only at the head, once everything older has
+ * committed, so a squash empties the whole buffer (clear()).
  */
 
 #ifndef SAVE_SIM_ROB_H
@@ -105,8 +107,8 @@ class Rob
         return (head_ + i) % capacity_;
     }
 
-    /** Drop the `n` youngest entries (squash). */
-    void squashYoungest(int n);
+    /** Squash: invalidate every entry. The head stays where it is. */
+    void clear();
 
   private:
     int capacity_;

@@ -92,10 +92,6 @@ struct RsEntry
     uint16_t pendingAl = 0;
     /** Accumulator lanes that pass C through, not yet published. */
     uint16_t passPending = 0;
-    /** MP compression: ALs whose final result has been scheduled for
-     *  writeback. Unscheduled partially-consumed ALs are *partial
-     *  results*: discarded and recomputed on an exception (SecV-B). */
-    uint16_t alScheduled = 0;
     /** Rotational state: lane shift in {-1, 0, +1} (SecIV-B). */
     int8_t rot = 0;
     /** Mixed-precision accumulator chain id, -1 if none. */
@@ -186,7 +182,7 @@ class Rs
     int passCount() const { return pass_.size; }
 
     /** Valid slot indices, oldest first — materialized copy for cold
-     *  paths (snapshots, squash rebuild) and tests. */
+     *  paths (pipeline snapshots) and tests. */
     std::vector<int> order() const;
 
   private:

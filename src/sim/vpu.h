@@ -78,7 +78,7 @@ class VpuPipeline
     /**
      * Pop all ops completing at or before now, appending their lane
      * writes to out and whole-register writes to vec_out. Returns the
-     * number of *ops* popped — an op whose writes were all squashed
+     * number of *ops* popped — an op whose writes a squash dropped
      * still counts (it changes idle()).
      */
     int drainCompleted(uint64_t now, std::vector<LaneWrite> &out,
@@ -105,21 +105,16 @@ class VpuPipeline
         return count_ == 0 ? kNeverCycle : q_[head_].doneCycle;
     }
 
-    /** Drop in-flight lane writes matching the predicate (squash). A
-     *  whole-register write is probed once with a synthetic lane of -1
-     *  (predicates inspect dstPhys/robIdx) and dropped whole. */
-    template <typename Pred>
+    /** Squash: empty every in-flight op's lane and whole-register
+     *  writes. The ops stay in flight, so idle(), nextCompletion() and
+     *  issue timing are unchanged. */
     void
-    discardIf(Pred pred)
+    dropWrites()
     {
         for (size_t i = 0; i < count_; ++i) {
             Op &op = q_[(head_ + i) % q_.size()];
-            op.writes.eraseIf(
-                [&](const LaneWrite &w) { return pred(w); });
-            if (op.hasVec &&
-                pred(LaneWrite{op.vec.dstPhys, -1, 0.0f,
-                               op.vec.robIdx}))
-                op.hasVec = false;
+            op.writes.clear();
+            op.hasVec = false;
         }
     }
 

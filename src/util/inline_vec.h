@@ -39,22 +39,6 @@ class InlineVec
         buf_[n_++] = v;
     }
 
-    /** Drop elements matching pred, preserving order. */
-    template <typename Pred>
-    void
-    eraseIf(Pred pred)
-    {
-        size_t w = 0;
-        for (size_t r = 0; r < n_; ++r) {
-            if (!pred(buf_[r])) {
-                if (w != r)
-                    buf_[w] = buf_[r];
-                ++w;
-            }
-        }
-        n_ = w;
-    }
-
     void clear() { n_ = 0; }
     size_t size() const { return n_; }
     bool empty() const { return n_ == 0; }

@@ -4,12 +4,17 @@
  * mid-kernel, let the core squash and replay, and require the final
  * architectural state to be bitwise identical to an uninterrupted
  * in-order run — for every policy, both precisions, and with partial
- * mixed-precision results in flight at the squash point.
+ * mixed-precision results in flight at the squash point. Every
+ * counter of twenty such runs is pinned against a golden.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "kernels/gemm.h"
 #include "sim/multicore.h"
@@ -23,6 +28,8 @@ struct FaultRun
     uint64_t cycles = 0;
     double exceptions = 0;
     double squashed = 0;
+    /** The whole machine's stat map, cycles included. */
+    StatGroup stats;
 };
 
 GemmConfig
@@ -62,6 +69,8 @@ runWithFault(const SaveConfig &scfg, const GemmConfig &g,
     r.cycles = mc.run(10'000'000);
     r.exceptions = mc.core(0).stats().get("exceptions_serviced");
     r.squashed = mc.core(0).stats().get("uops_squashed");
+    r.stats = mc.aggregateStats();
+    r.stats.set("cycles", static_cast<double>(r.cycles));
 
     MemoryImage ref_image;
     GemmWorkload ref_w = buildGemm(g, ref_image);
@@ -161,6 +170,49 @@ TEST(Exceptions, WriteMaskedMpFault)
     g.writeMask = 0x3c3c;
     FaultRun r = runWithFault(SaveConfig{}, g, 320);
     EXPECT_EQ(r.exceptions, 1.0);
+}
+
+TEST(Exceptions, FaultingRunStatMapsMatchGolden)
+{
+    // Every counter of a faulting run is pinned, not just the
+    // architectural state: the kernel under each scheduler
+    // configuration and precision, faulted at two mid-stream points
+    // where mixed-precision partial results are in flight. The maps
+    // print as `save-trace stats --json` prints them. On a mismatch
+    // the actual maps are written beside the test binary for `diff`.
+    SaveConfig vc, hc, nompc;
+    vc.policy = SchedPolicy::VC;
+    hc.policy = SchedPolicy::HC;
+    nompc.mpCompress = false;
+    const std::pair<const char *, SaveConfig> configs[] = {
+        {"baseline", SaveConfig::baseline()},
+        {"vc", vc},
+        {"rvc", SaveConfig{}},
+        {"hc", hc},
+        {"rvc_nompc", nompc},
+    };
+    std::string actual;
+    for (const auto &[name, scfg] : configs) {
+        for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
+            for (int64_t seq : {150, 400}) {
+                FaultRun r = runWithFault(scfg, kernel(prec), seq);
+                actual += std::string("== ") + name +
+                          (prec == Precision::Bf16 ? " bf16" : " fp32") +
+                          " fault " + std::to_string(seq) + "\n" +
+                          r.stats.toJson("  ") + "\n";
+            }
+        }
+    }
+    std::ifstream golden(SAVE_FAULT_STATMAPS_GOLDEN);
+    ASSERT_TRUE(golden.is_open()) << SAVE_FAULT_STATMAPS_GOLDEN;
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    if (actual != expected.str()) {
+        std::ofstream(SAVE_FAULT_STATMAPS_OUT) << actual;
+        FAIL() << "faulting-run stat maps differ from the golden; see: "
+                  "diff " SAVE_FAULT_STATMAPS_GOLDEN
+                  " " SAVE_FAULT_STATMAPS_OUT;
+    }
 }
 
 using FaultParam = std::tuple<SchedPolicy, int /*precision*/,

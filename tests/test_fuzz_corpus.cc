@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -27,7 +29,9 @@
 #include <string>
 #include <vector>
 
+#include "mem/memory_image.h"
 #include "sim/fuzz.h"
+#include "trace/trace_reader.h"
 #include "util/error.h"
 
 namespace save {
@@ -120,6 +124,33 @@ TEST(FuzzCorpus, SerializeRoundTrips)
         EXPECT_EQ(q.faultIndex, p.faultIndex);
         EXPECT_EQ(q.words, p.words);
     }
+
+    // A generated program round-trips through a .savtrc trace too:
+    // same uops, same image. The fault is not representable in a trace
+    // and is dropped (fuzz.h).
+    FuzzProgram p = fuzzGenerate(1);
+    ASSERT_GE(p.faultIndex, 0);
+    const fs::path f = fs::temp_directory_path() /
+                       ("save_fuzz_roundtrip_" + std::to_string(getpid()) +
+                        ".savtrc");
+    fuzzWriteTrace(p, f.string(), "fuzz");
+    {
+        TraceReader r(f.string());
+        ASSERT_EQ(r.cores(), 1);
+        std::vector<Uop> got = r.uops(0);
+        ASSERT_EQ(got.size(), p.uops.size());
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i].toString(), p.uops[i].toString()) << i;
+        MemoryImage want;
+        want.addRegion(p.base, p.bytes);
+        for (size_t i = 0; i < p.words.size(); ++i)
+            want.writeU32(p.base + 4 * i, p.words[i]);
+        MemoryImage rebuilt = r.buildImage();
+        ASSERT_EQ(rebuilt.numRegions(), 1u);
+        EXPECT_EQ(rebuilt.regionBase(0), want.regionBase(0));
+        EXPECT_EQ(rebuilt.regionData(0), want.regionData(0));
+    }
+    fs::remove(f);
 }
 
 TEST(FuzzCorpus, GeneratorIsDeterministic)

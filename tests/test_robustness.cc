@@ -169,6 +169,24 @@ TEST_F(RobustnessTest, EngineRejectsOutOfRangeResources)
     g.tiles = 1;
     EXPECT_THROW(eng.runGemm(g, 99, 2), ConfigError);
     EXPECT_THROW(eng.runGemm(g, 1, 0), ConfigError);
+
+    // A chain result publishes mpFmaLatency cycles out, into the
+    // 64-slot publish ring: 63 runs, 64 is rejected by name.
+    GemmConfig mp = g;
+    mp.precision = Precision::Bf16;
+    MachineConfig slow;
+    slow.mpFmaLatency = 64;
+    try {
+        Engine(slow, SaveConfig{}).runGemm(mp, 1, 2);
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("mpFmaLatency"),
+                  std::string::npos)
+            << e.what();
+    }
+    slow.mpFmaLatency = 63;
+    KernelResult r = Engine(slow, SaveConfig{}).runGemm(mp, 1, 2);
+    EXPECT_GT(r.stats.get("mp_mls_issued"), 0.0);
 }
 
 // ------------------------------------------------------------ watchdog

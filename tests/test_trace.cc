@@ -263,7 +263,8 @@ TEST_F(TraceTest, RecordedFileRoundTrips)
     EXPECT_EQ(r.recordedCycles(), live.cycles);
     EXPECT_EQ(r.recordedStats(), live.stats.all());
 
-    // The decoded streams equal the generator's.
+    // The decoded streams, and their ELM sidecars, equal the
+    // generator's.
     MemoryImage image;
     std::vector<GemmWorkload> work = buildShardedGemm(g, image, 2);
     for (int c = 0; c < 2; ++c) {
@@ -272,6 +273,7 @@ TEST_F(TraceTest, RecordedFileRoundTrips)
         std::vector<Uop> got = r.uops(c);
         for (size_t i = 0; i < want.size(); ++i)
             EXPECT_EQ(got[i].toString(), want[i].toString());
+        EXPECT_EQ(r.elms(c), computeElmSidecar(want, image));
         EXPECT_EQ(r.warmRanges(c),
                   (std::vector<std::pair<uint64_t, uint64_t>>{
                       {work[static_cast<size_t>(c)].aBase,
