@@ -10,6 +10,13 @@
  * program order (which preserves the FP accumulation order and hence
  * bitwise reproducibility, SecV-A), with the partial result forwarded
  * to the next chained operation at half the VFMA latency (SecV-B/C).
+ *
+ * Each cycle a chain is stepped in one walk over its nodes, front
+ * first, for all its schedulable ALs at once: 16-bit AL masks track
+ * which ALs still need two MLs and which need one, each node feeds
+ * the hungry ALs it has MLs pending on, and it publishes every AL it
+ * completes as one masked record. The chain then claims its rotated
+ * temp positions by mask.
  */
 
 #include "isa/bf16.h"
@@ -20,6 +27,7 @@
 #include "trace/event_trace.h"
 #include "util/bitutil.h"
 #include "util/logging.h"
+#include "util/simd.h"
 
 #include <algorithm>
 #include <bit>
@@ -106,9 +114,9 @@ VectorScheduler::addPendingAls(Chain &chain, uint32_t pending_ml)
     for (uint16_t m = mpAlMask(pending_ml); m;) {
         int al = lowestSetBit(m);
         m &= static_cast<uint16_t>(m - 1);
-        if (chain.pendingNodes[static_cast<size_t>(al)]++ == 0)
-            chain.pendingAls |= static_cast<uint16_t>(1u << al);
+        ++chain.pendingNodes[static_cast<size_t>(al)];
     }
+    chain.pendingAls |= mpAlMask(pending_ml);
 }
 
 void
@@ -145,24 +153,6 @@ VectorScheduler::flush()
 }
 
 void
-VectorScheduler::advanceCursor(Chain &chain, int al)
-{
-    int &cur = chain.cursor[static_cast<size_t>(al)];
-    while (cur < static_cast<int>(chain.nodes.size())) {
-        const ChainNode &n = chain.nodes[static_cast<size_t>(cur)];
-        const RsEntry &e = c_.rs.at(n.rsIdx);
-        bool stale = !e.valid || e.seq != n.seq;
-        if (!stale) {
-            if (!e.elmValid)
-                break; // ELM unknown: cannot prove this node is done
-            if (e.pendingMl & (0x3u << (kMlPerAl * al)))
-                break; // effectual work remains here
-        }
-        ++cur;
-    }
-}
-
-void
 VectorScheduler::trimChains()
 {
     for (int id : trim_queue_) {
@@ -188,16 +178,13 @@ VectorScheduler::trimChains()
             continue;
         }
         ch.nodes.erase(ch.nodes.begin(), ch.nodes.begin() + dropped);
-        for (auto &cur : ch.cursor)
-            cur = std::max(0, cur - dropped);
         ch.frontSeq = ch.nodes.front().seq;
-        // The front only moves younger: slide the chain toward the
+        // The front only moves younger: rotate the chain toward the
         // tail to its new rank.
-        pos->first = ch.frontSeq;
-        for (auto nxt = pos + 1;
-             nxt != chain_order_.end() && nxt->first < pos->first;
-             ++pos, ++nxt)
-            std::iter_swap(pos, nxt);
+        auto to = std::lower_bound(pos + 1, chain_order_.end(),
+                                   std::make_pair(ch.frontSeq, id));
+        std::rotate(pos, pos + 1, to);
+        (to - 1)->first = ch.frontSeq;
     }
     trim_queue_.clear();
 }
@@ -212,116 +199,132 @@ VectorScheduler::nextTimeWake(uint64_t now) const
     uint64_t best = kNeverCycle;
     for (const auto &[seq, id] : chain_order_) {
         (void)seq;
-        for (const ChainAl &ca : chains_[static_cast<size_t>(id)].al) {
+        const Chain &ch = chains_[static_cast<size_t>(id)];
+        for (uint16_t m = ch.init; m; m &= static_cast<uint16_t>(m - 1)) {
             // >= not >: wakeHorizon probes with cycle_ already advanced
             // to the next un-executed cycle, so a forwarded result that
             // becomes ready exactly at `now` must pin the horizon here
             // (run() then steps normally instead of jumping past the
             // cycle where this AL schedules).
-            if (ca.init && ca.readyCycle >= now && ca.readyCycle < best)
-                best = ca.readyCycle;
+            const uint64_t ready =
+                ch.readyCycle[static_cast<size_t>(lowestSetBit(m))];
+            if (ready >= now && ready < best)
+                best = ready;
         }
     }
     return best;
 }
 
 void
-VectorScheduler::scheduleChainAl(Chain &chain, int al)
+VectorScheduler::scheduleChain(Chain &chain, uint16_t als)
 {
-    ChainAl &ca = chain.al[static_cast<size_t>(al)];
-    if (ca.init && ca.readyCycle > c_.now())
-        return; // waiting on the forwarded partial result (fast path:
-                // skips the cursor walk; advanceCursor is idempotent)
-
-    // The caller checked that this temp position is open.
-    int temp_lane = (al + chain.rot + kVecLanes) % kVecLanes;
-    advanceCursor(chain, al);
-    int &cursor = chain.cursor[static_cast<size_t>(al)];
-    if (cursor >= static_cast<int>(chain.nodes.size()))
-        return;
-
-    const ChainNode &front = chain.nodes[static_cast<size_t>(cursor)];
-    RsEntry &e = c_.rs.at(front.rsIdx);
-    SAVE_ASSERT(e.valid && e.seq == front.seq, "cursor on stale node");
-    if (!e.elmValid)
-        return;
-    if (!e.aReady || !e.bReady)
-        return;
-
-    if (!ca.init) {
-        // Chain base: the accumulator input of the cursor node, read
-        // from the register file once its lane has been published.
-        if (!c_.prf.laneIsReady(e.pc, al))
-            return;
-        ca.value = c_.prf.value(e.pc).f32(al);
-        ca.readyCycle = c_.now();
-        ca.init = true;
+    const uint64_t now = c_.now();
+    // An AL waiting out its forwarded partial result drops out.
+    for (uint16_t m = als & chain.init; m; m &= static_cast<uint16_t>(m - 1)) {
+        const int al = lowestSetBit(m);
+        const bool in_flight =
+            chain.readyCycle[static_cast<size_t>(al)] > now;
+        als &= static_cast<uint16_t>(~(in_flight << al));
     }
 
-    int vpu = claimSlot(temp_lane, 1, false);
-    SAVE_ASSERT(vpu >= 0, "chain AL tried on a closed temp position");
-
-    float v = ca.value;
-    int taken = 0;
-    int cur = cursor;
-    while (taken < kMlPerAl &&
-           cur < static_cast<int>(chain.nodes.size())) {
-        const ChainNode &n = chain.nodes[static_cast<size_t>(cur)];
-        RsEntry &e2 = c_.rs.at(n.rsIdx);
-        if (!e2.valid || e2.seq != n.seq) {
-            ++cur;
-            continue;
-        }
-        if (!e2.elmValid)
+    // An AL in need2 has taken no ML this cycle; one in need1 has one
+    // ML in its slot and may take a second from a later node.
+    uint16_t need2 = als, need1 = 0;
+    const uint64_t publish_at =
+        now + static_cast<uint64_t>(c_.fmaLatency(true));
+    for (const ChainNode &n : chain.nodes) {
+        if (!(need2 | need1))
             break;
-        if (!e2.aReady || !e2.bReady)
-            break;
-
-        uint32_t al_mask = 0x3u << (kMlPerAl * al);
-        if ((e2.pendingMl & al_mask) == 0) {
-            // No effectual MLs here: the node passes the accumulator
-            // through at this AL (handled by the generic pass-through
-            // path); the chain value is unchanged.
-            ++cur;
+        SAVE_PROF_WALK(c_.prof_, ChainNodes);
+        RsEntry &e = c_.rs.at(n.rsIdx);
+        if (!e.valid || e.seq != n.seq)
+            continue; // released
+        if (!e.elmValid)
+            break; // ELM unknown: no later ML may go before this node's
+        uint16_t here = mpAlMask(e.pendingMl) & (need2 | need1);
+        // Chain base: an AL reads the accumulator input of the first
+        // node pending on it, once that lane has been published.
+        const uint16_t fresh = here & ~chain.init;
+        if (fresh) {
+            const uint16_t unready = fresh & ~c_.prf.laneReady(e.pc);
+            here &= static_cast<uint16_t>(~unready);
+            need2 &= static_cast<uint16_t>(~unready);
+            als &= static_cast<uint16_t>(~unready);
+            const VecReg &base = c_.prf.value(e.pc);
+            for (uint16_t m = fresh & ~unready; m;
+                 m &= static_cast<uint16_t>(m - 1))
+                chain.value.setF32(lowestSetBit(m),
+                                   base.f32(lowestSetBit(m)));
+            chain.init |= fresh & ~unready;
+        }
+        if (!here)
             continue;
-        }
+        if (c_.etrace_)
+            for (uint16_t m = here & need2; m;
+                 m &= static_cast<uint16_t>(m - 1))
+                chain_first_seq_[static_cast<size_t>(lowestSetBit(m))] =
+                    e.seq;
 
-        const VecReg &a = c_.operandA(e2);
-        const VecReg &b = c_.operandB(e2);
-        for (int s = 0; s < kMlPerAl && taken < kMlPerAl; ++s) {
-            int ml = kMlPerAl * al + s;
-            if (!((e2.pendingMl >> ml) & 1))
-                continue;
-            v = bf16MacSkip(v, a.bf16(ml), b.bf16(ml));
-            e2.pendingMl &= ~(1u << ml);
-            ++taken;
+        // An AL needing two takes every ML pending here, one needing
+        // one the lower (even, else odd): roundings in program order.
+        const uint32_t pend = e.pendingMl & simd::expandMask16to32(here);
+        const uint32_t take =
+            (pend & simd::expandMask16to32(here & need2)) |
+            (pend & ~((pend & 0x55555555u) << 1));
+        const VecReg &a = c_.operandA(e);
+        const VecReg &b = c_.operandB(e);
+        for (uint32_t m = take; m; m &= m - 1) {
+            const int ml = lowestSetBit(m);
+            const int al = ml / kMlPerAl;
+            chain.value.setF32(al, bf16MacSkip(chain.value.f32(al),
+                                               a.bf16(ml), b.bf16(ml)));
         }
-        if ((e2.pendingMl & al_mask) == 0) {
-            // This VFMA's lane is architecturally complete: the running
-            // value at this point in the chain is its destination value
-            // (SecV-B: intermediate results are written back exactly).
-            c_.schedulePublish(
-                e2.dstPhys, al, v, e2.robIdx,
-                c_.now() + static_cast<uint64_t>(c_.fmaLatency(true)));
-            e2.pendingAl &= static_cast<uint16_t>(~(1u << al));
-            if (--chain.pendingNodes[static_cast<size_t>(al)] == 0)
-                chain.pendingAls &= static_cast<uint16_t>(~(1u << al));
-            maybeRelease(n.rsIdx);
-            ++cur;
-        } else {
-            break; // slot full with MLs left in this node
+        e.pendingMl &= ~take;
+        const uint16_t took_two = mpAlMask(take & (take >> 1) & 0x55555555u);
+        need1 = static_cast<uint16_t>((need1 & ~here) |
+                                      (here & need2 & ~took_two));
+        need2 &= static_cast<uint16_t>(~here);
+
+        // ALs with nothing left here are architecturally complete: the
+        // running value is this VFMA's destination value (SecV-B:
+        // intermediate results are written back exactly).
+        const uint16_t done = here & ~mpAlMask(e.pendingMl);
+        if (!done)
+            continue;
+        c_.schedulePublish(e.dstPhys, done, chain.value, e.robIdx,
+                           publish_at);
+        e.pendingAl &= static_cast<uint16_t>(~done);
+        for (uint16_t m = done; m; m &= static_cast<uint16_t>(m - 1)) {
+            const int al = lowestSetBit(m);
+            const bool last =
+                --chain.pendingNodes[static_cast<size_t>(al)] == 0;
+            chain.pendingAls &= static_cast<uint16_t>(~(last << al));
         }
+        maybeRelease(n.rsIdx);
     }
 
-    SAVE_ASSERT(taken > 0, "claimed a slot without consuming MLs");
-    cursor = cur;
-    ca.value = v;
-    ca.readyCycle =
-        c_.now() +
-        static_cast<uint64_t>(std::max(1, c_.fmaLatency(true) / 2));
-    st_mp_mls_issued_.add(taken);
-    if (c_.etrace_)
-        c_.etrace_->chainMl(c_.now(), front.seq, al, vpu, taken);
+    const uint16_t started = als & ~need2;
+    if (!started)
+        return;
+    const uint64_t forward_at =
+        now + static_cast<uint64_t>(std::max(1, c_.fmaLatency(true) / 2));
+    for (uint16_t m = started; m; m &= static_cast<uint16_t>(m - 1))
+        chain.readyCycle[static_cast<size_t>(lowestSetBit(m))] = forward_at;
+    // Every AL that started took two MLs, except those left in need1.
+    st_mp_mls_issued_.add(2 * popcount(started) - popcount(need1));
+    const uint16_t unplaced = claimPositions(
+        std::rotl(started, chain.rot), 1, [&](int vpu, uint16_t took) {
+            if (!c_.etrace_)
+                return;
+            for (uint16_t m = std::rotr(took, chain.rot); m;
+                 m &= static_cast<uint16_t>(m - 1)) {
+                const int al = lowestSetBit(m);
+                c_.etrace_->chainMl(
+                    now, chain_first_seq_[static_cast<size_t>(al)], al, vpu,
+                    ((need1 >> al) & 1) ? 1 : 2);
+            }
+        });
+    SAVE_ASSERT(unplaced == 0, "chain AL tried on a closed temp position");
 }
 
 void
@@ -330,35 +333,24 @@ VectorScheduler::scheduleChains()
     // Oldest chain first (front-entry program order).
     for (const auto &[seq, id] : chain_order_) {
         (void)seq;
-        // Only ALs whose rotated temp position is still open are
-        // tried: in a saturated cycle most would otherwise die at
-        // claimSlot after paying for the cursor walk and the readiness
-        // probes. Everything a skipped call would have updated (cursor
-        // advance, chain-base capture) is a pure cache whose deferral
-        // is invisible: the accumulator lane value is stable once
-        // published, and a position is only closed when no temp is
-        // free, so every temp issues this cycle (activity) and the
-        // fast-forward horizon never sees the deferred init. One mask
-        // per chain suffices: its ALs land on distinct positions, and
-        // a claim never closes another position to a mixed-precision
-        // lane.
+        // Only ALs whose rotated temp position is still open can take
+        // a slot; the walk reads an AL's base only when it issues. One
+        // mask per chain suffices: its ALs land on distinct positions,
+        // and a claim never closes another position to a
+        // mixed-precision lane.
         const uint16_t open = mpFreePositions();
         if (!open)
             break;
         Chain &ch = chains_[static_cast<size_t>(id)];
-        // Only ALs with pending MLs on some node can schedule anything
-        // (any other AL's cursor either runs to the end or parks on a
-        // node whose ELM is still unknown — both no-ops). The per-AL
-        // counts behind that mask are kept by events: ELM generation
-        // counts up, an AL completing in scheduleChainAl counts down.
-        // AL al lands on temp position (al + rot) mod 16.
-        const uint16_t reachable = std::rotr(open, ch.rot);
-        for (uint16_t m = ch.pendingAls & reachable; m;) {
-            int al = lowestSetBit(m);
-            m &= static_cast<uint16_t>(m - 1);
-            SAVE_PROF_WALK(c_.prof_, Chains);
-            scheduleChainAl(ch, al);
-        }
+        // Only ALs with MLs pending on some node can take anything. The
+        // per-AL counts behind that mask are kept by events: ELM
+        // generation counts up, an AL completing counts down. AL al
+        // lands on temp position (al + rot) mod 16.
+        const uint16_t als = ch.pendingAls & std::rotr(open, ch.rot);
+        if (!als)
+            continue;
+        SAVE_PROF_WALK(c_.prof_, Chains);
+        scheduleChain(ch, als);
     }
     trimChains();
 }

@@ -63,22 +63,16 @@ VectorScheduler::refreshCw(int rs_idx)
 }
 
 int
-VectorScheduler::claimSlot(int lane, int type, bool hc)
+VectorScheduler::claimHcSlot(int type)
 {
     for (size_t v = 0; v < temps_.size(); ++v) {
         Temp &t = temps_[v];
-        if (t.type != -1 && (t.type != type || t.hc != hc))
+        if (t.type != -1 && (t.type != type || !t.hc))
             continue;
-        if (hc) {
-            if (t.count >= kVecLanes)
-                continue;
-        } else {
-            if ((t.lanesUsed >> lane) & 1)
-                continue;
-            t.lanesUsed |= static_cast<uint16_t>(1u << lane);
-        }
+        if (t.count >= kVecLanes)
+            continue;
         t.type = type;
-        t.hc = hc;
+        t.hc = true;
         ++t.count;
         return static_cast<int>(v);
     }
@@ -284,25 +278,12 @@ VectorScheduler::scheduleCoalesced()
         }
 
         // Each lane lands in the first type-compatible temp whose
-        // rotated position is free. Positions only fill, and an entry's
-        // lanes take distinct positions, so each temp in VPU order takes
-        // every still-unplaced position it has free at once.
-        uint16_t unplaced = std::rotl(avail, e.rot);
+        // rotated position is free.
         uint16_t claimed = 0;
-        for (size_t v = 0; v < temps_.size() && unplaced; ++v) {
-            Temp &t = temps_[v];
-            if (t.type != -1 && (t.type != type || t.hc))
-                continue;
-            const uint16_t take =
-                static_cast<uint16_t>(unplaced & ~t.lanesUsed);
-            if (!take)
-                continue;
-            unplaced &= static_cast<uint16_t>(~take);
-            t.lanesUsed |= take;
-            t.type = type;
-            t.count += popcount(take);
+        claimPositions(std::rotl(avail, e.rot), type, [&](int v,
+                                                         uint16_t took) {
             // Back to source lanes, written in lane order.
-            const uint16_t lanes = std::rotr(take, e.rot);
+            const uint16_t lanes = std::rotr(took, e.rot);
             claimed |= lanes;
             for (uint16_t m = lanes; m;) {
                 int lane = lowestSetBit(m);
@@ -319,15 +300,15 @@ VectorScheduler::scheduleCoalesced()
                 } else {
                     r = macSkipF32(r, a.f32(lane), b.f32(lane));
                 }
-                t.writes.push_back(
+                temps_[static_cast<size_t>(v)].writes.push_back(
                     {e.dstPhys, static_cast<int8_t>(lane), r, e.robIdx});
                 if (c_.etrace_)
                     c_.etrace_->coalesceLane(
                         c_.now(), e.seq, lane,
-                        (lane + e.rot + kVecLanes) % kVecLanes,
-                        static_cast<int>(v), false);
+                        (lane + e.rot + kVecLanes) % kVecLanes, v,
+                        false);
             }
-        }
+        });
         if (claimed) {
             e.pendingAl &= static_cast<uint16_t>(~claimed);
             if (mp)
@@ -364,7 +345,7 @@ VectorScheduler::scheduleHc()
         for (uint16_t m = avail; m;) {
             int lane = lowestSetBit(m);
             m &= static_cast<uint16_t>(m - 1);
-            int vpu = claimSlot(-1, mp ? 1 : 0, true);
+            int vpu = claimHcSlot(mp ? 1 : 0);
             if (vpu < 0) {
                 // All temps full; account what this entry got first.
                 // The failed lane is still pending, so the entry

@@ -16,8 +16,8 @@
  *
  * Lane-wise dependence (SecIV-C) is a flag orthogonal to the policy.
  * Mixed-precision VFMAs under SecV compression are handled by the
- * chain machinery in mp_scheduler.cc: per (accumulator-chain, AL)
- * queues of effectual multiplicand lanes, packed two per temp AL slot
+ * chain machinery in mp_scheduler.cc: the effectual multiplicand lanes
+ * of the VFMAs sharing an accumulator are packed two per temp AL slot
  * in program order, with partial results forwarded at half latency.
  * A fault flushes the whole window (SecIII), so a squash drops every
  * chain and its partial results with it (flush(), SecV-B).
@@ -46,9 +46,10 @@
  *  - Each chain keeps, per accumulator lane, the count of its live
  *    nodes with MLs pending there, and the mask of non-zero counts:
  *    ELM generation counts up, an AL completing counts down, a squash
- *    flush frees the chain. Only ALs in that mask whose rotated temp
- *    position can still take a mixed-precision lane this cycle are
- *    tried.
+ *    flush frees the chain. A chain is stepped once per cycle, in one
+ *    walk over its nodes, for the ALs in that mask whose rotated temp
+ *    position can still take a mixed-precision lane and whose forward
+ *    has landed; a node publishes every AL it completes as one record.
  *  - A chain entry joins no select sublist, so select never visits it.
  *
  * Operand readiness comes from the writeback-wakeup flags. The
@@ -60,6 +61,7 @@
 #define SAVE_SAVE_SCHEDULER_H
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -134,12 +136,35 @@ class VectorScheduler
         VecWrite vec;
     };
 
+    /** Claim any free HC temp slot. @return VPU index, or -1 if none. */
+    int claimHcSlot(int type);
+
     /**
-     * Claim a temp slot. For positional policies lane is the temp lane
-     * position; for HC pass -1 to take any free slot.
-     * @return VPU index, or -1 if no capacity.
+     * Claim temp positions by mask for lanes of the given type: each
+     * type-compatible temp, in VPU order, takes every still-unplaced
+     * position it has free, then take(vpu, positions) runs. Positions
+     * only fill, so this is the per-lane first fit. @return the
+     * positions left unplaced.
      */
-    int claimSlot(int lane, int type, bool hc);
+    template <typename F>
+    uint16_t
+    claimPositions(uint16_t positions, int type, F &&take)
+    {
+        for (size_t v = 0; v < temps_.size() && positions; ++v) {
+            Temp &t = temps_[v];
+            if (t.type != -1 && (t.type != type || t.hc))
+                continue;
+            const uint16_t got = positions & ~t.lanesUsed;
+            if (!got)
+                continue;
+            positions &= static_cast<uint16_t>(~got);
+            t.lanesUsed |= got;
+            t.type = type;
+            t.count += std::popcount(got);
+            take(static_cast<int>(v), got);
+        }
+        return positions;
+    }
 
     /** Temp lane positions a positional mixed-precision lane could
      *  still take this cycle (any, if a temp is free; else the open
@@ -162,13 +187,6 @@ class VectorScheduler
 
     /** Mixed-precision chain path (mp_scheduler.cc). ---------------- */
 
-    struct ChainAl
-    {
-        float value = 0.0f;
-        uint64_t readyCycle = 0;
-        bool init = false;
-    };
-
     struct ChainNode
     {
         int rsIdx;
@@ -182,8 +200,11 @@ class VectorScheduler
         /** Linked entries in program order; released ones stay until
          *  the next trim drops the released prefix. */
         std::vector<ChainNode> nodes;
-        std::array<ChainAl, kVecLanes> al{};
-        std::array<int, kVecLanes> cursor{};
+        /** Per AL: the running value and the cycle its forward lands;
+         *  `init` marks the ALs whose base has been read. */
+        VecReg value;
+        std::array<uint64_t, kVecLanes> readyCycle{};
+        uint16_t init = 0;
         /** Per AL: live nodes with an ELM and MLs pending there. */
         std::array<uint16_t, kVecLanes> pendingNodes{};
         /** ALs whose pendingNodes count is non-zero. */
@@ -201,11 +222,10 @@ class VectorScheduler
     /** Return a chain's slot to the free list. */
     void freeChain(int id);
     void scheduleChains();
-    void scheduleChainAl(Chain &chain, int al);
+    /** One walk over the chain's nodes for the ALs in `als`. */
+    void scheduleChain(Chain &chain, uint16_t als);
     /** Count a node's pending MLs into its chain's per-AL counts. */
     static void addPendingAls(Chain &chain, uint32_t pending_ml);
-    /** Advance an AL cursor over consumed/ineffectual nodes. */
-    void advanceCursor(Chain &chain, int al);
     /** For each queued chain: drop released front nodes, free it if
      *  none are left, and keep chain_order_ sorted. */
     void trimChains();
@@ -226,6 +246,8 @@ class VectorScheduler
 
     /** Reusable per-cycle scratch (no steady-state allocation). */
     std::vector<Temp> temps_;
+    /** Per AL, the seq of the node a chain step started on (traced). */
+    std::array<uint64_t, kVecLanes> chain_first_seq_{};
 
     StatRef st_passthrough_lanes_;
     StatRef st_baseline_issues_;

@@ -497,11 +497,9 @@ Auditor::checkEventTargets() const
     for (const auto &bucket : c_.pub_ring_) {
         ring_total += bucket.size();
         for (const Core::PendingPublish &p : bucket) {
-            if (p.lanes == 0 ||
-                (p.srcPhys == kNoReg && popcount(p.lanes) != 1))
+            if (p.lanes == 0)
                 fail("publish ring record for register " +
-                     std::to_string(p.phys) + " has lane mask " +
-                     hex(p.lanes));
+                     std::to_string(p.phys) + " has no lanes");
             for (uint16_t m = p.lanes; m; m &= static_cast<uint16_t>(m - 1))
                 checkLaneTarget(p.phys, lowestSetBit(m), p.robIdx,
                                 "publish ring");
@@ -568,7 +566,9 @@ Auditor::checkEventTargets() const
 
     uint64_t prev_seq = 0;
     bool first = true;
-    for (const Core::LoadReq &req : c_.load_queue_) {
+    for (size_t i = 0; i < c_.load_count_; ++i) {
+        const Core::LoadReq &req =
+            c_.load_queue_[(c_.load_head_ + i) % c_.load_queue_.size()];
         if (!first && req.seq <= prev_seq)
             fail("load queue out of program order at seq " +
                  std::to_string(req.seq));
@@ -873,7 +873,7 @@ Auditor::checkChains() const
                 continue;
             const RsEntry &e = rs.at(n.rsIdx);
             if (!e.valid || e.seq != n.seq)
-                continue; // released node, skipped by the cursors
+                continue; // released node, skipped by the walk
             if (rs_mark_[static_cast<size_t>(n.rsIdx)])
                 fail("RS slot " + std::to_string(n.rsIdx) +
                      " appears in two chain nodes");
@@ -908,10 +908,22 @@ Auditor::checkChains() const
             fail("chain " + std::to_string(id) + " pending-AL mask " +
                  hex(ch.pendingAls) + " != its non-zero counts " +
                  hex(mask));
-        for (int cur : ch.cursor) {
-            if (cur < 0 || cur > static_cast<int>(ch.nodes.size()))
-                fail("chain " + std::to_string(id) +
-                     " cursor out of range");
+        // An AL has a base exactly when it has taken MLs, and each
+        // take records a forward that lands half a VFMA latency out.
+        const uint64_t reach = static_cast<uint64_t>(
+            std::max(1, c_.fmaLatency(true) / 2));
+        for (int al = 0; al < kVecLanes; ++al) {
+            const uint64_t ready = ch.readyCycle[static_cast<size_t>(al)];
+            if ((ready != 0) != (((ch.init >> al) & 1) != 0))
+                fail("chain " + std::to_string(id) + " AL " +
+                     std::to_string(al) + " has forward cycle " +
+                     std::to_string(ready) + " but init mask " +
+                     hex(ch.init));
+            if (ready >= c_.cycle_ + reach)
+                fail("chain " + std::to_string(id) + " AL " +
+                     std::to_string(al) + " forward lands at cycle " +
+                     std::to_string(ready) + ", beyond the forward "
+                     "latency");
         }
     }
     // Every live mixed-precision entry must be linked into exactly the
@@ -952,7 +964,7 @@ Auditor::checkAfterSquash() const
     empty(c_.rob.empty(), "the ROB");
     empty(c_.rs.size() == 0, "the RS");
     empty(c_.baseline_ready_.empty(), "the baseline ready queue");
-    empty(c_.load_queue_.empty(), "the load queue");
+    empty(c_.load_count_ == 0, "the load queue");
     empty(c_.events_.empty(), "the event heap");
     empty(c_.pub_count_ == 0, "the publish ring");
     empty(c_.load_ring_count_ == 0, "the load ring");

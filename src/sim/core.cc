@@ -130,6 +130,7 @@ Core::Core(const MachineConfig &machine_cfg, const SaveConfig &save_cfg,
     baseline_select_ =
         !scfg.enabled || scfg.policy == SchedPolicy::Baseline;
     baseline_ready_.reserve(static_cast<size_t>(rs.capacity()));
+    load_queue_.resize(static_cast<size_t>(rob.capacity()));
     wb_scratch_.reserve(4 * kVecLanes);
     wb_vec_scratch_.reserve(4);
     {
@@ -158,13 +159,13 @@ Core::fmaLatency(bool mixed_precision) const
 }
 
 void
-Core::schedulePublish(int phys, int lane, float value, int robIdx,
-                      uint64_t at_cycle)
+Core::schedulePublish(int phys, uint16_t lanes, const VecReg &values,
+                      int robIdx, uint64_t at_cycle)
 {
     SAVE_ASSERT(at_cycle > cycle_ && at_cycle - cycle_ < kPubRingSlots,
                 "publish must land within the publish ring's reach");
     pub_ring_[at_cycle % kPubRingSlots].push_back(
-        {phys, robIdx, kNoReg, static_cast<uint16_t>(1u << lane), value});
+        {phys, robIdx, kNoReg, lanes, values});
     ++pub_count_;
     activity_ = true;
 }
@@ -174,9 +175,17 @@ Core::schedulePassThrough(int phys, uint16_t lanes, int src_phys,
                           int robIdx)
 {
     pub_ring_[(cycle_ + 1) % kPubRingSlots].push_back(
-        {phys, robIdx, src_phys, lanes, 0.0f});
+        {phys, robIdx, src_phys, lanes, {}});
     ++pub_count_;
     activity_ = true;
+}
+
+void
+Core::queueLoad(const LoadReq &req)
+{
+    SAVE_ASSERT(load_count_ < load_queue_.size(),
+                "more queued loads than ROB entries");
+    load_queue_[(load_head_ + load_count_++) % load_queue_.size()] = req;
 }
 
 void
@@ -266,7 +275,7 @@ Core::drained() const
 {
     if (have_peek_ || !trace_done_ || !rob.empty() || !replay_.empty())
         return false;
-    if (!load_queue_.empty() || !events_.empty() || pub_count_ != 0 ||
+    if (load_count_ != 0 || !events_.empty() || pub_count_ != 0 ||
         load_ring_count_ != 0)
         return false;
     for (const auto &v : vpus)
@@ -443,19 +452,11 @@ Core::processEvents()
     if (!bucket.empty()) {
         activity_ = true;
         for (const PendingPublish &p : bucket) {
-            bool full;
-            int n = 1;
-            if (p.srcPhys == kNoReg) {
-                full = prf.publishLane(p.phys, lowestSetBit(p.lanes),
-                                       p.value);
-            } else {
-                full = prf.publishLanes(p.phys, p.lanes,
-                                        prf.value(p.srcPhys));
-                n = popcount(p.lanes);
-            }
-            if (full)
+            const VecReg &src = p.srcPhys == kNoReg ? p.value
+                                                    : prf.value(p.srcPhys);
+            if (prf.publishLanes(p.phys, p.lanes, src))
                 wakeWaiters(p.phys);
-            if (rob.lanesDone(p.robIdx, n) && etrace_)
+            if (rob.lanesDone(p.robIdx, popcount(p.lanes)) && etrace_)
                 etrace_->writeback(cycle_, rob.at(p.robIdx).seq,
                                    p.robIdx);
         }
@@ -590,7 +591,7 @@ Core::squash()
     for (auto &ws : reg_waiters_)
         ws.clear();
     baseline_ready_.clear();
-    load_queue_.clear();
+    load_count_ = 0;
     pending_stores_.clear();
     inflight_store_lines_.clear();
     events_.clear();
@@ -645,8 +646,8 @@ Core::issueLoads()
     int l1_ports = mcfg.l1ReadPorts;
     int bc_ports = mcfg.bcachePorts;
 
-    while (!load_queue_.empty() && (l1_ports > 0 || bc_ports > 0)) {
-        const LoadReq &req = load_queue_.front();
+    while (load_count_ != 0 && (l1_ports > 0 || bc_ports > 0)) {
+        const LoadReq &req = load_queue_[load_head_];
         // Loads sample the memory image when their event completes,
         // but stores only update it at commit. Hold a load at the
         // queue head until every older store to the same line has
@@ -715,7 +716,8 @@ Core::issueLoads()
         // over it.
         activity_ = true;
         st_loads_issued_.add();
-        load_queue_.pop_front();
+        load_head_ = (load_head_ + 1) % load_queue_.size();
+        --load_count_;
     }
 }
 
@@ -852,7 +854,7 @@ Core::allocateVfma(const Uop &u)
         req.seq = seq_;
         req.addr = u.addr;
         req.op = u.op;
-        load_queue_.push_back(req);
+        queueLoad(req);
     }
 
     sched_->onVfmaAllocated(rs_idx);
@@ -936,7 +938,7 @@ Core::allocate()
             req.robIdx = rob_idx;
             req.addr = u.addr;
             req.op = u.op;
-            load_queue_.push_back(req);
+            queueLoad(req);
             break;
           }
           case Opcode::StoreVec: {
@@ -1006,7 +1008,7 @@ Core::pipelineSnapshot() const
        << " (mgu elmValid=" << elm_valid << ", issued=" << issued
        << ")\n";
 
-    os << "  mem: load_queue=" << load_queue_.size()
+    os << "  mem: load_queue=" << load_count_
        << ", events=" << events_.size() + pub_count_
        << ", pending_stores=" << pending_stores_.size()
        << ", replay=" << replay_.size() << "\n";

@@ -195,11 +195,12 @@ class Core
     }
     const VecReg &operandB(const RsEntry &e) const { return prf.value(e.pb); }
 
-    /** Schedule a single-lane register write at_cycle, which must lie
-     *  within the publish ring's reach (fewer than kPubRingSlots
-     *  cycles out; the constructor bounds mpFmaLatency to match). */
-    void schedulePublish(int phys, int lane, float value, int robIdx,
-                         uint64_t at_cycle);
+    /** Schedule a write of `lanes` of `values` into phys at at_cycle,
+     *  which must lie within the publish ring's reach (fewer than
+     *  kPubRingSlots cycles out; the constructor bounds mpFmaLatency to
+     *  match): one record for every AL a chain node completes. */
+    void schedulePublish(int phys, uint16_t lanes, const VecReg &values,
+                         int robIdx, uint64_t at_cycle);
 
     /** Schedule next cycle's pass-through of `lanes`: one masked copy
      *  from src_phys (the entry's accumulator input, whose `lanes` are
@@ -270,21 +271,22 @@ class Core
      *  they live in a calendar ring of per-cycle buckets; only
      *  far-future load completions pay the event heap.
      *
-     *  A record either writes `value` to its one lane (srcPhys ==
-     *  kNoReg: a chain result), or passes an entry's `lanes` through
-     *  from its accumulator input srcPhys, read when the record drains.
-     *  That read is sound: the lanes were ready when the record was
-     *  made, ready lanes never change while the register is live, and
-     *  srcPhys stays live until the next writer of its logical register
-     *  commits — the entry itself or a younger uop, neither of which
-     *  can commit before these lanes publish (the auditor checks). */
+     *  A record copies its `lanes` into phys, and drains as one masked
+     *  update. A chain result (srcPhys == kNoReg) copies them from
+     *  `value`; pass-through copies an entry's lanes from its
+     *  accumulator input srcPhys, read when the record drains. That
+     *  read is sound: the lanes were ready when the record was made,
+     *  ready lanes never change while the register is live, and srcPhys
+     *  stays live until the next writer of its logical register commits
+     *  — the entry itself or a younger uop, neither of which can commit
+     *  before these lanes publish (the auditor checks). */
     struct PendingPublish
     {
         int phys;
         int robIdx;
         int srcPhys;
         uint16_t lanes;
-        float value;
+        VecReg value;
     };
     static constexpr uint64_t kPubRingSlots = 64;
 
@@ -299,6 +301,7 @@ class Core
     bool nextUop(Uop &u);
     void storeWakeup();
     void issueLoads();
+    void queueLoad(const LoadReq &req);
     void mguStage();
     void allocate();
     void refreshReadiness(RsEntry &e);
@@ -364,7 +367,12 @@ class Core
     uint64_t ff_jumps_ = 0;
     uint64_t ff_cycles_skipped_ = 0;
 
-    std::deque<LoadReq> load_queue_;
+    /** Loads waiting for a port, oldest first: a ring of robEntries
+     *  slots from load_head_, never grown (every queued load belongs to
+     *  a live ROB entry). */
+    std::vector<LoadReq> load_queue_;
+    size_t load_head_ = 0;
+    size_t load_count_ = 0;
     EventHeap events_;
     /** Calendar ring for near-future lane publishes; bucket for cycle
      *  c is pub_ring_[c % kPubRingSlots] (drained every cycle, so the

@@ -18,9 +18,10 @@
  *   issue.pass      456789             3.7
  *   ...
  *
- * An "rs walk" row counts RS entries visited (issue.chains: chain
- * accumulator-lane calls), divided by the stepped cycles (the issue
- * stage's visits; fast-forwarded cycles walk nothing).
+ * An "rs walk" row counts RS entries visited (issue.chains: chains
+ * stepped; issue.chain_nodes: chain nodes those steps walked), divided
+ * by the stepped cycles (the issue stage's visits; fast-forwarded
+ * cycles walk nothing).
  *
  * Timing uses the steady clock per stage visit; the profiler is for
  * relative attribution (which stage eats the wall time), not absolute
@@ -58,10 +59,11 @@ enum class ProfStage : uint8_t {
 
 /** RS walks counted by the self-profiler, in entries visited. */
 enum class ProfWalk : uint8_t {
-    Pass,     // pass-through over the pass list
-    Select,   // baseline / coalesced / HC select
-    Chains,   // mixed-precision chain accumulator lanes tried
-    Dispatch, // MGU over the pending sublist
+    Pass,       // pass-through over the pass list
+    Select,     // baseline / coalesced / HC select
+    Chains,     // mixed-precision chains stepped
+    ChainNodes, // chain nodes visited by those steps
+    Dispatch,   // MGU over the pending sublist
     kCount,
 };
 
@@ -132,17 +134,18 @@ class StageProfiler
             table += line;
         }
         static const char *walk_names[] = {
-            "issue.pass", "issue.select", "issue.chains", "dispatch",
+            "issue.pass",        "issue.select", "issue.chains",
+            "issue.chain_nodes", "dispatch",
         };
         const uint64_t stepped =
             buckets_[static_cast<size_t>(ProfStage::Issue)].visits;
         if (stepped != 0) {
-            std::snprintf(line, sizeof(line), "%-12s %12s %15s\n",
+            std::snprintf(line, sizeof(line), "%-17s %12s %15s\n",
                           "rs walk", "entries", "per issue cycle");
             table += line;
             for (size_t i = 0; i < walks_.size(); ++i) {
                 std::snprintf(
-                    line, sizeof(line), "%-12s %12llu %15.2f\n",
+                    line, sizeof(line), "%-17s %12llu %15.2f\n",
                     walk_names[i],
                     static_cast<unsigned long long>(walks_[i]),
                     static_cast<double>(walks_[i]) /

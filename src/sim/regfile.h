@@ -77,7 +77,7 @@ class PhysRegFile
         return setLanesReady(idx, static_cast<uint16_t>(1u << lane));
     }
     /** Copy the `lanes` of src into the register and mark them ready
-     *  (pass-through: one masked update per entry). */
+     *  (one masked update per publish record). */
     bool
     publishLanes(int idx, uint16_t lanes, const VecReg &src)
     {

@@ -180,16 +180,21 @@ TEST(Exceptions, FaultingRunStatMapsMatchGolden)
     // where mixed-precision partial results are in flight. The maps
     // print as `save-trace stats --json` prints them. On a mismatch
     // the actual maps are written beside the test binary for `diff`.
-    SaveConfig vc, hc, nompc;
+    SaveConfig vc, hc, nompc, hc_nompc;
     vc.policy = SchedPolicy::VC;
     hc.policy = SchedPolicy::HC;
     nompc.mpCompress = false;
+    // HC select's own mixed-precision lane runs only without SecV
+    // compression.
+    hc_nompc.policy = SchedPolicy::HC;
+    hc_nompc.mpCompress = false;
     const std::pair<const char *, SaveConfig> configs[] = {
         {"baseline", SaveConfig::baseline()},
         {"vc", vc},
         {"rvc", SaveConfig{}},
         {"hc", hc},
         {"rvc_nompc", nompc},
+        {"hc_nompc", hc_nompc},
     };
     std::string actual;
     for (const auto &[name, scfg] : configs) {
