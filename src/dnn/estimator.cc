@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "dnn/surface.h"
@@ -448,32 +447,35 @@ TrainingEstimator::corners(Key key, double nbs, double bs) const
     return c;
 }
 
+template <typename Read>
 double
-TrainingEstimator::interpTime(Key key, double nbs, double bs)
+TrainingEstimator::layerTime(const Key &base, double mac_scale, double nbs,
+                             double bs, Read &&read) const
 {
-    const Corners c = corners(key, nbs, bs);
+    const Corners c = corners(base, nbs, bs);
     double t[4];
     for (int i = 0; i < 4; ++i)
-        t[i] = c.live[i] ? sliceTime(c.keys[i]) : 0.0;
-    return t[0] * (1 - c.dw) * (1 - c.da) + t[2] * c.dw * (1 - c.da) +
-           t[1] * (1 - c.dw) * c.da + t[3] * c.dw * c.da;
+        t[i] = c.live[i] ? read(c.keys[i]) : 0.0;
+    return (t[0] * (1 - c.dw) * (1 - c.da) + t[2] * c.dw * (1 - c.da) +
+            t[1] * (1 - c.dw) * c.da + t[3] * c.dw * c.da) *
+           mac_scale;
 }
 
 TrainingEstimator::Key
 TrainingEstimator::baseKey(const KernelSpec &spec, Precision precision,
-                           double bs, double nbs, bool save_on,
-                           int vpus) const
+                           double &mac_scale) const
 {
-    GemmConfig slice = spec.slice(precision, bs, nbs, opt_.kSteps,
+    // Neither the key nor the MAC scale reads the slice's sparsities.
+    GemmConfig slice = spec.slice(precision, 0.0, 0.0, opt_.kSteps,
                                   opt_.seed);
+    slice.tiles = opt_.tiles;
+    mac_scale = spec.macScale(slice);
     Key key{};
     key.mr = slice.mr;
     key.nr = slice.nrVecs;
     key.kSteps = slice.kSteps;
     key.pattern = static_cast<uint8_t>(slice.pattern);
     key.precision = static_cast<uint8_t>(precision);
-    key.saveOn = save_on ? 1 : 0;
-    key.vpus = static_cast<uint8_t>(vpus);
     return key;
 }
 
@@ -482,13 +484,12 @@ TrainingEstimator::kernelTime(const KernelSpec &spec, Precision precision,
                               double bs, double nbs, bool save_on,
                               int vpus)
 {
-    GemmConfig slice = spec.slice(precision, bs, nbs, opt_.kSteps,
-                                  opt_.seed);
-    slice.tiles = opt_.tiles;
-
-    Key key = baseKey(spec, precision, bs, nbs, save_on, vpus);
-    double t_slice = interpTime(key, nbs, bs);
-    return t_slice * spec.macScale(slice);
+    double mac_scale = 0.0;
+    Key key = baseKey(spec, precision, mac_scale);
+    key.saveOn = save_on ? 1 : 0;
+    key.vpus = static_cast<uint8_t>(vpus);
+    return layerTime(key, mac_scale, nbs, bs,
+                     [this](const Key &k) { return sliceTime(k); });
 }
 
 namespace {
@@ -507,93 +508,125 @@ bucket(PhaseBreakdown &bd, Phase phase, bool first_layer, double t)
         bd.bwdWeights += t;
 }
 
+/** A point's place in an evaluation's per-surface bin table. */
+size_t
+slotOf(size_t surf, const SliceKey &point)
+{
+    constexpr size_t g = SparsitySurface::kGrid;
+    return (surf * g + point.wBin) * g + point.aBin;
+}
+
 } // namespace
 
+template <typename Fn>
 void
-TrainingEstimator::forEachKernel(
-    const NetworkModel &net, int64_t step, bool inference_only,
-    const std::function<void(const KernelSpec &, double, double, bool,
-                             double)> &fn) const
+TrainingEstimator::forEachKernel(const Evaluation &ev,
+                                 const NetworkModel &net, int64_t step,
+                                 Fn &&fn) const
 {
-    ActivationProfile act = net.profile();
-    double ws = net.schedule.sparsityAt(step);
-    int n_kernels = net.numKernels();
+    const ActivationProfile act = net.profile();
+    std::vector<double> s(kAct + static_cast<size_t>(net.numKernels()));
+    s[kWeights] = net.schedule.sparsityAt(step);
+    for (int i = 0; i < net.numKernels(); ++i)
+        s[kAct + static_cast<size_t>(i)] = act.at(i, step);
+    for (const Kernel &k : ev.kernels)
+        fn(k, s[k.bs], s[k.nbs]);
+}
+
+TrainingEstimator::Evaluation
+TrainingEstimator::evaluation(const NetworkModel &net, Precision precision,
+                              bool inference_only) const
+{
+    // The kernel list, in accumulation order; no field depends on epochs.
+    Evaluation ev;
+    std::map<Key, size_t> surfaces;
+    auto add = [&](const KernelSpec &spec, size_t bs, size_t nbs,
+                   bool first, double mac_factor) {
+        Kernel k{spec.phase, first, bs, nbs, mac_factor, 0.0, {}};
+        Key key = baseKey(spec, precision, k.macScale);
+        for (int c = 0; c < 3; ++c) {
+            key.saveOn = c > 0;
+            key.vpus = c == 2 ? 1 : 2;
+            auto [it, fresh] = surfaces.try_emplace(key, ev.surfaces.size());
+            if (fresh)
+                ev.surfaces.push_back(key);
+            k.surf[c] = it->second;
+        }
+        ev.kernels.push_back(k);
+    };
 
     if (!net.isLstm()) {
-        for (int i = 0; i < n_kernels; ++i) {
-            const ConvLayer &layer =
-                net.convLayers[static_cast<size_t>(i)];
+        const size_t n = net.convLayers.size();
+        for (size_t i = 0; i < n; ++i) {
+            const ConvLayer &layer = net.convLayers[i];
             bool first = i == 0;
-            double in_act = first ? 0.0 : act.at(i, step);
+            size_t in_act = first ? kZero : kAct + i;
             // Output-gradient sparsity: the layer's own ReLU mask,
             // approximated by its output activation sparsity (the
             // next layer's input); zero under BatchNorm.
-            double grad = net.sparseGradients
-                ? act.at(std::min(i + 1, n_kernels - 1), step)
-                : 0.0;
+            size_t grad = net.sparseGradients
+                ? kAct + std::min(i + 1, n - 1)
+                : kZero;
 
-            fn(makeConvKernel(layer, Phase::Forward, net.batch),
-               in_act, ws, first, 1.0);
+            add(makeConvKernel(layer, Phase::Forward, net.batch), in_act,
+                kWeights, first, 1.0);
             if (inference_only)
                 continue;
             if (!first) {
                 // dX = dY * W^T: dY broadcast (BS), W^T vector (NBS).
-                fn(makeConvKernel(layer, Phase::BwdInput, net.batch),
-                   grad, ws, false, 1.0);
+                add(makeConvKernel(layer, Phase::BwdInput, net.batch),
+                    grad, kWeights, false, 1.0);
             }
             // dW = X^T dY: X broadcast (BS), dY vector (NBS).
-            fn(makeConvKernel(layer, Phase::BwdWeights, net.batch),
-               in_act, net.sparseGradients ? grad : 0.0, first, 1.0);
+            add(makeConvKernel(layer, Phase::BwdWeights, net.batch),
+                in_act, grad, first, 1.0);
         }
     } else {
-        for (int i = 0; i < n_kernels; ++i) {
-            const LstmCell &cell = net.cells[static_cast<size_t>(i)];
-            double in_act = act.at(i, step);
-            fn(makeLstmKernel(cell, Phase::Forward), in_act, ws, false,
-               1.0);
+        for (size_t i = 0; i < net.cells.size(); ++i) {
+            const LstmCell &cell = net.cells[i];
+            add(makeLstmKernel(cell, Phase::Forward), kAct + i, kWeights,
+                false, 1.0);
             if (inference_only)
                 continue;
             // The merged LSTM backward computes both dX and dW: twice
             // the forward GEMM work at gradient/weight sparsity.
-            fn(makeLstmKernel(cell, Phase::BwdInput), in_act, ws, false,
-               2.0);
+            add(makeLstmKernel(cell, Phase::BwdInput), kAct + i, kWeights,
+                false, 2.0);
         }
     }
+
+    // The key walk: every live corner of every configuration, deduped
+    // by its slot in the bin table, in first-request order.
+    constexpr size_t g = SparsitySurface::kGrid;
+    ev.slots.assign(ev.surfaces.size() * g * g, 0);
+    for (int64_t e = inference_only ? net.steps() - 1 : 0;
+         e < net.steps(); ++e)
+        forEachKernel(ev, net, e, [&](const Kernel &k, double bs,
+                                      double nbs) {
+            for (size_t surf : k.surf) {
+                const Corners c = corners(ev.surfaces[surf], nbs, bs);
+                for (int i = 0; i < 4; ++i) {
+                    uint32_t &slot = ev.slots[slotOf(surf, c.keys[i])];
+                    if (c.live[i] && slot == 0) {
+                        ev.points.push_back(c.keys[i]);
+                        slot = static_cast<uint32_t>(ev.points.size());
+                    }
+                }
+            }
+        });
+    return ev;
 }
 
 void
 TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
                             bool inference_only)
 {
-    // Enumerate every surface point the evaluation will touch, in the
-    // deterministic order the serial walk would first request them.
-    std::vector<Key> order;
-    std::set<Key> seen;
-    auto consider = [&](Key k) {
-        if (seen.insert(k).second)
-            order.push_back(k);
-    };
-    auto add_kernel = [&](const KernelSpec &spec, double bs, double nbs,
-                          bool, double) {
-        struct Cfg
-        {
-            bool saveOn;
-            int vpus;
-        };
-        for (Cfg cfg : {Cfg{false, 2}, Cfg{true, 2}, Cfg{true, 1}}) {
-            const Corners c = corners(
-                baseKey(spec, precision, bs, nbs, cfg.saveOn, cfg.vpus),
-                nbs, bs);
-            for (int i = 0; i < 4; ++i)
-                if (c.live[i])
-                    consider(c.keys[i]);
-        }
-    };
+    fetch(evaluation(net, precision, inference_only).points);
+}
 
-    int64_t first_step = inference_only ? net.steps() - 1 : 0;
-    for (int64_t e = first_step; e < net.steps(); ++e)
-        forEachKernel(net, e, inference_only, add_kernel);
-
+void
+TrainingEstimator::fetch(const std::vector<Key> &points)
+{
     // Claim every un-cached point up front: inserting the shared
     // future under the lock takes single-flight ownership, exactly as
     // sliceTime's owner path would, so a concurrent kernelTime that
@@ -603,7 +636,7 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
     std::vector<std::promise<double>> promises;
     {
         std::lock_guard<std::mutex> lk(cache_mu_);
-        for (const Key &k : order) {
+        for (const Key &k : points) {
             if (cache_.count(k))
                 continue;
             std::promise<double> p;
@@ -676,30 +709,37 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
 }
 
 void
-TrainingEstimator::addEpoch(const NetworkModel &net, Precision precision,
-                            int64_t step, bool inference_only,
-                            NetResult &acc)
+TrainingEstimator::readTimes(Evaluation &ev)
+{
+    fetch(ev.points);
+    for (const Key &k : ev.points)
+        ev.times.push_back(sliceTime(k));
+}
+
+void
+TrainingEstimator::addEpoch(const Evaluation &ev, const NetworkModel &net,
+                            int64_t step, NetResult &acc) const
 {
     PhaseBreakdown epoch2, epoch1; // for the per-epoch static choice
 
-    forEachKernel(
-        net, step, inference_only,
-        [&](const KernelSpec &spec, double bs, double nbs,
-            bool first_layer, double mac_factor) {
-            double tb = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, false, 2);
-            double t2 = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, true, 2);
-            double t1 = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, true, 1);
-            bucket(acc.baseline2, spec.phase, first_layer, tb);
-            bucket(acc.save2, spec.phase, first_layer, t2);
-            bucket(acc.save1, spec.phase, first_layer, t1);
-            bucket(acc.saveDynamic, spec.phase, first_layer,
-                   std::min(t2, t1));
-            bucket(epoch2, spec.phase, first_layer, t2);
-            bucket(epoch1, spec.phase, first_layer, t1);
-        });
+    forEachKernel(ev, net, step, [&](const Kernel &k, double bs,
+                                     double nbs) {
+        double t[3];
+        for (int c = 0; c < 3; ++c) {
+            auto read = [&, s = k.surf[c]](const Key &p) {
+                return ev.times[ev.slots[slotOf(s, p)] - 1];
+            };
+            t[c] = k.macFactor * layerTime(ev.surfaces[k.surf[c]],
+                                           k.macScale, nbs, bs, read);
+        }
+        bucket(acc.baseline2, k.phase, k.firstLayer, t[0]);
+        bucket(acc.save2, k.phase, k.firstLayer, t[1]);
+        bucket(acc.save1, k.phase, k.firstLayer, t[2]);
+        bucket(acc.saveDynamic, k.phase, k.firstLayer,
+               std::min(t[1], t[2]));
+        bucket(epoch2, k.phase, k.firstLayer, t[1]);
+        bucket(epoch1, k.phase, k.firstLayer, t[2]);
+    });
 
     // Static: the better fixed VPU count for this whole epoch.
     acc.saveStatic +=
@@ -709,9 +749,10 @@ TrainingEstimator::addEpoch(const NetworkModel &net, Precision precision,
 NetResult
 TrainingEstimator::inference(const NetworkModel &net, Precision precision)
 {
-    prefetch(net, precision, true);
+    Evaluation ev = evaluation(net, precision, true);
+    readTimes(ev);
     NetResult r;
-    addEpoch(net, precision, net.steps() - 1, true, r);
+    addEpoch(ev, net, net.steps() - 1, r);
     // Inference has no epoch granularity: static == the better fixed
     // configuration == what addEpoch already computed.
     return r;
@@ -720,10 +761,11 @@ TrainingEstimator::inference(const NetworkModel &net, Precision precision)
 NetResult
 TrainingEstimator::training(const NetworkModel &net, Precision precision)
 {
-    prefetch(net, precision, false);
+    Evaluation ev = evaluation(net, precision, false);
+    readTimes(ev);
     NetResult r;
     for (int64_t e = 0; e < net.steps(); ++e)
-        addEpoch(net, precision, e, false, r);
+        addEpoch(ev, net, e, r);
     double inv = 1.0 / static_cast<double>(net.steps());
     r.baseline2 *= inv;
     r.save2 *= inv;

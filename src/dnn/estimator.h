@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -202,8 +201,8 @@ class TrainingEstimator
 
     /**
      * Simulate every surface point the given evaluation will touch,
-     * fanned out across the thread pool. inference()/training() call
-     * this themselves; it is public so callers can warm several
+     * fanned out across the thread pool. inference()/training() do
+     * the same themselves; it is public so callers can warm several
      * networks ahead of time.
      */
     void prefetch(const NetworkModel &net, Precision precision,
@@ -325,24 +324,62 @@ class TrainingEstimator
     /** Simulated slice time in ns at binned sparsities; single-flight
      *  cached so concurrent callers never duplicate a simulation. */
     double sliceTime(const Key &key);
-    /** gridStep-aware bilinear interpolation over slice times. */
-    double interpTime(Key key, double nbs, double bs);
 
-    /** Key for one kernel invocation before sparsity binning. */
+    /** A kernel's base key (bins 0) and its layer MACs per slice MAC. */
     Key baseKey(const KernelSpec &spec, Precision precision,
-                double bs, double nbs, bool save_on, int vpus) const;
+                double &mac_scale) const;
 
-    /** Invoke fn for every kernel evaluation of one epoch, in the
+    /** Layer time at (nbs, bs): the bilinear interpolation over the
+     *  live corners of `base`, each read via read(key), times mac_scale. */
+    template <typename Read>
+    double layerTime(const Key &base, double mac_scale, double nbs,
+                     double bs, Read &&read) const;
+
+    /** One kernel of an evaluation with everything no epoch changes.
+     *  bs and nbs index the epoch's sparsities (kZero, kWeights, or kAct
+     *  + i: layer i's input activations); surf[] its surface for each
+     *  configuration: baseline 2 VPUs, SAVE 2 VPUs, SAVE 1 VPU. */
+    struct Kernel
+    {
+        Phase phase;
+        bool firstLayer;
+        size_t bs, nbs;
+        double macFactor, macScale;
+        size_t surf[3];
+    };
+    static constexpr size_t kZero = 0, kWeights = 1, kAct = 2;
+
+    /** One prefetch/inference/training call: its kernel list, its
+     *  surfaces (distinct base keys), the distinct points it reads in
+     *  first-request order, each point's slot in a per-surface bin
+     *  table (1 + index into points; 0: unread) and the points' times. */
+    struct Evaluation
+    {
+        std::vector<Kernel> kernels;
+        std::vector<Key> surfaces, points;
+        std::vector<uint32_t> slots;
+        std::vector<double> times;
+    };
+
+    /** Build a call's kernel list, then walk its epochs for points. */
+    Evaluation evaluation(const NetworkModel &net, Precision precision,
+                          bool inference_only) const;
+
+    /** Hand fn(kernel, bs, nbs) every kernel of one epoch, in the
      *  exact order addEpoch accumulates them. */
-    void forEachKernel(
-        const NetworkModel &net, int64_t step, bool inference_only,
-        const std::function<void(const KernelSpec &, double bs,
-                                 double nbs, bool first_layer,
-                                 double mac_factor)> &fn) const;
+    template <typename Fn>
+    void forEachKernel(const Evaluation &ev, const NetworkModel &net,
+                       int64_t step, Fn &&fn) const;
 
-    /** Accumulate one epoch of one network into the result. */
-    void addEpoch(const NetworkModel &net, Precision precision,
-                  int64_t step, bool inference_only, NetResult &acc);
+    /** Claim each un-cached point, serve store hits, fan out the rest. */
+    void fetch(const std::vector<Key> &points);
+
+    /** fetch() an evaluation's points, then read each one's time. */
+    void readTimes(Evaluation &ev);
+
+    /** Accumulate one epoch of an evaluation into the result. */
+    void addEpoch(const Evaluation &ev, const NetworkModel &net,
+                  int64_t step, NetResult &acc) const;
 
     MachineConfig mcfg_;
     SaveConfig save_cfg_;

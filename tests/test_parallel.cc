@@ -14,9 +14,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <unistd.h>
 
 #include "dnn/estimator.h"
@@ -198,6 +201,106 @@ TEST(ParallelEstimator, ZeroWeightCornersAreNeverSimulated)
     EXPECT_EQ(est.simulations(), 1u);
     est.kernelTime(first, Precision::Fp32, 0.0, nbs, true, 1);
     EXPECT_EQ(est.simulations(), 2u);
+}
+
+/** The 20 doubles of a NetResult in hex float (%a), one operating
+ *  point per line: bit-exact and diffable. */
+std::string
+hexNetResult(const std::string &label, const NetResult &r)
+{
+    const std::pair<const char *, const PhaseBreakdown *> points[] = {
+        {"baseline2", &r.baseline2}, {"save2", &r.save2},
+        {"save1", &r.save1},         {"static", &r.saveStatic},
+        {"dynamic", &r.saveDynamic},
+    };
+    std::string out;
+    for (const auto &[name, b] : points) {
+        char line[256];
+        std::snprintf(line, sizeof line, "%s %s %a %a %a %a\n",
+                      label.c_str(), name, b->firstLayer, b->forward,
+                      b->bwdInput, b->bwdWeights);
+        out += line;
+    }
+    return out;
+}
+
+/** Three truncated networks, one per estimator path: sparse
+ *  gradients, pruned weights, and the LSTM backward's 2x MAC factor. */
+std::vector<NetworkModel>
+goldenNetworks()
+{
+    NetworkModel vgg = vgg16Dense();
+    vgg.convLayers.resize(4);
+    NetworkModel resnet = resnet50Pruned();
+    resnet.convLayers.resize(4);
+    NetworkModel gnmt = gnmtPruned();
+    gnmt.cells.resize(3);
+    return {vgg, resnet, gnmt};
+}
+
+TEST(ParallelEstimator, NetResultsMatchGolden)
+{
+    // Grid 3 puts most sparsities between bins, so the interpolation
+    // weights are fractional and every corner path is exercised.
+    EstimatorOptions opt = fastOptions(2);
+    opt.gridStep = 3;
+    TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+    std::string actual;
+    for (const NetworkModel &net : goldenNetworks())
+        for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
+            const std::string label =
+                net.name + (prec == Precision::Bf16 ? " bf16" : " fp32");
+            actual += hexNetResult(label + " inference",
+                                   est.inference(net, prec));
+            actual += hexNetResult(label + " training",
+                                   est.training(net, prec));
+        }
+    std::ifstream golden(SAVE_NETRESULTS_GOLDEN);
+    ASSERT_TRUE(golden.is_open()) << SAVE_NETRESULTS_GOLDEN;
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    if (actual != expected.str()) {
+        std::ofstream(SAVE_NETRESULTS_OUT) << actual;
+        FAIL() << "estimator results differ from the golden; see: "
+                  "diff " SAVE_NETRESULTS_GOLDEN " " SAVE_NETRESULTS_OUT;
+    }
+}
+
+TEST(ParallelEstimator, ConcurrentEvaluationsMatchSerial)
+{
+    // Two user threads evaluate different networks on one estimator,
+    // as a ShardCoordinator's in-process lanes do on their shared
+    // session. Their surfaces overlap, so the two walks race for the
+    // same single-flight points.
+    std::vector<NetworkModel> nets = goldenNetworks();
+    nets.resize(2);
+    EstimatorOptions opt = fastOptions(1);
+    opt.gridStep = 3;
+    TrainingEstimator serial(MachineConfig{}, SaveConfig{}, opt);
+    NetResult want[2][2];
+    for (size_t n = 0; n < 2; ++n) {
+        want[n][0] = serial.training(nets[n], Precision::Bf16);
+        want[n][1] = serial.inference(nets[n], Precision::Bf16);
+    }
+
+    opt.threads = 2;
+    TrainingEstimator shared(MachineConfig{}, SaveConfig{}, opt);
+    NetResult got[2][2];
+    std::vector<std::thread> users;
+    for (size_t n = 0; n < 2; ++n)
+        users.emplace_back([&, n] {
+            got[n][0] = shared.training(nets[n], Precision::Bf16);
+            got[n][1] = shared.inference(nets[n], Precision::Bf16);
+        });
+    for (std::thread &t : users)
+        t.join();
+    for (size_t n = 0; n < 2; ++n) {
+        EXPECT_TRUE(bytesEqual(want[n][0], got[n][0]))
+            << nets[n].name << " training";
+        EXPECT_TRUE(bytesEqual(want[n][1], got[n][1]))
+            << nets[n].name << " inference";
+    }
+    EXPECT_EQ(shared.simulations(), serial.simulations());
 }
 
 TEST(ParallelEstimator, FailFastRethrowsWithoutHanging)
