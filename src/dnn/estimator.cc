@@ -33,6 +33,15 @@ optionSalt(const EstimatorOptions &opt)
  *  ends the wait at once. */
 constexpr int kFlightWaitMs = 60000;
 
+/** The surface point of `base` at bins (w_bin, a_bin). */
+SliceKey
+pointOf(SliceKey base, int w_bin, int a_bin)
+{
+    base.wBin = static_cast<uint8_t>(w_bin);
+    base.aBin = static_cast<uint8_t>(a_bin);
+    return base;
+}
+
 } // namespace
 
 std::string
@@ -412,52 +421,40 @@ TrainingEstimator::failureReport() const
     return os.str();
 }
 
-TrainingEstimator::Corners
-TrainingEstimator::corners(Key key, double nbs, double bs) const
+TrainingEstimator::Bin
+TrainingEstimator::bin(double s) const
 {
-    Corners c{};
-    int w[2] = {0, 0}, a[2] = {0, 0};
-    // The baseline pipeline is data-oblivious: one sample at bins
-    // (0, 0), with full weight, serves every sparsity point.
-    if (key.saveOn) {
-        const int step = opt_.gridStep;
-        const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
-        auto bins = [&](double s, int bin[2], double &frac) {
-            double b = std::clamp(s, 0.0, SparsitySurface::kMax) /
-                       SparsitySurface::kStep;
-            bin[0] = std::min(static_cast<int>(b) / step * step, max_bin);
-            bin[1] = std::min(bin[0] + step, max_bin);
-            frac = bin[1] > bin[0] ? (b - bin[0]) / (bin[1] - bin[0]) : 0.0;
-            frac = std::clamp(frac, 0.0, 1.0);
-        };
-        bins(nbs, w, c.dw);
-        bins(bs, a, c.da);
-    }
-    // A corner whose weight is exactly 0 adds exactly 0 to any finite
-    // interpolation, so it is neither simulated nor read: a first-layer
-    // kernel (bs = 0) or a dense-weight kernel (nbs = 0) reads one row
-    // or column of the four.
-    const double fw[2] = {1 - c.dw, c.dw}, fa[2] = {1 - c.da, c.da};
-    for (int i = 0; i < 4; ++i) {
-        c.keys[i] = key;
-        c.keys[i].wBin = static_cast<uint8_t>(w[i >> 1]);
-        c.keys[i].aBin = static_cast<uint8_t>(a[i & 1]);
-        c.live[i] = fw[i >> 1] != 0 && fa[i & 1] != 0;
-    }
-    return c;
+    const int step = opt_.gridStep;
+    const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
+    const double b =
+        std::clamp(s, 0.0, SparsitySurface::kMax) / SparsitySurface::kStep;
+    Bin r;
+    r.lo = std::min(static_cast<int>(b) / step * step, max_bin);
+    r.hi = std::min(r.lo + step, max_bin);
+    r.frac = r.hi > r.lo ? (b - r.lo) / (r.hi - r.lo) : 0.0;
+    r.frac = std::clamp(r.frac, 0.0, 1.0);
+    return r;
 }
 
 template <typename Read>
 double
-TrainingEstimator::layerTime(const Key &base, double mac_scale, double nbs,
-                             double bs, Read &&read) const
+TrainingEstimator::layerTime(const Bin &w, const Bin &a, double mac_scale,
+                             Read &&read)
 {
-    const Corners c = corners(base, nbs, bs);
+    // A corner whose weight is exactly 0 adds exactly 0 to any finite
+    // interpolation, so it is neither simulated nor read: a first-layer
+    // kernel (bs = 0) or a dense-weight kernel (nbs = 0) reads one row
+    // or column of the four. Corners go (lo,lo), (lo,hi), (hi,lo), (hi,hi).
+    const double dw = w.frac, da = a.frac;
+    const double fw[2] = {1 - dw, dw}, fa[2] = {1 - da, da};
+    const int wb[2] = {w.lo, w.hi}, ab[2] = {a.lo, a.hi};
     double t[4];
     for (int i = 0; i < 4; ++i)
-        t[i] = c.live[i] ? read(c.keys[i]) : 0.0;
-    return (t[0] * (1 - c.dw) * (1 - c.da) + t[2] * c.dw * (1 - c.da) +
-            t[1] * (1 - c.dw) * c.da + t[3] * c.dw * c.da) *
+        t[i] = fw[i >> 1] != 0 && fa[i & 1] != 0
+                   ? read(wb[i >> 1], ab[i & 1])
+                   : 0.0;
+    return (t[0] * (1 - dw) * (1 - da) + t[2] * dw * (1 - da) +
+            t[1] * (1 - dw) * da + t[3] * dw * da) *
            mac_scale;
 }
 
@@ -488,8 +485,12 @@ TrainingEstimator::kernelTime(const KernelSpec &spec, Precision precision,
     Key key = baseKey(spec, precision, mac_scale);
     key.saveOn = save_on ? 1 : 0;
     key.vpus = static_cast<uint8_t>(vpus);
-    return layerTime(key, mac_scale, nbs, bs,
-                     [this](const Key &k) { return sliceTime(k); });
+    // The baseline pipeline is data-oblivious: its one sample serves
+    // every sparsity.
+    const Bin w = save_on ? bin(nbs) : Bin{}, a = save_on ? bin(bs) : Bin{};
+    return layerTime(w, a, mac_scale, [&](int wb, int ab) {
+        return sliceTime(pointOf(key, wb, ab));
+    });
 }
 
 namespace {
@@ -508,30 +509,16 @@ bucket(PhaseBreakdown &bd, Phase phase, bool first_layer, double t)
         bd.bwdWeights += t;
 }
 
-/** A point's place in an evaluation's per-surface bin table. */
+/** A point's place in an evaluation's per-surface 10x10 table. */
 size_t
-slotOf(size_t surf, const SliceKey &point)
+slotOf(size_t surf, int w_bin, int a_bin)
 {
     constexpr size_t g = SparsitySurface::kGrid;
-    return (surf * g + point.wBin) * g + point.aBin;
+    return (surf * g + static_cast<size_t>(w_bin)) * g +
+           static_cast<size_t>(a_bin);
 }
 
 } // namespace
-
-template <typename Fn>
-void
-TrainingEstimator::forEachKernel(const Evaluation &ev,
-                                 const NetworkModel &net, int64_t step,
-                                 Fn &&fn) const
-{
-    const ActivationProfile act = net.profile();
-    std::vector<double> s(kAct + static_cast<size_t>(net.numKernels()));
-    s[kWeights] = net.schedule.sparsityAt(step);
-    for (int i = 0; i < net.numKernels(); ++i)
-        s[kAct + static_cast<size_t>(i)] = act.at(i, step);
-    for (const Kernel &k : ev.kernels)
-        fn(k, s[k.bs], s[k.nbs]);
-}
 
 TrainingEstimator::Evaluation
 TrainingEstimator::evaluation(const NetworkModel &net, Precision precision,
@@ -595,25 +582,50 @@ TrainingEstimator::evaluation(const NetworkModel &net, Precision precision,
         }
     }
 
-    // The key walk: every live corner of every configuration, deduped
-    // by its slot in the bin table, in first-request order.
+    // The bins table: each evaluated epoch's sparsities, binned once.
+    const int64_t first = inference_only ? net.steps() - 1 : 0;
+    const ActivationProfile act = net.profile();
+    ev.width = kAct + static_cast<size_t>(net.numKernels());
+    ev.bins.resize(static_cast<size_t>(net.steps() - first) * ev.width);
+
+    // The key walk: every corner layerTime() reads, of every kernel and
+    // configuration, deduped by its slot, in first-request order. A
+    // bin's (lo, hi, frac == 0, frac == 1) fixes its live corners and
+    // their keys, so an epoch that matches the last walked epoch in all
+    // of them requests nothing new and is skipped.
+    auto same = [](const Bin &x, const Bin &y) {
+        return x.lo == y.lo && x.hi == y.hi &&
+               (x.frac == 0) == (y.frac == 0) &&
+               (x.frac == 1) == (y.frac == 1);
+    };
     constexpr size_t g = SparsitySurface::kGrid;
     ev.slots.assign(ev.surfaces.size() * g * g, 0);
-    for (int64_t e = inference_only ? net.steps() - 1 : 0;
-         e < net.steps(); ++e)
-        forEachKernel(ev, net, e, [&](const Kernel &k, double bs,
-                                      double nbs) {
-            for (size_t surf : k.surf) {
-                const Corners c = corners(ev.surfaces[surf], nbs, bs);
-                for (int i = 0; i < 4; ++i) {
-                    uint32_t &slot = ev.slots[slotOf(surf, c.keys[i])];
-                    if (c.live[i] && slot == 0) {
-                        ev.points.push_back(c.keys[i]);
-                        slot = static_cast<uint32_t>(ev.points.size());
-                    }
-                }
+    const Bin *walked = nullptr;
+    for (int64_t e = first; e < net.steps(); ++e) {
+        Bin *row = &ev.bins[static_cast<size_t>(e - first) * ev.width];
+        row[kZero] = bin(0.0);
+        row[kWeights] = bin(net.schedule.sparsityAt(e));
+        for (int i = 0; i < net.numKernels(); ++i)
+            row[kAct + static_cast<size_t>(i)] = bin(act.at(i, e));
+        if (walked && std::equal(row, row + ev.width, walked, same))
+            continue;
+        walked = row;
+        for (const Kernel &k : ev.kernels)
+            for (int c = 0; c < 3; ++c) {
+                const size_t s = k.surf[c];
+                layerTime(c ? row[k.nbs] : Bin{}, c ? row[k.bs] : Bin{},
+                          0.0, [&](int w, int a) {
+                              uint32_t &slot = ev.slots[slotOf(s, w, a)];
+                              if (slot == 0) {
+                                  ev.points.push_back(
+                                      pointOf(ev.surfaces[s], w, a));
+                                  slot = static_cast<uint32_t>(
+                                      ev.points.size());
+                              }
+                              return 0.0;
+                          });
             }
-        });
+    }
     return ev;
 }
 
@@ -717,20 +729,21 @@ TrainingEstimator::readTimes(Evaluation &ev)
 }
 
 void
-TrainingEstimator::addEpoch(const Evaluation &ev, const NetworkModel &net,
-                            int64_t step, NetResult &acc) const
+TrainingEstimator::addEpoch(const Evaluation &ev, const Bin *row,
+                            NetResult &acc)
 {
     PhaseBreakdown epoch2, epoch1; // for the per-epoch static choice
 
-    forEachKernel(ev, net, step, [&](const Kernel &k, double bs,
-                                     double nbs) {
+    for (const Kernel &k : ev.kernels) {
         double t[3];
         for (int c = 0; c < 3; ++c) {
-            auto read = [&, s = k.surf[c]](const Key &p) {
-                return ev.times[ev.slots[slotOf(s, p)] - 1];
-            };
-            t[c] = k.macFactor * layerTime(ev.surfaces[k.surf[c]],
-                                           k.macScale, nbs, bs, read);
+            const size_t s = k.surf[c];
+            t[c] = k.macFactor *
+                   layerTime(c ? row[k.nbs] : Bin{}, c ? row[k.bs] : Bin{},
+                             k.macScale, [&](int w, int a) {
+                                 return ev.times[ev.slots[slotOf(s, w, a)] -
+                                                 1];
+                             });
         }
         bucket(acc.baseline2, k.phase, k.firstLayer, t[0]);
         bucket(acc.save2, k.phase, k.firstLayer, t[1]);
@@ -739,7 +752,7 @@ TrainingEstimator::addEpoch(const Evaluation &ev, const NetworkModel &net,
                std::min(t[1], t[2]));
         bucket(epoch2, k.phase, k.firstLayer, t[1]);
         bucket(epoch1, k.phase, k.firstLayer, t[2]);
-    });
+    }
 
     // Static: the better fixed VPU count for this whole epoch.
     acc.saveStatic +=
@@ -752,7 +765,7 @@ TrainingEstimator::inference(const NetworkModel &net, Precision precision)
     Evaluation ev = evaluation(net, precision, true);
     readTimes(ev);
     NetResult r;
-    addEpoch(ev, net, net.steps() - 1, r);
+    addEpoch(ev, ev.row(0), r); // the final epoch's row, the only one
     // Inference has no epoch granularity: static == the better fixed
     // configuration == what addEpoch already computed.
     return r;
@@ -765,7 +778,7 @@ TrainingEstimator::training(const NetworkModel &net, Precision precision)
     readTimes(ev);
     NetResult r;
     for (int64_t e = 0; e < net.steps(); ++e)
-        addEpoch(ev, net, e, r);
+        addEpoch(ev, ev.row(static_cast<size_t>(e)), r);
     double inv = 1.0 / static_cast<double>(net.steps());
     r.baseline2 *= inv;
     r.save2 *= inv;

@@ -269,17 +269,15 @@ class TrainingEstimator
     /** Surface-point cache key (shape + sparsity bins). */
     using Key = SliceKey;
 
-    /** The surface points one lookup reads: the four bilinear corners
-     *  in the order (w0,a0), (w0,a1), (w1,a0), (w1,a1), the weight and
-     *  activation interpolation fractions, and which corners carry a
-     *  non-zero weight. Only live corners are ever simulated or read. */
-    struct Corners
+    /** One sparsity on one grid axis: the bins below and above it and
+     *  its interpolation fraction between them. The default (bins 0,
+     *  fraction 0) is the data-oblivious baseline's one sample. */
+    struct Bin
     {
-        Key keys[4];
-        bool live[4];
-        double dw, da;
+        int lo = 0, hi = 0;
+        double frac = 0.0;
     };
-    Corners corners(Key key, double nbs, double bs) const;
+    Bin bin(double s) const;
 
     /** One slice attempt plus where it ran: a slice that executed in
      *  a sandboxed worker was already persisted by that worker, so the
@@ -329,14 +327,15 @@ class TrainingEstimator
     Key baseKey(const KernelSpec &spec, Precision precision,
                 double &mac_scale) const;
 
-    /** Layer time at (nbs, bs): the bilinear interpolation over the
-     *  live corners of `base`, each read via read(key), times mac_scale. */
+    /** Layer time at weight bin w and activation bin a: the bilinear
+     *  interpolation over the live corners, each read via
+     *  read(wBin, aBin), times mac_scale. */
     template <typename Read>
-    double layerTime(const Key &base, double mac_scale, double nbs,
-                     double bs, Read &&read) const;
+    static double layerTime(const Bin &w, const Bin &a, double mac_scale,
+                            Read &&read);
 
     /** One kernel of an evaluation with everything no epoch changes.
-     *  bs and nbs index the epoch's sparsities (kZero, kWeights, or kAct
+     *  bs and nbs index an epoch's row of bins (kZero, kWeights, or kAct
      *  + i: layer i's input activations); surf[] its surface for each
      *  configuration: baseline 2 VPUs, SAVE 2 VPUs, SAVE 1 VPU. */
     struct Kernel
@@ -350,26 +349,27 @@ class TrainingEstimator
     static constexpr size_t kZero = 0, kWeights = 1, kAct = 2;
 
     /** One prefetch/inference/training call: its kernel list, its
-     *  surfaces (distinct base keys), the distinct points it reads in
-     *  first-request order, each point's slot in a per-surface bin
-     *  table (1 + index into points; 0: unread) and the points' times. */
+     *  surfaces (distinct base keys), its bins (a row of `width` per
+     *  evaluated epoch, indexed like Kernel::bs/nbs), the distinct
+     *  points it reads in first-request order, each point's slot in a
+     *  per-surface 10x10 table (1 + index into points; 0: unread) and
+     *  the points' times. */
     struct Evaluation
     {
         std::vector<Kernel> kernels;
         std::vector<Key> surfaces, points;
+        size_t width = 0;
+        std::vector<Bin> bins;
         std::vector<uint32_t> slots;
         std::vector<double> times;
+
+        const Bin *row(size_t epoch) const { return &bins[epoch * width]; }
     };
 
-    /** Build a call's kernel list, then walk its epochs for points. */
+    /** Build a call's kernel list and bins, then walk its epochs for
+     *  points. */
     Evaluation evaluation(const NetworkModel &net, Precision precision,
                           bool inference_only) const;
-
-    /** Hand fn(kernel, bs, nbs) every kernel of one epoch, in the
-     *  exact order addEpoch accumulates them. */
-    template <typename Fn>
-    void forEachKernel(const Evaluation &ev, const NetworkModel &net,
-                       int64_t step, Fn &&fn) const;
 
     /** Claim each un-cached point, serve store hits, fan out the rest. */
     void fetch(const std::vector<Key> &points);
@@ -377,9 +377,9 @@ class TrainingEstimator
     /** fetch() an evaluation's points, then read each one's time. */
     void readTimes(Evaluation &ev);
 
-    /** Accumulate one epoch of an evaluation into the result. */
-    void addEpoch(const Evaluation &ev, const NetworkModel &net,
-                  int64_t step, NetResult &acc) const;
+    /** Accumulate one epoch's row of bins into the result. */
+    static void addEpoch(const Evaluation &ev, const Bin *row,
+                         NetResult &acc);
 
     MachineConfig mcfg_;
     SaveConfig save_cfg_;

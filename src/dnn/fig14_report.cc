@@ -103,6 +103,9 @@ fig14Report(const Fig14Eval &eval)
             "\nPaper (dynamic, MP): inference 1.68x/1.37x/1.59x "
             "(VGG/ResNet/ResNet-pruned), 1.39x GNMT; training "
             "1.64x/1.29x/1.42x, 1.28x GNMT.\n");
+    // Callers keep reports (a benchmark keeps one per unit): return
+    // the text without the reserve's slack.
+    out.shrink_to_fit();
     return out;
 }
 

@@ -12,9 +12,12 @@ namespace save {
 
 namespace {
 
+/** Slicing-by-8 tables: t[0] is the bytewise table; t[j][b] is the
+ *  CRC of byte b followed by j zero bytes, so eight lookups advance the
+ *  CRC over eight bytes at once. */
 struct Crc32Table
 {
-    uint32_t t[256];
+    uint32_t t[8][256];
 
     constexpr Crc32Table() : t()
     {
@@ -22,12 +25,25 @@ struct Crc32Table
             uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (int j = 1; j < 8; ++j)
+            for (uint32_t i = 0; i < 256; ++i)
+                t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xffu];
     }
 };
 
 constexpr Crc32Table kCrcTable;
+
+/** Little-endian u32 from bytes: host byte order and alignment free. */
+uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
 
 /** Absolute deadline helper: remaining ms, clamped to >= 0. */
 int
@@ -103,9 +119,17 @@ frameFourccName(uint32_t fourcc)
 uint32_t
 frameCrc32(const uint8_t *p, size_t n, uint32_t seed)
 {
+    const auto &t = kCrcTable.t;
     uint32_t c = seed ^ 0xffffffffu;
-    for (size_t i = 0; i < n; ++i)
-        c = kCrcTable.t[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const uint32_t lo = c ^ loadLe32(p), hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

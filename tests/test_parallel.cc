@@ -26,6 +26,7 @@
 #include "dnn/networks.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
+#include "util/frame.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -224,6 +225,41 @@ hexNetResult(const std::string &label, const NetResult &r)
     return out;
 }
 
+/** kernelTime() of a ResNet-50 forward and backward-weights kernel on
+ *  SAVE with 2 and 1 VPUs, one line per nbs, one %a per bs. The
+ *  sparsities sit on the 30% bin edges, between them and above 90%. */
+std::string
+hexKernelTimes(TrainingEstimator &est, const std::string &label)
+{
+    const NetworkModel net = resnet50Pruned();
+    const double sparsities[] = {0.3, 0.45, 0.6, 0.75, 0.9, 0.95};
+    std::string out;
+    for (Phase phase : {Phase::Forward, Phase::BwdWeights}) {
+        const KernelSpec spec =
+            makeConvKernel(net.convLayers[1], phase, net.batch);
+        for (Precision prec : {Precision::Fp32, Precision::Bf16})
+            for (int vpus : {2, 1})
+                for (double nbs : sparsities) {
+                    char line[64];
+                    std::snprintf(line, sizeof line, "%s kernel %s %s %d "
+                                  "nbs=%.2f",
+                                  label.c_str(),
+                                  phase == Phase::Forward ? "fwd" : "bwd-w",
+                                  prec == Precision::Bf16 ? "bf16" : "fp32",
+                                  vpus, nbs);
+                    out += line;
+                    for (double bs : sparsities) {
+                        std::snprintf(line, sizeof line, " %a",
+                                      est.kernelTime(spec, prec, bs, nbs,
+                                                     true, vpus));
+                        out += line;
+                    }
+                    out += '\n';
+                }
+    }
+    return out;
+}
+
 /** Three truncated networks, one per estimator path: sparse
  *  gradients, pruned weights, and the LSTM backward's 2x MAC factor. */
 std::vector<NetworkModel>
@@ -238,32 +274,97 @@ goldenNetworks()
     return {vgg, resnet, gnmt};
 }
 
-TEST(ParallelEstimator, NetResultsMatchGolden)
+/** Fail unless `actual` equals the golden file; on a mismatch write it
+ *  to `out` for `diff`. */
+void
+expectGolden(const std::string &actual, const char *golden_path,
+             const char *out_path)
 {
-    // Grid 3 puts most sparsities between bins, so the interpolation
-    // weights are fractional and every corner path is exercised.
-    EstimatorOptions opt = fastOptions(2);
-    opt.gridStep = 3;
-    TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
-    std::string actual;
-    for (const NetworkModel &net : goldenNetworks())
-        for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
-            const std::string label =
-                net.name + (prec == Precision::Bf16 ? " bf16" : " fp32");
-            actual += hexNetResult(label + " inference",
-                                   est.inference(net, prec));
-            actual += hexNetResult(label + " training",
-                                   est.training(net, prec));
-        }
-    std::ifstream golden(SAVE_NETRESULTS_GOLDEN);
-    ASSERT_TRUE(golden.is_open()) << SAVE_NETRESULTS_GOLDEN;
+    std::ifstream golden(golden_path);
+    ASSERT_TRUE(golden.is_open()) << golden_path;
     std::ostringstream expected;
     expected << golden.rdbuf();
     if (actual != expected.str()) {
-        std::ofstream(SAVE_NETRESULTS_OUT) << actual;
-        FAIL() << "estimator results differ from the golden; see: "
-                  "diff " SAVE_NETRESULTS_GOLDEN " " SAVE_NETRESULTS_OUT;
+        std::ofstream(out_path) << actual;
+        FAIL() << "output differs from the golden; see: diff "
+               << golden_path << " " << out_path;
     }
+}
+
+TEST(ParallelEstimator, NetResultsMatchGolden)
+{
+    // Grids 1 (the paper's), 2 (the one grid whose top bin is 80%, so
+    // sparsities above it clamp), 3 (the benchmarks'; most sparsities
+    // fall between bins, so the weights are fractional) and 9 (the
+    // report goldens').
+    std::string actual;
+    for (int grid : {3, 1, 2, 9}) {
+        EstimatorOptions opt = fastOptions(2);
+        opt.gridStep = grid;
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+        const std::string g = "grid" + std::to_string(grid) + " ";
+        for (const NetworkModel &net : goldenNetworks())
+            for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
+                const std::string label =
+                    g + net.name +
+                    (prec == Precision::Bf16 ? " bf16" : " fp32");
+                actual += hexNetResult(label + " inference",
+                                       est.inference(net, prec));
+                actual += hexNetResult(label + " training",
+                                       est.training(net, prec));
+            }
+        actual += hexKernelTimes(est, g + "ResNet-50");
+    }
+    expectGolden(actual, SAVE_NETRESULTS_GOLDEN, SAVE_NETRESULTS_OUT);
+}
+
+TEST(ParallelEstimator, FanOutOrderMatchesGolden)
+{
+    // First-request order fixes the fan-out order and so, with one
+    // thread, the order of the records in each shard of a fresh store.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("save-fanout-test-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    EstimatorOptions opt = fastOptions(1);
+    opt.gridStep = 3;
+    opt.cacheDir = dir.string();
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+        for (const NetworkModel &net : goldenNetworks())
+            for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
+                est.training(net, prec);
+                est.inference(net, prec);
+            }
+    }
+    std::string actual;
+    for (int shard = 0; shard < ResultStore::kShards; ++shard) {
+        char name[32];
+        std::snprintf(name, sizeof name, "cas-%02x.savecas", shard);
+        std::ifstream in(dir / name, std::ios::binary);
+        const std::vector<uint8_t> bytes(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        for (uint64_t off = 0; off < bytes.size();) {
+            FrameView rec;
+            if (frameParse(bytes.data(), bytes.size(), off, rec, 1u << 20,
+                           nullptr) != FrameParse::Ok) {
+                ADD_FAILURE() << "unparsable record in " << name;
+                break;
+            }
+            const uint8_t *p = rec.payload, *end = p + rec.len;
+            const uint64_t cfg = frameGetU64(p, end);
+            const uint64_t wl = frameGetU64(p, end);
+            char line[64];
+            std::snprintf(line, sizeof line, "%s %016llx %016llx\n", name,
+                          static_cast<unsigned long long>(cfg),
+                          static_cast<unsigned long long>(wl));
+            actual += line;
+        }
+    }
+    std::filesystem::remove_all(dir);
+    EXPECT_FALSE(actual.empty());
+    expectGolden(actual, SAVE_FANOUT_GOLDEN, SAVE_FANOUT_OUT);
 }
 
 TEST(ParallelEstimator, ConcurrentEvaluationsMatchSerial)

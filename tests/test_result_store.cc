@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "util/fault_injection.h"
+#include "util/frame.h"
 
 #ifndef SAVE_WORKER_BIN_PATH
 #error "test_result_store requires SAVE_WORKER_BIN_PATH (set by CMake)"
@@ -358,6 +360,46 @@ TEST_F(ResultStoreTest, CrcCatchesPayloadCorruption)
     ResultStore store(opts());
     EXPECT_EQ(store.quarantines(), 1u);
     EXPECT_FALSE(store.lookup(key, nullptr));
+}
+
+/** Bit-at-a-time CRC-32 (reflected 0xEDB88320): the slow reference the
+ *  table-driven frameCrc32 must equal. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t n, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+TEST(FrameCrc32, MatchesTheCheckValueAndABitwiseReference)
+{
+    const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    EXPECT_EQ(frameCrc32(check, sizeof check), 0xcbf43926u);
+    EXPECT_EQ(frameCrc32(nullptr, 0), 0u);
+
+    // Every length 0-72 from every start offset 0-7 (so every
+    // alignment and every tail after the 8-byte blocks), two seeds.
+    std::mt19937 rng(25);
+    std::vector<uint8_t> buf(8 + 72);
+    for (size_t off = 0; off < 8; ++off) {
+        for (uint8_t &b : buf)
+            b = static_cast<uint8_t>(rng());
+        const uint8_t *p = buf.data() + off;
+        for (size_t n = 0; n <= 72; ++n)
+            for (uint32_t seed : {0u, 0x9e3779b9u})
+                EXPECT_EQ(frameCrc32(p, n, seed), crc32Bitwise(p, n, seed))
+                    << "offset " << off << " length " << n;
+        // Chaining: crc(a || b) == crc(b, seed = crc(a)).
+        for (size_t split = 0; split <= 72; ++split)
+            EXPECT_EQ(frameCrc32(p + split, 72 - split, frameCrc32(p, split)),
+                      frameCrc32(p, 72))
+                << "offset " << off << " split " << split;
+    }
 }
 
 TEST_F(ResultStoreTest, FaultInjectedTamperingAtOpenQuarantines)
