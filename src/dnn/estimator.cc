@@ -42,7 +42,50 @@ pointOf(SliceKey base, int w_bin, int a_bin)
     return base;
 }
 
+/** The slice a surface point simulates: its shape, the sparsities of
+ *  its bins and a per-point seed. Neither SAVE nor the VPU count
+ *  enters it, so a point's configurations simulate the same data. */
+GemmConfig
+sliceConfig(const SliceKey &key, int tiles, uint64_t seed)
+{
+    GemmConfig g;
+    g.mr = key.mr;
+    g.nrVecs = key.nr;
+    g.kSteps = key.kSteps;
+    g.tiles = tiles;
+    g.pattern = static_cast<BroadcastPattern>(key.pattern);
+    g.precision = static_cast<Precision>(key.precision);
+    g.nbsSparsity = key.wBin * SparsitySurface::kStep;
+    g.bsSparsity = key.aBin * SparsitySurface::kStep;
+    g.seed = seed + key.wBin * 131 + key.aBin * 17;
+    return g;
+}
+
 } // namespace
+
+/** The slice data of the cold points of one fan-out that differ only
+ *  in configuration. The first to simulate fills it, each simulation
+ *  runs on its own copy (a run writes C), and the last user of the
+ *  fan-out drops it. */
+struct TrainingEstimator::SharedFill
+{
+    std::mutex mu;
+    int users = 0;
+    MemoryImage image;
+    /** Each core's placement; empty until filled. */
+    std::vector<GemmWorkload> work;
+
+    /** One user is done: the last one frees the data. */
+    void
+    leave()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        if (--users == 0) {
+            image = MemoryImage();
+            work.clear();
+        }
+    }
+};
 
 std::string
 resolveIsolation(const std::string &opt)
@@ -179,28 +222,37 @@ TrainingEstimator::simulateSliceKernel(const MachineConfig &mcfg,
                                        const SliceKey &key, int tiles,
                                        int cores, uint64_t seed)
 {
-    GemmConfig g;
-    g.mr = key.mr;
-    g.nrVecs = key.nr;
-    g.kSteps = key.kSteps;
-    g.tiles = tiles;
-    g.pattern = static_cast<BroadcastPattern>(key.pattern);
-    g.precision = static_cast<Precision>(key.precision);
-    g.nbsSparsity = key.wBin * SparsitySurface::kStep;
-    g.bsSparsity = key.aBin * SparsitySurface::kStep;
-    g.seed = seed + key.wBin * 131 + key.aBin * 17;
-
     // Each worker simulates with its own short-lived Engine: there is
     // no shared simulator state between concurrent slice points.
     Engine eng(mcfg, key.saveOn ? save_on_cfg : SaveConfig::baseline());
-    return eng.runGemm(g, cores, key.vpus);
+    return eng.runGemm(sliceConfig(key, tiles, seed), cores, key.vpus);
 }
 
 KernelResult
-TrainingEstimator::simulateSlice(const Key &key) const
+TrainingEstimator::simulateSlice(const Key &key, SharedFill *fill) const
 {
-    return simulateSliceKernel(mcfg_, save_cfg_, key, opt_.tiles,
-                               opt_.cores, opt_.seed);
+    if (!fill)
+        return simulateSliceKernel(mcfg_, save_cfg_, key, opt_.tiles,
+                                   opt_.cores, opt_.seed);
+    MemoryImage image;
+    std::vector<GemmWorkload> work;
+    {
+        std::lock_guard<std::mutex> lk(fill->mu);
+        if (fill->work.empty()) {
+            // A fill that throws leaves the share empty for the next
+            // attempt.
+            MemoryImage fresh;
+            std::vector<GemmWorkload> placed = fillShardedGemm(
+                sliceConfig(key, opt_.tiles, opt_.seed), fresh,
+                opt_.cores);
+            fill->image = std::move(fresh);
+            fill->work = std::move(placed);
+        }
+        image = fill->image;
+        work = fill->work;
+    }
+    Engine eng(mcfg_, key.saveOn ? save_cfg_ : SaveConfig::baseline());
+    return eng.runFilled(std::move(image), work, key.vpus);
 }
 
 CasKey
@@ -210,7 +262,8 @@ TrainingEstimator::casKey(const Key &key) const
 }
 
 TrainingEstimator::SliceOutcome
-TrainingEstimator::runSliceIsolated(const Key &key, int attempt)
+TrainingEstimator::runSliceIsolated(const Key &key, int attempt,
+                                    SharedFill *fill)
 {
     if (proc_pool_ && !proc_pool_->degraded()) {
         try {
@@ -235,12 +288,12 @@ TrainingEstimator::runSliceIsolated(const Key &key, int attempt)
                 // one of the slice's own retries.
                 SAVE_WARN("slice falling back in-process after pool "
                           "degradation: ", e.what());
-                return SliceOutcome{simulateSlice(key), false};
+                return SliceOutcome{simulateSlice(key, fill), false};
             }
             throw;
         }
     }
-    return SliceOutcome{simulateSlice(key), false};
+    return SliceOutcome{simulateSlice(key, fill), false};
 }
 
 uint64_t
@@ -285,14 +338,14 @@ TrainingEstimator::keyLabel(const Key &key) const
 }
 
 TrainingEstimator::SliceOutcome
-TrainingEstimator::simulateWithRetry(const Key &key)
+TrainingEstimator::simulateWithRetry(const Key &key, SharedFill *fill)
 {
     const uint64_t site = keyHash(key);
     const int attempts = 1 + opt_.maxRetries;
     for (int a = 1;; ++a) {
         try {
             FaultInjector::global().maybeFailSlice(site);
-            return runSliceIsolated(key, a);
+            return runSliceIsolated(key, a, fill);
         } catch (const std::exception &e) {
             if (a < attempts) {
                 SAVE_WARN("retrying ", keyLabel(key), " after attempt ",
@@ -320,7 +373,7 @@ TrainingEstimator::simulateWithRetry(const Key &key)
 }
 
 double
-TrainingEstimator::computeCold(const Key &key)
+TrainingEstimator::computeCold(const Key &key, SharedFill *fill)
 {
     if (store_ && store_->enabled()) {
         const CasKey ck = casKey(key);
@@ -341,7 +394,7 @@ TrainingEstimator::computeCold(const Key &key)
             if (store_->lookup(ck, &v))
                 return v.timeNs;
         }
-        SliceOutcome out = simulateWithRetry(key);
+        SliceOutcome out = simulateWithRetry(key, fill);
         if (std::isfinite(out.result.timeNs)) {
             sims_.fetch_add(1, std::memory_order_relaxed);
             if (!out.fromWorker)
@@ -349,7 +402,7 @@ TrainingEstimator::computeCold(const Key &key)
         }
         return out.result.timeNs;
     }
-    SliceOutcome out = simulateWithRetry(key);
+    SliceOutcome out = simulateWithRetry(key, fill);
     if (std::isfinite(out.result.timeNs))
         sims_.fetch_add(1, std::memory_order_relaxed);
     return out.result.timeNs;
@@ -684,6 +737,22 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
         return work(x) > work(y);
     });
 
+    // In-process, the cold points that differ only in configuration
+    // (SAVE's 2- and 1-VPU twins, and the baseline at bins (0, 0))
+    // simulate the same slice data, so they share one fill per
+    // fan-out: fill_of[i] for cold point i, keyed by the point with
+    // its configuration cleared. A worker process fills its own, so
+    // under process isolation the parent fills none.
+    std::map<Key, SharedFill> fills;
+    std::vector<SharedFill *> fill_of(todo.size(), nullptr);
+    if (!proc_pool_)
+        for (size_t i : cold) {
+            Key data = todo[i];
+            data.saveOn = data.vpus = 0;
+            fill_of[i] = &fills[data];
+            ++fill_of[i]->users;
+        }
+
     // Every index resolves its own promise exactly once. After a
     // failFast failure the indices not yet started skip their
     // simulation and fail their waiters with the first error, which
@@ -692,15 +761,16 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
     std::exception_ptr error;
     auto run = [&](int64_t n) {
         const size_t i = cold[static_cast<size_t>(n)];
+        SharedFill *fill = fill_of[i];
         std::exception_ptr e;
         {
             std::lock_guard<std::mutex> lk(error_mu);
             e = error;
         }
+        double t = 0;
         if (!e) {
             try {
-                promises[i].set_value(computeCold(todo[i]));
-                return;
+                t = computeCold(todo[i], fill);
             } catch (...) {
                 e = std::current_exception();
                 std::lock_guard<std::mutex> lk(error_mu);
@@ -708,7 +778,14 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
                     error = e;
             }
         }
-        promises[i].set_exception(e);
+        // Simulated, served by the store, failed or skipped: this
+        // point no longer needs its fill.
+        if (fill)
+            fill->leave();
+        if (e)
+            promises[i].set_exception(e);
+        else
+            promises[i].set_value(t);
     };
     const auto n = static_cast<int64_t>(cold.size());
     if (pool_)

@@ -279,6 +279,10 @@ class TrainingEstimator
     };
     Bin bin(double s) const;
 
+    /** One cold point's slice data, shared for one fan-out by the
+     *  points that differ only in configuration (estimator.cc). */
+    struct SharedFill;
+
     /** One slice attempt plus where it ran: a slice that executed in
      *  a sandboxed worker was already persisted by that worker, so the
      *  parent must not append a duplicate record. */
@@ -289,8 +293,9 @@ class TrainingEstimator
     };
 
     /** Run one slice simulation (pure: no estimator state touched;
-     *  the worker builds its own short-lived Engine). */
-    KernelResult simulateSlice(const Key &key) const;
+     *  the worker builds its own short-lived Engine), on a copy of
+     *  `fill`'s data when it is non-null. */
+    KernelResult simulateSlice(const Key &key, SharedFill *fill) const;
 
     /** CAS identity of a surface point (config digest + workload). */
     CasKey casKey(const Key &key) const;
@@ -303,21 +308,24 @@ class TrainingEstimator
     /** simulateSlice with the retry/fault-isolation policy applied.
      *  Returns a NaN-timed result after maxRetries + 1 failed attempts
      *  (recording a SliceFailure) unless failFast, which rethrows. */
-    SliceOutcome simulateWithRetry(const Key &key);
+    SliceOutcome simulateWithRetry(const Key &key, SharedFill *fill);
 
     /** One attempt of one slice under the resolved isolation mode:
      *  dispatches to the worker pool (falling back in-process once it
      *  degrades) or runs simulateSlice directly. */
-    SliceOutcome runSliceIsolated(const Key &key, int attempt);
+    SliceOutcome runSliceIsolated(const Key &key, int attempt,
+                                  SharedFill *fill);
 
     /**
      * Produce one point the persistent store does not have yet:
      * cross-process single-flight (losers wait for the owner's
      * insert), then simulate with the retry policy and persist the
      * finite result — from the parent in-process, or from the worker
-     * that ran it. Returns the slice time (NaN = permanently failed).
+     * that ran it. An in-process run simulates a copy of `fill`'s
+     * data when it is non-null. Returns the slice time (NaN =
+     * permanently failed).
      */
-    double computeCold(const Key &key);
+    double computeCold(const Key &key, SharedFill *fill = nullptr);
 
     /** Simulated slice time in ns at binned sparsities; single-flight
      *  cached so concurrent callers never duplicate a simulation. */
@@ -371,7 +379,8 @@ class TrainingEstimator
     Evaluation evaluation(const NetworkModel &net, Precision precision,
                           bool inference_only) const;
 
-    /** Claim each un-cached point, serve store hits, fan out the rest. */
+    /** Claim each un-cached point, serve store hits, fan out the rest;
+     *  in-process, the points that share slice data share one fill. */
     void fetch(const std::vector<Key> &points);
 
     /** fetch() an evaluation's points, then read each one's time. */

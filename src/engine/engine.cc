@@ -18,24 +18,8 @@ Engine::Engine(MachineConfig mcfg, SaveConfig scfg)
     scfg_.validate();
 }
 
-KernelResult
-Engine::runGemm(const GemmConfig &cfg, int cores, int vpus) const
-{
-    return runGemmImpl(cfg, cores, vpus, nullptr, std::string());
-}
-
-KernelResult
-Engine::recordGemm(const GemmConfig &cfg, const std::string &trace_path,
-                   const std::string &kernel_name, int cores,
-                   int vpus) const
-{
-    return runGemmImpl(cfg, cores, vpus, &trace_path, kernel_name);
-}
-
-KernelResult
-Engine::runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
-                    const std::string *trace_path,
-                    const std::string &kernel_name) const
+void
+Engine::checkShape(int cores, int vpus) const
 {
     if (cores < 1 || cores > mcfg_.cores)
         throw ConfigError("core count must be in [1, " +
@@ -45,16 +29,49 @@ Engine::runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
         throw ConfigError("VPU count must be in [1, " +
                           std::to_string(mcfg_.numVpus) + "] (got " +
                           std::to_string(vpus) + ")");
-    cfg.validate();
+}
+
+KernelResult
+Engine::runGemm(const GemmConfig &cfg, int cores, int vpus) const
+{
+    checkShape(cores, vpus);
+    MemoryImage image;
+    std::vector<GemmWorkload> work = fillShardedGemm(cfg, image, cores);
+    return run(image, work, vpus, nullptr, std::string());
+}
+
+KernelResult
+Engine::recordGemm(const GemmConfig &cfg, const std::string &trace_path,
+                   const std::string &kernel_name, int cores,
+                   int vpus) const
+{
+    checkShape(cores, vpus);
+    MemoryImage image;
+    // The trace file holds every core's uops: build them.
+    std::vector<GemmWorkload> work = buildShardedGemm(cfg, image, cores);
+    return run(image, work, vpus, &trace_path, kernel_name);
+}
+
+KernelResult
+Engine::runFilled(MemoryImage image, const std::vector<GemmWorkload> &work,
+                  int vpus) const
+{
+    return run(image, work, vpus, nullptr, std::string());
+}
+
+KernelResult
+Engine::run(MemoryImage &image, const std::vector<GemmWorkload> &work,
+            int vpus, const std::string *trace_path,
+            const std::string &kernel_name) const
+{
+    const int cores = static_cast<int>(work.size());
+    checkShape(cores, vpus);
 
     MachineConfig mc = mcfg_;
     // Model `cores` cores' share of the full machine: private
     // resources stay per-core, shared DRAM bandwidth is pro-rated.
     mc.dramGBps = mcfg_.dramGBps * cores / mcfg_.cores;
     mc.cores = cores;
-
-    MemoryImage image;
-    std::vector<GemmWorkload> work = buildShardedGemm(cfg, image, cores);
 
     // Everything the replay needs to rebuild this run is written
     // before the simulation mutates the image; the RES chunk follows
@@ -78,15 +95,13 @@ Engine::runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
     }
 
     Multicore machine(mc, scfg_, vpus, &image);
-    std::vector<std::unique_ptr<VectorTrace>> traces;
+    std::vector<GemmStream> streams;
+    streams.reserve(work.size());
     std::vector<TraceSource *> srcs;
-    for (int c = 0; c < cores; ++c) {
-        GemmWorkload &w = work[static_cast<size_t>(c)];
+    for (const GemmWorkload &w : work) {
         w.warmup(machine.hierarchy());
-        // warmup() reads only addresses and the trace writer is done
-        // with the uops: hand them over instead of copying them.
-        traces.push_back(std::make_unique<VectorTrace>(std::move(w.trace)));
-        srcs.push_back(traces.back().get());
+        streams.emplace_back(w);
+        srcs.push_back(&streams.back());
     }
     machine.bindTraces(srcs);
 

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "kernels/gemm.h"
 #include "sim/config.h"
@@ -67,6 +68,17 @@ class Engine
                             int cores = 1, int vpus = 2) const;
 
     /**
+     * Simulate a slice whose data fillShardedGemm already wrote: `image`
+     * holds it and `work` names each core's placement (cores =
+     * work.size()). Each core runs its GemmStream. The run writes C,
+     * so the image is taken by value: runs that share one fill each
+     * simulate their own copy, bit-identical to runGemm.
+     */
+    KernelResult runFilled(MemoryImage image,
+                           const std::vector<GemmWorkload> &work,
+                           int vpus = 2) const;
+
+    /**
      * Run the trace through the OoO pipeline and through the in-order
      * reference; true iff final C-matrix memory is bitwise identical.
      */
@@ -77,9 +89,16 @@ class Engine
     const SaveConfig &save() const { return scfg_; }
 
   private:
-    KernelResult runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
-                             const std::string *trace_path,
-                             const std::string &kernel_name) const;
+    /** Throw ConfigError unless cores and vpus fit the machine. */
+    void checkShape(int cores, int vpus) const;
+
+    /** The one run path: simulate `work` on `image`, each core from
+     *  its GemmStream. A non-null `trace_path` records the run, with
+     *  each workload's built trace. */
+    KernelResult run(MemoryImage &image,
+                     const std::vector<GemmWorkload> &work, int vpus,
+                     const std::string *trace_path,
+                     const std::string &kernel_name) const;
 
     MachineConfig mcfg_;
     SaveConfig scfg_;

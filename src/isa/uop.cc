@@ -26,92 +26,4 @@ Uop::toString() const
     return os.str();
 }
 
-Uop
-Uop::vfma(int dst, int a, int b, int wmask)
-{
-    Uop u;
-    u.op = Opcode::VfmaPs;
-    u.dst = static_cast<int8_t>(dst);
-    u.srcA = static_cast<int8_t>(a);
-    u.srcB = static_cast<int8_t>(b);
-    u.srcC = static_cast<int8_t>(dst);
-    u.wmask = static_cast<int8_t>(wmask);
-    return u;
-}
-
-Uop
-Uop::vfmaBcast(int dst, uint64_t addr, int b, int wmask)
-{
-    Uop u;
-    u.op = Opcode::VfmaPsBcast;
-    u.dst = static_cast<int8_t>(dst);
-    u.srcB = static_cast<int8_t>(b);
-    u.srcC = static_cast<int8_t>(dst);
-    u.wmask = static_cast<int8_t>(wmask);
-    u.addr = addr;
-    return u;
-}
-
-Uop
-Uop::vdp(int dst, int a, int b, int wmask)
-{
-    Uop u = vfma(dst, a, b, wmask);
-    u.op = Opcode::Vdpbf16Ps;
-    return u;
-}
-
-Uop
-Uop::vdpBcast(int dst, uint64_t addr, int b, int wmask)
-{
-    Uop u = vfmaBcast(dst, addr, b, wmask);
-    u.op = Opcode::Vdpbf16PsBcast;
-    return u;
-}
-
-Uop
-Uop::broadcastLoad(int dst, uint64_t addr)
-{
-    Uop u;
-    u.op = Opcode::BroadcastLoad;
-    u.dst = static_cast<int8_t>(dst);
-    u.addr = addr;
-    return u;
-}
-
-Uop
-Uop::loadVec(int dst, uint64_t addr)
-{
-    Uop u;
-    u.op = Opcode::LoadVec;
-    u.dst = static_cast<int8_t>(dst);
-    u.addr = addr;
-    return u;
-}
-
-Uop
-Uop::storeVec(int src, uint64_t addr)
-{
-    Uop u;
-    u.op = Opcode::StoreVec;
-    u.srcC = static_cast<int8_t>(src);
-    u.addr = addr;
-    return u;
-}
-
-Uop
-Uop::alu()
-{
-    return Uop{};
-}
-
-Uop
-Uop::setMask(int kreg, uint16_t imm)
-{
-    Uop u;
-    u.op = Opcode::SetMask;
-    u.wmask = static_cast<int8_t>(kreg);
-    u.maskImm = imm;
-    return u;
-}
-
 } // namespace save

@@ -106,6 +106,106 @@ struct Uop
     static Uop setMask(int kreg, uint16_t imm);
 };
 
+// The constructors are inline: a kernel emitter builds each uop in
+// place instead of copying it out of a call.
+
+inline Uop
+Uop::vfma(int dst, int a, int b, int wmask)
+{
+    Uop u;
+    u.op = Opcode::VfmaPs;
+    u.dst = static_cast<int8_t>(dst);
+    u.srcA = static_cast<int8_t>(a);
+    u.srcB = static_cast<int8_t>(b);
+    u.srcC = static_cast<int8_t>(dst);
+    u.wmask = static_cast<int8_t>(wmask);
+    return u;
+}
+
+inline Uop
+Uop::vfmaBcast(int dst, uint64_t addr, int b, int wmask)
+{
+    Uop u;
+    u.op = Opcode::VfmaPsBcast;
+    u.dst = static_cast<int8_t>(dst);
+    u.srcB = static_cast<int8_t>(b);
+    u.srcC = static_cast<int8_t>(dst);
+    u.wmask = static_cast<int8_t>(wmask);
+    u.addr = addr;
+    return u;
+}
+
+inline Uop
+Uop::vdp(int dst, int a, int b, int wmask)
+{
+    Uop u = vfma(dst, a, b, wmask);
+    u.op = Opcode::Vdpbf16Ps;
+    return u;
+}
+
+inline Uop
+Uop::vdpBcast(int dst, uint64_t addr, int b, int wmask)
+{
+    Uop u = vfmaBcast(dst, addr, b, wmask);
+    u.op = Opcode::Vdpbf16PsBcast;
+    return u;
+}
+
+inline Uop
+Uop::broadcastLoad(int dst, uint64_t addr)
+{
+    Uop u;
+    u.op = Opcode::BroadcastLoad;
+    u.dst = static_cast<int8_t>(dst);
+    u.addr = addr;
+    return u;
+}
+
+inline Uop
+Uop::loadVec(int dst, uint64_t addr)
+{
+    Uop u;
+    u.op = Opcode::LoadVec;
+    u.dst = static_cast<int8_t>(dst);
+    u.addr = addr;
+    return u;
+}
+
+inline Uop
+Uop::storeVec(int src, uint64_t addr)
+{
+    Uop u;
+    u.op = Opcode::StoreVec;
+    u.srcC = static_cast<int8_t>(src);
+    u.addr = addr;
+    return u;
+}
+
+inline Uop
+Uop::alu()
+{
+    return Uop{};
+}
+
+inline Uop
+Uop::setMask(int kreg, uint16_t imm)
+{
+    Uop u;
+    u.op = Opcode::SetMask;
+    u.wmask = static_cast<int8_t>(kreg);
+    u.maskImm = imm;
+    return u;
+}
+
+/** Abstract uop stream: what a core fetches from. */
+class TraceSource
+{
+  public:
+    virtual ~TraceSource() = default;
+    /** Produce the next uop; false when the trace is exhausted. */
+    virtual bool next(Uop &u) = 0;
+};
+
 } // namespace save
 
 #endif // SAVE_ISA_UOP_H

@@ -40,98 +40,11 @@ struct RegPlan
     int aReg(int m) const { return mr * nr + nr + (m & 1); }
 };
 
-void
-emitTile(const GemmConfig &cfg, const GemmWorkload &w, int panel,
-         int tile, std::vector<Uop> &out)
-{
-    const int mr = cfg.mr;
-    const int nr = cfg.nrVecs;
-    RegPlan plan{mr, nr};
-    const bool mp = cfg.precision == Precision::Bf16;
-    const int wm = cfg.useWriteMask ? 1 : -1;
-
-    auto a_addr = [&](int m, int step) {
-        uint64_t word;
-        if (cfg.aLayout == ALayout::PackedKMajor) {
-            word = (static_cast<uint64_t>(tile) *
-                        static_cast<uint64_t>(cfg.kSteps) +
-                    static_cast<uint64_t>(step)) *
-                       static_cast<uint64_t>(mr) +
-                   static_cast<uint64_t>(m);
-        } else {
-            // Row-major: row (tile*mr + m), column step.
-            word = (static_cast<uint64_t>(tile) *
-                        static_cast<uint64_t>(mr) +
-                    static_cast<uint64_t>(m)) *
-                       static_cast<uint64_t>(cfg.kSteps) +
-                   static_cast<uint64_t>(step);
-        }
-        return w.aBase + word * 4;
-    };
-    auto b_addr = [&](int step, int n) {
-        uint64_t vec = (static_cast<uint64_t>(panel) *
-                            static_cast<uint64_t>(cfg.kSteps) +
-                        static_cast<uint64_t>(step)) *
-                           static_cast<uint64_t>(nr) +
-                       static_cast<uint64_t>(n);
-        return w.bBase + vec * kLineBytes;
-    };
-    auto c_addr = [&](int m, int n) {
-        uint64_t row = (static_cast<uint64_t>(panel) *
-                            static_cast<uint64_t>(cfg.tiles) +
-                        static_cast<uint64_t>(tile)) *
-                           static_cast<uint64_t>(mr) +
-                       static_cast<uint64_t>(m);
-        return w.cBase +
-               (row * static_cast<uint64_t>(nr) +
-                static_cast<uint64_t>(n)) *
-                   kLineBytes;
-    };
-
-    // Load the C tile into the accumulator registers.
-    for (int m = 0; m < mr; ++m)
-        for (int n = 0; n < nr; ++n)
-            out.push_back(Uop::loadVec(plan.cReg(m, n), c_addr(m, n)));
-
-    for (int step = 0; step < cfg.kSteps; ++step) {
-        for (int n = 0; n < nr; ++n)
-            out.push_back(
-                Uop::loadVec(plan.bReg(n), b_addr(step, n)));
-
-        if (cfg.pattern == BroadcastPattern::Explicit) {
-            for (int m = 0; m < mr; ++m) {
-                int areg = plan.aReg(m);
-                out.push_back(Uop::broadcastLoad(areg, a_addr(m, step)));
-                for (int n = 0; n < nr; ++n) {
-                    int c = plan.cReg(m, n);
-                    int b = plan.bReg(n);
-                    out.push_back(mp ? Uop::vdp(c, areg, b, wm)
-                                     : Uop::vfma(c, areg, b, wm));
-                }
-            }
-        } else {
-            for (int m = 0; m < mr; ++m) {
-                for (int n = 0; n < nr; ++n) {
-                    int c = plan.cReg(m, n);
-                    int b = plan.bReg(n);
-                    uint64_t addr = a_addr(m, step);
-                    out.push_back(mp ? Uop::vdpBcast(c, addr, b, wm)
-                                     : Uop::vfmaBcast(c, addr, b, wm));
-                }
-            }
-        }
-        out.push_back(Uop::alu()); // loop bookkeeping
-    }
-
-    for (int m = 0; m < mr; ++m)
-        for (int n = 0; n < nr; ++n)
-            out.push_back(
-                Uop::storeVec(plan.cReg(m, n), c_addr(m, n)));
-}
-
+/** Place and fill one core's B panel(s) and C tile(s) after the
+ *  shared A panel; the workload's trace stays empty. */
 GemmWorkload
-buildWith(const GemmConfig &cfg, MemoryImage &mem, uint64_t a_base,
-          uint64_t a_bytes, Rng &rng, int n_panels = 1)
+fillWith(const GemmConfig &cfg, MemoryImage &mem, uint64_t a_base,
+         uint64_t a_bytes, Rng &rng, int n_panels = 1)
 {
     const int mr = cfg.mr;
     const int nr = cfg.nrVecs;
@@ -144,6 +57,7 @@ buildWith(const GemmConfig &cfg, MemoryImage &mem, uint64_t a_base,
     w.cfg = cfg;
     w.aBase = a_base;
     w.aBytes = a_bytes;
+    w.panels = n_panels;
 
     const bool mp = cfg.precision == Precision::Bf16;
     uint64_t b_vecs = static_cast<uint64_t>(n_panels) *
@@ -165,13 +79,16 @@ buildWith(const GemmConfig &cfg, MemoryImage &mem, uint64_t a_base,
     }
     // Dense random C so accumulation bugs cannot hide behind zeros.
     fillF32(mem, w.cBase, c_vecs * kVecLanes, 0.0, rng);
-
-    if (cfg.useWriteMask)
-        w.trace.push_back(Uop::setMask(1, cfg.writeMask));
-    for (int p = 0; p < n_panels; ++p)
-        for (int t = 0; t < cfg.tiles; ++t)
-            emitTile(cfg, w, p, t, w.trace);
     return w;
+}
+
+/** Fill the workload's trace from its stream. */
+void
+drain(GemmWorkload &w)
+{
+    GemmStream stream(w);
+    for (Uop u; stream.next(u);)
+        w.trace.push_back(u);
 }
 
 } // namespace
@@ -215,6 +132,128 @@ GemmConfig::validate() const
                           "does no work)");
 }
 
+GemmStream::GemmStream(const GemmWorkload &w)
+    : cfg_(w.cfg), aBase_(w.aBase), bBase_(w.bBase), cBase_(w.cBase),
+      panels_(w.panels)
+{
+    // The largest block is a K step: nr B loads, mr broadcasts, mr*nr
+    // VFMAs and the loop ALU op.
+    block_.reserve(static_cast<size_t>(cfg_.nrVecs +
+                                       cfg_.mr * (cfg_.nrVecs + 1) + 1));
+    if (cfg_.useWriteMask)
+        block_.push_back(Uop::setMask(1, cfg_.writeMask));
+}
+
+bool
+GemmStream::next(Uop &u)
+{
+    if (pos_ == block_.size() && !refill())
+        return false;
+    u = block_[pos_++];
+    return true;
+}
+
+uint64_t
+GemmStream::aAddr(int m) const
+{
+    const uint64_t mr = static_cast<uint64_t>(cfg_.mr);
+    const uint64_t k = static_cast<uint64_t>(cfg_.kSteps);
+    const uint64_t tile = static_cast<uint64_t>(tile_);
+    const uint64_t step = static_cast<uint64_t>(step_);
+    // Packed: the mr scalars of one k step are contiguous. Row-major:
+    // row (tile*mr + m), column step.
+    const uint64_t word = cfg_.aLayout == ALayout::PackedKMajor
+        ? (tile * k + step) * mr + static_cast<uint64_t>(m)
+        : (tile * mr + static_cast<uint64_t>(m)) * k + step;
+    return aBase_ + word * 4;
+}
+
+uint64_t
+GemmStream::bAddr(int n) const
+{
+    const uint64_t vec = (static_cast<uint64_t>(panel_) *
+                              static_cast<uint64_t>(cfg_.kSteps) +
+                          static_cast<uint64_t>(step_)) *
+                             static_cast<uint64_t>(cfg_.nrVecs) +
+                         static_cast<uint64_t>(n);
+    return bBase_ + vec * kLineBytes;
+}
+
+uint64_t
+GemmStream::cAddr(int m, int n) const
+{
+    const uint64_t row = (static_cast<uint64_t>(panel_) *
+                              static_cast<uint64_t>(cfg_.tiles) +
+                          static_cast<uint64_t>(tile_)) *
+                             static_cast<uint64_t>(cfg_.mr) +
+                         static_cast<uint64_t>(m);
+    return cBase_ + (row * static_cast<uint64_t>(cfg_.nrVecs) +
+                     static_cast<uint64_t>(n)) *
+                        kLineBytes;
+}
+
+bool
+GemmStream::refill()
+{
+    if (panel_ == panels_)
+        return false;
+    block_.clear();
+    pos_ = 0;
+    const int mr = cfg_.mr;
+    const int nr = cfg_.nrVecs;
+    const RegPlan plan{mr, nr};
+    const bool mp = cfg_.precision == Precision::Bf16;
+    const int wm = cfg_.useWriteMask ? 1 : -1;
+
+    if (step_ < 0) {
+        // Load the C tile into the accumulator registers.
+        for (int m = 0; m < mr; ++m)
+            for (int n = 0; n < nr; ++n)
+                block_.push_back(
+                    Uop::loadVec(plan.cReg(m, n), cAddr(m, n)));
+    } else if (step_ < cfg_.kSteps) {
+        for (int n = 0; n < nr; ++n)
+            block_.push_back(Uop::loadVec(plan.bReg(n), bAddr(n)));
+        if (cfg_.pattern == BroadcastPattern::Explicit) {
+            for (int m = 0; m < mr; ++m) {
+                const int areg = plan.aReg(m);
+                block_.push_back(Uop::broadcastLoad(areg, aAddr(m)));
+                for (int n = 0; n < nr; ++n) {
+                    const int c = plan.cReg(m, n);
+                    const int b = plan.bReg(n);
+                    block_.push_back(mp ? Uop::vdp(c, areg, b, wm)
+                                        : Uop::vfma(c, areg, b, wm));
+                }
+            }
+        } else {
+            for (int m = 0; m < mr; ++m) {
+                const uint64_t addr = aAddr(m);
+                for (int n = 0; n < nr; ++n) {
+                    const int c = plan.cReg(m, n);
+                    const int b = plan.bReg(n);
+                    block_.push_back(mp ? Uop::vdpBcast(c, addr, b, wm)
+                                        : Uop::vfmaBcast(c, addr, b, wm));
+                }
+            }
+        }
+        block_.push_back(Uop::alu()); // loop bookkeeping
+    } else {
+        for (int m = 0; m < mr; ++m)
+            for (int n = 0; n < nr; ++n)
+                block_.push_back(
+                    Uop::storeVec(plan.cReg(m, n), cAddr(m, n)));
+    }
+
+    if (++step_ > cfg_.kSteps) {
+        step_ = -1;
+        if (++tile_ == cfg_.tiles) {
+            tile_ = 0;
+            ++panel_;
+        }
+    }
+    return true;
+}
+
 namespace {
 
 /** Allocate and fill the packed A panel. */
@@ -222,6 +261,7 @@ uint64_t
 buildAPanel(const GemmConfig &cfg, MemoryImage &mem, Rng &rng,
             uint64_t &a_bytes)
 {
+    cfg.validate();
     uint64_t words = aWords(cfg);
     a_bytes = words * 4;
     uint64_t a_base = mem.allocRegion((a_bytes + kLineBytes - 1) /
@@ -242,7 +282,9 @@ buildGemm(const GemmConfig &cfg, MemoryImage &mem)
     uint64_t a_bytes = 0;
     uint64_t a_base = buildAPanel(cfg, mem, rng, a_bytes);
 
-    return buildWith(cfg, mem, a_base, a_bytes, rng);
+    GemmWorkload w = fillWith(cfg, mem, a_base, a_bytes, rng);
+    drain(w);
+    return w;
 }
 
 GemmWorkload
@@ -252,11 +294,13 @@ buildBlockedGemm(const GemmConfig &cfg, int n_panels, MemoryImage &mem)
     uint64_t a_bytes = 0;
     uint64_t a_base = buildAPanel(cfg, mem, rng, a_bytes);
 
-    return buildWith(cfg, mem, a_base, a_bytes, rng, n_panels);
+    GemmWorkload w = fillWith(cfg, mem, a_base, a_bytes, rng, n_panels);
+    drain(w);
+    return w;
 }
 
 std::vector<GemmWorkload>
-buildShardedGemm(const GemmConfig &cfg, MemoryImage &mem, int cores)
+fillShardedGemm(const GemmConfig &cfg, MemoryImage &mem, int cores)
 {
     // All cores broadcast from the same A panel (the GEMM's shared
     // operand); each owns a private B panel and C tile.
@@ -269,8 +313,17 @@ buildShardedGemm(const GemmConfig &cfg, MemoryImage &mem, int cores)
         GemmConfig per = cfg;
         per.seed = cfg.seed + 77770 + static_cast<uint64_t>(c);
         Rng core_rng(per.seed);
-        out.push_back(buildWith(per, mem, a_base, a_bytes, core_rng));
+        out.push_back(fillWith(per, mem, a_base, a_bytes, core_rng));
     }
+    return out;
+}
+
+std::vector<GemmWorkload>
+buildShardedGemm(const GemmConfig &cfg, MemoryImage &mem, int cores)
+{
+    std::vector<GemmWorkload> out = fillShardedGemm(cfg, mem, cores);
+    for (GemmWorkload &w : out)
+        drain(w);
     return out;
 }
 

@@ -100,6 +100,8 @@ struct GemmConfig
 struct GemmWorkload
 {
     GemmConfig cfg;
+    /** The kernel's uops; empty from fillShardedGemm, whose kernels a
+     *  GemmStream emits instead. */
     std::vector<Uop> trace;
     uint64_t aBase = 0;
     uint64_t bBase = 0;
@@ -107,10 +109,42 @@ struct GemmWorkload
     uint64_t aBytes = 0;
     uint64_t bBytes = 0;
     uint64_t cBytes = 0;
+    /** B/C panels the kernel walks (buildBlockedGemm; else 1). */
+    int panels = 1;
 
     /** Pre-load the A (broadcast) operand into L3, per the paper's
      *  warm-up protocol (activations warm, weights and outputs cold). */
     void warmup(MemHierarchy &mem) const;
+};
+
+/**
+ * One workload's kernel as a uop stream: the uops of its trace, in
+ * order, emitted one block at a time (a tile's C loads, one K step, a
+ * tile's C stores), so a run holds no trace vector. Reads only the
+ * workload's configuration and placement, which it copies.
+ */
+class GemmStream : public TraceSource
+{
+  public:
+    explicit GemmStream(const GemmWorkload &w);
+
+    bool next(Uop &u) override;
+
+  private:
+    /** Emit the next block into block_; false past the last tile. */
+    bool refill();
+    uint64_t aAddr(int m) const;
+    uint64_t bAddr(int n) const;
+    uint64_t cAddr(int m, int n) const;
+
+    GemmConfig cfg_;
+    uint64_t aBase_, bBase_, cBase_;
+    int panels_;
+    /** Position of the next block: step_ -1 is the tile's C loads,
+     *  0..kSteps-1 a K step, kSteps its C stores. */
+    int panel_ = 0, tile_ = 0, step_ = -1;
+    std::vector<Uop> block_;
+    size_t pos_ = 0;
 };
 
 /**
@@ -120,9 +154,17 @@ struct GemmWorkload
 GemmWorkload buildGemm(const GemmConfig &cfg, MemoryImage &mem);
 
 /**
- * Build one slice per core for a data-parallel layer: cores share the
- * broadcast operand A and own disjoint B/C tiles.
+ * Fill one slice per core for a data-parallel layer into `mem`: cores
+ * share the broadcast operand A and own disjoint B/C tiles. Returns
+ * each core's placement with an empty trace; a GemmStream emits its
+ * kernel. The fill is a pure function of (cfg, cores) and a fresh
+ * `mem`, so a copy of one fill serves every run of the same data.
  */
+std::vector<GemmWorkload> fillShardedGemm(const GemmConfig &cfg,
+                                          MemoryImage &mem, int cores);
+
+/** fillShardedGemm, with each core's trace drained from its
+ *  GemmStream. */
 std::vector<GemmWorkload> buildShardedGemm(const GemmConfig &cfg,
                                            MemoryImage &mem, int cores);
 

@@ -1,5 +1,7 @@
 #include "kernels/sparsity.h"
 
+#include <cstring>
+
 #include "isa/bf16.h"
 #include "util/bitutil.h"
 #include "util/simd.h"
@@ -10,9 +12,12 @@ void
 fillF32(MemoryImage &mem, uint64_t base, uint64_t count, double sparsity,
         Rng &rng)
 {
+    if (count == 0)
+        return;
+    uint8_t *out = mem.bytes(base, 4 * count);
     for (uint64_t i = 0; i < count; ++i) {
         float v = rng.chance(sparsity) ? 0.0f : rng.nonZeroValue();
-        mem.writeF32(base + 4 * i, v);
+        std::memcpy(out + 4 * i, &v, 4);
     }
 }
 
@@ -20,10 +25,13 @@ void
 fillBf16(MemoryImage &mem, uint64_t base, uint64_t count, double sparsity,
          Rng &rng)
 {
+    if (count == 0)
+        return;
+    uint8_t *out = mem.bytes(base, 2 * count);
     for (uint64_t i = 0; i < count; ++i) {
         Bf16 v = rng.chance(sparsity) ? Bf16{0}
                                       : f32ToBf16(rng.nonZeroValue());
-        mem.writeBf16(base + 2 * i, v);
+        std::memcpy(out + 2 * i, &v, 2);
     }
 }
 

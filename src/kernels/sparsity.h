@@ -16,11 +16,13 @@
 
 namespace save {
 
-/** Fill `count` FP32 elements at base; each is zero w.p. sparsity. */
+/** Fill `count` FP32 elements at base, inside one registered region;
+ *  each is zero w.p. sparsity. */
 void fillF32(MemoryImage &mem, uint64_t base, uint64_t count,
              double sparsity, Rng &rng);
 
-/** Fill `count` BF16 elements at base; each is zero w.p. sparsity. */
+/** Fill `count` BF16 elements at base, inside one registered region;
+ *  each is zero w.p. sparsity. */
 void fillBf16(MemoryImage &mem, uint64_t base, uint64_t count,
               double sparsity, Rng &rng);
 

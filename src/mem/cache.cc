@@ -1,6 +1,7 @@
 #include "mem/cache.h"
 
 #include "mem/memory_image.h"
+#include "util/bitutil.h"
 #include "util/logging.h"
 
 namespace save {
@@ -20,6 +21,8 @@ SetAssocCache::SetAssocCache(uint64_t size_bytes, int ways,
     num_sets_ = static_cast<int>(lines / static_cast<uint64_t>(ways));
     if (num_sets_ < 1)
         num_sets_ = 1;
+    if (isPowerOfTwo(static_cast<uint64_t>(num_sets_)))
+        set_mask_ = static_cast<uint64_t>(num_sets_) - 1;
     ways_store_.assign(static_cast<size_t>(num_sets_) *
                        static_cast<size_t>(ways_), Way{});
 }
@@ -27,8 +30,9 @@ SetAssocCache::SetAssocCache(uint64_t size_bytes, int ways,
 int
 SetAssocCache::setIndex(uint64_t line) const
 {
-    return static_cast<int>((line / kLineBytes) %
-                            static_cast<uint64_t>(num_sets_));
+    const uint64_t n = line / kLineBytes;
+    return static_cast<int>(set_mask_ ? n & set_mask_
+                                      : n % static_cast<uint64_t>(num_sets_));
 }
 
 SetAssocCache::Way *

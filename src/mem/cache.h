@@ -58,13 +58,15 @@ class SetAssocCache
     StatGroup &stats() { return stats_; }
 
   private:
+    /** 16 bytes: a fresh machine writes every way of every level. */
     struct Way
     {
         uint64_t line = ~0ull;
-        bool valid = false;
         uint32_t lru = 0;   // higher == more recently used
         uint8_t rrpv = 3;   // SRRIP re-reference prediction value
+        bool valid = false;
     };
+    static_assert(sizeof(Way) == 16);
 
     int setIndex(uint64_t line) const;
     Way *lookup(uint64_t line);
@@ -73,6 +75,9 @@ class SetAssocCache
     void touch(Way &w);
 
     int num_sets_;
+    /** num_sets_ - 1 when num_sets_ is a power of two (index by mask),
+     *  else 0 (index by modulo). */
+    uint64_t set_mask_ = 0;
     int ways_;
     ReplPolicy policy_;
     uint32_t lru_clock_ = 0;

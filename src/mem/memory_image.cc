@@ -1,6 +1,7 @@
 #include "mem/memory_image.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "util/logging.h"
 #include "util/simd.h"
@@ -97,6 +98,15 @@ MemoryImage::writeBytes(uint64_t addr, const uint8_t *src, uint64_t n)
     std::memcpy(r->data.data() + (addr - r->base), src, n);
 }
 
+uint8_t *
+MemoryImage::bytes(uint64_t addr, uint64_t n)
+{
+    Region *r = find(addr);
+    SAVE_ASSERT(r && addr + n <= r->base + r->data.size(),
+                "write outside registered memory at 0x", std::hex, addr);
+    return r->data.data() + (addr - r->base);
+}
+
 Bf16
 MemoryImage::readBf16(uint64_t addr) const
 {
@@ -117,11 +127,21 @@ MemoryImage::writeBf16(uint64_t addr, Bf16 v)
     std::memcpy(r->data.data() + (addr - r->base), &v, 2);
 }
 
+// A line moves as one 64-byte copy of the register's 16 words.
+static_assert(sizeof(VecReg) == kLineBytes &&
+              std::is_trivially_copyable_v<VecReg>);
+
 VecReg
 MemoryImage::readLine(uint64_t addr) const
 {
     uint64_t base = lineOf(addr);
     VecReg v;
+    const Region *r = find(base);
+    if (r && base + kLineBytes <= r->base + r->data.size()) {
+        std::memcpy(&v, r->data.data() + (base - r->base), kLineBytes);
+        return v;
+    }
+    // A line not inside one region reads (and fails) word by word.
     for (int i = 0; i < kVecLanes; ++i)
         v.setWord(i, readU32(base + 4 * static_cast<uint64_t>(i)));
     return v;
@@ -131,6 +151,11 @@ void
 MemoryImage::writeLine(uint64_t addr, const VecReg &v)
 {
     uint64_t base = lineOf(addr);
+    Region *r = find(base);
+    if (r && base + kLineBytes <= r->base + r->data.size()) {
+        std::memcpy(r->data.data() + (base - r->base), &v, kLineBytes);
+        return;
+    }
     for (int i = 0; i < kVecLanes; ++i)
         writeU32(base + 4 * static_cast<uint64_t>(i), v.word(i));
 }

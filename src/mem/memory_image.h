@@ -51,6 +51,10 @@ class MemoryImage
     /** Raw byte store into a registered region (trace replay). */
     void writeBytes(uint64_t addr, const uint8_t *src, uint64_t n);
 
+    /** The n > 0 bytes at addr, which must lie in one registered
+     *  region: bulk fills write through one lookup. */
+    uint8_t *bytes(uint64_t addr, uint64_t n);
+
     /** Read the 64B line containing addr as a vector register value. */
     VecReg readLine(uint64_t addr) const;
     void writeLine(uint64_t addr, const VecReg &v);

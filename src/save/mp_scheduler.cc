@@ -56,17 +56,17 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
     }
     if (chain_id < 0) {
         chain_id = newChain(e.rot);
-        // Its front is the youngest live entry, so chain_order_ stays
-        // sorted by appending.
-        SAVE_ASSERT(chain_order_.empty() || chain_order_.back().first < e.seq,
+        // Its front is the youngest live entry, so the chain order
+        // stays sorted by appending.
+        SAVE_ASSERT(chain_tail_ < 0 ||
+                        chains_[static_cast<size_t>(chain_tail_)]
+                                .frontSeq < e.seq,
                     "new chain front older than an existing chain's");
-        chain_order_.emplace_back(e.seq, chain_id);
+        chains_[static_cast<size_t>(chain_id)].frontSeq = e.seq;
+        linkChain(chain_id);
     }
     e.chainId = chain_id;
-    Chain &ch = chains_[static_cast<size_t>(chain_id)];
-    ch.nodes.push_back({rs_idx, e.seq});
-    if (ch.nodes.size() == 1)
-        ch.frontSeq = e.seq;
+    chains_[static_cast<size_t>(chain_id)].nodes.push_back({rs_idx, e.seq});
 }
 
 int
@@ -87,6 +87,34 @@ VectorScheduler::newChain(int8_t rot)
     ch.rot = rot;
     ch.live = true;
     return id;
+}
+
+void
+VectorScheduler::linkChain(int id)
+{
+    auto at = [this](int i) -> Chain & {
+        return chains_[static_cast<size_t>(i)];
+    };
+    Chain &ch = at(id);
+    int after = chain_tail_;
+    while (after >= 0 && at(after).frontSeq > ch.frontSeq)
+        after = at(after).prev;
+    ch.prev = after;
+    ch.next = after < 0 ? chain_head_ : at(after).next;
+    (after < 0 ? chain_head_ : at(after).next) = id;
+    (ch.next < 0 ? chain_tail_ : at(ch.next).prev) = id;
+}
+
+void
+VectorScheduler::unlinkChain(int id)
+{
+    auto at = [this](int i) -> Chain & {
+        return chains_[static_cast<size_t>(i)];
+    };
+    Chain &ch = at(id);
+    (ch.prev < 0 ? chain_head_ : at(ch.prev).next) = ch.next;
+    (ch.next < 0 ? chain_tail_ : at(ch.next).prev) = ch.prev;
+    ch.prev = ch.next = -1;
 }
 
 void
@@ -141,11 +169,12 @@ VectorScheduler::onEntryReleased(int rs_idx)
 void
 VectorScheduler::flush()
 {
-    for (const auto &[seq, id] : chain_order_) {
-        (void)seq;
+    for (int id = chain_head_; id >= 0;) {
+        const int next = chains_[static_cast<size_t>(id)].next;
+        unlinkChain(id);
         freeChain(id);
+        id = next;
     }
-    chain_order_.clear();
     trim_queue_.clear();
     // The core freed every RS slot with Rs::release, which bypasses
     // onEntryReleased.
@@ -158,13 +187,6 @@ VectorScheduler::trimChains()
     for (int id : trim_queue_) {
         Chain &ch = chains_[static_cast<size_t>(id)];
         ch.trimQueued = false;
-        // Keys are unique (each is a live entry's seq), so the chain's
-        // current key finds it.
-        auto pos = std::lower_bound(chain_order_.begin(),
-                                    chain_order_.end(),
-                                    std::make_pair(ch.frontSeq, id));
-        SAVE_ASSERT(pos != chain_order_.end() && pos->second == id,
-                    "chain missing from the chain order");
         int dropped = 0;
         for (const ChainNode &n : ch.nodes) {
             const RsEntry &e = c_.rs.at(n.rsIdx);
@@ -172,19 +194,17 @@ VectorScheduler::trimChains()
                 break;
             ++dropped;
         }
+        if (dropped == 0)
+            continue;
+        unlinkChain(id);
         if (dropped == static_cast<int>(ch.nodes.size())) {
             freeChain(id);
-            chain_order_.erase(pos);
             continue;
         }
         ch.nodes.erase(ch.nodes.begin(), ch.nodes.begin() + dropped);
         ch.frontSeq = ch.nodes.front().seq;
-        // The front only moves younger: rotate the chain toward the
-        // tail to its new rank.
-        auto to = std::lower_bound(pos + 1, chain_order_.end(),
-                                   std::make_pair(ch.frontSeq, id));
-        std::rotate(pos, pos + 1, to);
-        (to - 1)->first = ch.frontSeq;
+        // The front only moved younger: relink from the tail.
+        linkChain(id);
     }
     trim_queue_.clear();
 }
@@ -197,9 +217,9 @@ VectorScheduler::nextTimeWake(uint64_t now) const
     // passing; everything else the scheduler waits on arrives through
     // a publish/completion event the core already tracks.
     uint64_t best = kNeverCycle;
-    for (const auto &[seq, id] : chain_order_) {
-        (void)seq;
+    for (int id = chain_head_; id >= 0;) {
         const Chain &ch = chains_[static_cast<size_t>(id)];
+        id = ch.next;
         for (uint16_t m = ch.init; m; m &= static_cast<uint16_t>(m - 1)) {
             // >= not >: wakeHorizon probes with cycle_ already advanced
             // to the next un-executed cycle, so a forwarded result that
@@ -331,8 +351,9 @@ void
 VectorScheduler::scheduleChains()
 {
     // Oldest chain first (front-entry program order).
-    for (const auto &[seq, id] : chain_order_) {
-        (void)seq;
+    for (int id = chain_head_; id >= 0;) {
+        Chain &ch = chains_[static_cast<size_t>(id)];
+        id = ch.next;
         // Only ALs whose rotated temp position is still open can take
         // a slot; the walk reads an AL's base only when it issues. One
         // mask per chain suffices: its ALs land on distinct positions,
@@ -341,7 +362,6 @@ VectorScheduler::scheduleChains()
         const uint16_t open = mpFreePositions();
         if (!open)
             break;
-        Chain &ch = chains_[static_cast<size_t>(id)];
         // Only ALs with MLs pending on some node can take anything. The
         // per-AL counts behind that mask are kept by events: ELM
         // generation counts up, an AL completing counts down. AL al

@@ -40,9 +40,11 @@
  *    a squash flush zeroes it.
  *  - Chains live in a slab indexed by chain id, with a free-id list;
  *    a reused slot keeps its node capacity. The chain order (oldest
- *    front first) persists across cycles: a new chain is appended
- *    (its front is the youngest entry), and only chains that lost a
- *    node since the last trim are trimmed and moved.
+ *    front first) is an intrusive list linked through the slab and
+ *    persists across cycles: a new chain is appended at the tail (its
+ *    front is the youngest entry), and only chains that lost a node
+ *    since the last trim are trimmed, unlinked and relinked by a walk
+ *    back from the tail (a front only moves younger).
  *  - Each chain keeps, per accumulator lane, the count of its live
  *    nodes with MLs pending there, and the mask of non-zero counts:
  *    ELM generation counts up, an AL completing counts down, a squash
@@ -69,6 +71,7 @@
 #include "isa/vec.h"
 #include "sim/vpu.h"
 #include "stats/stats.h"
+#include "util/bitutil.h"
 
 namespace save {
 
@@ -101,7 +104,7 @@ class VectorScheduler
     void refreshCw(int rs_idx);
 
     /** True when no chain work remains (drain check). */
-    bool idle() const { return chain_order_.empty(); }
+    bool idle() const { return chain_head_ < 0; }
 
     /**
      * Earliest cycle after now at which a blocked mixed-precision
@@ -160,7 +163,7 @@ class VectorScheduler
             positions &= static_cast<uint16_t>(~got);
             t.lanesUsed |= got;
             t.type = type;
-            t.count += std::popcount(got);
+            t.count += popcount(got);
             take(static_cast<int>(v), got);
         }
         return positions;
@@ -211,9 +214,11 @@ class VectorScheduler
         uint16_t pendingAls = 0;
         int8_t rot = 0;
         uint64_t frontSeq = 0;
+        /** Neighbours in the chain order (ids; -1 at either end). */
+        int prev = -1, next = -1;
         /** A node left the RS since the last trim (on trim_queue_). */
         bool trimQueued = false;
-        /** In use (on chain_order_), not on free_chain_ids_. */
+        /** In use (in the chain order), not on free_chain_ids_. */
         bool live = false;
     };
 
@@ -227,8 +232,13 @@ class VectorScheduler
     /** Count a node's pending MLs into its chain's per-AL counts. */
     static void addPendingAls(Chain &chain, uint32_t pending_ml);
     /** For each queued chain: drop released front nodes, free it if
-     *  none are left, and keep chain_order_ sorted. */
+     *  none are left, and keep the chain order sorted. */
     void trimChains();
+    /** Link a chain into the order after the last chain whose front
+     *  is older than its own, walking back from the tail. */
+    void linkChain(int id);
+    /** Take a chain out of the order. */
+    void unlinkChain(int id);
 
     friend class Auditor;
 
@@ -237,8 +247,9 @@ class VectorScheduler
     std::vector<Chain> chains_;
     /** Ids of the slab slots not in use. */
     std::vector<int> free_chain_ids_;
-    /** (frontSeq, chain id) of every live chain, oldest front first. */
-    std::vector<std::pair<uint64_t, int>> chain_order_;
+    /** The chain order: every live chain, oldest front first (ids;
+     *  -1 when empty), linked through Chain::prev/next. */
+    int chain_head_ = -1, chain_tail_ = -1;
     /** Chains that lost a node since the last trimChains(). */
     std::vector<int> trim_queue_;
     /** Entries with inCw set: the combination-window size. */

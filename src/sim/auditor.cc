@@ -808,37 +808,44 @@ Auditor::checkChains() const
                  " is neither live nor free (leaked)");
     }
     if (!chain_mode) {
-        if (live != 0 || !s.chain_order_.empty())
+        if (live != 0 || s.chain_head_ >= 0 || s.chain_tail_ >= 0)
             fail("accumulator chains exist without mixed-precision "
                  "compression");
         return;
     }
-    // The kept chain order is every live chain, oldest front first,
-    // and every queued trim has run.
-    if (s.chain_order_.size() != live)
-        fail("chain order holds " + std::to_string(s.chain_order_.size()) +
-             " chains but " + std::to_string(live) +
-             " slab slots are live");
+    // The kept chain order is a list of every live chain, oldest front
+    // first, with symmetric links, and every queued trim has run.
     auto liveChain = [&](int id) {
         return id >= 0 && id < slots &&
                s.chains_[static_cast<size_t>(id)].live;
     };
-    for (size_t i = 0; i < s.chain_order_.size(); ++i) {
-        const auto &[seq, id] = s.chain_order_[i];
+    size_t listed = 0;
+    int prev = -1;
+    for (int id = s.chain_head_; id >= 0 && listed <= live; ++listed) {
         if (!liveChain(id))
             fail("chain order names free chain slot " + std::to_string(id));
         const VectorScheduler::Chain &ch =
             s.chains_[static_cast<size_t>(id)];
-        if (ch.frontSeq != seq)
-            fail("chain order key " + std::to_string(seq) + " of chain " +
-                 std::to_string(id) + " != its front seq " +
-                 std::to_string(ch.frontSeq));
-        if (i > 0 && s.chain_order_[i - 1].first >= seq)
+        if (ch.prev != prev)
+            fail("chain " + std::to_string(id) + " links back to " +
+                 std::to_string(ch.prev) + ", not its predecessor " +
+                 std::to_string(prev));
+        if (prev >= 0 &&
+            s.chains_[static_cast<size_t>(prev)].frontSeq >= ch.frontSeq)
             fail("chain order not sorted by front seq at chain " +
                  std::to_string(id));
         if (ch.trimQueued)
             fail("chain " + std::to_string(id) + " left untrimmed");
+        prev = id;
+        id = ch.next;
     }
+    if (s.chain_tail_ != prev)
+        fail("chain order tail " + std::to_string(s.chain_tail_) +
+             " is not its last chain " + std::to_string(prev));
+    if (listed != live)
+        fail("chain order holds " + std::to_string(listed) +
+             (listed > live ? "+" : "") + " chains but " +
+             std::to_string(live) + " slab slots are live");
     if (!s.trim_queue_.empty())
         fail("chain trim queue not drained");
     // Live RS entry -> owning chain, for the at-most-one-node check.
@@ -970,7 +977,8 @@ Auditor::checkAfterSquash() const
     empty(c_.load_ring_count_ == 0, "the load ring");
     empty(c_.pending_stores_.empty(), "the pending-store list");
     empty(c_.inflight_store_lines_.empty(), "the in-flight store-line list");
-    empty(c_.sched_->chain_order_.empty(), "the accumulator chain order");
+    empty(c_.sched_->chain_head_ < 0 && c_.sched_->chain_tail_ < 0,
+          "the accumulator chain order");
     empty(c_.sched_->cw_ == 0, "the combination-window count");
     check("post-squash");
 }

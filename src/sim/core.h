@@ -53,15 +53,6 @@ class VectorScheduler;
 class CoreEventTracer;
 class Auditor;
 
-/** Abstract uop stream. */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-    /** Produce the next uop; false when the trace is exhausted. */
-    virtual bool next(Uop &u) = 0;
-};
-
 /** TraceSource over a pre-built uop vector. */
 class VectorTrace : public TraceSource
 {

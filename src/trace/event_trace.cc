@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "isa/vec.h"
+#include "util/bitutil.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -166,7 +167,7 @@ CoreEventTracer::chainMl(uint64_t cycle, uint64_t seq, int al, int vpu,
 void
 CoreEventTracer::passLanes(uint64_t cycle, uint64_t seq, uint16_t lanes)
 {
-    n_pass_lanes_ += static_cast<uint64_t>(std::popcount(lanes));
+    n_pass_lanes_ += static_cast<uint64_t>(popcount(lanes));
     push({cycle, seq, lanes, 0, 0, Kind::Pass, 0});
 }
 

@@ -11,11 +11,15 @@
 
 namespace save {
 
-/** Number of set bits. */
+/** Number of set bits. A branch-free SWAR count: without POPCNT in
+ *  the target ISA, std::popcount is a call into libgcc. */
 inline int
 popcount(uint32_t x)
 {
-    return std::popcount(x);
+    x = x - ((x >> 1) & 0x55555555u);
+    x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0fu;
+    return static_cast<int>((x * 0x01010101u) >> 24);
 }
 
 /** True if x is a power of two (and non-zero). */

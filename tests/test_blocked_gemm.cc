@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the full cache-blocked GEMM builder used by the
- * methodology-validation bench.
+ * methodology-validation bench, and a golden of the builders' kernels
+ * and data.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "kernels/gemm.h"
 #include "sim/multicore.h"
@@ -88,6 +93,137 @@ TEST(BlockedGemm, BitwiseCorrectThroughThePipeline)
     for (uint64_t off = 0; off < w.cBytes; off += 4)
         ASSERT_EQ(image.readU32(w.cBase + off),
                   ref_image.readU32(ref_w.cBase + off));
+}
+
+/** FNV-1a, fed field by field. */
+struct Fnv
+{
+    uint64_t h = 1469598103934665603ull;
+
+    template <typename T>
+    void
+    mix(T v)
+    {
+        for (size_t i = 0; i < sizeof(T); ++i) {
+            h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+/** One trace's length and hash, and its image's hash, as a line. */
+std::string
+kernelLine(const std::string &label, const std::vector<Uop> &trace,
+           const MemoryImage &image)
+{
+    Fnv t;
+    for (const Uop &u : trace) {
+        t.mix(static_cast<uint8_t>(u.op));
+        t.mix(u.dst);
+        t.mix(u.srcA);
+        t.mix(u.srcB);
+        t.mix(u.srcC);
+        t.mix(u.wmask);
+        t.mix(u.addr);
+        t.mix(u.maskImm);
+    }
+    Fnv m;
+    for (size_t r = 0; r < image.numRegions(); ++r) {
+        m.mix(image.regionBase(r));
+        m.mix(static_cast<uint64_t>(image.regionData(r).size()));
+        for (uint8_t b : image.regionData(r))
+            m.mix(b);
+    }
+    char line[160];
+    std::snprintf(line, sizeof line, "%s uops=%zu trace=%016llx "
+                  "image=%016llx\n", label.c_str(), trace.size(),
+                  static_cast<unsigned long long>(t.h),
+                  static_cast<unsigned long long>(m.h));
+    return line;
+}
+
+TEST(GemmKernels, MatchGolden)
+{
+    // Every builder's uops, uop for uop, and its data, byte for byte:
+    // both patterns and precisions, a write mask, row-major A, two
+    // cores and blocked panels. The golden was generated by the
+    // builders as they were before the kernels streamed.
+    struct Case
+    {
+        const char *label;
+        int mr, nr, kSteps, tiles;
+        BroadcastPattern pattern;
+        Precision precision;
+        ALayout layout;
+        bool mask;
+        int cores;  // buildShardedGemm; 0: buildGemm
+        int panels; // buildBlockedGemm when > 0
+    };
+    using P = BroadcastPattern;
+    using Q = Precision;
+    using L = ALayout;
+    const Case cases[] = {
+        {"explicit-fp32", 4, 6, 16, 2, P::Explicit, Q::Fp32,
+         L::PackedKMajor, false, 1, 0},
+        {"embedded-bf16-2cores", 7, 3, 12, 3, P::Embedded, Q::Bf16,
+         L::PackedKMajor, false, 2, 0},
+        {"fig14-embedded-bf16", 7, 3, 192, 6, P::Embedded, Q::Bf16,
+         L::PackedKMajor, false, 1, 0},
+        {"explicit-bf16-2cores", 3, 7, 24, 2, P::Explicit, Q::Bf16,
+         L::PackedKMajor, false, 2, 0},
+        {"mask-explicit-fp32", 4, 2, 8, 2, P::Explicit, Q::Fp32,
+         L::PackedKMajor, true, 0, 0},
+        {"mask-embedded-bf16", 5, 4, 10, 1, P::Embedded, Q::Bf16,
+         L::PackedKMajor, true, 0, 0},
+        {"rowmajor-explicit-bf16", 6, 3, 20, 3, P::Explicit, Q::Bf16,
+         L::RowMajor, false, 0, 0},
+        {"rowmajor-embedded-fp32-2cores", 4, 4, 9, 2, P::Embedded,
+         Q::Fp32, L::RowMajor, false, 2, 0},
+        {"blocked-explicit-fp32", 4, 2, 8, 3, P::Explicit, Q::Fp32,
+         L::PackedKMajor, false, 0, 3},
+        {"blocked-mask-rowmajor-embedded-bf16", 3, 5, 6, 2, P::Embedded,
+         Q::Bf16, L::RowMajor, true, 0, 4},
+    };
+    std::string actual;
+    for (const Case &c : cases) {
+        GemmConfig g;
+        g.mr = c.mr;
+        g.nrVecs = c.nr;
+        g.kSteps = c.kSteps;
+        g.tiles = c.tiles;
+        g.pattern = c.pattern;
+        g.precision = c.precision;
+        g.aLayout = c.layout;
+        g.bsSparsity = 0.4;
+        g.nbsSparsity = 0.3;
+        g.seed = 1234;
+        g.useWriteMask = c.mask;
+        g.writeMask = c.mask ? 0x0ff0 : 0xffff;
+        MemoryImage image;
+        if (c.panels > 0) {
+            GemmWorkload w = buildBlockedGemm(g, c.panels, image);
+            actual += kernelLine(c.label, w.trace, image);
+        } else if (c.cores == 0) {
+            GemmWorkload w = buildGemm(g, image);
+            actual += kernelLine(c.label, w.trace, image);
+        } else {
+            std::vector<GemmWorkload> work =
+                buildShardedGemm(g, image, c.cores);
+            for (size_t i = 0; i < work.size(); ++i)
+                actual += kernelLine(std::string(c.label) + " core" +
+                                         std::to_string(i),
+                                     work[i].trace, image);
+        }
+    }
+    std::ifstream golden(SAVE_KERNELS_GOLDEN);
+    ASSERT_TRUE(golden.is_open()) << SAVE_KERNELS_GOLDEN;
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    if (actual != expected.str()) {
+        std::ofstream(SAVE_KERNELS_OUT) << actual;
+        FAIL() << "kernels differ from the golden; see: diff "
+               << SAVE_KERNELS_GOLDEN << " " << SAVE_KERNELS_OUT;
+    }
 }
 
 } // namespace

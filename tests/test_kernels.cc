@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/result_store.h"
+#include "engine/engine.h"
 #include "kernels/conv.h"
 #include "kernels/gemm.h"
 #include "kernels/lstm.h"
@@ -151,6 +153,87 @@ TEST(GemmGen, ShardedSharesAPanel)
     EXPECT_EQ(shards[1].aBase, shards[2].aBase);
     EXPECT_NE(shards[0].bBase, shards[1].bBase);
     EXPECT_NE(shards[0].cBase, shards[1].cBase);
+}
+
+bool
+sameUop(const Uop &a, const Uop &b)
+{
+    return a.op == b.op && a.dst == b.dst && a.srcA == b.srcA &&
+           a.srcB == b.srcB && a.srcC == b.srcC && a.wmask == b.wmask &&
+           a.addr == b.addr && a.maskImm == b.maskImm;
+}
+
+/** Every region's base and bytes are equal. */
+void
+expectSameImage(const MemoryImage &a, const MemoryImage &b)
+{
+    ASSERT_EQ(a.numRegions(), b.numRegions());
+    for (size_t r = 0; r < a.numRegions(); ++r) {
+        EXPECT_EQ(a.regionBase(r), b.regionBase(r)) << r;
+        EXPECT_TRUE(a.regionData(r) == b.regionData(r)) << r;
+    }
+}
+
+GemmConfig
+streamedSlice()
+{
+    GemmConfig g;
+    g.mr = 5;
+    g.nrVecs = 4;
+    g.kSteps = 9;
+    g.tiles = 2;
+    g.pattern = BroadcastPattern::Embedded;
+    g.precision = Precision::Bf16;
+    g.bsSparsity = 0.5;
+    g.nbsSparsity = 0.25;
+    g.useWriteMask = true;
+    g.writeMask = 0x00ff;
+    g.seed = 5;
+    return g;
+}
+
+TEST(GemmGen, FillAndStreamMatchBuild)
+{
+    // fillShardedGemm writes buildShardedGemm's data, and each core's
+    // GemmStream emits that core's trace, uop for uop.
+    MemoryImage built, filled;
+    const auto want = buildShardedGemm(streamedSlice(), built, 2);
+    const auto got = fillShardedGemm(streamedSlice(), filled, 2);
+    expectSameImage(filled, built);
+    ASSERT_EQ(got.size(), 2u);
+    for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_TRUE(got[c].trace.empty());
+        GemmStream stream(got[c]);
+        size_t n = 0;
+        for (Uop u; stream.next(u); ++n)
+            ASSERT_TRUE(n < want[c].trace.size() &&
+                        sameUop(u, want[c].trace[n]))
+                << "core " << c << " uop " << n;
+        EXPECT_EQ(n, want[c].trace.size());
+        Uop u;
+        EXPECT_FALSE(stream.next(u)); // stays exhausted
+    }
+}
+
+TEST(GemmGen, RunFilledMatchesRunGemm)
+{
+    // Runs on copies of one fill equal runGemm's, stat for stat, for
+    // every configuration that shares the fill, and leave it as filled.
+    MemoryImage image;
+    const auto work = fillShardedGemm(streamedSlice(), image, 2);
+    const MemoryImage filled = image;
+    for (const SaveConfig &scfg : {SaveConfig::baseline(), SaveConfig{}})
+        for (int vpus : {2, 1}) {
+            const Engine eng(MachineConfig{}, scfg);
+            const CasValue got = toCasValue(eng.runFilled(image, work, vpus));
+            const CasValue want =
+                toCasValue(eng.runGemm(streamedSlice(), 2, vpus));
+            EXPECT_EQ(got.cycles, want.cycles);
+            EXPECT_EQ(got.timeNs, want.timeNs);
+            EXPECT_EQ(got.coreGhz, want.coreGhz);
+            EXPECT_EQ(got.stats, want.stats);
+        }
+    expectSameImage(image, filled);
 }
 
 TEST(ConvDims, ForwardGemm)

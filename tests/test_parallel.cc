@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -318,6 +319,36 @@ TEST(ParallelEstimator, NetResultsMatchGolden)
     expectGolden(actual, SAVE_NETRESULTS_GOLDEN, SAVE_NETRESULTS_OUT);
 }
 
+/** Every record in the store at `dir`, in file order: its shard file
+ *  name and its key. */
+std::vector<std::pair<std::string, CasKey>>
+storedKeys(const std::filesystem::path &dir)
+{
+    std::vector<std::pair<std::string, CasKey>> keys;
+    for (int shard = 0; shard < ResultStore::kShards; ++shard) {
+        char name[32];
+        std::snprintf(name, sizeof name, "cas-%02x.savecas", shard);
+        std::ifstream in(dir / name, std::ios::binary);
+        const std::vector<uint8_t> bytes(
+            (std::istreambuf_iterator<char>(in)),
+            std::istreambuf_iterator<char>());
+        for (uint64_t off = 0; off < bytes.size();) {
+            FrameView rec;
+            if (frameParse(bytes.data(), bytes.size(), off, rec, 1u << 20,
+                           nullptr) != FrameParse::Ok) {
+                ADD_FAILURE() << "unparsable record in " << name;
+                break;
+            }
+            const uint8_t *p = rec.payload, *end = p + rec.len;
+            CasKey key;
+            key.cfg = frameGetU64(p, end);
+            key.wl = frameGetU64(p, end);
+            keys.emplace_back(name, key);
+        }
+    }
+    return keys;
+}
+
 TEST(ParallelEstimator, FanOutOrderMatchesGolden)
 {
     // First-request order fixes the fan-out order and so, with one
@@ -338,33 +369,124 @@ TEST(ParallelEstimator, FanOutOrderMatchesGolden)
             }
     }
     std::string actual;
-    for (int shard = 0; shard < ResultStore::kShards; ++shard) {
-        char name[32];
-        std::snprintf(name, sizeof name, "cas-%02x.savecas", shard);
-        std::ifstream in(dir / name, std::ios::binary);
-        const std::vector<uint8_t> bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
-        for (uint64_t off = 0; off < bytes.size();) {
-            FrameView rec;
-            if (frameParse(bytes.data(), bytes.size(), off, rec, 1u << 20,
-                           nullptr) != FrameParse::Ok) {
-                ADD_FAILURE() << "unparsable record in " << name;
-                break;
-            }
-            const uint8_t *p = rec.payload, *end = p + rec.len;
-            const uint64_t cfg = frameGetU64(p, end);
-            const uint64_t wl = frameGetU64(p, end);
-            char line[64];
-            std::snprintf(line, sizeof line, "%s %016llx %016llx\n", name,
-                          static_cast<unsigned long long>(cfg),
-                          static_cast<unsigned long long>(wl));
-            actual += line;
-        }
+    for (const auto &[name, key] : storedKeys(dir)) {
+        char line[64];
+        std::snprintf(line, sizeof line, "%s %016llx %016llx\n",
+                      name.c_str(), static_cast<unsigned long long>(key.cfg),
+                      static_cast<unsigned long long>(key.wl));
+        actual += line;
     }
     std::filesystem::remove_all(dir);
     EXPECT_FALSE(actual.empty());
     expectGolden(actual, SAVE_FANOUT_GOLDEN, SAVE_FANOUT_OUT);
+}
+
+TEST(ParallelEstimator, SharedFillsMatchSimulateSliceKernel)
+{
+    // An in-process fan-out fills a slice's data once for the points
+    // that differ only in configuration: a SAVE 2-VPU/1-VPU twin, and
+    // at bins (0, 0) the baseline as well. Each run simulates its own
+    // copy, so every stored result must equal a fresh
+    // simulateSliceKernel bit for bit: explicit (forward) and embedded
+    // (backward) broadcast, FP32 and BF16, 1 and 2 cores, 1 and 3
+    // threads, and runs that retry after an injected slice failure.
+    NetworkModel net = vgg16Dense();
+    net.convLayers.resize(3);
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("save-shared-fill-test-" + std::to_string(::getpid()));
+    setQuietLogging(true);
+    struct Run
+    {
+        int cores, threads;
+        bool faults;
+    };
+    for (const Run run : {Run{1, 1, false}, Run{1, 3, false},
+                          Run{2, 1, false}, Run{2, 3, false},
+                          Run{2, 3, true}}) {
+        SCOPED_TRACE("cores " + std::to_string(run.cores) + " threads " +
+                     std::to_string(run.threads) +
+                     (run.faults ? " faults" : ""));
+        if (run.faults) {
+            FaultPlan plan;
+            plan.sliceProb = 1.0; // every point fails its first attempt
+            FaultInjector::global().configure(plan);
+        }
+        std::filesystem::remove_all(dir);
+        EstimatorOptions opt = fastOptions(run.threads);
+        opt.cores = run.cores;
+        opt.maxRetries = 1;
+        opt.cacheDir = dir.string();
+        {
+            TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
+            for (Precision prec : {Precision::Fp32, Precision::Bf16})
+                est.prefetch(net, prec, false);
+            EXPECT_TRUE(est.failures().empty()) << est.failureReport();
+        }
+        FaultInjector::global().reset();
+
+        // Every point the walk can name, by its workload digest.
+        std::map<uint64_t, SliceKey> points;
+        for (const ConvLayer &layer : net.convLayers)
+            for (Phase phase :
+                 {Phase::Forward, Phase::BwdInput, Phase::BwdWeights})
+                for (Precision prec : {Precision::Fp32, Precision::Bf16}) {
+                    const GemmConfig g =
+                        makeConvKernel(layer, phase, net.batch)
+                            .slice(prec, 0.0, 0.0, opt.kSteps, opt.seed);
+                    for (int c = 0; c < 3; ++c)
+                        for (int w = 0; w < 10; ++w)
+                            for (int a = 0; a < 10; ++a) {
+                                const SliceKey k{
+                                    g.mr, g.nrVecs, g.kSteps,
+                                    static_cast<uint8_t>(g.pattern),
+                                    static_cast<uint8_t>(prec),
+                                    static_cast<uint8_t>(c > 0),
+                                    static_cast<uint8_t>(c == 2 ? 1 : 2),
+                                    static_cast<uint8_t>(w),
+                                    static_cast<uint8_t>(a)};
+                                points[casSliceWorkload(k)] = k;
+                            }
+                }
+
+        // Configurations stored per fill, and the patterns and
+        // precisions covered.
+        std::map<SliceKey, int> configs;
+        std::set<std::pair<int, int>> kinds;
+        ResultStore store(ResultStore::Options{dir.string(), 0});
+        for (const auto &[name, ck] : storedKeys(dir)) {
+            auto it = points.find(ck.wl);
+            ASSERT_NE(it, points.end()) << name << " holds an unknown point";
+            const SliceKey &k = it->second;
+            CasValue got;
+            ASSERT_TRUE(store.lookup(ck, &got));
+            const CasValue want =
+                toCasValue(TrainingEstimator::simulateSliceKernel(
+                    MachineConfig{}, SaveConfig{}, k, opt.tiles, opt.cores,
+                    opt.seed));
+            EXPECT_EQ(std::memcmp(&got.timeNs, &want.timeNs, sizeof(double)),
+                      0);
+            EXPECT_EQ(got.cycles, want.cycles);
+            EXPECT_EQ(std::memcmp(&got.coreGhz, &want.coreGhz,
+                                  sizeof(double)),
+                      0);
+            EXPECT_EQ(got.stats, want.stats);
+            SliceKey data = k;
+            data.saveOn = data.vpus = 0;
+            ++configs[data];
+            kinds.emplace(k.pattern, k.precision);
+        }
+        int twins = 0, triples = 0;
+        for (const auto &[data, n] : configs) {
+            twins += n == 2;
+            triples += n == 3;
+        }
+        EXPECT_GT(twins, 0);
+        EXPECT_GT(triples, 0);
+        EXPECT_EQ(kinds.size(), 4u);
+    }
+    std::filesystem::remove_all(dir);
+    setQuietLogging(false);
 }
 
 TEST(ParallelEstimator, ConcurrentEvaluationsMatchSerial)

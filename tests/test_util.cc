@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "stats/stats.h"
 #include "util/bitutil.h"
 #include "util/logging.h"
@@ -18,6 +20,10 @@ TEST(BitUtil, Popcount)
     EXPECT_EQ(popcount(0u), 0);
     EXPECT_EQ(popcount(0xffffu), 16);
     EXPECT_EQ(popcount(0x80000001u), 2);
+    EXPECT_EQ(popcount(0xffffffffu), 32);
+    // Every 16-bit lane mask, and its pattern in the high half too.
+    for (uint32_t m = 0; m <= 0xffffu; ++m)
+        ASSERT_EQ(popcount(m | (m << 16)), 2 * std::popcount(m)) << m;
 }
 
 TEST(BitUtil, PowerOfTwo)
