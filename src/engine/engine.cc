@@ -56,6 +56,7 @@ KernelResult
 Engine::runFilled(MemoryImage image, const std::vector<GemmWorkload> &work,
                   int vpus) const
 {
+    checkShape(static_cast<int>(work.size()), vpus);
     return run(image, work, vpus, nullptr, std::string());
 }
 
@@ -65,7 +66,6 @@ Engine::run(MemoryImage &image, const std::vector<GemmWorkload> &work,
             const std::string &kernel_name) const
 {
     const int cores = static_cast<int>(work.size());
-    checkShape(cores, vpus);
 
     MachineConfig mc = mcfg_;
     // Model `cores` cores' share of the full machine: private

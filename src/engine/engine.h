@@ -94,7 +94,7 @@ class Engine
 
     /** The one run path: simulate `work` on `image`, each core from
      *  its GemmStream. A non-null `trace_path` records the run, with
-     *  each workload's built trace. */
+     *  each workload's built trace. Callers check the shape first. */
     KernelResult run(MemoryImage &image,
                      const std::vector<GemmWorkload> &work, int vpus,
                      const std::string *trace_path,

@@ -48,7 +48,6 @@ fillWith(const GemmConfig &cfg, MemoryImage &mem, uint64_t a_base,
 {
     const int mr = cfg.mr;
     const int nr = cfg.nrVecs;
-    cfg.validate();
     if (n_panels < 1)
         throw ConfigError("GEMM panel count must be >= 1 (got " +
                           std::to_string(n_panels) + ")");

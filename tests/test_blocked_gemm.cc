@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "cache/cas_key.h"
 #include "kernels/gemm.h"
 #include "sim/multicore.h"
 #include "sim/reference.h"
@@ -95,28 +96,12 @@ TEST(BlockedGemm, BitwiseCorrectThroughThePipeline)
                   ref_image.readU32(ref_w.cBase + off));
 }
 
-/** FNV-1a, fed field by field. */
-struct Fnv
-{
-    uint64_t h = 1469598103934665603ull;
-
-    template <typename T>
-    void
-    mix(T v)
-    {
-        for (size_t i = 0; i < sizeof(T); ++i) {
-            h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    }
-};
-
 /** One trace's length and hash, and its image's hash, as a line. */
 std::string
 kernelLine(const std::string &label, const std::vector<Uop> &trace,
            const MemoryImage &image)
 {
-    Fnv t;
+    CasHasher t;
     for (const Uop &u : trace) {
         t.mix(static_cast<uint8_t>(u.op));
         t.mix(u.dst);
@@ -127,7 +112,7 @@ kernelLine(const std::string &label, const std::vector<Uop> &trace,
         t.mix(u.addr);
         t.mix(u.maskImm);
     }
-    Fnv m;
+    CasHasher m;
     for (size_t r = 0; r < image.numRegions(); ++r) {
         m.mix(image.regionBase(r));
         m.mix(static_cast<uint64_t>(image.regionData(r).size()));
@@ -137,8 +122,8 @@ kernelLine(const std::string &label, const std::vector<Uop> &trace,
     char line[160];
     std::snprintf(line, sizeof line, "%s uops=%zu trace=%016llx "
                   "image=%016llx\n", label.c_str(), trace.size(),
-                  static_cast<unsigned long long>(t.h),
-                  static_cast<unsigned long long>(m.h));
+                  static_cast<unsigned long long>(t.value()),
+                  static_cast<unsigned long long>(m.value()));
     return line;
 }
 
