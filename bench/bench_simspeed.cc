@@ -10,21 +10,13 @@
  * rate of the cycle loop (the event-driven loop is allocation-free in
  * steady state; a regression here shows up as allocs/cycle creeping
  * up). Workload sizes are hard-pinned; the only environment this file
- * reads is the SAVE_FASTFORWARD toggle it sets itself and the
- * SAVE_CACHE_DIR/SAVE_CACHE_MAX_MB result-store knobs.
- *
- * With a result store configured (--cache-dir or SAVE_CACHE_DIR) a
- * repeat slice is served from the store instead of simulating, so the
- * throughput numbers measure store speed, not simulator speed — any
- * perf-regression run must pass --cache-dir=none (CI does). The
- * --json document always carries the store counters in its "cache"
- * object (all zero when disabled).
+ * reads is the SAVE_FASTFORWARD toggle it sets itself. Every run
+ * simulates: there is no result store here, so the numbers always
+ * time the simulator.
  *
  * Usage:
  *   bench_simspeed                 human-readable table
  *   bench_simspeed --json          JSON document on stdout
- *   bench_simspeed --cache-dir=D   result store ('none' disables;
- *                                  default: SAVE_CACHE_DIR env)
  *   bench_simspeed --check F       also compare against the baseline
  *                                  JSON at F; exit 1 if any benchmark's
  *                                  sim_cycles, ff_jumps or
@@ -46,10 +38,7 @@
 #include <vector>
 
 #include <cmath>
-#include <memory>
 
-#include "cache/cas_key.h"
-#include "cache/result_store.h"
 #include "kernels/gemm.h"
 #include "mem/memory_image.h"
 #include "sim/multicore.h"
@@ -105,9 +94,6 @@ struct RunResult
     uint64_t ffSkipped = 0;
 };
 
-/** Shared result store; a disabled instance when --cache-dir=none. */
-std::unique_ptr<ResultStore> g_store;
-
 /** One single-core run, built directly on Multicore (not Engine) so
  *  the fast-forward counters — deliberately kept out of the stat map —
  *  are reachable. */
@@ -117,28 +103,6 @@ runOnce(const SaveConfig &scfg, const GemmConfig &g)
     MachineConfig mc;
     mc.dramGBps = mc.dramGBps / mc.cores; // one core's bandwidth share
     mc.cores = 1;
-
-    // Content address: the fast-forward toggle changes the ff counters
-    // (not the simulated result), so it salts the config digest to
-    // keep the _noff row's cached counters separate.
-    const char *ff = std::getenv("SAVE_FASTFORWARD");
-    const CasKey key{casHashConfig(mc, scfg,
-                                   ff && ff[0] == '1' ? 1 : 0),
-                     casGemmWorkload(g, 1, 2)};
-    CasValue v;
-    if (g_store && g_store->lookup(key, &v)) {
-        RunResult r;
-        r.cycles = v.cycles;
-        for (const auto &[name, value] : v.stats) {
-            if (name == "uops")
-                r.uops = value;
-            else if (name == "ff_jumps")
-                r.ffJumps = static_cast<uint64_t>(value);
-            else if (name == "ff_cycles_skipped")
-                r.ffSkipped = static_cast<uint64_t>(value);
-        }
-        return r;
-    }
 
     MemoryImage image;
     std::vector<GemmWorkload> work = buildShardedGemm(g, image, 1);
@@ -152,17 +116,6 @@ runOnce(const SaveConfig &scfg, const GemmConfig &g)
     r.uops = machine.aggregateStats().get("uops");
     r.ffJumps = machine.core(0).ffJumps();
     r.ffSkipped = machine.core(0).ffCyclesSkipped();
-    if (g_store) {
-        v = CasValue{};
-        v.timeNs = static_cast<double>(r.cycles); // no wall time here
-        v.cycles = r.cycles;
-        v.stats.emplace_back("uops", r.uops);
-        v.stats.emplace_back("ff_jumps",
-                             static_cast<double>(r.ffJumps));
-        v.stats.emplace_back("ff_cycles_skipped",
-                             static_cast<double>(r.ffSkipped));
-        g_store->insert(key, v);
-    }
     return r;
 }
 
@@ -236,9 +189,6 @@ runAll()
 void
 printTable(const std::vector<BenchRow> &rows)
 {
-    if (g_store && g_store->enabled())
-        std::fprintf(stderr, "cache %s: %s\n", g_store->dir().c_str(),
-                     g_store->statsSnapshot().toJson().c_str());
     std::printf("%-36s %14s %14s %10s %10s %12s %14s\n", "benchmark",
                 "uops/s", "sim_cycles/s", "cycles", "ff_jumps",
                 "ff_skipped", "allocs/cycle");
@@ -256,16 +206,6 @@ void
 printJson(const std::vector<BenchRow> &rows)
 {
     std::printf("{\n  \"schema\": \"save-bench-simspeed-v1\",\n");
-    std::printf("  \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-                "\"evictions\": %llu, \"bytes\": %llu},\n",
-                static_cast<unsigned long long>(
-                    g_store ? g_store->hits() : 0),
-                static_cast<unsigned long long>(
-                    g_store ? g_store->misses() : 0),
-                static_cast<unsigned long long>(
-                    g_store ? g_store->evictions() : 0),
-                static_cast<unsigned long long>(
-                    g_store ? g_store->bytes() : 0));
     std::printf("  \"benchmarks\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
         const BenchRow &r = rows[i];
@@ -385,28 +325,17 @@ main(int argc, char **argv)
 {
     bool json = false;
     std::string check_path;
-    std::string cache_dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {
             json = true;
-        } else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0) {
-            cache_dir = argv[i] + 12;
         } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
             check_path = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--json] [--cache-dir=D] "
-                         "[--check baseline.json]\n",
+                         "usage: %s [--json] [--check baseline.json]\n",
                          argv[0]);
             return 2;
         }
-    }
-
-    {
-        save::ResultStore::Options o;
-        o.dir = save::ResultStore::resolveDir(cache_dir);
-        o.maxBytes = save::ResultStore::resolveMaxBytes(0);
-        save::g_store = std::make_unique<save::ResultStore>(o);
     }
 
     std::vector<save::BenchRow> rows = save::runAll();

@@ -5,9 +5,12 @@
  * Not a user-facing tool — the sweep parent (src/proc/worker_pool)
  * fork/execs this binary with the wire protocol (src/proc/wire_codec,
  * DESIGN.md §12) on stdin/stdout: HELO configures the session, then
- * each REQ frame simulates one surface slice and answers RES (time,
- * cycles, frequency, full stat map) or ERR (a SimError-taxonomy kind
- * the parent rethrows). Logs go to stderr; stdout carries frames only.
+ * each REQ frame simulates one surface slice and answers RES (the
+ * slice record: time, cycles, frequency, full stat map) or ERR (a
+ * SimError-taxonomy kind the parent rethrows), until BYE or EOF. The
+ * worker never opens the result store: the parent owns each slice's
+ * flight and persists the record it receives. Logs go to stderr;
+ * stdout carries frames only.
  *
  * The worker is where process-level fault injection lands: it inherits
  * SAVE_FAULT_INJECT across exec and applies crash/abort/hang/oom modes
@@ -18,16 +21,13 @@
  * triage still classifies it.
  */
 
-#include <cmath>
 #include <exception>
-#include <memory>
 #include <new>
+#include <vector>
 
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "cache/cas_key.h"
-#include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "proc/wire_codec.h"
 #include "util/error.h"
@@ -44,7 +44,7 @@ sendError(WireErrorKind kind, const std::string &what)
     WireErrorInfo info;
     info.kind = kind;
     info.what = what;
-    wireWrite(STDOUT_FILENO, kWireError, 0, wireEncodeError(info));
+    frameWriteFd(STDOUT_FILENO, kWireError, 0, wireEncodeError(info));
 }
 
 void
@@ -64,8 +64,8 @@ int
 serve()
 {
     // Session setup: the first frame must be HELO.
-    WireFrame frame;
-    if (wireRead(STDIN_FILENO, frame, -1) != WireRead::Ok ||
+    Frame frame;
+    if (wireRead(STDIN_FILENO, frame, -1) != FrameRead::Ok ||
         frame.fourcc != kWireHello) {
         sendError(WireErrorKind::Config,
                   "save-worker expects a HELO frame first (this binary "
@@ -83,27 +83,13 @@ serve()
     }
     applyRssCap(init.rssCapMb);
 
-    // The worker opens its own handle on the shared result store and
-    // persists every slice it simulates *before* replying, so a result
-    // lands on disk exactly once: the parent marks worker-run slices
-    // as already persisted. A cache hit here answers the REQ without
-    // simulating at all (e.g. a retry of a slice whose first attempt
-    // crashed after the insert).
-    std::unique_ptr<ResultStore> store;
-    if (!init.cacheDir.empty()) {
-        ResultStore::Options sopt;
-        sopt.dir = init.cacheDir;
-        sopt.maxBytes = init.cacheMaxBytes;
-        store = std::make_unique<ResultStore>(sopt);
-    }
-
-    if (!wireWrite(STDOUT_FILENO, kWireHelloAck, kWireVersion, {}))
+    if (!frameWriteFd(STDOUT_FILENO, kWireHelloAck, kWireVersion, {}))
         return 1;
 
     // Slice loop: the parent enforces deadlines, so reads block
     // forever; a closed stdin is the normal shutdown signal.
     for (;;) {
-        if (wireRead(STDIN_FILENO, frame, -1) != WireRead::Ok)
+        if (wireRead(STDIN_FILENO, frame, -1) != FrameRead::Ok)
             return kWorkerExitOk; // EOF: parent is gone
         if (frame.fourcc == kWireBye)
             return kWorkerExitOk;
@@ -117,36 +103,12 @@ serve()
         try {
             FaultInjector::global().maybeCrashSlice(req.keyHash,
                                                     attempt);
-            const CasKey ck{init.configHash,
-                            casSliceWorkload(req.key)};
-            WireSliceResult res;
-            CasValue hit;
-            if (store && store->lookup(ck, &hit)) {
-                res.timeNs = hit.timeNs;
-                res.cycles = hit.cycles;
-                res.coreGhz = hit.coreGhz;
-                res.stats = hit.stats;
-            } else {
-                KernelResult kr =
-                    TrainingEstimator::simulateSliceKernel(
-                        init.mcfg, init.scfg, req.key, init.tiles,
-                        init.cores, init.seed);
-                res.timeNs = kr.timeNs;
-                res.cycles = kr.cycles;
-                res.coreGhz = kr.coreGhz;
-                for (const auto &[name, value] : kr.stats.all())
-                    res.stats.emplace_back(name, value);
-                if (store && std::isfinite(res.timeNs)) {
-                    CasValue v;
-                    v.timeNs = res.timeNs;
-                    v.cycles = res.cycles;
-                    v.coreGhz = res.coreGhz;
-                    v.stats = res.stats;
-                    store->insert(ck, v);
-                }
-            }
-            if (!wireWrite(STDOUT_FILENO, kWireResult, 0,
-                           wireEncodeSliceResult(res)))
+            const KernelResult kr = TrainingEstimator::simulateSliceKernel(
+                init.mcfg, init.scfg, req.key, init.tiles, init.cores,
+                init.seed);
+            std::vector<uint8_t> res;
+            casEncodeValue(res, toCasValue(kr));
+            if (!frameWriteFd(STDOUT_FILENO, kWireResult, 0, res))
                 return 1; // parent hung up mid-reply
         } catch (const std::bad_alloc &) {
             sendError(WireErrorKind::Oom,

@@ -1,6 +1,47 @@
 #include "cache/cas_key.h"
 
+#include "util/error.h"
+#include "util/frame.h"
+
 namespace save {
+
+void
+casEncodeValue(std::vector<uint8_t> &out, const CasValue &v)
+{
+    framePutF64(out, v.timeNs);
+    framePutU64(out, v.cycles);
+    framePutF64(out, v.coreGhz);
+    framePutU32(out, static_cast<uint32_t>(v.stats.size()));
+    for (const auto &[name, value] : v.stats) {
+        framePutString(out, name);
+        framePutF64(out, value);
+    }
+}
+
+CasValue
+casDecodeValue(const uint8_t *p, const uint8_t *end)
+{
+    CasValue v;
+    v.timeNs = frameGetF64(p, end);
+    v.cycles = frameGetU64(p, end);
+    v.coreGhz = frameGetF64(p, end);
+    const uint32_t n = frameGetU32(p, end);
+    // Untrusted count: each stat needs >= 12 bytes (name length and
+    // value), so bound it by the remaining payload before reserving;
+    // a corrupt count is a TraceError, not a multi-GB allocation.
+    if (n > static_cast<size_t>(end - p) / 12)
+        throw TraceError("slice record: stat count " + std::to_string(n) +
+                         " exceeds remaining payload");
+    v.stats.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+        std::string name = frameGetString(p, end);
+        const double value = frameGetF64(p, end);
+        v.stats.emplace_back(std::move(name), value);
+    }
+    if (p != end)
+        throw TraceError("slice record: trailing bytes after the value");
+    return v;
+}
 
 uint64_t
 casHashConfig(const MachineConfig &m, const SaveConfig &s, uint64_t salt)

@@ -19,6 +19,11 @@
  * so padding bytes and ABI layout can never leak into the key: the
  * same configuration hashes identically across runs and build
  * modes.
+ *
+ * A CasValue is the one record of a slice outcome, with one codec:
+ * the store's record payload (cache/result_store.h), a sandboxed
+ * worker's RES reply (proc/wire_codec.h) and a served Gemm's SRES
+ * reply (serve/protocol.h) all carry casEncodeValue's bytes.
  */
 
 #ifndef SAVE_CACHE_CAS_KEY_H
@@ -27,6 +32,9 @@
 #include <compare>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "kernels/gemm.h"
 #include "sim/config.h"
@@ -51,6 +59,28 @@ struct CasKey
 
     auto operator<=>(const CasKey &) const = default;
 };
+
+/** One simulated slice outcome: time, cycles, core frequency and the
+ *  full stat map, so a stored or shipped result is bit-identical to
+ *  the run it came from. `stats` is sorted by name (the StatGroup
+ *  iteration order) and round-trips raw f64 bits. */
+struct CasValue
+{
+    double timeNs = 0;
+    uint64_t cycles = 0;
+    double coreGhz = 0;
+    std::vector<std::pair<std::string, double>> stats;
+};
+
+/** Append the value codec's bytes, all little-endian:
+ *  f64 timeNs, u64 cycles, f64 coreGhz, u32 nStats,
+ *  nStats x (u32 nameLen, name, f64 value). */
+void casEncodeValue(std::vector<uint8_t> &out, const CasValue &v);
+
+/** Decode a value that fills [p, end) exactly. Throws TraceError on a
+ *  short payload, a stat count the payload cannot hold, or trailing
+ *  bytes. */
+CasValue casDecodeValue(const uint8_t *p, const uint8_t *end);
 
 /** FNV-1a running hash; fed field-by-field, never via raw structs. */
 class CasHasher

@@ -17,18 +17,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "trace/trace_format.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
+#include "util/frame.h"
 #include "util/logging.h"
 #include "util/posix_io.h"
-#include "util/runtime_options.h"
 
 namespace save {
 
 namespace {
 
-constexpr uint32_t kRecFourcc = traceFourcc('C', 'R', 'E', 'C');
+constexpr uint32_t kRecFourcc = frameFourcc('C', 'R', 'E', 'C');
 /** A record larger than this is treated as corruption, not allocated. */
 constexpr uint64_t kMaxPayload = 16ull << 20;
 /** waitForResult poll period. */
@@ -41,17 +40,9 @@ std::vector<uint8_t>
 encodePayload(const CasKey &key, const CasValue &v)
 {
     std::vector<uint8_t> out;
-    tracePutU64(out, key.cfg);
-    tracePutU64(out, key.wl);
-    tracePutF64(out, v.timeNs);
-    tracePutU64(out, v.cycles);
-    tracePutF64(out, v.coreGhz);
-    tracePutU32(out, static_cast<uint32_t>(v.stats.size()));
-    for (const auto &[name, value] : v.stats) {
-        tracePutU32(out, static_cast<uint32_t>(name.size()));
-        out.insert(out.end(), name.begin(), name.end());
-        tracePutF64(out, value);
-    }
+    framePutU64(out, key.cfg);
+    framePutU64(out, key.wl);
+    casEncodeValue(out, v);
     return out;
 }
 
@@ -60,30 +51,9 @@ void
 decodePayload(const uint8_t *p, const uint8_t *end, CasKey &key,
               CasValue &v)
 {
-    key.cfg = traceGetU64(p, end);
-    key.wl = traceGetU64(p, end);
-    v.timeNs = traceGetF64(p, end);
-    v.cycles = traceGetU64(p, end);
-    v.coreGhz = traceGetF64(p, end);
-    uint32_t n = traceGetU32(p, end);
-    // Untrusted count: each stat needs >= 12 bytes, so bound it by the
-    // remaining payload before reserving.
-    if (n > static_cast<size_t>(end - p) / 12)
-        throw TraceError("cas: stat count " + std::to_string(n) +
-                         " exceeds remaining payload");
-    v.stats.clear();
-    v.stats.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        uint32_t len = traceGetU32(p, end);
-        if (static_cast<size_t>(end - p) < len)
-            throw TraceError("cas: stat name runs past payload end");
-        std::string name(reinterpret_cast<const char *>(p), len);
-        p += len;
-        double value = traceGetF64(p, end);
-        v.stats.emplace_back(std::move(name), value);
-    }
-    if (p != end)
-        throw TraceError("cas: trailing bytes after record payload");
+    key.cfg = frameGetU64(p, end);
+    key.wl = frameGetU64(p, end);
+    v = casDecodeValue(p, end);
 }
 
 std::vector<uint8_t>
@@ -127,24 +97,14 @@ flightHeld(const std::string &path)
 
 } // namespace
 
-std::string
-ResultStore::resolveDir(const std::string &opt)
+ResultStore::Options
+ResultStore::resolveOptions(const RuntimeOptions &rt)
 {
-    if (opt == "none" || opt == "-")
-        return "";
-    if (!opt.empty())
-        return opt;
-    return RuntimeOptions::fromEnv().cacheDir;
-}
-
-uint64_t
-ResultStore::resolveMaxBytes(int opt_mb)
-{
-    if (opt_mb > 0)
-        return static_cast<uint64_t>(opt_mb) << 20;
-    if (opt_mb == 0)
-        return RuntimeOptions::fromEnv().cacheMaxBytes();
-    return 0;
+    Options o;
+    if (rt.cacheDir != "none" && rt.cacheDir != "-")
+        o.dir = rt.cacheDir;
+    o.maxBytes = rt.cacheMaxBytes();
+    return o;
 }
 
 int
@@ -306,7 +266,7 @@ ResultStore::loadShardLocked(int shard, bool at_open)
             break;
         }
         const uint32_t rec_bytes =
-            static_cast<uint32_t>(kTraceChunkHeaderBytes + len);
+            static_cast<uint32_t>(kFrameHeaderBytes + len);
         s.diskBytes += rec_bytes;
         // First record wins; a duplicate append (two processes racing
         // past each other's single-flight window) carries identical
@@ -449,7 +409,7 @@ ResultStore::insert(const CasKey &key, const CasValue &value)
     Rec r;
     r.val = value;
     r.recBytes = static_cast<uint32_t>(
-        kTraceChunkHeaderBytes + encodePayload(key, value).size());
+        kFrameHeaderBytes + encodePayload(key, value).size());
     r.lastUse = ++useClock_;
     if (!appendRecordLocked(shard, key, r))
         return false;

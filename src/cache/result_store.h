@@ -6,10 +6,11 @@
  * against it:
  *
  *   key   = CasKey (config digest + workload digest, cache/cas_key.h)
- *   value = CasValue: slice time, cycle count, core frequency, and
- *           the full stat map — the same payload a sandboxed worker
- *           ships over the wire, so a cache hit is bit-identical to a
- *           fresh simulation by construction.
+ *   value = CasValue (cache/cas_key.h): slice time, cycle count, core
+ *           frequency, and the full stat map — the one slice record,
+ *           whose codec a sandboxed worker's reply uses too, so a
+ *           cache hit is bit-identical to a fresh simulation by
+ *           construction.
  *
  * On-disk layout: a directory of 16 shard files (`cas-XX.savecas`,
  * shard = low bits of the key) holding append-only, CRC-framed
@@ -18,7 +19,8 @@
  *   u32 fourcc 'CREC', u32 version, u64 payloadBytes,
  *   u32 crc32(payload), payload
  *
- *   payload: u64 cfg, u64 wl, f64 timeNs, u64 cycles, f64 coreGhz,
+ *   payload: u64 cfg, u64 wl, then the value (casEncodeValue):
+ *            f64 timeNs, u64 cycles, f64 coreGhz,
  *            u32 nStats, nStats x (u32 nameLen, name, f64 value)
  *
  * There is no file header, so any number of processes can append
@@ -69,18 +71,9 @@
 
 #include "cache/cas_key.h"
 #include "stats/stats.h"
+#include "util/runtime_options.h"
 
 namespace save {
-
-/** One cached simulation outcome. `stats` is sorted by name (the
- *  StatGroup iteration order) and round-trips raw f64 bits. */
-struct CasValue
-{
-    double timeNs = 0;
-    uint64_t cycles = 0;
-    double coreGhz = 0;
-    std::vector<std::pair<std::string, double>> stats;
-};
 
 class ResultStore
 {
@@ -97,13 +90,11 @@ class ResultStore
         uint64_t maxBytes = 0;
     };
 
-    /** Resolve a --cache-dir style option: "none"/"-" force-disable,
-     *  empty defers to SAVE_CACHE_DIR, anything else is the dir. */
-    static std::string resolveDir(const std::string &opt);
-
-    /** Resolve a --cache-max-mb style option: > 0 is a cap in MB,
-     *  0 defers to SAVE_CACHE_MAX_MB, else unlimited. */
-    static uint64_t resolveMaxBytes(int opt_mb);
+    /** The store a runtime snapshot names: cacheDir "none", "-" or
+     *  empty disables it, anything else is the directory; cacheMaxMb
+     *  caps it. The one reading of a --cache-dir value: every path
+     *  that builds a store calls this. */
+    static Options resolveOptions(const RuntimeOptions &rt);
 
     /** Opens (and parses) every existing shard under opt.dir. A
      *  disabled store (empty dir) accepts every call as a no-op. */

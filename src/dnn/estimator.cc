@@ -167,16 +167,18 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
                 isolation_ + ")");
     }
 
-    uint64_t cache_max_bytes = 0;
     if (shared_store) {
         store_ = shared_store;
-        cache_max_bytes = shared_store->maxBytes();
     } else {
-        ResultStore::Options sopt;
-        sopt.dir = ResultStore::resolveDir(opt_.cacheDir);
-        sopt.maxBytes = ResultStore::resolveMaxBytes(opt_.cacheMaxMb);
-        cache_max_bytes = sopt.maxBytes;
-        owned_store_ = std::make_unique<ResultStore>(sopt);
+        // The options name the store; unset ones defer to the
+        // environment.
+        RuntimeOptions rt = RuntimeOptions::fromEnv();
+        if (!opt_.cacheDir.empty())
+            rt.cacheDir = opt_.cacheDir;
+        if (opt_.cacheMaxMb != 0)
+            rt.cacheMaxMb = opt_.cacheMaxMb;
+        owned_store_ =
+            std::make_unique<ResultStore>(ResultStore::resolveOptions(rt));
         store_ = owned_store_.get();
     }
 
@@ -201,9 +203,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
         init.tiles = opt_.tiles;
         init.cores = opt_.cores;
         init.seed = opt_.seed;
-        init.configHash = config_hash_;
-        init.cacheDir = store_->dir();
-        init.cacheMaxBytes = cache_max_bytes;
         proc_pool_ = std::make_unique<WorkerPool>(p, init);
     }
 }
@@ -261,39 +260,25 @@ TrainingEstimator::casKey(const Key &key) const
     return CasKey{config_hash_, casSliceWorkload(key)};
 }
 
-TrainingEstimator::SliceOutcome
+CasValue
 TrainingEstimator::runSliceIsolated(const Key &key, int attempt,
                                     SharedFill *fill)
 {
     if (proc_pool_ && !proc_pool_->degraded()) {
         try {
-            WireSliceResult wr =
-                proc_pool_->runSlice(key, keyHash(key), attempt);
-            SliceOutcome out;
-            out.result.timeNs = wr.timeNs;
-            out.result.cycles = wr.cycles;
-            out.result.coreGhz = wr.coreGhz;
-            for (const auto &[name, value] : wr.stats)
-                out.result.stats.set(name, value);
-            // The worker already persisted this result into the shared
-            // store before replying; the parent must not append a
-            // duplicate record.
-            out.fromWorker = true;
-            return out;
+            return proc_pool_->runSlice(key, keyHash(key), attempt);
         } catch (const WorkerError &e) {
-            if (proc_pool_->degraded()) {
-                // The pool has drained past its crash budget: finish
-                // the point in-process instead of failing it. This is
-                // the graceful-degradation path, so it does not burn
-                // one of the slice's own retries.
-                SAVE_WARN("slice falling back in-process after pool "
-                          "degradation: ", e.what());
-                return SliceOutcome{simulateSlice(key, fill), false};
-            }
-            throw;
+            if (!proc_pool_->degraded())
+                throw;
+            // The pool has drained past its crash budget: finish the
+            // point in-process instead of failing it. This is the
+            // graceful-degradation path, so it does not burn one of
+            // the slice's own retries.
+            SAVE_WARN("slice falling back in-process after pool "
+                      "degradation: ", e.what());
         }
     }
-    return SliceOutcome{simulateSlice(key, fill), false};
+    return toCasValue(simulateSlice(key, fill));
 }
 
 uint64_t
@@ -337,7 +322,7 @@ TrainingEstimator::keyLabel(const Key &key) const
     return os.str();
 }
 
-TrainingEstimator::SliceOutcome
+CasValue
 TrainingEstimator::simulateWithRetry(const Key &key, SharedFill *fill)
 {
     const uint64_t site = keyHash(key);
@@ -364,10 +349,9 @@ TrainingEstimator::simulateWithRetry(const Key &key, SharedFill *fill)
             }
             SAVE_WARN(keyLabel(key), " failed permanently after ",
                       attempts, " attempts: ", e.what());
-            SliceOutcome out;
-            out.result.timeNs =
-                std::numeric_limits<double>::quiet_NaN();
-            return out;
+            CasValue poisoned;
+            poisoned.timeNs = std::numeric_limits<double>::quiet_NaN();
+            return poisoned;
         }
     }
 }
@@ -375,37 +359,26 @@ TrainingEstimator::simulateWithRetry(const Key &key, SharedFill *fill)
 double
 TrainingEstimator::computeCold(const Key &key, SharedFill *fill)
 {
-    if (store_ && store_->enabled()) {
-        const CasKey ck = casKey(key);
-        ResultStore::Flight flight = store_->beginFlight(ck);
-        if (!flight.owner()) {
-            // Another process is simulating this exact point. Wait for
-            // its insert; if the owner dies or times out, fall through
-            // and simulate it ourselves — inserts are idempotent, so a
-            // late duplicate is harmless.
-            CasValue v;
-            if (store_->waitForResult(ck, &v, kFlightWaitMs))
-                return v.timeNs;
-        } else {
-            // The caller's lookup may be seconds old (prefetch looks
-            // every key up before its fan-out): another process can
-            // have stored and released this point since.
-            CasValue v;
-            if (store_->lookup(ck, &v))
-                return v.timeNs;
-        }
-        SliceOutcome out = simulateWithRetry(key, fill);
-        if (std::isfinite(out.result.timeNs)) {
-            sims_.fetch_add(1, std::memory_order_relaxed);
-            if (!out.fromWorker)
-                store_->insert(ck, toCasValue(out.result));
-        }
-        return out.result.timeNs;
-    }
-    SliceOutcome out = simulateWithRetry(key, fill);
-    if (std::isfinite(out.result.timeNs))
+    // A disabled store makes every caller the owner, finds nothing
+    // and inserts nothing.
+    const CasKey ck = casKey(key);
+    ResultStore::Flight flight = store_->beginFlight(ck);
+    CasValue v;
+    // A follower waits for the owner's insert; if the owner dies or
+    // times out, it simulates the point itself (inserts are
+    // idempotent, so a late duplicate is harmless). The owner looks
+    // once more: the caller's lookup may be seconds old (prefetch
+    // looks every key up before its fan-out), and another process can
+    // have stored and released this point since.
+    if (flight.owner() ? store_->lookup(ck, &v)
+                       : store_->waitForResult(ck, &v, kFlightWaitMs))
+        return v.timeNs;
+    v = simulateWithRetry(key, fill);
+    if (std::isfinite(v.timeNs)) {
         sims_.fetch_add(1, std::memory_order_relaxed);
-    return out.result.timeNs;
+        store_->insert(ck, v);
+    }
+    return v.timeNs;
 }
 
 double

@@ -81,8 +81,9 @@ struct EstimatorOptions
      *  Results are identical for every setting. */
     int threads = 0;
     /** Persistent result-store directory. Empty defers to the
-     *  SAVE_CACHE_DIR environment variable; "none" disables
-     *  persistence even when the variable is set. */
+     *  SAVE_CACHE_DIR environment variable; "none" or "-", here or in
+     *  the variable, disables persistence
+     *  (ResultStore::resolveOptions). */
     std::string cacheDir;
     /** Result-store size cap in MB; eviction compacts the least-
      *  recently-used records past it. 0 defers to SAVE_CACHE_MAX_MB
@@ -283,15 +284,6 @@ class TrainingEstimator
      *  points that differ only in configuration (estimator.cc). */
     struct SharedFill;
 
-    /** One slice attempt plus where it ran: a slice that executed in
-     *  a sandboxed worker was already persisted by that worker, so the
-     *  parent must not append a duplicate record. */
-    struct SliceOutcome
-    {
-        KernelResult result;
-        bool fromWorker = false;
-    };
-
     /** Run one slice simulation (pure: no estimator state touched;
      *  the worker builds its own short-lived Engine), on a copy of
      *  `fill`'s data when it is non-null. */
@@ -305,25 +297,26 @@ class TrainingEstimator
     uint64_t keyHash(const Key &key) const;
     std::string keyLabel(const Key &key) const;
 
-    /** simulateSlice with the retry/fault-isolation policy applied.
-     *  Returns a NaN-timed result after maxRetries + 1 failed attempts
-     *  (recording a SliceFailure) unless failFast, which rethrows. */
-    SliceOutcome simulateWithRetry(const Key &key, SharedFill *fill);
+    /** runSliceIsolated with the retry/fault-isolation policy
+     *  applied. Returns a NaN-timed record after maxRetries + 1 failed
+     *  attempts (recording a SliceFailure) unless failFast, which
+     *  rethrows. */
+    CasValue simulateWithRetry(const Key &key, SharedFill *fill);
 
     /** One attempt of one slice under the resolved isolation mode:
      *  dispatches to the worker pool (falling back in-process once it
      *  degrades) or runs simulateSlice directly. */
-    SliceOutcome runSliceIsolated(const Key &key, int attempt,
-                                  SharedFill *fill);
+    CasValue runSliceIsolated(const Key &key, int attempt,
+                              SharedFill *fill);
 
     /**
      * Produce one point the persistent store does not have yet:
      * cross-process single-flight (losers wait for the owner's
      * insert), then simulate with the retry policy and persist the
-     * finite result — from the parent in-process, or from the worker
-     * that ran it. An in-process run simulates a copy of `fill`'s
-     * data when it is non-null. Returns the slice time (NaN =
-     * permanently failed).
+     * finite result. The flight's owner is the one writer, whichever
+     * process simulated the slice: a worker only replies. An
+     * in-process run simulates a copy of `fill`'s data when it is
+     * non-null. Returns the slice time (NaN = permanently failed).
      */
     double computeCold(const Key &key, SharedFill *fill = nullptr);
 

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "cache/result_store.h"
+#include "cache/cas_key.h"
 #include "sim/multicore.h"
 #include "sim/reference.h"
 #include "trace/trace_writer.h"
@@ -165,6 +165,18 @@ toCasValue(const KernelResult &kr)
     for (const auto &[name, value] : kr.stats.all())
         v.stats.emplace_back(name, value);
     return v;
+}
+
+KernelResult
+toKernelResult(const CasValue &v)
+{
+    KernelResult kr;
+    kr.timeNs = v.timeNs;
+    kr.cycles = v.cycles;
+    kr.coreGhz = v.coreGhz;
+    for (const auto &[name, value] : v.stats)
+        kr.stats.set(name, value);
+    return kr;
 }
 
 } // namespace save

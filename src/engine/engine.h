@@ -113,9 +113,13 @@ speedup(const KernelResult &base, const KernelResult &other)
 
 struct CasValue;
 
-/** A run as a result-store record. Every stat is kept verbatim, so a
- *  stored result is bit-identical to the run it came from. */
+/** A run as a slice record (cache/cas_key.h). Every stat is kept
+ *  verbatim, so a stored or shipped result is bit-identical to the run
+ *  it came from. */
 CasValue toCasValue(const KernelResult &kr);
+
+/** The inverse of toCasValue. */
+KernelResult toKernelResult(const CasValue &v);
 
 } // namespace save
 

@@ -21,15 +21,8 @@ knownFourcc(uint32_t fourcc)
 
 } // namespace
 
-bool
-wireWrite(int fd, uint32_t fourcc, uint32_t arg,
-          const std::vector<uint8_t> &payload)
-{
-    return frameWriteFd(fd, fourcc, arg, payload);
-}
-
-WireRead
-wireRead(int fd, WireFrame &frame, int timeout_ms)
+FrameRead
+wireRead(int fd, Frame &frame, int timeout_ms)
 {
     return frameReadFd(fd, frame, timeout_ms, knownFourcc,
                        kWireMaxPayload, "wire");
@@ -39,16 +32,13 @@ std::vector<uint8_t>
 wireEncodeSessionInit(const WireSessionInit &s)
 {
     std::vector<uint8_t> out;
-    tracePutU32(out, kWireVersion);
-    tracePutU64(out, s.configHash);
+    framePutU32(out, kWireVersion);
     framePutStruct(out, s.mcfg);
     framePutStruct(out, s.scfg);
-    tracePutU32(out, static_cast<uint32_t>(s.tiles));
-    tracePutU32(out, static_cast<uint32_t>(s.cores));
-    tracePutU64(out, s.seed);
-    tracePutU32(out, static_cast<uint32_t>(s.rssCapMb));
-    framePutString(out, s.cacheDir);
-    tracePutU64(out, s.cacheMaxBytes);
+    framePutU32(out, static_cast<uint32_t>(s.tiles));
+    framePutU32(out, static_cast<uint32_t>(s.cores));
+    framePutU64(out, s.seed);
+    framePutU32(out, static_cast<uint32_t>(s.rssCapMb));
     return out;
 }
 
@@ -57,21 +47,18 @@ wireDecodeSessionInit(const std::vector<uint8_t> &payload)
 {
     const uint8_t *p = payload.data();
     const uint8_t *end = p + payload.size();
-    uint32_t version = traceGetU32(p, end);
+    uint32_t version = frameGetU32(p, end);
     if (version != kWireVersion)
         throw TraceError("wire: protocol version " +
                          std::to_string(version) + " != expected " +
                          std::to_string(kWireVersion));
     WireSessionInit s;
-    s.configHash = traceGetU64(p, end);
     s.mcfg = frameGetStruct<MachineConfig>(p, end, "MachineConfig");
     s.scfg = frameGetStruct<SaveConfig>(p, end, "SaveConfig");
-    s.tiles = static_cast<int>(traceGetU32(p, end));
-    s.cores = static_cast<int>(traceGetU32(p, end));
-    s.seed = traceGetU64(p, end);
-    s.rssCapMb = static_cast<int>(traceGetU32(p, end));
-    s.cacheDir = frameGetString(p, end);
-    s.cacheMaxBytes = traceGetU64(p, end);
+    s.tiles = static_cast<int>(frameGetU32(p, end));
+    s.cores = static_cast<int>(frameGetU32(p, end));
+    s.seed = frameGetU64(p, end);
+    s.rssCapMb = static_cast<int>(frameGetU32(p, end));
     if (p != end)
         throw TraceError("wire: trailing bytes after session init");
     return s;
@@ -82,7 +69,7 @@ wireEncodeSliceRequest(const WireSliceRequest &r)
 {
     std::vector<uint8_t> out;
     framePutStruct(out, r.key);
-    tracePutU64(out, r.keyHash);
+    framePutU64(out, r.keyHash);
     return out;
 }
 
@@ -93,53 +80,9 @@ wireDecodeSliceRequest(const std::vector<uint8_t> &payload)
     const uint8_t *end = p + payload.size();
     WireSliceRequest r;
     r.key = frameGetStruct<SliceKey>(p, end, "SliceKey");
-    r.keyHash = traceGetU64(p, end);
+    r.keyHash = frameGetU64(p, end);
     if (p != end)
         throw TraceError("wire: trailing bytes after slice request");
-    return r;
-}
-
-std::vector<uint8_t>
-wireEncodeSliceResult(const WireSliceResult &r)
-{
-    std::vector<uint8_t> out;
-    tracePutF64(out, r.timeNs);
-    tracePutU64(out, r.cycles);
-    tracePutF64(out, r.coreGhz);
-    tracePutU32(out, static_cast<uint32_t>(r.stats.size()));
-    for (const auto &[name, value] : r.stats) {
-        framePutString(out, name);
-        tracePutF64(out, value);
-    }
-    return out;
-}
-
-WireSliceResult
-wireDecodeSliceResult(const std::vector<uint8_t> &payload)
-{
-    const uint8_t *p = payload.data();
-    const uint8_t *end = p + payload.size();
-    WireSliceResult r;
-    r.timeNs = traceGetF64(p, end);
-    r.cycles = traceGetU64(p, end);
-    r.coreGhz = traceGetF64(p, end);
-    uint32_t n = traceGetU32(p, end);
-    // n is untrusted: each entry needs at least a 4-byte name length
-    // plus an 8-byte value, so bound it by the remaining payload
-    // before reserving — a corrupt count must be a TraceError, not a
-    // multi-GB allocation attempt in the parent.
-    if (n > static_cast<size_t>(end - p) / 12)
-        throw TraceError("wire: slice-result stat count " +
-                         std::to_string(n) +
-                         " exceeds remaining payload");
-    r.stats.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        std::string name = frameGetString(p, end);
-        double value = traceGetF64(p, end);
-        r.stats.emplace_back(std::move(name), value);
-    }
-    if (p != end)
-        throw TraceError("wire: trailing bytes after slice result");
     return r;
 }
 

@@ -3,8 +3,8 @@
  * Length-prefixed, CRC-framed wire protocol between the sweep parent
  * and its sandboxed slice worker processes (DESIGN.md §12).
  *
- * Framing follows the `.savtrc` chunk conventions (src/trace/
- * trace_format.h): every frame is
+ * Framing is the shared util/frame.h record (the `.savtrc` chunk
+ * convention): every frame is
  *
  *   u32 fourcc, u32 arg, u64 payloadBytes, u32 crc32(payload), payload
  *
@@ -19,11 +19,14 @@
  *
  *   parent -> worker   HELO  (configs: machine, SAVE features,
  *                             estimator knobs, RSS cap)
- *   worker -> parent   HACK  (version + pid acknowledgment)
+ *   worker -> parent   HACK  (version acknowledgment)
  *   parent -> worker   REQ   (slice key + key hash; arg = attempt)
- *   worker -> parent   RES   (time/cycles/frequency + full stat map)
+ *   worker -> parent   RES   (the slice record: casEncodeValue bytes)
  *                   or ERR   (SimError-taxonomy kind + message)
  *   parent -> worker   BYE   (graceful drain; worker exits 0)
+ *
+ * A worker never touches the result store: the parent, which owns the
+ * slice's flight, persists the RES record it receives.
  *
  * Config structs travel as raw bytes of the trivially-copyable
  * MachineConfig/SaveConfig/SliceKey, guarded by struct-size fields and
@@ -38,27 +41,26 @@
 #include <cstdint>
 #include <exception>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cache/cas_key.h"
 #include "sim/config.h"
-#include "trace/trace_format.h"
+#include "util/frame.h"
 
 namespace save {
 
 /** Protocol version; bumped on any frame-layout change.
- *  v2: session init carries the result-store directory and size cap so
- *  workers persist their own results into the shared store. */
-constexpr uint32_t kWireVersion = 2;
+ *  v3: session init no longer carries the result-store directory, its
+ *  size cap or the config hash: workers never touch the store. */
+constexpr uint32_t kWireVersion = 3;
 
 /** Frame kinds (fourcc, little-endian first byte first). */
-constexpr uint32_t kWireHello = traceFourcc('H', 'E', 'L', 'O');
-constexpr uint32_t kWireHelloAck = traceFourcc('H', 'A', 'C', 'K');
-constexpr uint32_t kWireRequest = traceFourcc('R', 'E', 'Q', ' ');
-constexpr uint32_t kWireResult = traceFourcc('R', 'E', 'S', ' ');
-constexpr uint32_t kWireError = traceFourcc('E', 'R', 'R', ' ');
-constexpr uint32_t kWireBye = traceFourcc('B', 'Y', 'E', ' ');
+constexpr uint32_t kWireHello = frameFourcc('H', 'E', 'L', 'O');
+constexpr uint32_t kWireHelloAck = frameFourcc('H', 'A', 'C', 'K');
+constexpr uint32_t kWireRequest = frameFourcc('R', 'E', 'Q', ' ');
+constexpr uint32_t kWireResult = frameFourcc('R', 'E', 'S', ' ');
+constexpr uint32_t kWireError = frameFourcc('E', 'R', 'R', ' ');
+constexpr uint32_t kWireBye = frameFourcc('B', 'Y', 'E', ' ');
 
 /** Upper bound on a frame payload; larger lengths are treated as
  *  corruption rather than allocated. */
@@ -70,27 +72,14 @@ constexpr int kWorkerExitConfig = 2;
 constexpr int kWorkerExitOom = 24;
 constexpr int kWorkerExitExec = 127;
 
-/** One decoded frame (the shared util/frame.h record). */
-using WireFrame = Frame;
-
-/** Outcome of a deadline-bounded frame read: Ok, Eof (peer closed the
- *  pipe at a frame boundary), or Timeout. */
-using WireRead = FrameRead;
-
-/**
- * Write one frame. Returns false with errno preserved on any write
- * failure (EPIPE when the peer is dead and SIGPIPE is ignored).
- */
-bool wireWrite(int fd, uint32_t fourcc, uint32_t arg,
-               const std::vector<uint8_t> &payload);
-
 /**
  * Read one frame within `timeout_ms` (< 0 waits forever). Returns
- * Ok/Eof/Timeout; throws TraceError on corruption: CRC mismatch,
- * unknown fourcc, payload length past kWireMaxPayload, EOF inside a
- * frame, or a hard read error.
+ * Ok/Eof (peer closed the pipe at a frame boundary)/Timeout; throws
+ * TraceError on corruption: CRC mismatch, unknown fourcc, payload
+ * length past kWireMaxPayload, EOF inside a frame, or a hard read
+ * error. Frames are written with frameWriteFd.
  */
-WireRead wireRead(int fd, WireFrame &frame, int timeout_ms);
+FrameRead wireRead(int fd, Frame &frame, int timeout_ms);
 
 /** HELO payload: everything a worker needs to simulate slices. */
 struct WireSessionInit
@@ -103,14 +92,6 @@ struct WireSessionInit
     uint64_t seed = 0;
     /** RLIMIT_AS cap for the worker, MB; 0 = none. */
     int rssCapMb = 0;
-    /** Parent's surface config hash, echoed for log correlation and
-     *  used as the worker's CAS config digest. */
-    uint64_t configHash = 0;
-    /** Result-store directory the worker persists into; empty
-     *  disables the worker-side store. */
-    std::string cacheDir;
-    /** Result-store size cap in bytes; 0 = unlimited. */
-    uint64_t cacheMaxBytes = 0;
 };
 
 std::vector<uint8_t> wireEncodeSessionInit(const WireSessionInit &s);
@@ -129,17 +110,9 @@ struct WireSliceRequest
 std::vector<uint8_t> wireEncodeSliceRequest(const WireSliceRequest &r);
 WireSliceRequest wireDecodeSliceRequest(const std::vector<uint8_t> &p);
 
-/** RES payload: the full simulation outcome, stat map included. */
-struct WireSliceResult
-{
-    double timeNs = 0;
-    uint64_t cycles = 0;
-    double coreGhz = 0;
-    std::vector<std::pair<std::string, double>> stats;
-};
-
-std::vector<uint8_t> wireEncodeSliceResult(const WireSliceResult &r);
-WireSliceResult wireDecodeSliceResult(const std::vector<uint8_t> &p);
+/** The RES payload is the slice record (casEncodeValue's bytes); the
+ *  name is kept for perfbench. */
+using WireSliceResult = CasValue;
 
 /** ERR payload: a clean in-worker failure, mapped onto the SimError
  *  taxonomy so the parent can rethrow the matching type. The values

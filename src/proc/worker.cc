@@ -142,12 +142,12 @@ Worker::spawn()
 
     // Handshake: ship the session configuration, wait for the ack.
     try {
-        if (!wireWrite(to_child_, kWireHello, 0,
-                       wireEncodeSessionInit(init_)))
+        if (!frameWriteFd(to_child_, kWireHello, 0,
+                          wireEncodeSessionInit(init_)))
             throw triageDeath("rejected the session hello", false);
-        WireFrame ack;
-        WireRead st = wireRead(from_child_, ack, kHandshakeTimeoutMs);
-        if (st == WireRead::Timeout) {
+        Frame ack;
+        FrameRead st = wireRead(from_child_, ack, kHandshakeTimeoutMs);
+        if (st == FrameRead::Timeout) {
             kill();
             throw WorkerError(WorkerError::Kind::Spawn,
                               "worker did not acknowledge the session "
@@ -155,7 +155,7 @@ Worker::spawn()
                                   std::to_string(kHandshakeTimeoutMs) +
                                   " ms");
         }
-        if (st == WireRead::Eof)
+        if (st == FrameRead::Eof)
             throw triageDeath("died during the handshake", false);
         if (ack.fourcc == kWireError)
             wireThrowError(wireDecodeError(ack.payload));
@@ -174,7 +174,7 @@ Worker::spawn()
                 bin_, ")");
 }
 
-WireSliceResult
+CasValue
 Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
             int timeout_ms)
 {
@@ -184,13 +184,13 @@ Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
     WireSliceRequest req;
     req.key = key;
     req.keyHash = key_hash;
-    if (!wireWrite(to_child_, kWireRequest,
-                   static_cast<uint32_t>(attempt),
-                   wireEncodeSliceRequest(req)))
+    if (!frameWriteFd(to_child_, kWireRequest,
+                      static_cast<uint32_t>(attempt),
+                      wireEncodeSliceRequest(req)))
         throw triageDeath("is gone (request write failed)", false);
 
-    WireFrame frame;
-    WireRead st;
+    Frame frame;
+    FrameRead st;
     try {
         st = wireRead(from_child_, frame, timeout_ms);
     } catch (const TraceError &e) {
@@ -201,7 +201,7 @@ Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
     }
 
     switch (st) {
-    case WireRead::Timeout: {
+    case FrameRead::Timeout: {
         kill();
         ++consecutive_crashes_;
         throw WorkerError(
@@ -210,9 +210,9 @@ Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
                 " ms deadline; SIGKILLed worker slot " +
                 std::to_string(id_));
     }
-    case WireRead::Eof:
+    case FrameRead::Eof:
         throw triageDeath("died mid-slice", false);
-    case WireRead::Ok:
+    case FrameRead::Ok:
         break;
     }
 
@@ -240,9 +240,10 @@ Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
         throw WorkerError(WorkerError::Kind::Protocol,
                           "unexpected frame kind in response");
     }
-    WireSliceResult res;
+    CasValue res;
     try {
-        res = wireDecodeSliceResult(frame.payload);
+        const uint8_t *p = frame.payload.data();
+        res = casDecodeValue(p, p + frame.payload.size());
     } catch (const TraceError &e) {
         kill();
         ++consecutive_crashes_;
@@ -333,7 +334,7 @@ Worker::shutdown()
     if (pid <= 0)
         return;
     // Graceful: ask, give it a moment, then insist.
-    wireWrite(to_child_, kWireBye, 0, {});
+    frameWriteFd(to_child_, kWireBye, 0, {});
     ::close(to_child_);
     to_child_ = -1;
     auto deadline = std::chrono::steady_clock::now() +

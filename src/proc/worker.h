@@ -63,8 +63,8 @@ class Worker
      *  - the rethrown taxonomy error when the worker sent a clean ERR
      *    frame (the child is still healthy and stays running).
      */
-    WireSliceResult run(const SliceKey &key, uint64_t key_hash,
-                        int attempt, int timeout_ms);
+    CasValue run(const SliceKey &key, uint64_t key_hash, int attempt,
+                 int timeout_ms);
 
     /** True while a child is believed alive. */
     bool alive() const { return pid() > 0; }

@@ -180,15 +180,14 @@ WorkerPool::release(int idx, bool crashed)
     }
 }
 
-WireSliceResult
+CasValue
 WorkerPool::runSlice(const SliceKey &key, uint64_t key_hash,
                      int attempt)
 {
     int idx = checkout();
     Worker &w = *slots_[static_cast<size_t>(idx)].worker;
     try {
-        WireSliceResult res =
-            w.run(key, key_hash, attempt, opts_.sliceTimeoutMs);
+        CasValue res = w.run(key, key_hash, attempt, opts_.sliceTimeoutMs);
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++slices_run_;

@@ -83,8 +83,7 @@ class WorkerPool
      * process misbehaved (one crash charged; the slot backs off).
      * After degradation every call throws WorkerError immediately.
      */
-    WireSliceResult runSlice(const SliceKey &key, uint64_t key_hash,
-                             int attempt);
+    CasValue runSlice(const SliceKey &key, uint64_t key_hash, int attempt);
 
     /** True once the crash budget is spent and the pool has drained. */
     bool degraded() const;

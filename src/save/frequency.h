@@ -56,10 +56,18 @@ struct VpuChoice
  * halved per-lane coalescing capacity rather than raw op throughput;
  * sampling sees the real effect.
  *
- * The probe runs at `probe_fraction` of the kernel's K depth.
+ * vpuProbe is the probe of `cfg`: `1/probe_fraction` of its K depth
+ * (at least 16 steps) and half its tiles. The caller runs it on one
+ * core of the SAVE machine with 2 VPUs (`r2`) and with 1 (`r1`) — a
+ * sweep point through its session, so the probes are memoized like
+ * any slice — and chooseVpusByCounters picks from the two runs,
+ * reading its counters from the 2-VPU one.
  */
-VpuChoice chooseVpusByCounters(Engine &save_engine, const GemmConfig &cfg,
-                               int probe_fraction = 4);
+GemmConfig vpuProbe(const GemmConfig &cfg, int probe_fraction = 4);
+
+VpuChoice chooseVpusByCounters(const GemmConfig &probe,
+                               const KernelResult &r2,
+                               const KernelResult &r1);
 
 } // namespace save
 

@@ -92,7 +92,9 @@ ServeClient::call(const ServeRequest &req, const AckFn &onAck,
                     reply.status = serveDecodeStatus(f.payload);
                     break;
                 case ServeKind::Gemm:
-                    reply.gemm = wireDecodeSliceResult(f.payload);
+                    reply.gemm = casDecodeValue(
+                        f.payload.data(),
+                        f.payload.data() + f.payload.size());
                     break;
                 case ServeKind::Ping:
                 case ServeKind::Drain:

@@ -54,7 +54,7 @@ class ServeClient
         ServeBusyInfo busy;
         /** Ok replies, by request kind. */
         ServeStatus status;         ///< Status
-        WireSliceResult gemm;       ///< Gemm
+        CasValue gemm;              ///< Gemm
     };
 
     /** Does not connect; every call() opens its own connection. */

@@ -40,9 +40,10 @@
  * daemon and client are built from one source tree, and a size or
  * version mismatch is rejected cleanly.
  *
- * Result payloads reuse the worker wire encodings (WireSliceResult,
- * WireErrorInfo) so a served GEMM result round-trips exactly the
- * bytes a sandboxed worker would ship.
+ * A Gemm SRES payload is the slice record (casEncodeValue,
+ * cache/cas_key.h), and an SERR payload the worker's WireErrorInfo
+ * encoding, so a served GEMM result carries exactly the bytes a
+ * sandboxed worker ships and the result store keeps.
  */
 
 #ifndef SAVE_SERVE_PROTOCOL_H

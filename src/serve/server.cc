@@ -79,11 +79,8 @@ ServeServer::ServeServer(Options opt) : opt_(std::move(opt))
 
     pool_ = std::make_shared<ThreadPool>(
         std::max(1, opt_.runtime.resolveThreads()));
-    ResultStore::Options so;
-    if (opt_.runtime.cacheDir != "none" && opt_.runtime.cacheDir != "-")
-        so.dir = opt_.runtime.cacheDir;
-    so.maxBytes = opt_.runtime.cacheMaxBytes();
-    store_ = std::make_unique<ResultStore>(so);
+    store_ = std::make_unique<ResultStore>(
+        ResultStore::resolveOptions(opt_.runtime));
 }
 
 ServeServer::~ServeServer() = default;
@@ -479,18 +476,13 @@ ServeServer::executeJob(SimSession &session, Job &job)
                            "ms exceeded while queued");
 
         if (job.req.kind == ServeKind::Gemm) {
-            KernelResult kr = session.runGemm(
+            const KernelResult kr = session.runGemm(
                 Engine(session.machine(), session.save()), job.req.gemm,
                 job.req.cores, job.req.vpus);
-            WireSliceResult res;
-            res.timeNs = kr.timeNs;
-            res.cycles = kr.cycles;
-            res.coreGhz = kr.coreGhz;
-            for (const auto &[name, value] : kr.stats.all())
-                res.stats.emplace_back(name, value);
+            std::vector<uint8_t> res;
+            casEncodeValue(res, toCasValue(kr));
             if (!frameWriteFd(fd, kServeResult,
-                              static_cast<uint32_t>(job.req.kind),
-                              wireEncodeSliceResult(res)))
+                              static_cast<uint32_t>(job.req.kind), res))
                 throw SimError(
                     std::string("result write failed: ") +
                     std::strerror(errno));

@@ -32,15 +32,8 @@ SimSession::SimSession(Options opt) : opt_(std::move(opt))
     if (opt_.sharedStore != nullptr) {
         store_ = opt_.sharedStore;
     } else {
-        // The snapshot is authoritative: resolve "none"/"-" here
-        // instead of via ResultStore::resolveDir, which would consult
-        // the environment again.
-        ResultStore::Options so;
-        if (opt_.runtime.cacheDir != "none" &&
-            opt_.runtime.cacheDir != "-")
-            so.dir = opt_.runtime.cacheDir;
-        so.maxBytes = opt_.runtime.cacheMaxBytes();
-        owned_store_ = std::make_unique<ResultStore>(so);
+        owned_store_ = std::make_unique<ResultStore>(
+            ResultStore::resolveOptions(opt_.runtime));
         store_ = owned_store_.get();
     }
 }
@@ -53,17 +46,10 @@ SimSession::runGemm(const Engine &eng, const GemmConfig &g, int cores,
 {
     const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
                      casGemmWorkload(g, cores, vpus)};
-    KernelResult kr;
     CasValue v;
-    if (store_->lookup(key, &v)) {
-        kr.timeNs = v.timeNs;
-        kr.cycles = v.cycles;
-        kr.coreGhz = v.coreGhz;
-        for (const auto &[name, value] : v.stats)
-            kr.stats.set(name, value);
-        return kr;
-    }
-    kr = eng.runGemm(g, cores, vpus);
+    if (store_->lookup(key, &v))
+        return toKernelResult(v);
+    KernelResult kr = eng.runGemm(g, cores, vpus);
     gemmSims_.fetch_add(1, std::memory_order_relaxed);
     if (std::isfinite(kr.timeNs))
         store_->insert(key, toCasValue(kr));

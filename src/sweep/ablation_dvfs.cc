@@ -32,9 +32,14 @@ points(const SweepKnobs &k)
     for (int a : gridBins(k)) {
         const GemmConfig g = sliceFor(kernel(), Precision::Fp32, a * 0.1,
                                       0.0, k, 101 + static_cast<uint64_t>(a));
-        out.push_back({"a" + std::to_string(a), [g](SimSession &s) {
+        std::string key;
+        appendf(key, "a%d", a);
+        out.push_back({key, [g](SimSession &s) {
                            Engine sv(s.machine(), SaveConfig{});
-                           const VpuChoice c = chooseVpusByCounters(sv, g);
+                           const GemmConfig p = vpuProbe(g);
+                           const KernelResult p2 = s.runGemm(sv, p, 1, 2);
+                           const KernelResult p1 = s.runGemm(sv, p, 1, 1);
+                           const VpuChoice c = chooseVpusByCounters(p, p2, p1);
                            const KernelResult r2 = s.runGemm(sv, g, 1, 2);
                            const KernelResult r1 = s.runGemm(sv, g, 1, 1);
                            const VpuPowerModel power;

@@ -51,31 +51,16 @@ constexpr uint32_t kTraceVersion = 1;
  *  header CRC). */
 constexpr size_t kTraceHeaderBytes = 8 + 4 + 4 + 8 + 4;
 
-/** Chunk header size — a trace chunk is exactly a util/frame.h frame
- *  (fourcc + arg + payload length + payload CRC). */
-constexpr size_t kTraceChunkHeaderBytes = kFrameHeaderBytes;
-
-constexpr uint32_t
-traceFourcc(char a, char b, char c, char d)
-{
-    return frameFourcc(a, b, c, d);
-}
-
-/** Chunk kinds. `arg` is the core id for per-core chunks, else 0. */
-constexpr uint32_t kChunkConfig = traceFourcc('C', 'F', 'G', ' ');
-constexpr uint32_t kChunkMemRegion = traceFourcc('M', 'E', 'M', 'R');
-constexpr uint32_t kChunkWarm = traceFourcc('W', 'A', 'R', 'M');
-constexpr uint32_t kChunkUops = traceFourcc('U', 'O', 'P', 'S');
-constexpr uint32_t kChunkElms = traceFourcc('E', 'L', 'M', 'S');
-constexpr uint32_t kChunkResult = traceFourcc('R', 'E', 'S', ' ');
-constexpr uint32_t kChunkEnd = traceFourcc('E', 'N', 'D', ' ');
-
-/** CRC-32 (IEEE 802.3, reflected) of n bytes, seedable for chaining. */
-inline uint32_t
-traceCrc32(const uint8_t *p, size_t n, uint32_t seed = 0)
-{
-    return frameCrc32(p, n, seed);
-}
+/** Chunk kinds. A trace chunk is exactly a util/frame.h frame (fourcc
+ *  + arg + payload length + payload CRC); `arg` is the core id for
+ *  per-core chunks, else 0. */
+constexpr uint32_t kChunkConfig = frameFourcc('C', 'F', 'G', ' ');
+constexpr uint32_t kChunkMemRegion = frameFourcc('M', 'E', 'M', 'R');
+constexpr uint32_t kChunkWarm = frameFourcc('W', 'A', 'R', 'M');
+constexpr uint32_t kChunkUops = frameFourcc('U', 'O', 'P', 'S');
+constexpr uint32_t kChunkElms = frameFourcc('E', 'L', 'M', 'S');
+constexpr uint32_t kChunkResult = frameFourcc('R', 'E', 'S', ' ');
+constexpr uint32_t kChunkEnd = frameFourcc('E', 'N', 'D', ' ');
 
 /** Append an LEB128 varint. */
 void tracePutVarint(std::vector<uint8_t> &out, uint64_t v);
@@ -111,45 +96,6 @@ void traceEncodeUop(const Uop &u, uint64_t &prev_addr,
  *  (unknown opcode, register id out of range, short buffer). */
 Uop traceDecodeUop(const uint8_t *&p, const uint8_t *end,
                    uint64_t &prev_addr);
-
-/** Little-endian scalar append/parse helpers (shared with every other
- *  framed codec via util/frame.h; kept under the trace names for the
- *  many existing call sites). */
-inline void
-tracePutU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    framePutU32(out, v);
-}
-
-inline void
-tracePutU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    framePutU64(out, v);
-}
-
-inline void
-tracePutF64(std::vector<uint8_t> &out, double v)
-{
-    framePutF64(out, v);
-}
-
-inline uint32_t
-traceGetU32(const uint8_t *&p, const uint8_t *end)
-{
-    return frameGetU32(p, end);
-}
-
-inline uint64_t
-traceGetU64(const uint8_t *&p, const uint8_t *end)
-{
-    return frameGetU64(p, end);
-}
-
-inline double
-traceGetF64(const uint8_t *&p, const uint8_t *end)
-{
-    return frameGetF64(p, end);
-}
 
 } // namespace save
 

@@ -90,11 +90,11 @@ TraceReader::parseChunks()
         bad(path_, "magic mismatch (not a SAVE uop trace)");
     const uint8_t *p = map_ + 8;
     const uint8_t *end = map_ + map_len_;
-    version_ = traceGetU32(p, end);
-    traceGetU32(p, end); // flags (reserved)
-    config_hash_ = traceGetU64(p, end);
-    uint32_t hdr_crc = traceGetU32(p, end);
-    if (traceCrc32(map_, kTraceHeaderBytes - 4) != hdr_crc)
+    version_ = frameGetU32(p, end);
+    frameGetU32(p, end); // flags (reserved)
+    config_hash_ = frameGetU64(p, end);
+    uint32_t hdr_crc = frameGetU32(p, end);
+    if (frameCrc32(map_, kTraceHeaderBytes - 4) != hdr_crc)
         bad(path_, "header CRC mismatch");
     if (version_ != kTraceVersion)
         bad(path_, "unsupported version " + std::to_string(version_) +
@@ -263,7 +263,7 @@ TraceReader::parseResult(const Span &s)
     const uint8_t *p = s.p;
     const uint8_t *end = s.p + s.n;
     rec_cycles_ = traceGetVarint(p, end);
-    rec_ghz_ = traceGetF64(p, end);
+    rec_ghz_ = frameGetF64(p, end);
     uint64_t count = traceGetVarint(p, end);
     for (uint64_t i = 0; i < count; ++i) {
         uint64_t len = traceGetVarint(p, end);
@@ -272,7 +272,7 @@ TraceReader::parseResult(const Span &s)
         std::string name(reinterpret_cast<const char *>(p),
                          static_cast<size_t>(len));
         p += len;
-        rec_stats_[name] = traceGetF64(p, end);
+        rec_stats_[name] = frameGetF64(p, end);
     }
     has_result_ = true;
 }
@@ -295,8 +295,8 @@ TraceReader::buildImage() const
     for (const Span &s : mem_regions_) {
         const uint8_t *p = s.p;
         const uint8_t *end = s.p + s.n;
-        uint64_t base = traceGetU64(p, end);
-        uint64_t size = traceGetU64(p, end);
+        uint64_t base = frameGetU64(p, end);
+        uint64_t size = frameGetU64(p, end);
         image.addRegion(base, size);
         uint64_t off = 0;
         while (off < size) {
@@ -326,7 +326,7 @@ TraceReader::warmRanges(int core) const
     std::vector<std::pair<uint64_t, uint64_t>> out;
     out.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
-        uint64_t base = traceGetU64(p, end);
+        uint64_t base = frameGetU64(p, end);
         uint64_t bytes = traceGetVarint(p, end);
         out.emplace_back(base, bytes);
     }

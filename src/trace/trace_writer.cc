@@ -44,13 +44,13 @@ TraceWriter::TraceWriter(std::string path, uint64_t config_hash)
     std::array<uint8_t, kTraceHeaderBytes> hdr;
     std::memcpy(hdr.data(), kTraceMagic, 8);
     std::vector<uint8_t> tail;
-    tracePutU32(tail, kTraceVersion);
-    tracePutU32(tail, 0); // flags
-    tracePutU64(tail, config_hash_);
+    framePutU32(tail, kTraceVersion);
+    framePutU32(tail, 0); // flags
+    framePutU64(tail, config_hash_);
     std::memcpy(hdr.data() + 8, tail.data(), tail.size());
-    uint32_t crc = traceCrc32(hdr.data(), kTraceHeaderBytes - 4);
+    uint32_t crc = frameCrc32(hdr.data(), kTraceHeaderBytes - 4);
     tail.clear();
-    tracePutU32(tail, crc);
+    framePutU32(tail, crc);
     std::memcpy(hdr.data() + kTraceHeaderBytes - 4, tail.data(), 4);
     put(hdr.data(), hdr.size());
 }
@@ -77,7 +77,7 @@ TraceWriter::writeChunk(uint32_t fourcc, uint32_t arg,
     if (!f_)
         throw TraceError("trace writer already finished: " + path_);
     std::vector<uint8_t> hdr;
-    hdr.reserve(kTraceChunkHeaderBytes);
+    hdr.reserve(kFrameHeaderBytes);
     frameAppendHeader(hdr, fourcc, arg, payload.data(), payload.size());
     put(hdr.data(), hdr.size());
     if (!payload.empty())
@@ -98,8 +98,8 @@ TraceWriter::writeImage(const MemoryImage &image)
         const std::vector<uint8_t> &data = image.regionData(r);
         std::vector<uint8_t> payload;
         payload.reserve(64 + data.size() / 4);
-        tracePutU64(payload, image.regionBase(r));
-        tracePutU64(payload, data.size());
+        framePutU64(payload, image.regionBase(r));
+        framePutU64(payload, data.size());
         // Alternating records: varint zero-run, varint literal length,
         // literal bytes — until the region is covered.
         size_t i = 0;
@@ -140,7 +140,7 @@ TraceWriter::writeWarmRanges(
     std::vector<uint8_t> payload;
     tracePutVarint(payload, ranges.size());
     for (const auto &[base, bytes] : ranges) {
-        tracePutU64(payload, base);
+        framePutU64(payload, base);
         tracePutVarint(payload, bytes);
     }
     writeChunk(kChunkWarm, static_cast<uint32_t>(core), payload);
@@ -174,13 +174,13 @@ TraceWriter::writeResult(uint64_t cycles, double core_ghz,
 {
     std::vector<uint8_t> payload;
     tracePutVarint(payload, cycles);
-    tracePutF64(payload, core_ghz);
+    framePutF64(payload, core_ghz);
     const auto &all = stats.all();
     tracePutVarint(payload, all.size());
     for (const auto &[name, value] : all) {
         tracePutVarint(payload, name.size());
         payload.insert(payload.end(), name.begin(), name.end());
-        tracePutF64(payload, value);
+        framePutF64(payload, value);
     }
     writeChunk(kChunkResult, 0, payload);
 }

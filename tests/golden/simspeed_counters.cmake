@@ -7,7 +7,7 @@
 #   cmake -DBENCH=<bench_simspeed> -DBASELINE=<json> -P simspeed_counters.cmake
 
 execute_process(
-    COMMAND ${BENCH} --json --cache-dir=none
+    COMMAND ${BENCH} --json
     OUTPUT_VARIABLE actual
     ERROR_VARIABLE log
     RESULT_VARIABLE rc)

@@ -85,7 +85,9 @@ TEST(VpuSelection, PrefersTwoVpusWhenDense)
     g.tiles = 4;
     g.pattern = BroadcastPattern::Embedded;
     Engine e(oneCore(), SaveConfig{});
-    VpuChoice c = chooseVpusByCounters(e, g);
+    const GemmConfig p = vpuProbe(g);
+    VpuChoice c =
+        chooseVpusByCounters(p, e.runGemm(p, 1, 2), e.runGemm(p, 1, 1));
     EXPECT_EQ(c.vpus, 2);
     EXPECT_NEAR(c.effectualFraction, 1.0, 0.05);
 }
@@ -101,7 +103,9 @@ TEST(VpuSelection, PrefersOneVpuAtHighSparsity)
     g.nbsSparsity = 0.9;
     g.bsSparsity = 0.5;
     Engine e(oneCore(), SaveConfig{});
-    VpuChoice c = chooseVpusByCounters(e, g);
+    const GemmConfig p = vpuProbe(g);
+    VpuChoice c =
+        chooseVpusByCounters(p, e.runGemm(p, 1, 2), e.runGemm(p, 1, 1));
     EXPECT_EQ(c.vpus, 1);
     EXPECT_LT(c.vpuUtilization, 0.5);
     EXPECT_LT(c.effectualFraction, 0.2);

@@ -134,21 +134,21 @@ TEST_F(ProcTest, WireFrameRoundTripsOverAPipe)
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     std::vector<uint8_t> payload = {1, 2, 3, 250, 251, 252};
-    ASSERT_TRUE(wireWrite(fds[1], kWireResult, 7, payload));
-    WireFrame f;
-    ASSERT_EQ(wireRead(fds[0], f, 1000), WireRead::Ok);
+    ASSERT_TRUE(frameWriteFd(fds[1], kWireResult, 7, payload));
+    Frame f;
+    ASSERT_EQ(wireRead(fds[0], f, 1000), FrameRead::Ok);
     EXPECT_EQ(f.fourcc, kWireResult);
     EXPECT_EQ(f.arg, 7u);
     EXPECT_EQ(f.payload, payload);
 
     // Empty payloads are legal (HACK/BYE frames).
-    ASSERT_TRUE(wireWrite(fds[1], kWireBye, 0, {}));
-    ASSERT_EQ(wireRead(fds[0], f, 1000), WireRead::Ok);
+    ASSERT_TRUE(frameWriteFd(fds[1], kWireBye, 0, {}));
+    ASSERT_EQ(wireRead(fds[0], f, 1000), FrameRead::Ok);
     EXPECT_EQ(f.fourcc, kWireBye);
     EXPECT_TRUE(f.payload.empty());
 
     ::close(fds[1]);
-    EXPECT_EQ(wireRead(fds[0], f, 1000), WireRead::Eof);
+    EXPECT_EQ(wireRead(fds[0], f, 1000), FrameRead::Eof);
     ::close(fds[0]);
 }
 
@@ -156,19 +156,19 @@ TEST_F(ProcTest, WireReadTimesOutInsteadOfHanging)
 {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
-    WireFrame f;
-    EXPECT_EQ(wireRead(fds[0], f, 50), WireRead::Timeout);
+    Frame f;
+    EXPECT_EQ(wireRead(fds[0], f, 50), FrameRead::Timeout);
 
     // A frame truncated mid-payload must also hit the deadline, not
     // block forever waiting for bytes that will never come.
     std::vector<uint8_t> buf;
-    tracePutU32(buf, kWireResult);
-    tracePutU32(buf, 0);
-    tracePutU64(buf, 100); // promises 100 payload bytes
-    tracePutU32(buf, 0);
+    framePutU32(buf, kWireResult);
+    framePutU32(buf, 0);
+    framePutU64(buf, 100); // promises 100 payload bytes
+    framePutU32(buf, 0);
     ASSERT_EQ(writeFull(fds[1], buf.data(), buf.size()),
               static_cast<ssize_t>(buf.size()));
-    EXPECT_EQ(wireRead(fds[0], f, 50), WireRead::Timeout);
+    EXPECT_EQ(wireRead(fds[0], f, 50), FrameRead::Timeout);
     ::close(fds[0]);
     ::close(fds[1]);
 }
@@ -178,15 +178,15 @@ TEST_F(ProcTest, WireReadRejectsTruncatedFrame)
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     std::vector<uint8_t> buf;
-    tracePutU32(buf, kWireResult);
-    tracePutU32(buf, 0);
-    tracePutU64(buf, 100);
-    tracePutU32(buf, 0);
+    framePutU32(buf, kWireResult);
+    framePutU32(buf, 0);
+    framePutU64(buf, 100);
+    framePutU32(buf, 0);
     buf.push_back(0xaa); // 1 of the promised 100 bytes
     ASSERT_EQ(writeFull(fds[1], buf.data(), buf.size()),
               static_cast<ssize_t>(buf.size()));
     ::close(fds[1]); // peer dies mid-frame
-    WireFrame f;
+    Frame f;
     EXPECT_THROW(wireRead(fds[0], f, 1000), TraceError);
     ::close(fds[0]);
 }
@@ -197,15 +197,15 @@ TEST_F(ProcTest, WireReadRejectsBitFlippedPayload)
     ASSERT_EQ(::pipe(fds), 0);
     std::vector<uint8_t> payload(64, 0x5c);
     std::vector<uint8_t> buf;
-    tracePutU32(buf, kWireResult);
-    tracePutU32(buf, 0);
-    tracePutU64(buf, payload.size());
-    tracePutU32(buf, traceCrc32(payload.data(), payload.size()));
+    framePutU32(buf, kWireResult);
+    framePutU32(buf, 0);
+    framePutU64(buf, payload.size());
+    framePutU32(buf, frameCrc32(payload.data(), payload.size()));
     buf.insert(buf.end(), payload.begin(), payload.end());
-    buf[kTraceChunkHeaderBytes + 13] ^= 0x04; // flip one payload bit
+    buf[kFrameHeaderBytes + 13] ^= 0x04; // flip one payload bit
     ASSERT_EQ(writeFull(fds[1], buf.data(), buf.size()),
               static_cast<ssize_t>(buf.size()));
-    WireFrame f;
+    Frame f;
     EXPECT_THROW(wireRead(fds[0], f, 1000), TraceError);
     ::close(fds[0]);
     ::close(fds[1]);
@@ -216,20 +216,20 @@ TEST_F(ProcTest, WireReadRejectsUnknownFourccAndInsaneLength)
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     std::vector<uint8_t> buf;
-    tracePutU32(buf, traceFourcc('J', 'U', 'N', 'K'));
-    tracePutU32(buf, 0);
-    tracePutU64(buf, 0);
-    tracePutU32(buf, traceCrc32(nullptr, 0));
+    framePutU32(buf, frameFourcc('J', 'U', 'N', 'K'));
+    framePutU32(buf, 0);
+    framePutU64(buf, 0);
+    framePutU32(buf, frameCrc32(nullptr, 0));
     ASSERT_EQ(writeFull(fds[1], buf.data(), buf.size()),
               static_cast<ssize_t>(buf.size()));
-    WireFrame f;
+    Frame f;
     EXPECT_THROW(wireRead(fds[0], f, 1000), TraceError);
 
     buf.clear();
-    tracePutU32(buf, kWireResult);
-    tracePutU32(buf, 0);
-    tracePutU64(buf, kWireMaxPayload + 1); // corrupt length field
-    tracePutU32(buf, 0);
+    framePutU32(buf, kWireResult);
+    framePutU32(buf, 0);
+    framePutU64(buf, kWireMaxPayload + 1); // corrupt length field
+    framePutU32(buf, 0);
     ASSERT_EQ(writeFull(fds[1], buf.data(), buf.size()),
               static_cast<ssize_t>(buf.size()));
     EXPECT_THROW(wireRead(fds[0], f, 1000), TraceError);
@@ -243,18 +243,19 @@ TEST_F(ProcTest, WireReadRejectsUnknownFourccAndInsaneLength)
  *  escape, never garbage payload passed off as Ok. */
 TEST_F(ProcTest, WireCodecFuzzedBitFlipsNeverHang)
 {
-    WireSliceResult res;
+    CasValue res;
     res.timeNs = 1234.5;
     res.cycles = 99;
     res.coreGhz = 1.7;
     res.stats = {{"cycles", 99.0}, {"vpu.macs", 1e6}};
-    std::vector<uint8_t> payload = wireEncodeSliceResult(res);
+    std::vector<uint8_t> payload;
+    casEncodeValue(payload, res);
 
     std::vector<uint8_t> clean;
-    tracePutU32(clean, kWireResult);
-    tracePutU32(clean, 3);
-    tracePutU64(clean, payload.size());
-    tracePutU32(clean, traceCrc32(payload.data(), payload.size()));
+    framePutU32(clean, kWireResult);
+    framePutU32(clean, 3);
+    framePutU64(clean, payload.size());
+    framePutU32(clean, frameCrc32(payload.data(), payload.size()));
     clean.insert(clean.end(), payload.begin(), payload.end());
 
     uint64_t rng = 0x5eed;
@@ -274,12 +275,12 @@ TEST_F(ProcTest, WireCodecFuzzedBitFlipsNeverHang)
         ASSERT_EQ(writeFull(fds[1], fuzzed.data(), fuzzed.size()),
                   static_cast<ssize_t>(fuzzed.size()));
         ::close(fds[1]);
-        WireFrame f;
+        Frame f;
         try {
-            WireRead st = wireRead(fds[0], f, 500);
-            ASSERT_NE(st, WireRead::Timeout)
+            FrameRead st = wireRead(fds[0], f, 500);
+            ASSERT_NE(st, FrameRead::Timeout)
                 << "flip at byte " << byte << " stalled the reader";
-            if (st == WireRead::Ok && byte >= 8) {
+            if (st == FrameRead::Ok && byte >= 8) {
                 // Any flip outside fourcc/arg is CRC- or
                 // length-covered; Ok means the payload is intact.
                 EXPECT_EQ(f.payload, payload);
@@ -300,14 +301,12 @@ TEST_F(ProcTest, SessionInitAndErrorPayloadsRoundTrip)
     init.cores = 2;
     init.seed = 77;
     init.rssCapMb = 512;
-    init.configHash = 0xdeadbeef;
     WireSessionInit back =
         wireDecodeSessionInit(wireEncodeSessionInit(init));
     EXPECT_EQ(back.tiles, 3);
     EXPECT_EQ(back.cores, 2);
     EXPECT_EQ(back.seed, 77u);
     EXPECT_EQ(back.rssCapMb, 512);
-    EXPECT_EQ(back.configHash, 0xdeadbeefull);
     // Field comparison, not whole-struct memcmp: assignment need not
     // copy padding bytes, and padding carries no protocol meaning.
     EXPECT_EQ(back.mcfg.cores, init.mcfg.cores);

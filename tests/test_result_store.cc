@@ -5,8 +5,10 @@
  * (manual tampering and SAVE_FAULT_INJECT cache modes), LRU eviction
  * under a byte cap, lookups that see other handles' appends,
  * cross-process single-flight (forked writers, a SIGKILLed owner, and
- * the estimator's flight-owner re-check), and cold/warm estimator
- * bit-identity across every isolation mode.
+ * the estimator's flight-owner re-check), the slice record's bytes
+ * (tests/golden/slice_record.txt), the parent as the one writer of
+ * worker-run slices, and cold/warm estimator bit-identity across
+ * every isolation mode.
  */
 
 #include <gtest/gtest.h>
@@ -36,8 +38,8 @@
 #include "util/fault_injection.h"
 #include "util/frame.h"
 
-#ifndef SAVE_WORKER_BIN_PATH
-#error "test_result_store requires SAVE_WORKER_BIN_PATH (set by CMake)"
+#if !defined(SAVE_WORKER_BIN_PATH) || !defined(SAVE_SLICE_RECORD_GOLDEN)
+#error "test_result_store requires its CMake definitions"
 #endif
 
 namespace save {
@@ -225,6 +227,96 @@ TEST_F(ResultStoreTest, RoundTripIsBitExactAcrossReopen)
     EXPECT_EQ(store.misses(), 1u);
 }
 
+/** The slice record golden's three records: one without stats, one
+ *  with stats of -0.0, a denormal and 1e300, and one with 64 stats.
+ *  The last two share a shard, which pins their append order. */
+std::vector<std::pair<CasKey, CasValue>>
+goldenRecords()
+{
+    std::vector<std::pair<CasKey, CasValue>> recs(3);
+    recs[0].first = {0x0123456789abcdefull, 0x1111111111111111ull};
+    recs[0].second = makeValue(1234.5, 2099, 1.7);
+    recs[1].first = {0x2, 0x10};
+    recs[1].second = makeValue(1.0 / 3.0, 77, 2.1);
+    recs[1].second.stats = {
+        {"denormal", std::numeric_limits<double>::denorm_min()},
+        {"huge", 1e300},
+        {"negzero", -0.0},
+    };
+    recs[2].first = {0x22, 0x30};
+    recs[2].second = makeValue(98765.4321, 123456789, 1.7);
+    for (int i = 0; i < 64; ++i) {
+        char name[8];
+        std::snprintf(name, sizeof name, "s%02d", i);
+        recs[2].second.stats.emplace_back(name, i * 0.25 - 3.0);
+    }
+    return recs;
+}
+
+/** A titled hex dump, 32 bytes per line. */
+void
+appendHex(std::string &out, const std::string &title, const uint8_t *p,
+          size_t n)
+{
+    out += title + "\n";
+    for (size_t i = 0; i < n; ++i) {
+        char byte[3];
+        std::snprintf(byte, sizeof byte, "%02x", p[i]);
+        out += (i % 32 == 0 ? "  " : "") + std::string(byte) +
+               (i % 32 == 31 || i + 1 == n ? "\n" : "");
+    }
+}
+
+TEST_F(ResultStoreTest, SliceRecordBytesMatchGolden)
+{
+    // One record, one codec: the store's shard files and the worker's
+    // RES payloads (which a served Gemm's SRES shares) carry the bytes
+    // the golden pins, and a RES payload decodes bit for bit.
+    const auto recs = goldenRecords();
+    {
+        ResultStore store(opts());
+        for (const auto &[key, v] : recs)
+            ASSERT_TRUE(store.insert(key, v));
+    }
+    std::string actual;
+    ResultStore store(opts());
+    for (int shard = 0; shard < ResultStore::kShards; ++shard) {
+        const fs::path path = store.shardPath(shard);
+        if (!fs::exists(path))
+            continue;
+        std::ifstream in(path, std::ios::binary);
+        const std::string bytes(std::istreambuf_iterator<char>(in), {});
+        appendHex(actual, path.filename().string(),
+                  reinterpret_cast<const uint8_t *>(bytes.data()),
+                  bytes.size());
+    }
+    for (size_t i = 0; i < recs.size(); ++i) {
+        const CasValue &in = recs[i].second;
+        std::vector<uint8_t> res;
+        casEncodeValue(res, in);
+        appendHex(actual, "RES " + std::to_string(i), res.data(),
+                  res.size());
+        const CasValue out =
+            casDecodeValue(res.data(), res.data() + res.size());
+        EXPECT_TRUE(sameBits(in.timeNs, out.timeNs));
+        EXPECT_EQ(in.cycles, out.cycles);
+        EXPECT_TRUE(sameBits(in.coreGhz, out.coreGhz));
+        ASSERT_EQ(in.stats.size(), out.stats.size());
+        for (size_t j = 0; j < in.stats.size(); ++j) {
+            EXPECT_EQ(in.stats[j].first, out.stats[j].first);
+            EXPECT_TRUE(sameBits(in.stats[j].second, out.stats[j].second));
+        }
+    }
+    std::ifstream golden(SAVE_SLICE_RECORD_GOLDEN);
+    ASSERT_TRUE(golden.is_open()) << SAVE_SLICE_RECORD_GOLDEN;
+    const std::string expected(std::istreambuf_iterator<char>(golden), {});
+    if (actual != expected) {
+        std::ofstream(SAVE_SLICE_RECORD_OUT) << actual;
+        FAIL() << "slice records differ from the golden; see: diff "
+               << SAVE_SLICE_RECORD_GOLDEN << " " << SAVE_SLICE_RECORD_OUT;
+    }
+}
+
 TEST_F(ResultStoreTest, InsertRefusesPoisonAndDeduplicates)
 {
     ResultStore store(opts());
@@ -262,25 +354,69 @@ TEST_F(ResultStoreTest, DisabledStoreIsInert)
     EXPECT_FALSE(store.waitForResult(CasKey{1, 2}, &v, 10));
 }
 
-TEST_F(ResultStoreTest, ResolveHelpersHonourEnvironment)
+TEST_F(ResultStoreTest, ResolveOptionsReadsEveryCacheDirOneWay)
 {
-    EXPECT_EQ(ResultStore::resolveDir("none"), "");
-    EXPECT_EQ(ResultStore::resolveDir("-"), "");
-    EXPECT_EQ(ResultStore::resolveDir("/x/y"), "/x/y");
-    ::setenv("SAVE_CACHE_DIR", "/env/cache", 1);
-    EXPECT_EQ(ResultStore::resolveDir(""), "/env/cache");
-    EXPECT_EQ(ResultStore::resolveDir("none"), ""); // "none" beats env
-    ::unsetenv("SAVE_CACHE_DIR");
-    EXPECT_EQ(ResultStore::resolveDir(""), "");
+    RuntimeOptions rt;
+    for (const char *off : {"", "none", "-"}) {
+        rt.cacheDir = off;
+        EXPECT_EQ(ResultStore::resolveOptions(rt).dir, "") << off;
+    }
+    rt.cacheDir = "/x/y";
+    EXPECT_EQ(ResultStore::resolveOptions(rt).dir, "/x/y");
+    EXPECT_EQ(ResultStore::resolveOptions(rt).maxBytes, 0u);
+    rt.cacheMaxMb = 3;
+    EXPECT_EQ(ResultStore::resolveOptions(rt).maxBytes, 3ull << 20);
+    rt.cacheMaxMb = -1;
+    EXPECT_EQ(ResultStore::resolveOptions(rt).maxBytes, 0u);
+}
 
-    EXPECT_EQ(ResultStore::resolveMaxBytes(3), 3ull << 20);
+TEST_F(ResultStoreTest, EstimatorStoreFollowsTheEnvironment)
+{
+    // Built with default options, an estimator's store is what
+    // SAVE_CACHE_DIR and SAVE_CACHE_MAX_MB name, read by the same rule
+    // as --cache-dir: "none" and "-" disable it and create nothing (a
+    // relative directory would land in the working directory, dir_).
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir_);
+    for (const char *off : {"none", "-"}) {
+        ::setenv("SAVE_CACHE_DIR", off, 1);
+        TrainingEstimator est(MachineConfig{}, SaveConfig{},
+                              EstimatorOptions{});
+        EXPECT_FALSE(est.resultStore()->enabled()) << off;
+        EXPECT_FALSE(fs::exists(dir_ / off)) << off;
+    }
+    const fs::path env_dir = dir_ / "env";
+    ::setenv("SAVE_CACHE_DIR", env_dir.c_str(), 1);
     ::setenv("SAVE_CACHE_MAX_MB", "2", 1);
-    EXPECT_EQ(ResultStore::resolveMaxBytes(0), 2ull << 20);
-    ::setenv("SAVE_CACHE_MAX_MB", "banana", 1);
-    EXPECT_EQ(ResultStore::resolveMaxBytes(0), 0u);
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{},
+                              EstimatorOptions{});
+        EXPECT_EQ(est.resultStore()->dir(), env_dir.string());
+        EXPECT_EQ(est.resultStore()->maxBytes(), 2ull << 20);
+    }
+    ::setenv("SAVE_CACHE_MAX_MB", "banana", 1); // malformed: unlimited
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{},
+                              EstimatorOptions{});
+        EXPECT_EQ(est.resultStore()->maxBytes(), 0u);
+    }
+    // Explicit options win over the environment.
+    EstimatorOptions o;
+    o.cacheDir = "none";
+    o.cacheMaxMb = 3;
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+        EXPECT_FALSE(est.resultStore()->enabled());
+    }
+    o.cacheDir = (dir_ / "opt").string();
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+        EXPECT_EQ(est.resultStore()->dir(), o.cacheDir);
+        EXPECT_EQ(est.resultStore()->maxBytes(), 3ull << 20);
+    }
+    ::unsetenv("SAVE_CACHE_DIR");
     ::unsetenv("SAVE_CACHE_MAX_MB");
-    EXPECT_EQ(ResultStore::resolveMaxBytes(0), 0u);
-    EXPECT_EQ(ResultStore::resolveMaxBytes(-1), 0u);
+    fs::current_path(cwd);
 }
 
 // --------------------------------------------------------------------
@@ -792,7 +928,7 @@ TEST_F(ResultStoreTest, WarmRunsAreBitIdenticalAcrossIsolationModes)
     }
 }
 
-TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
+TEST_F(ResultStoreTest, TheParentPersistsWhatItsWorkersSimulate)
 {
     NetworkModel net = vgg16Dense();
     net.convLayers.resize(2);
@@ -809,8 +945,8 @@ TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
     }
 
     // Cold run under process isolation: every slice simulates inside
-    // a sandboxed worker, and the *worker* persists it before
-    // replying — the parent must not append duplicates.
+    // a sandboxed worker, which only replies; the parent, which owns
+    // each slice's flight, writes every record once.
     {
         EstimatorOptions o = fastOptions(worker_dir);
         o.isolation = "process";
@@ -820,12 +956,11 @@ TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
         NetResult out = est.inference(net, Precision::Fp32);
         EXPECT_EQ(std::memcmp(&serial, &out, sizeof out), 0);
         EXPECT_GT(est.simulations(), 0u);
-        ASSERT_NE(est.resultStore(), nullptr);
-        EXPECT_EQ(est.resultStore()->inserts(), 0u)
-            << "parent duplicated worker-persisted records";
+        EXPECT_EQ(est.resultStore()->inserts(), est.simulations());
+        EXPECT_EQ(est.resultStore()->records(), est.simulations());
     }
 
-    // The worker-written store warms an in-process run completely.
+    // The parent-written store warms an in-process run completely.
     {
         EstimatorOptions o = fastOptions(worker_dir);
         o.isolation = "none";

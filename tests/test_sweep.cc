@@ -5,7 +5,7 @@
  * sharded by `bench_<name> --sockets=<daemon> --inproc=1` across one
  * daemon and an in-process lane, prints its committed golden report
  * byte for byte — the same bytes the golden ctests pin for the
- * in-process run.
+ * in-process run. Also: the DVFS ablation's probes are session slices.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 
 #include "dnn/estimator.h"
 #include "serve/client.h"
+#include "serve/session.h"
 #include "sweep/sweep.h"
 #include "util/error.h"
 #include "util/posix_io.h"
@@ -130,6 +133,42 @@ TEST(SweepKnobs, OneRangeCheckForSweepsAndTheEstimator)
     k = SweepKnobs{};
     k.cores = 0;
     EXPECT_THROW(k.validate(), ConfigError);
+}
+
+TEST(SweepSession, DvfsProbesAreMemoizedSlices)
+{
+    // The DVFS ablation's counter probes reach the engine through the
+    // session like every other slice: on a fresh store a point
+    // simulates four slices (the probe and the full slice, each with
+    // 2 VPUs and with 1) and on a warm store none, with the same
+    // values.
+    const SweepSpec &spec = findSweep("ablation_dvfs");
+    SweepKnobs k;
+    k.gridStep = 9;
+    k.kSteps = 24;
+    k.tiles = 1;
+    const size_t n = spec.points(k).size();
+    const std::string dir = "/tmp/sw_dvfs_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::vector<std::vector<double>> cold;
+    for (const bool warm : {false, true}) {
+        SimSession::Options o;
+        o.runtime.threads = 1;
+        o.runtime.cacheDir = dir;
+        SimSession session(o);
+        for (size_t i = 0; i < n; ++i) {
+            const std::vector<double> v = session.runPoint(spec, k, i);
+            if (!warm)
+                cold.push_back(v);
+            else
+                EXPECT_EQ(std::memcmp(v.data(), cold[i].data(),
+                                      v.size() * sizeof(double)),
+                          0)
+                    << i;
+        }
+        EXPECT_EQ(session.simulations(), warm ? 0 : 4 * n);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 /** One daemon for every sweep of the identity bar. */
