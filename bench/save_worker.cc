@@ -2,11 +2,12 @@
  * @file
  * save-worker: the sandboxed slice-simulation child process.
  *
- * Not a user-facing tool — the sweep parent (src/proc/worker_pool)
- * fork/execs this binary with the wire protocol (src/proc/wire_codec,
- * DESIGN.md §12) on stdin/stdout: HELO configures the session, then
- * each REQ frame simulates one surface slice and answers RES (the
- * slice record: time, cycles, frequency, full stat map) or ERR (a
+ * Not a user-facing tool — the parent's slice producer
+ * (src/proc/slice_producer) fork/execs this binary through its worker
+ * pool with the wire protocol (src/proc/wire_codec, DESIGN.md §12) on
+ * stdin/stdout: HELO sets the RSS cap, then each REQ frame carries one
+ * SliceRequest, runs Engine::runGemm on it and answers RES (the slice
+ * record: time, cycles, frequency, full stat map) or ERR (a
  * SimError-taxonomy kind the parent rethrows), until BYE or EOF. The
  * worker never opens the result store: the parent owns each slice's
  * flight and persists the record it receives. Logs go to stderr;
@@ -14,8 +15,9 @@
  *
  * The worker is where process-level fault injection lands: it inherits
  * SAVE_FAULT_INJECT across exec and applies crash/abort/hang/oom modes
- * via maybeCrashSlice before simulating, using the attempt number the
- * parent sends in the REQ arg. A bad_alloc during a slice (injected or
+ * via maybeCrashSlice before simulating, at the request's fault site
+ * (sliceFaultSite) and the attempt number the parent sends in the REQ
+ * arg. A bad_alloc during a slice (injected or
  * a real RLIMIT_AS hit) is answered with ERR Oom and the worker lives
  * on; one during framing exits with kWorkerExitOom so the parent's
  * triage still classifies it.
@@ -28,7 +30,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "dnn/estimator.h"
+#include "engine/engine.h"
 #include "proc/wire_codec.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
@@ -72,16 +74,14 @@ serve()
                   "is launched by the sweep parent, not by hand)");
         return kWorkerExitConfig;
     }
-    WireSessionInit init;
+    int rss_cap_mb = 0;
     try {
-        init = wireDecodeSessionInit(frame.payload);
-        init.mcfg.validate();
-        init.scfg.validate();
+        rss_cap_mb = wireDecodeHello(frame.payload);
     } catch (const SimError &e) {
         sendError(WireErrorKind::Config, e.what());
         return kWorkerExitConfig;
     }
-    applyRssCap(init.rssCapMb);
+    applyRssCap(rss_cap_mb);
 
     if (!frameWriteFd(STDOUT_FILENO, kWireHelloAck, kWireVersion, {}))
         return 1;
@@ -98,14 +98,13 @@ serve()
                       "save-worker: unexpected frame kind");
             continue;
         }
-        WireSliceRequest req = wireDecodeSliceRequest(frame.payload);
+        const SliceRequest r = wireDecodeRequest(frame.payload);
         int attempt = static_cast<int>(frame.arg);
         try {
-            FaultInjector::global().maybeCrashSlice(req.keyHash,
+            FaultInjector::global().maybeCrashSlice(sliceFaultSite(r),
                                                     attempt);
-            const KernelResult kr = TrainingEstimator::simulateSliceKernel(
-                init.mcfg, init.scfg, req.key, init.tiles, init.cores,
-                init.seed);
+            const KernelResult kr =
+                Engine(r.mcfg, r.scfg).runGemm(r.gemm, r.cores, r.vpus);
             std::vector<uint8_t> res;
             casEncodeValue(res, toCasValue(kr));
             if (!frameWriteFd(STDOUT_FILENO, kWireResult, 0, res))

@@ -1,5 +1,6 @@
 #include "cache/cas_key.h"
 
+#include "dnn/surface.h"
 #include "util/error.h"
 #include "util/frame.h"
 
@@ -92,36 +93,35 @@ casHashConfig(const MachineConfig &m, const SaveConfig &s, uint64_t salt)
     return h.value();
 }
 
-namespace {
-
-/** Leading domain tag so the two workload serializations can never
- *  collide with each other, whatever their field values. */
-enum class WorkloadDomain : uint8_t { Slice = 1, Gemm = 2 };
-
-} // namespace
-
-uint64_t
-casSliceWorkload(const SliceKey &key)
+SliceRequest
+sliceRequest(const MachineConfig &mcfg, const SaveConfig &save_on,
+             const SliceKey &key, int tiles, int cores, uint64_t seed)
 {
-    CasHasher h;
-    h.mix(static_cast<uint8_t>(WorkloadDomain::Slice));
-    h.mix(static_cast<uint64_t>(key.mr));
-    h.mix(static_cast<uint64_t>(key.nr));
-    h.mix(static_cast<uint64_t>(key.kSteps));
-    h.mix(key.pattern);
-    h.mix(key.precision);
-    h.mix(key.saveOn);
-    h.mix(key.vpus);
-    h.mix(key.wBin);
-    h.mix(key.aBin);
-    return h.value();
+    SliceRequest r;
+    r.mcfg = mcfg;
+    r.scfg = key.saveOn ? save_on : SaveConfig::baseline();
+    GemmConfig &g = r.gemm;
+    g.mr = key.mr;
+    g.nrVecs = key.nr;
+    g.kSteps = key.kSteps;
+    g.tiles = tiles;
+    g.pattern = static_cast<BroadcastPattern>(key.pattern);
+    g.precision = static_cast<Precision>(key.precision);
+    g.nbsSparsity = key.wBin * SparsitySurface::kStep;
+    g.bsSparsity = key.aBin * SparsitySurface::kStep;
+    g.seed = seed + key.wBin * 131 + key.aBin * 17;
+    r.cores = cores;
+    r.vpus = key.vpus;
+    return r;
 }
 
 uint64_t
 casGemmWorkload(const GemmConfig &g, int cores, int vpus)
 {
     CasHasher h;
-    h.mix(static_cast<uint8_t>(WorkloadDomain::Gemm));
+    // A leading tag of 2: keys written while a second workload family
+    // (tag 1) existed stay valid.
+    h.mix(static_cast<uint8_t>(2));
     h.mix(static_cast<uint64_t>(g.mr));
     h.mix(static_cast<uint64_t>(g.nrVecs));
     h.mix(static_cast<uint64_t>(g.kSteps));
@@ -137,6 +137,13 @@ casGemmWorkload(const GemmConfig &g, int cores, int vpus)
     h.mix(static_cast<uint64_t>(cores));
     h.mix(static_cast<uint64_t>(vpus));
     return h.value();
+}
+
+CasKey
+casSliceKey(const SliceRequest &r)
+{
+    return CasKey{casHashConfig(r.mcfg, r.scfg, 0),
+                  casGemmWorkload(r.gemm, r.cores, r.vpus)};
 }
 
 } // namespace save

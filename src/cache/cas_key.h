@@ -6,14 +6,13 @@
  * digests:
  *
  *  - `cfg`: everything *outside* the workload that shifts results —
- *    every MachineConfig and SaveConfig field plus a caller salt
- *    (estimator seed/tiles/cores, or 0 for raw Engine runs). This is
- *    the same digest the `.savtrc` trace header carries, computed by
- *    casHashConfig().
- *  - `wl`: the workload identity — either an estimator surface point
- *    (SliceKey: micro-kernel shape, pattern, precision, SAVE on/off,
- *    VPU count, sparsity bins) or a raw GEMM slice (GemmConfig plus
- *    cores/vpus for Engine-driven benches).
+ *    every MachineConfig and SaveConfig field plus a caller salt (0
+ *    for every stored slice). This is the same digest the `.savtrc`
+ *    trace header carries, computed by casHashConfig().
+ *  - `wl`: the workload identity — the GemmConfig, cores and VPUs of
+ *    one Engine::runGemm invocation. casSliceKey() keys every stored
+ *    slice, a sweep's, a served request's or the estimator's, by its
+ *    SliceRequest.
  *
  * Both digests are serialized field-by-field, never via raw structs,
  * so padding bytes and ABI layout can never leak into the key: the
@@ -41,9 +40,9 @@
 
 namespace save {
 
-/** One estimator surface point: micro-kernel shape plus binned
- *  sparsities. This is the estimator's cache key
- *  (TrainingEstimator::Key) and the slice a sandboxed worker runs. */
+/** One estimator surface point: micro-kernel shape, configuration
+ *  and binned sparsities; the estimator's in-memory cache key
+ *  (TrainingEstimator::Key). sliceRequest() names its slice. */
 struct SliceKey
 {
     int mr, nr, kSteps;
@@ -51,11 +50,33 @@ struct SliceKey
     auto operator<=>(const SliceKey &) const = default;
 };
 
+/** One slice: the inputs of Engine::runGemm. Trivially copyable: it
+ *  travels as raw bytes in a sandboxed worker's REQ frame. */
+struct SliceRequest
+{
+    MachineConfig mcfg{};
+    SaveConfig scfg{};
+    GemmConfig gemm{};
+    int cores = 1;
+    int vpus = 2;
+};
+
+/**
+ * The slice surface point `key` simulates at `tiles` tiles on `cores`
+ * cores: its shape, its bins' sparsities and a seed offset per bin, on
+ * `mcfg` with `save_on` (SaveConfig::baseline() when key.saveOn is 0)
+ * and key.vpus VPUs. The configuration does not enter the GEMM, so a
+ * point's configurations simulate the same data.
+ */
+SliceRequest sliceRequest(const MachineConfig &mcfg,
+                          const SaveConfig &save_on, const SliceKey &key,
+                          int tiles, int cores, uint64_t seed);
+
 /** Identity of one cached simulation result. */
 struct CasKey
 {
     uint64_t cfg = 0; ///< configuration digest (casHashConfig)
-    uint64_t wl = 0;  ///< workload digest (slice/gemm hash below)
+    uint64_t wl = 0;  ///< workload digest (casGemmWorkload)
 
     auto operator<=>(const CasKey &) const = default;
 };
@@ -111,11 +132,12 @@ class CasHasher
 uint64_t casHashConfig(const MachineConfig &mcfg, const SaveConfig &scfg,
                        uint64_t salt);
 
-/** Workload digest of one estimator surface point. */
-uint64_t casSliceWorkload(const SliceKey &key);
-
 /** Workload digest of one raw Engine::runGemm invocation. */
 uint64_t casGemmWorkload(const GemmConfig &g, int cores, int vpus);
+
+/** The store key of `r`: casHashConfig(r.mcfg, r.scfg, 0) and
+ *  casGemmWorkload(r.gemm, r.cores, r.vpus). */
+CasKey casSliceKey(const SliceRequest &r);
 
 } // namespace save
 

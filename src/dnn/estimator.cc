@@ -1,37 +1,16 @@
 #include "dnn/estimator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <sstream>
 
 #include "dnn/surface.h"
 #include "sweep/sweep.h"
 #include "util/error.h"
-#include "util/fault_injection.h"
-#include "util/logging.h"
 #include "util/runtime_options.h"
 
 namespace save {
 
 namespace {
-
-/** Estimator knobs that shift slice times but live outside the Key. */
-uint64_t
-optionSalt(const EstimatorOptions &opt)
-{
-    uint64_t salt = opt.seed;
-    salt = salt * 1000003ull + static_cast<uint64_t>(opt.tiles);
-    salt = salt * 1000003ull + static_cast<uint64_t>(opt.cores);
-    return salt;
-}
-
-/** How long a single-flight follower waits for a live but slow
- *  owner before simulating the point itself. A dead owner's flight
- *  ends the wait at once. */
-constexpr int kFlightWaitMs = 60000;
 
 /** The surface point of `base` at bins (w_bin, a_bin). */
 SliceKey
@@ -42,50 +21,7 @@ pointOf(SliceKey base, int w_bin, int a_bin)
     return base;
 }
 
-/** The slice a surface point simulates: its shape, the sparsities of
- *  its bins and a per-point seed. Neither SAVE nor the VPU count
- *  enters it, so a point's configurations simulate the same data. */
-GemmConfig
-sliceConfig(const SliceKey &key, int tiles, uint64_t seed)
-{
-    GemmConfig g;
-    g.mr = key.mr;
-    g.nrVecs = key.nr;
-    g.kSteps = key.kSteps;
-    g.tiles = tiles;
-    g.pattern = static_cast<BroadcastPattern>(key.pattern);
-    g.precision = static_cast<Precision>(key.precision);
-    g.nbsSparsity = key.wBin * SparsitySurface::kStep;
-    g.bsSparsity = key.aBin * SparsitySurface::kStep;
-    g.seed = seed + key.wBin * 131 + key.aBin * 17;
-    return g;
-}
-
 } // namespace
-
-/** The slice data of the cold points of one fan-out that differ only
- *  in configuration. The first to simulate fills it, each simulation
- *  runs on its own copy (a run writes C), and the last user of the
- *  fan-out drops it. */
-struct TrainingEstimator::SharedFill
-{
-    std::mutex mu;
-    int users = 0;
-    MemoryImage image;
-    /** Each core's placement; empty until filled. */
-    std::vector<GemmWorkload> work;
-
-    /** One user is done: the last one frees the data. */
-    void
-    leave()
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        if (--users == 0) {
-            image = MemoryImage();
-            work.clear();
-        }
-    }
-};
 
 std::string
 resolveIsolation(const std::string &opt)
@@ -144,45 +80,19 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
                                      SaveConfig save_features,
                                      EstimatorOptions opt,
                                      ThreadPool *shared_pool,
-                                     ResultStore *shared_store)
-    : mcfg_(mcfg), save_cfg_(save_features), opt_(opt)
+                                     ResultStore *shared_store,
+                                     SliceProducer *shared_producer)
+    : mcfg_(mcfg), save_cfg_(save_features), opt_(std::move(opt)),
+      producer_(shared_producer)
 {
     opt_.validate();
     mcfg_.validate();
     save_cfg_.validate();
 
-    isolation_ = resolveIsolation(opt_.isolation);
-    config_hash_ = casHashConfig(mcfg_, save_cfg_, optionSalt(opt_));
-
-    // Process-level fault modes (crash/abort/hang/oom) are only
-    // containable behind a process boundary: refuse to arm them where
-    // a raised SIGSEGV would take the whole sweep down.
-    {
-        const FaultInjector &inj = FaultInjector::global();
-        if (isolation_ != "process" && inj.enabled() &&
-            inj.plan().anyProcessFaults())
-            throw ConfigError(
-                "SAVE_FAULT_INJECT crash/abort/hang/oom modes require "
-                "--isolation=process (current isolation: " +
-                isolation_ + ")");
-    }
-
-    if (shared_store) {
-        store_ = shared_store;
-    } else {
-        // The options name the store; unset ones defer to the
-        // environment.
-        RuntimeOptions rt = RuntimeOptions::fromEnv();
-        if (!opt_.cacheDir.empty())
-            rt.cacheDir = opt_.cacheDir;
-        if (opt_.cacheMaxMb != 0)
-            rt.cacheMaxMb = opt_.cacheMaxMb;
-        owned_store_ =
-            std::make_unique<ResultStore>(ResultStore::resolveOptions(rt));
-        store_ = owned_store_.get();
-    }
-
-    if (isolation_ != "none") {
+    const std::string isolation = producer_
+                                      ? producer_->isolation()
+                                      : resolveIsolation(opt_.isolation);
+    if (isolation != "none") {
         if (shared_pool) {
             pool_ = shared_pool;
         } else if (opt_.threads >= 2) {
@@ -193,18 +103,27 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
         } // threads == 1: pool_ stays null, strictly serial
     }     // isolation == none: strictly serial regardless of threads
 
-    if (isolation_ == "process") {
-        ProcOptions p = opt_.proc;
-        if (p.workers == 0)
-            p.workers = threads();
-        WireSessionInit init;
-        init.mcfg = mcfg_;
-        init.scfg = save_cfg_;
-        init.tiles = opt_.tiles;
-        init.cores = opt_.cores;
-        init.seed = opt_.seed;
-        proc_pool_ = std::make_unique<WorkerPool>(p, init);
+    if (!producer_) {
+        if (!shared_store) {
+            // The options name the store; unset ones defer to the
+            // environment.
+            RuntimeOptions rt = RuntimeOptions::fromEnv();
+            if (!opt_.cacheDir.empty())
+                rt.cacheDir = opt_.cacheDir;
+            if (opt_.cacheMaxMb != 0)
+                rt.cacheMaxMb = opt_.cacheMaxMb;
+            owned_store_ = std::make_unique<ResultStore>(
+                ResultStore::resolveOptions(rt));
+            shared_store = owned_store_.get();
+        }
+        ProcOptions proc = opt_.proc;
+        if (proc.workers == 0)
+            proc.workers = threads();
+        owned_producer_ = std::make_unique<SliceProducer>(
+            *shared_store, isolation, opt_.maxRetries, opt_.failFast, proc);
+        producer_ = owned_producer_.get();
     }
+    store_ = &producer_->store();
 }
 
 TrainingEstimator::~TrainingEstimator() = default;
@@ -221,230 +140,9 @@ TrainingEstimator::simulateSliceKernel(const MachineConfig &mcfg,
                                        const SliceKey &key, int tiles,
                                        int cores, uint64_t seed)
 {
-    // Each worker simulates with its own short-lived Engine: there is
-    // no shared simulator state between concurrent slice points.
-    Engine eng(mcfg, key.saveOn ? save_on_cfg : SaveConfig::baseline());
-    return eng.runGemm(sliceConfig(key, tiles, seed), cores, key.vpus);
-}
-
-KernelResult
-TrainingEstimator::simulateSlice(const Key &key, SharedFill *fill) const
-{
-    if (!fill)
-        return simulateSliceKernel(mcfg_, save_cfg_, key, opt_.tiles,
-                                   opt_.cores, opt_.seed);
-    MemoryImage image;
-    std::vector<GemmWorkload> work;
-    {
-        std::lock_guard<std::mutex> lk(fill->mu);
-        if (fill->work.empty()) {
-            // A fill that throws leaves the share empty for the next
-            // attempt.
-            MemoryImage fresh;
-            std::vector<GemmWorkload> placed = fillShardedGemm(
-                sliceConfig(key, opt_.tiles, opt_.seed), fresh,
-                opt_.cores);
-            fill->image = std::move(fresh);
-            fill->work = std::move(placed);
-        }
-        image = fill->image;
-        work = fill->work;
-    }
-    Engine eng(mcfg_, key.saveOn ? save_cfg_ : SaveConfig::baseline());
-    return eng.runFilled(std::move(image), work, key.vpus);
-}
-
-CasKey
-TrainingEstimator::casKey(const Key &key) const
-{
-    return CasKey{config_hash_, casSliceWorkload(key)};
-}
-
-CasValue
-TrainingEstimator::runSliceIsolated(const Key &key, int attempt,
-                                    SharedFill *fill)
-{
-    if (proc_pool_ && !proc_pool_->degraded()) {
-        try {
-            return proc_pool_->runSlice(key, keyHash(key), attempt);
-        } catch (const WorkerError &e) {
-            if (!proc_pool_->degraded())
-                throw;
-            // The pool has drained past its crash budget: finish the
-            // point in-process instead of failing it. This is the
-            // graceful-degradation path, so it does not burn one of
-            // the slice's own retries.
-            SAVE_WARN("slice falling back in-process after pool "
-                      "degradation: ", e.what());
-        }
-    }
-    return toCasValue(simulateSlice(key, fill));
-}
-
-uint64_t
-TrainingEstimator::keyHash(const Key &key) const
-{
-    // FNV-1a over the key fields plus the option salt: stable across
-    // runs, so seeded fault injection deterministically picks the same
-    // surface points every time.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(static_cast<uint64_t>(key.mr));
-    mix(static_cast<uint64_t>(key.nr));
-    mix(static_cast<uint64_t>(key.kSteps));
-    mix(key.pattern);
-    mix(key.precision);
-    mix(key.saveOn);
-    mix(key.vpus);
-    mix(key.wBin);
-    mix(key.aBin);
-    mix(optionSalt(opt_));
-    return h;
-}
-
-std::string
-TrainingEstimator::keyLabel(const Key &key) const
-{
-    std::ostringstream os;
-    os << "slice mr=" << key.mr << " nr=" << key.nr
-       << " kSteps=" << key.kSteps
-       << " pattern=" << static_cast<int>(key.pattern)
-       << " precision=" << static_cast<int>(key.precision)
-       << " save=" << static_cast<int>(key.saveOn)
-       << " vpus=" << static_cast<int>(key.vpus)
-       << " wBin=" << static_cast<int>(key.wBin)
-       << " aBin=" << static_cast<int>(key.aBin);
-    return os.str();
-}
-
-CasValue
-TrainingEstimator::simulateWithRetry(const Key &key, SharedFill *fill)
-{
-    const uint64_t site = keyHash(key);
-    const int attempts = 1 + opt_.maxRetries;
-    for (int a = 1;; ++a) {
-        try {
-            FaultInjector::global().maybeFailSlice(site);
-            return runSliceIsolated(key, a, fill);
-        } catch (const std::exception &e) {
-            if (a < attempts) {
-                SAVE_WARN("retrying ", keyLabel(key), " after attempt ",
-                          a, "/", attempts, " failed: ", e.what());
-                continue;
-            }
-            if (opt_.failFast)
-                throw;
-            SliceFailure f;
-            f.point = keyLabel(key);
-            f.reason = e.what();
-            f.attempts = attempts;
-            {
-                std::lock_guard<std::mutex> lk(failures_mu_);
-                failures_.push_back(std::move(f));
-            }
-            SAVE_WARN(keyLabel(key), " failed permanently after ",
-                      attempts, " attempts: ", e.what());
-            CasValue poisoned;
-            poisoned.timeNs = std::numeric_limits<double>::quiet_NaN();
-            return poisoned;
-        }
-    }
-}
-
-double
-TrainingEstimator::computeCold(const Key &key, SharedFill *fill)
-{
-    // A disabled store makes every caller the owner, finds nothing
-    // and inserts nothing.
-    const CasKey ck = casKey(key);
-    ResultStore::Flight flight = store_->beginFlight(ck);
-    CasValue v;
-    // A follower waits for the owner's insert; if the owner dies or
-    // times out, it simulates the point itself (inserts are
-    // idempotent, so a late duplicate is harmless). The owner looks
-    // once more: the caller's lookup may be seconds old (prefetch
-    // looks every key up before its fan-out), and another process can
-    // have stored and released this point since.
-    if (flight.owner() ? store_->lookup(ck, &v)
-                       : store_->waitForResult(ck, &v, kFlightWaitMs))
-        return v.timeNs;
-    v = simulateWithRetry(key, fill);
-    if (std::isfinite(v.timeNs)) {
-        sims_.fetch_add(1, std::memory_order_relaxed);
-        store_->insert(ck, v);
-    }
-    return v.timeNs;
-}
-
-double
-TrainingEstimator::sliceTime(const Key &key)
-{
-    std::promise<double> promise;
-    std::shared_future<double> fut;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lk(cache_mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            fut = it->second;
-        } else {
-            fut = promise.get_future().share();
-            cache_.emplace(key, fut);
-            owner = true;
-        }
-    }
-    if (!owner)
-        return fut.get(); // single-flight: wait for the simulating thread
-
-    double t;
-    try {
-        CasValue v;
-        if (store_ && store_->lookup(casKey(key), &v))
-            t = v.timeNs; // persistent hit: no simulation at all
-        else
-            t = computeCold(key);
-    } catch (...) {
-        // failFast (or a non-isolatable error): fail every waiter too,
-        // then let the sweep driver unwind.
-        promise.set_exception(std::current_exception());
-        throw;
-    }
-    // NaN (exhausted retries) is cached like any value: the point is
-    // not re-attempted within this process, and waiters observe the
-    // same poisoned result instead of a duplicate simulation.
-    promise.set_value(t);
-    return t;
-}
-
-std::vector<SliceFailure>
-TrainingEstimator::failures() const
-{
-    std::lock_guard<std::mutex> lk(failures_mu_);
-    return failures_;
-}
-
-std::string
-TrainingEstimator::failureReport() const
-{
-    std::ostringstream os;
-    {
-        std::lock_guard<std::mutex> lk(failures_mu_);
-        if (!failures_.empty()) {
-            os << failures_.size()
-               << " surface point(s) failed permanently:\n";
-            for (const SliceFailure &f : failures_)
-                os << "  " << f.point << ": " << f.reason << " ("
-                   << f.attempts << " attempts)\n";
-        }
-    }
-    if (proc_pool_ && proc_pool_->crashes() > 0)
-        os << proc_pool_->report() << "\n";
-    return os.str();
+    const SliceRequest r =
+        sliceRequest(mcfg, save_on_cfg, key, tiles, cores, seed);
+    return Engine(r.mcfg, r.scfg).runGemm(r.gemm, r.cores, r.vpus);
 }
 
 TrainingEstimator::Bin
@@ -515,7 +213,7 @@ TrainingEstimator::kernelTime(const KernelSpec &spec, Precision precision,
     // every sparsity.
     const Bin w = save_on ? bin(nbs) : Bin{}, a = save_on ? bin(bs) : Bin{};
     return layerTime(w, a, mac_scale, [&](int wb, int ab) {
-        return sliceTime(pointOf(key, wb, ab));
+        return readTimes({pointOf(key, wb, ab)})[0];
     });
 }
 
@@ -666,10 +364,11 @@ void
 TrainingEstimator::fetch(const std::vector<Key> &points)
 {
     // Claim every un-cached point up front: inserting the shared
-    // future under the lock takes single-flight ownership, exactly as
-    // sliceTime's owner path would, so a concurrent kernelTime that
-    // races the prefetch waits on our fan-out instead of duplicating the
-    // simulation. promises[] stays parallel to todo[].
+    // future under the lock takes single-flight ownership, so a
+    // concurrent caller that races this fetch waits on our fan-out
+    // instead of duplicating the simulation. NaN (exhausted retries)
+    // is cached like any value: the point is not re-attempted within
+    // this process. promises[] stays parallel to todo[].
     std::vector<Key> todo;
     std::vector<std::promise<double>> promises;
     {
@@ -692,7 +391,7 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
     std::vector<size_t> cold;
     for (size_t i = 0; i < todo.size(); ++i) {
         CasValue v;
-        if (store_ && store_->lookup(casKey(todo[i]), &v))
+        if (store_->lookup(casSliceKey(request(todo[i])), &v))
             promises[i].set_value(v.timeNs);
         else
             cold.push_back(i);
@@ -716,9 +415,9 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
     // fan-out: fill_of[i] for cold point i, keyed by the point with
     // its configuration cleared. A worker process fills its own, so
     // under process isolation the parent fills none.
-    std::map<Key, SharedFill> fills;
-    std::vector<SharedFill *> fill_of(todo.size(), nullptr);
-    if (!proc_pool_)
+    std::map<Key, SliceProducer::Fill> fills;
+    std::vector<SliceProducer::Fill *> fill_of(todo.size(), nullptr);
+    if (!producer_->pool())
         for (size_t i : cold) {
             Key data = todo[i];
             data.saveOn = data.vpus = 0;
@@ -734,7 +433,7 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
     std::exception_ptr error;
     auto run = [&](int64_t n) {
         const size_t i = cold[static_cast<size_t>(n)];
-        SharedFill *fill = fill_of[i];
+        SliceProducer::Fill *fill = fill_of[i];
         std::exception_ptr e;
         {
             std::lock_guard<std::mutex> lk(error_mu);
@@ -743,7 +442,8 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
         double t = 0;
         if (!e) {
             try {
-                t = computeCold(todo[i], fill);
+                t = producer_->produce(request(todo[i]), sims_, fill)
+                        .timeNs;
             } catch (...) {
                 e = std::current_exception();
                 std::lock_guard<std::mutex> lk(error_mu);
@@ -770,12 +470,21 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
         std::rethrow_exception(error);
 }
 
-void
-TrainingEstimator::readTimes(Evaluation &ev)
+std::vector<double>
+TrainingEstimator::readTimes(const std::vector<Key> &points)
 {
-    fetch(ev.points);
-    for (const Key &k : ev.points)
-        ev.times.push_back(sliceTime(k));
+    fetch(points);
+    std::vector<std::shared_future<double>> futures;
+    {
+        std::lock_guard<std::mutex> lk(cache_mu_);
+        for (const Key &k : points)
+            futures.push_back(cache_.at(k));
+    }
+    std::vector<double> out;
+    out.reserve(points.size());
+    for (const std::shared_future<double> &f : futures)
+        out.push_back(f.get());
+    return out;
 }
 
 void
@@ -813,7 +522,7 @@ NetResult
 TrainingEstimator::inference(const NetworkModel &net, Precision precision)
 {
     Evaluation ev = evaluation(net, precision, true);
-    readTimes(ev);
+    ev.times = readTimes(ev.points);
     NetResult r;
     addEpoch(ev, ev.row(0), r); // the final epoch's row, the only one
     // Inference has no epoch granularity: static == the better fixed
@@ -825,7 +534,7 @@ NetResult
 TrainingEstimator::training(const NetworkModel &net, Precision precision)
 {
     Evaluation ev = evaluation(net, precision, false);
-    readTimes(ev);
+    ev.times = readTimes(ev.points);
     NetResult r;
     for (int64_t e = 0; e < net.steps(); ++e)
         addEpoch(ev, ev.row(static_cast<size_t>(e)), r);

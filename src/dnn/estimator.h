@@ -45,7 +45,7 @@
 #include "cache/result_store.h"
 #include "dnn/networks.h"
 #include "engine/engine.h"
-#include "proc/worker_pool.h"
+#include "proc/slice_producer.h"
 #include "util/thread_pool.h"
 
 namespace save {
@@ -91,7 +91,9 @@ struct EstimatorOptions
     int cacheMaxMb = 0;
     /** Extra attempts after a slice simulation throws. Each retry
      *  rebuilds the Engine from scratch, so a transient fault (e.g.
-     *  injected via SAVE_FAULT_INJECT) cannot poison later attempts. */
+     *  injected via SAVE_FAULT_INJECT) cannot poison later attempts.
+     *  This and the three knobs below configure the estimator's own
+     *  SliceProducer; a shared producer's settings apply instead. */
     int maxRetries = 2;
     /** Rethrow the first slice failure instead of recording it and
      *  continuing with the rest of the sweep. */
@@ -107,17 +109,6 @@ struct EstimatorOptions
     /** Throws ConfigError on out-of-range knobs; the estimator ctor
      *  calls this. */
     void validate() const;
-};
-
-/** One permanently failed surface point (all retries exhausted). */
-struct SliceFailure
-{
-    /** Human-readable point id, e.g. "slice mr=4 nr=6 ... wBin=3". */
-    std::string point;
-    /** what() of the final attempt's exception. */
-    std::string reason;
-    /** Attempts made (1 + retries). */
-    int attempts = 0;
 };
 
 /** Per-phase time breakdown (ns), Fig. 14 bar segments. */
@@ -181,16 +172,18 @@ class TrainingEstimator
                       EstimatorOptions opt);
 
     /**
-     * Reentrant-facade constructor: fan out over `shared_pool` and
-     * consult `shared_store` instead of creating private ones. Either
-     * may be null (falling back to the EstimatorOptions behavior).
-     * Both handles must outlive the estimator; neither is owned. This
-     * is how SimSession (src/serve) gives every daemon worker session
-     * its own estimator while sharing one pool and one CAS store.
+     * Reentrant-facade constructor: fan out over `shared_pool`, and
+     * produce every slice through `shared_producer` (its store,
+     * isolation, retries and worker pool) or else through a producer
+     * of the estimator's own over `shared_store`. Any may be null
+     * (falling back to the EstimatorOptions behavior); none is owned,
+     * and each must outlive the estimator. A SimSession (src/serve)
+     * shares one producer among its estimators and its GEMM slices.
      */
     TrainingEstimator(MachineConfig mcfg, SaveConfig save_features,
                       EstimatorOptions opt, ThreadPool *shared_pool,
-                      ResultStore *shared_store);
+                      ResultStore *shared_store,
+                      SliceProducer *shared_producer = nullptr);
 
     ~TrainingEstimator();
 
@@ -216,8 +209,8 @@ class TrainingEstimator
     double kernelTime(const KernelSpec &spec, Precision precision,
                       double bs, double nbs, bool save_on, int vpus);
 
-    /** Slice simulations performed so far (persistent-store misses
-     *  actually executed by this process). */
+    /** Slice simulations this estimator performed so far (store
+     *  misses it ran itself). */
     uint64_t simulations() const
     {
         return sims_.load(std::memory_order_relaxed);
@@ -238,28 +231,31 @@ class TrainingEstimator
      *  slices run at once. */
     int threads() const;
 
-    /** Surface points that exhausted their retries. Their times are
-     *  quiet NaN, which propagates through interpolation so callers
-     *  can detect a poisoned result with std::isnan. */
-    std::vector<SliceFailure> failures() const;
+    /** The producer's slices that exhausted their retries. Their
+     *  times are quiet NaN, which propagates through interpolation so
+     *  callers can detect a poisoned result with std::isnan. */
+    std::vector<SliceFailure> failures() const
+    {
+        return producer_->failures();
+    }
 
-    /** Multi-line report of all failures; empty string when clean.
-     *  Includes the worker-pool status once any worker crashed. */
-    std::string failureReport() const;
+    /** The producer's failure report (SliceProducer::failureReport). */
+    std::string failureReport() const
+    {
+        return producer_->failureReport();
+    }
 
     /** Resolved isolation mode: "none", "thread", or "process". */
-    const std::string &isolation() const { return isolation_; }
+    const std::string &isolation() const
+    {
+        return producer_->isolation();
+    }
 
     /** The worker pool; null unless isolation() == "process". */
-    WorkerPool *processPool() { return proc_pool_.get(); }
+    WorkerPool *processPool() { return producer_->pool(); }
 
-    /**
-     * One slice simulation with explicit inputs — the shared core of
-     * in-process execution and the save-worker binary, so out-of-
-     * process results are bit-identical by construction. `seed` is
-     * EstimatorOptions::seed (the per-point offset is derived from the
-     * key's sparsity bins internally).
-     */
+    /** Engine::runGemm on the slice `key` names (sliceRequest). Kept
+     *  for perfbench. */
     static KernelResult simulateSliceKernel(const MachineConfig &mcfg,
                                             const SaveConfig &save_on_cfg,
                                             const SliceKey &key,
@@ -280,49 +276,12 @@ class TrainingEstimator
     };
     Bin bin(double s) const;
 
-    /** One cold point's slice data, shared for one fan-out by the
-     *  points that differ only in configuration (estimator.cc). */
-    struct SharedFill;
-
-    /** Run one slice simulation (pure: no estimator state touched;
-     *  the worker builds its own short-lived Engine), on a copy of
-     *  `fill`'s data when it is non-null. */
-    KernelResult simulateSlice(const Key &key, SharedFill *fill) const;
-
-    /** CAS identity of a surface point (config digest + workload). */
-    CasKey casKey(const Key &key) const;
-
-    /** Stable hash of a surface point (fault-injection site id and
-     *  failure-report label share it). */
-    uint64_t keyHash(const Key &key) const;
-    std::string keyLabel(const Key &key) const;
-
-    /** runSliceIsolated with the retry/fault-isolation policy
-     *  applied. Returns a NaN-timed record after maxRetries + 1 failed
-     *  attempts (recording a SliceFailure) unless failFast, which
-     *  rethrows. */
-    CasValue simulateWithRetry(const Key &key, SharedFill *fill);
-
-    /** One attempt of one slice under the resolved isolation mode:
-     *  dispatches to the worker pool (falling back in-process once it
-     *  degrades) or runs simulateSlice directly. */
-    CasValue runSliceIsolated(const Key &key, int attempt,
-                              SharedFill *fill);
-
-    /**
-     * Produce one point the persistent store does not have yet:
-     * cross-process single-flight (losers wait for the owner's
-     * insert), then simulate with the retry policy and persist the
-     * finite result. The flight's owner is the one writer, whichever
-     * process simulated the slice: a worker only replies. An
-     * in-process run simulates a copy of `fill`'s data when it is
-     * non-null. Returns the slice time (NaN = permanently failed).
-     */
-    double computeCold(const Key &key, SharedFill *fill = nullptr);
-
-    /** Simulated slice time in ns at binned sparsities; single-flight
-     *  cached so concurrent callers never duplicate a simulation. */
-    double sliceTime(const Key &key);
+    /** The slice a surface point simulates. */
+    SliceRequest request(const Key &key) const
+    {
+        return sliceRequest(mcfg_, save_cfg_, key, opt_.tiles, opt_.cores,
+                            opt_.seed);
+    }
 
     /** A kernel's base key (bins 0) and its layer MACs per slice MAC. */
     Key baseKey(const KernelSpec &spec, Precision precision,
@@ -376,8 +335,10 @@ class TrainingEstimator
      *  in-process, the points that share slice data share one fill. */
     void fetch(const std::vector<Key> &points);
 
-    /** fetch() an evaluation's points, then read each one's time. */
-    void readTimes(Evaluation &ev);
+    /** fetch() `points`, then each one's simulated time in ns; a
+     *  point another thread claimed is waited for, never simulated
+     *  twice, and a failed one reads NaN. */
+    std::vector<double> readTimes(const std::vector<Key> &points);
 
     /** Accumulate one epoch's row of bins into the result. */
     static void addEpoch(const Evaluation &ev, const Bin *row,
@@ -387,15 +348,10 @@ class TrainingEstimator
     SaveConfig save_cfg_;
     EstimatorOptions opt_;
 
-    std::string isolation_;
-
     /** Owned pool for threads >= 2; null for serial or global-pool
      *  mode (see EstimatorOptions::threads). */
     std::unique_ptr<ThreadPool> owned_pool_;
     ThreadPool *pool_ = nullptr;
-
-    /** Sandboxed slice workers; non-null iff isolation_ == "process". */
-    std::unique_ptr<WorkerPool> proc_pool_;
 
     /** Single-flight surface cache: the first thread to want a key
      *  simulates it, everyone else waits on the shared future. */
@@ -403,15 +359,14 @@ class TrainingEstimator
     std::map<Key, std::shared_future<double>> cache_;
     std::atomic<uint64_t> sims_{0};
 
-    /** Persistent content-addressed store: owned_store_ is populated
-     *  unless a shared store was injected; store_ always points at the
-     *  live instance (disabled instance when no directory resolves). */
+    /** The producer of every slice and its store: the owned ones
+     *  unless shared ones were injected (the store is a disabled
+     *  instance when no directory resolves). owned_store_ outlives
+     *  owned_producer_, which holds it. */
     std::unique_ptr<ResultStore> owned_store_;
+    std::unique_ptr<SliceProducer> owned_producer_;
+    SliceProducer *producer_ = nullptr;
     ResultStore *store_ = nullptr;
-    uint64_t config_hash_ = 0;
-
-    mutable std::mutex failures_mu_;
-    std::vector<SliceFailure> failures_;
 };
 
 } // namespace save

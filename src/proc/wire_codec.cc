@@ -29,21 +29,16 @@ wireRead(int fd, Frame &frame, int timeout_ms)
 }
 
 std::vector<uint8_t>
-wireEncodeSessionInit(const WireSessionInit &s)
+wireEncodeHello(int rss_cap_mb)
 {
     std::vector<uint8_t> out;
     framePutU32(out, kWireVersion);
-    framePutStruct(out, s.mcfg);
-    framePutStruct(out, s.scfg);
-    framePutU32(out, static_cast<uint32_t>(s.tiles));
-    framePutU32(out, static_cast<uint32_t>(s.cores));
-    framePutU64(out, s.seed);
-    framePutU32(out, static_cast<uint32_t>(s.rssCapMb));
+    framePutU32(out, static_cast<uint32_t>(rss_cap_mb));
     return out;
 }
 
-WireSessionInit
-wireDecodeSessionInit(const std::vector<uint8_t> &payload)
+int
+wireDecodeHello(const std::vector<uint8_t> &payload)
 {
     const uint8_t *p = payload.data();
     const uint8_t *end = p + payload.size();
@@ -52,38 +47,48 @@ wireDecodeSessionInit(const std::vector<uint8_t> &payload)
         throw TraceError("wire: protocol version " +
                          std::to_string(version) + " != expected " +
                          std::to_string(kWireVersion));
-    WireSessionInit s;
-    s.mcfg = frameGetStruct<MachineConfig>(p, end, "MachineConfig");
-    s.scfg = frameGetStruct<SaveConfig>(p, end, "SaveConfig");
-    s.tiles = static_cast<int>(frameGetU32(p, end));
-    s.cores = static_cast<int>(frameGetU32(p, end));
-    s.seed = frameGetU64(p, end);
-    s.rssCapMb = static_cast<int>(frameGetU32(p, end));
+    const int cap = static_cast<int>(frameGetU32(p, end));
     if (p != end)
-        throw TraceError("wire: trailing bytes after session init");
-    return s;
+        throw TraceError("wire: trailing bytes after the hello");
+    return cap;
 }
 
 std::vector<uint8_t>
-wireEncodeSliceRequest(const WireSliceRequest &r)
+wireEncodeRequest(const SliceRequest &r)
 {
     std::vector<uint8_t> out;
-    framePutStruct(out, r.key);
-    framePutU64(out, r.keyHash);
+    framePutStruct(out, r.mcfg);
+    framePutStruct(out, r.scfg);
+    framePutStruct(out, r.gemm);
+    framePutU32(out, static_cast<uint32_t>(r.cores));
+    framePutU32(out, static_cast<uint32_t>(r.vpus));
     return out;
 }
 
-WireSliceRequest
-wireDecodeSliceRequest(const std::vector<uint8_t> &payload)
+SliceRequest
+wireDecodeRequest(const std::vector<uint8_t> &payload)
 {
     const uint8_t *p = payload.data();
     const uint8_t *end = p + payload.size();
-    WireSliceRequest r;
-    r.key = frameGetStruct<SliceKey>(p, end, "SliceKey");
-    r.keyHash = frameGetU64(p, end);
+    SliceRequest r;
+    r.mcfg = frameGetStruct<MachineConfig>(p, end, "MachineConfig");
+    r.scfg = frameGetStruct<SaveConfig>(p, end, "SaveConfig");
+    r.gemm = frameGetStruct<GemmConfig>(p, end, "GemmConfig");
+    r.cores = static_cast<int>(frameGetU32(p, end));
+    r.vpus = static_cast<int>(frameGetU32(p, end));
     if (p != end)
-        throw TraceError("wire: trailing bytes after slice request");
+        throw TraceError("wire: trailing bytes after the request");
     return r;
+}
+
+uint64_t
+sliceFaultSite(const SliceRequest &r)
+{
+    const CasKey k = casSliceKey(r);
+    CasHasher h;
+    h.mix(k.cfg);
+    h.mix(k.wl);
+    return h.value();
 }
 
 std::vector<uint8_t>

@@ -17,10 +17,9 @@
  *
  * Session shape (the embryo of the save-serve RPC surface):
  *
- *   parent -> worker   HELO  (configs: machine, SAVE features,
- *                             estimator knobs, RSS cap)
+ *   parent -> worker   HELO  (protocol version, RSS cap)
  *   worker -> parent   HACK  (version acknowledgment)
- *   parent -> worker   REQ   (slice key + key hash; arg = attempt)
+ *   parent -> worker   REQ   (one SliceRequest; arg = attempt)
  *   worker -> parent   RES   (the slice record: casEncodeValue bytes)
  *                   or ERR   (SimError-taxonomy kind + message)
  *   parent -> worker   BYE   (graceful drain; worker exits 0)
@@ -28,11 +27,11 @@
  * A worker never touches the result store: the parent, which owns the
  * slice's flight, persists the RES record it receives.
  *
- * Config structs travel as raw bytes of the trivially-copyable
- * MachineConfig/SaveConfig/SliceKey, guarded by struct-size fields and
- * the protocol version: parent and worker are built from one source
- * tree, and a size or version mismatch is rejected cleanly instead of
- * being misinterpreted.
+ * A request travels as the raw bytes of its trivially-copyable
+ * MachineConfig, SaveConfig and GemmConfig, each guarded by a
+ * struct-size field, under the protocol version: parent and worker
+ * are built from one source tree, and a size or version mismatch is
+ * rejected cleanly instead of being misinterpreted.
  */
 
 #ifndef SAVE_PROC_WIRE_CODEC_H
@@ -51,8 +50,9 @@ namespace save {
 
 /** Protocol version; bumped on any frame-layout change.
  *  v3: session init no longer carries the result-store directory, its
- *  size cap or the config hash: workers never touch the store. */
-constexpr uint32_t kWireVersion = 3;
+ *  size cap or the config hash: workers never touch the store.
+ *  v4: REQ carries the whole SliceRequest and HELO only the RSS cap. */
+constexpr uint32_t kWireVersion = 4;
 
 /** Frame kinds (fourcc, little-endian first byte first). */
 constexpr uint32_t kWireHello = frameFourcc('H', 'E', 'L', 'O');
@@ -81,34 +81,23 @@ constexpr int kWorkerExitExec = 127;
  */
 FrameRead wireRead(int fd, Frame &frame, int timeout_ms);
 
-/** HELO payload: everything a worker needs to simulate slices. */
-struct WireSessionInit
-{
-    MachineConfig mcfg;
-    SaveConfig scfg; ///< the SAVE-on feature set; workers derive
-                     ///< SaveConfig::baseline() for saveOn == 0 keys
-    int tiles = 1;
-    int cores = 1;
-    uint64_t seed = 0;
-    /** RLIMIT_AS cap for the worker, MB; 0 = none. */
-    int rssCapMb = 0;
-};
+/** HELO payload: the protocol version and the worker's RLIMIT_AS
+ *  cap in MB (0 = none). */
+std::vector<uint8_t> wireEncodeHello(int rss_cap_mb);
+/** The RSS cap of a HELO payload. Throws TraceError on a malformed
+ *  payload or a version mismatch. */
+int wireDecodeHello(const std::vector<uint8_t> &p);
 
-std::vector<uint8_t> wireEncodeSessionInit(const WireSessionInit &s);
-/** Throws TraceError on malformed payload or an ABI/size mismatch. */
-WireSessionInit wireDecodeSessionInit(const std::vector<uint8_t> &p);
+/** REQ payload: the request (the attempt number rides in `arg`). */
+std::vector<uint8_t> wireEncodeRequest(const SliceRequest &r);
+/** Throws TraceError on a malformed payload or a struct-size
+ *  mismatch. */
+SliceRequest wireDecodeRequest(const std::vector<uint8_t> &p);
 
-/** REQ payload (the attempt number additionally rides in `arg`). */
-struct WireSliceRequest
-{
-    SliceKey key{};
-    /** Parent-computed stable hash: fault-injection site id shared by
-     *  both sides, and the label benches report on. */
-    uint64_t keyHash = 0;
-};
-
-std::vector<uint8_t> wireEncodeSliceRequest(const WireSliceRequest &r);
-WireSliceRequest wireDecodeSliceRequest(const std::vector<uint8_t> &p);
+/** The fault-injection site of a slice (util/fault_injection.h): its
+ *  store key folded to 64 bits, so the parent's slice faults and a
+ *  worker's process faults pick the same slices on every run. */
+uint64_t sliceFaultSite(const SliceRequest &r);
 
 /** The RES payload is the slice record (casEncodeValue's bytes); the
  *  name is kept for perfbench. */

@@ -75,8 +75,8 @@ resolveWorkerBin(const std::string &explicit_path)
         " or ../bench/save-worker)");
 }
 
-Worker::Worker(int id, std::string worker_bin, WireSessionInit init)
-    : id_(id), bin_(std::move(worker_bin)), init_(init)
+Worker::Worker(int id, std::string worker_bin, int rss_cap_mb)
+    : id_(id), bin_(std::move(worker_bin)), rss_cap_mb_(rss_cap_mb)
 {
 }
 
@@ -140,10 +140,10 @@ Worker::spawn()
     from_child_ = from_child[0];
     slices_done_ = 0;
 
-    // Handshake: ship the session configuration, wait for the ack.
+    // Handshake: ship the RSS cap, wait for the ack.
     try {
         if (!frameWriteFd(to_child_, kWireHello, 0,
-                          wireEncodeSessionInit(init_)))
+                          wireEncodeHello(rss_cap_mb_)))
             throw triageDeath("rejected the session hello", false);
         Frame ack;
         FrameRead st = wireRead(from_child_, ack, kHandshakeTimeoutMs);
@@ -175,18 +175,14 @@ Worker::spawn()
 }
 
 CasValue
-Worker::run(const SliceKey &key, uint64_t key_hash, int attempt,
-            int timeout_ms)
+Worker::run(const SliceRequest &r, int attempt, int timeout_ms)
 {
     if (!alive())
         spawn();
 
-    WireSliceRequest req;
-    req.key = key;
-    req.keyHash = key_hash;
     if (!frameWriteFd(to_child_, kWireRequest,
                       static_cast<uint32_t>(attempt),
-                      wireEncodeSliceRequest(req)))
+                      wireEncodeRequest(r)))
         throw triageDeath("is gone (request write failed)", false);
 
     Frame frame;

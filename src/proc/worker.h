@@ -4,8 +4,8 @@
  *
  * A Worker owns the lifecycle of one `save-worker` child: fork/exec
  * with request/response pipes on the child's stdin/stdout, the HELO
- * handshake that ships the simulation configuration, per-slice
- * request/response exchange with a parent-enforced wall-clock
+ * handshake that ships the RSS cap, per-slice request/response
+ * exchange with a parent-enforced wall-clock
  * deadline (SIGKILL on expiry — the only cure for a livelocked host
  * loop that the in-process retirement watchdog cannot see), and
  * exit-status triage when the child dies: clean error frames,
@@ -46,16 +46,16 @@ std::string resolveWorkerBin(const std::string &explicit_path);
 class Worker
 {
   public:
-    /** `init` is the HELO session configuration every (re)spawn
+    /** `rss_cap_mb` is the RLIMIT_AS cap every (re)spawn's HELO
      *  ships; `worker_bin` must already be resolved. */
-    Worker(int id, std::string worker_bin, WireSessionInit init);
+    Worker(int id, std::string worker_bin, int rss_cap_mb);
     ~Worker();
 
     Worker(const Worker &) = delete;
     Worker &operator=(const Worker &) = delete;
 
     /**
-     * Run one slice, spawning (or respawning) the child first if
+     * Run one request, spawning (or respawning) the child first if
      * needed. `attempt` is the parent's 1-based retry attempt, which
      * workers feed to the stateless fault injector. Throws:
      *  - WorkerError (Crash/Timeout/Oom/Exit/Protocol/Spawn) when the
@@ -63,8 +63,7 @@ class Worker
      *  - the rethrown taxonomy error when the worker sent a clean ERR
      *    frame (the child is still healthy and stays running).
      */
-    CasValue run(const SliceKey &key, uint64_t key_hash, int attempt,
-                 int timeout_ms);
+    CasValue run(const SliceRequest &r, int attempt, int timeout_ms);
 
     /** True while a child is believed alive. */
     bool alive() const { return pid() > 0; }
@@ -104,7 +103,7 @@ class Worker
 
     int id_;
     std::string bin_;
-    WireSessionInit init_;
+    int rss_cap_mb_;
 
     /** Atomic so interrupt() can read it from a foreign thread while
      *  the owner respawns or reaps; all writes stay owner-only. */

@@ -54,12 +54,11 @@ WorkerPool::WorkerPool(ProcOptions opts, WireSessionInit init)
     opts_.validate();
     ignoreSigpipeOnce();
     bin_ = resolveWorkerBin(opts_.workerBin);
-    init_.rssCapMb = opts_.rssCapMb;
     int n = std::max(1, opts_.workers);
     slots_.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
         slots_[static_cast<size_t>(i)].worker =
-            std::make_unique<Worker>(i, bin_, init_);
+            std::make_unique<Worker>(i, bin_, opts_.rssCapMb);
 }
 
 WorkerPool::~WorkerPool()
@@ -181,13 +180,20 @@ WorkerPool::release(int idx, bool crashed)
 }
 
 CasValue
-WorkerPool::runSlice(const SliceKey &key, uint64_t key_hash,
-                     int attempt)
+WorkerPool::runSlice(const SliceKey &key, uint64_t, int attempt)
+{
+    return run(sliceRequest(init_.mcfg, init_.scfg, key, init_.tiles,
+                            init_.cores, init_.seed),
+               attempt);
+}
+
+CasValue
+WorkerPool::run(const SliceRequest &r, int attempt)
 {
     int idx = checkout();
     Worker &w = *slots_[static_cast<size_t>(idx)].worker;
     try {
-        CasValue res = w.run(key, key_hash, attempt, opts_.sliceTimeoutMs);
+        CasValue res = w.run(r, attempt, opts_.sliceTimeoutMs);
         {
             std::lock_guard<std::mutex> lk(mu_);
             ++slices_run_;

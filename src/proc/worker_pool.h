@@ -14,8 +14,9 @@
  *    ceiling on leak accumulation;
  *  - graceful degradation: once the pool-wide process-failure count
  *    reaches `maxWorkerCrashes` the pool drains every child and
- *    refuses further slices with WorkerError; the estimator then falls
- *    back to in-process execution and keeps the sweep alive.
+ *    refuses further slices with WorkerError; the slice producer
+ *    (proc/slice_producer.h) then falls back to in-process execution
+ *    and keeps the sweep alive.
  *
  * Clean ERR frames (taxonomy errors raised inside a healthy worker)
  * pass through without touching the crash budget — only process-level
@@ -41,7 +42,7 @@ namespace save {
 struct ProcOptions
 {
     /** Worker process count; 0 means "match the simulation thread
-     *  count" (filled in by the estimator). */
+     *  count" (filled in by the pool's owner). */
     int workers = 0;
     /** Per-slice wall-clock deadline; expiry SIGKILLs the worker. */
     int sliceTimeoutMs = 30000;
@@ -62,27 +63,44 @@ struct ProcOptions
     void validate() const;
 };
 
+/** The estimator context runSlice(const SliceKey &) maps a surface
+ *  point with (sliceRequest). The name is kept for perfbench. */
+struct WireSessionInit
+{
+    MachineConfig mcfg;
+    SaveConfig scfg; ///< the SAVE-on feature set
+    int tiles = 1;
+    int cores = 1;
+    uint64_t seed = 0;
+};
+
 class WorkerPool
 {
   public:
     /**
      * Resolves the worker binary eagerly (ConfigError if missing) and
      * ignores SIGPIPE process-wide so dead-pipe writes surface as
-     * EPIPE. Children spawn lazily on first use of each slot.
+     * EPIPE. Children spawn lazily on first use of each slot. `init`
+     * serves runSlice(const SliceKey &) only.
      */
-    WorkerPool(ProcOptions opts, WireSessionInit init);
+    explicit WorkerPool(ProcOptions opts, WireSessionInit init = {});
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Run one slice in a worker process. Blocks while all slots are
-     * busy or backing off. Throws the rethrown taxonomy error for
-     * clean ERR frames (no crash charged), or WorkerError when the
-     * process misbehaved (one crash charged; the slot backs off).
-     * After degradation every call throws WorkerError immediately.
+     * Run one request in a worker process; `attempt` (1-based) feeds
+     * the worker's fault injector. Blocks while all slots are busy or
+     * backing off. Throws the rethrown taxonomy error for clean ERR
+     * frames (no crash charged), or WorkerError when the process
+     * misbehaved (one crash charged; the slot backs off). After
+     * degradation every call throws WorkerError immediately.
      */
+    CasValue run(const SliceRequest &r, int attempt);
+
+    /** run() on the slice `key` names in the constructor's
+     *  WireSessionInit; the key hash is unused. Kept for perfbench. */
     CasValue runSlice(const SliceKey &key, uint64_t key_hash, int attempt);
 
     /** True once the crash budget is spent and the pool has drained. */

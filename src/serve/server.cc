@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <thread>
@@ -81,6 +82,17 @@ ServeServer::ServeServer(Options opt) : opt_(std::move(opt))
         std::max(1, opt_.runtime.resolveThreads()));
     store_ = std::make_unique<ResultStore>(
         ResultStore::resolveOptions(opt_.runtime));
+    // One session per serve worker, built here so that a bad isolation
+    // setup fails the daemon's start, not its first request.
+    for (int i = 0; i < opt_.workers; ++i) {
+        SimSession::Options so;
+        so.mcfg = opt_.mcfg;
+        so.scfg = opt_.scfg;
+        so.runtime = opt_.runtime;
+        so.sharedPool = pool_.get();
+        so.sharedStore = store_.get();
+        sessions_.push_back(std::make_unique<SimSession>(std::move(so)));
+    }
 }
 
 ServeServer::~ServeServer() = default;
@@ -437,18 +449,9 @@ ServeServer::popJob(Job &out)
 void
 ServeServer::workerLoop(int index)
 {
-    SimSession::Options so;
-    so.mcfg = opt_.mcfg;
-    so.scfg = opt_.scfg;
-    so.runtime = opt_.runtime;
-    so.sharedPool = pool_.get();
-    so.sharedStore = store_.get();
-    SimSession session(std::move(so));
-    (void)index;
-
     Job job;
     while (popJob(job))
-        executeJob(session, job);
+        executeJob(*sessions_[static_cast<size_t>(index)], job);
 }
 
 void
@@ -476,9 +479,12 @@ ServeServer::executeJob(SimSession &session, Job &job)
                            "ms exceeded while queued");
 
         if (job.req.kind == ServeKind::Gemm) {
-            const KernelResult kr = session.runGemm(
-                Engine(session.machine(), session.save()), job.req.gemm,
-                job.req.cores, job.req.vpus);
+            const KernelResult kr =
+                session.runGemm({session.machine(), session.save(),
+                                 job.req.gemm, job.req.cores, job.req.vpus});
+            if (std::isnan(kr.timeNs))
+                throw SimError("gemm slice failed permanently:\n" +
+                               session.failureReport());
             std::vector<uint8_t> res;
             casEncodeValue(res, toCasValue(kr));
             if (!frameWriteFd(fd, kServeResult,

@@ -4,8 +4,8 @@
  * socket (DESIGN.md §14).
  *
  * One accept loop + N worker threads, each worker owning its own
- * SimSession while all sessions share one ThreadPool and one
- * content-addressed ResultStore:
+ * SimSession (with its own slice producer and worker pool) while all
+ * sessions share one ThreadPool and one content-addressed ResultStore:
  *
  *   accept -> read SREQ (2s deadline) -> control kinds answered
  *   inline; work kinds pass admission control: a bounded queue with
@@ -19,10 +19,11 @@
  *    evaluation is never interrupted mid-flight);
  *  - client disconnect aborts an in-flight sweep at the next point
  *    (EPIPE on the SPRG ack write, or a zero-byte MSG_PEEK);
- *  - slice-level faults stay contained by the estimator's retry /
- *    NaN-poisoning / worker-sandbox machinery — a crashing slice
- *    storm degrades that one request, not the daemon; a point whose
- *    slice failed for good ends its request with an SERR naming it
+ *  - slice-level faults stay contained by the session's slice
+ *    producer (retries, NaN poisoning, the worker sandbox) for sweep
+ *    points and Gemm requests alike — a crashing slice storm degrades
+ *    that one request, not the daemon; a point or Gemm whose slice
+ *    failed for good ends its request with an SERR naming it
  *    (SimSession::runPoint), never an ack;
  *  - a Sweep request with an unknown name, a bad knob or an index
  *    outside the sweep gets a Config SERR before any point runs;
@@ -77,6 +78,7 @@ class ServeServer
         int testPointDelayMs = 0;
     };
 
+    /** Throws ConfigError on a bad option or session (SimSession). */
     explicit ServeServer(Options opt);
     ~ServeServer();
 
@@ -122,6 +124,9 @@ class ServeServer
 
     std::shared_ptr<ThreadPool> pool_;
     std::unique_ptr<ResultStore> store_;
+    /** One per serve worker; declared after the pool and store they
+     *  borrow, so they are destroyed first. */
+    std::vector<std::unique_ptr<SimSession>> sessions_;
 
     std::mutex qmu_;
     std::condition_variable qcv_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/cas_key.h"
 #include "util/error.h"
 
 namespace save {
@@ -36,24 +35,21 @@ SimSession::SimSession(Options opt) : opt_(std::move(opt))
             ResultStore::resolveOptions(opt_.runtime));
         store_ = owned_store_.get();
     }
+    ProcOptions proc = opt_.proc;
+    proc.workerBin = opt_.runtime.workerBin;
+    if (proc.workers == 0)
+        proc.workers = pool_->size();
+    producer_ = std::make_unique<SliceProducer>(
+        *store_, opt_.runtime.resolveIsolation(), opt_.maxRetries,
+        opt_.failFast, proc);
 }
 
 SimSession::~SimSession() = default;
 
 KernelResult
-SimSession::runGemm(const Engine &eng, const GemmConfig &g, int cores,
-                    int vpus)
+SimSession::runGemm(const SliceRequest &r)
 {
-    const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
-                     casGemmWorkload(g, cores, vpus)};
-    CasValue v;
-    if (store_->lookup(key, &v))
-        return toKernelResult(v);
-    KernelResult kr = eng.runGemm(g, cores, vpus);
-    gemmSims_.fetch_add(1, std::memory_order_relaxed);
-    if (std::isfinite(kr.timeNs))
-        store_->insert(key, toCasValue(kr));
-    return kr;
+    return toKernelResult(producer_->produce(r, gemmSims_));
 }
 
 TrainingEstimator &
@@ -71,19 +67,15 @@ SimSession::estimator(const SweepKnobs &k)
     eo.tiles = k.tiles;
     eo.cores = k.cores;
     eo.seed = k.seed;
-    eo.isolation = opt_.runtime.resolveIsolation();
-    eo.maxRetries = opt_.maxRetries;
-    eo.failFast = opt_.failFast;
-    eo.proc = opt_.proc;
-    eo.proc.workerBin = opt_.runtime.workerBin;
+    eo.isolation = producer_->isolation();
     // A one-thread pool still runs two threads (the caller joins
     // parallelFor), so one thread gets no pool: strictly serial.
     ThreadPool *pool = pool_->size() > 1 ? pool_ : nullptr;
     eo.threads = pool ? 0 : 1;
     eo.validate();
 
-    auto est = std::make_unique<TrainingEstimator>(opt_.mcfg, opt_.scfg,
-                                                   eo, pool, store_);
+    auto est = std::make_unique<TrainingEstimator>(
+        opt_.mcfg, opt_.scfg, eo, pool, nullptr, producer_.get());
     TrainingEstimator &ref = *est;
     estimators_.emplace(id, std::move(est));
     return ref;
@@ -112,16 +104,10 @@ SimSession::runPoint(const SweepSpec &spec, const SweepKnobs &knobs,
 
     std::string why = std::string(spec.name) + " point '" + p.key +
                       "' holds a failed slice";
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = estimators_.find(knobId(knobs));
-        if (it != estimators_.end()) {
-            const std::vector<SliceFailure> f = it->second->failures();
-            if (!f.empty())
-                why += " (first: " + f.front().point + ": " +
-                       f.front().reason + ")";
-        }
-    }
+    const std::vector<SliceFailure> f = producer_->failures();
+    if (!f.empty())
+        why += " (first: " + f.front().point + ": " + f.front().reason +
+               ")";
     throw SimError(why);
 }
 
@@ -138,11 +124,7 @@ SimSession::simulations() const
 std::string
 SimSession::failureReport() const
 {
-    std::string report;
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &[id, est] : estimators_)
-        report += est->failureReport();
-    return report;
+    return producer_->failureReport();
 }
 
 } // namespace save

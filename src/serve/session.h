@@ -5,17 +5,18 @@
  *
  * A session owns everything one independent simulation context needs
  * — machine/feature configs, a RuntimeOptions snapshot, a thread-pool
- * handle, and a ResultStore handle — and touches no mutable process
- * globals: every environment knob is read exactly once, into the
- * RuntimeOptions snapshot captured at session creation (or injected
- * by the caller). That makes N sessions in one process safe to drive
+ * handle, a ResultStore handle, and the one SliceProducer (with its
+ * worker pool) that produces every slice of the session — and touches
+ * no mutable process globals: every environment knob is read exactly
+ * once, into the RuntimeOptions snapshot captured at session creation
+ * (or injected by the caller). That makes N sessions in one process safe to drive
  * concurrently with different settings, which is exactly what the
  * save-serve daemon does: one session per serve worker, all sharing
  * one ThreadPool and one content-addressed store.
  *
  * It is the only way a sweep point (sweep/sweep.h) reaches the
  * engine: runPoint runs one point of a SweepSpec, and the point
- * reaches the result store through runGemm and the Fig. 14 estimator
+ * reaches the producer through runGemm and the Fig. 14 estimator
  * through estimator(). Every backend of the shard coordinator and
  * every daemon computes a point here, so a point's value cannot
  * depend on where it ran.
@@ -53,7 +54,7 @@ class SimSession
          *  The session never consults getenv after construction. */
         RuntimeOptions runtime{};
         /** Slice retries, fail-fast and the sandbox worker knobs of
-         *  the session's estimators (EstimatorOptions fields of the
+         *  the session's producer (EstimatorOptions fields of the
          *  same names). proc.workers == 0 matches the fan-out; the
          *  worker binary is runtime.workerBin. */
         int maxRetries = 2;
@@ -65,6 +66,9 @@ class SimSession
         ResultStore *sharedStore = nullptr;
     };
 
+    /** Throws ConfigError on a bad isolation mode, a missing worker
+     *  binary under process isolation, or SAVE_FAULT_INJECT process
+     *  faults without it (SliceProducer). */
     explicit SimSession(Options opt);
     ~SimSession();
 
@@ -87,14 +91,12 @@ class SimSession
                                  const SweepKnobs &knobs, size_t index);
 
     /**
-     * eng.runGemm, memoized in the session's store: a slice with the
-     * same machine, feature set and workload is read from the store
-     * instead of simulated again, and a finite fresh result is stored
-     * as it completes. The key's config digest is salted with 0 (a raw
-     * Engine run), so every bench, daemon and request shares entries.
+     * Engine::runGemm on `r`, through the session's producer: read
+     * from the store, or run under the session's isolation and retry
+     * policy and stored. A slice that failed permanently comes back
+     * with a NaN time (runPoint reports it).
      */
-    KernelResult runGemm(const Engine &eng, const GemmConfig &g,
-                         int cores, int vpus);
+    KernelResult runGemm(const SliceRequest &r);
 
     /** The session's whole-network estimator for `knobs` (one per knob
      *  tuple, so repeat points reuse its in-memory surfaces on top of
@@ -105,7 +107,7 @@ class SimSession
      *  misses): every estimator's plus runGemm's. */
     uint64_t simulations() const;
 
-    /** Every estimator's failure and worker-pool report; empty when
+    /** The producer's failure and worker-pool report; empty when
      *  clean. */
     std::string failureReport() const;
 
@@ -121,6 +123,7 @@ class SimSession
     std::unique_ptr<ResultStore> owned_store_;
     ResultStore *store_ = nullptr;
 
+    std::unique_ptr<SliceProducer> producer_;
     std::atomic<uint64_t> gemmSims_{0};
 
     /** Estimators keyed by the sweep-knob tuple; guarded by mu_. */

@@ -38,8 +38,9 @@ points(const SweepKnobs &k)
 {
     const GemmConfig g = sliceFor(kernel(), Precision::Fp32, 0.2, 0.5, k);
     std::vector<SweepPoint> out = {{"baseline", [g](SimSession &s) {
-        const Engine base(s.machine(), SaveConfig::baseline());
-        return std::vector<double>{0.0, s.runGemm(base, g, 1, 2).timeNs};
+        return std::vector<double>{
+            0.0,
+            s.runGemm({s.machine(), SaveConfig::baseline(), g, 1, 2}).timeNs};
     }}};
     for (ALayout layout : kLayouts)
         for (int entries : kEntries)
@@ -55,7 +56,7 @@ points(const SweepKnobs &k)
                          m.bcacheEntries = entries;
                          m.bcachePorts = ports;
                          const KernelResult r =
-                             s.runGemm(Engine(m, SaveConfig{}), gl, 1, 2);
+                             s.runGemm({m, SaveConfig{}, gl, 1, 2});
                          return std::vector<double>{
                              r.stats.get("bcache_hit_rate"), r.timeNs};
                      }});

@@ -35,13 +35,16 @@ points(const SweepKnobs &k)
         std::string key;
         appendf(key, "a%d", a);
         out.push_back({key, [g](SimSession &s) {
-                           Engine sv(s.machine(), SaveConfig{});
+                           auto run = [&s](const GemmConfig &x, int v) {
+                               return s.runGemm(
+                                   {s.machine(), SaveConfig{}, x, 1, v});
+                           };
                            const GemmConfig p = vpuProbe(g);
-                           const KernelResult p2 = s.runGemm(sv, p, 1, 2);
-                           const KernelResult p1 = s.runGemm(sv, p, 1, 1);
+                           const KernelResult p2 = run(p, 2);
+                           const KernelResult p1 = run(p, 1);
                            const VpuChoice c = chooseVpusByCounters(p, p2, p1);
-                           const KernelResult r2 = s.runGemm(sv, g, 1, 2);
-                           const KernelResult r1 = s.runGemm(sv, g, 1, 1);
+                           const KernelResult r2 = run(g, 2);
+                           const KernelResult r1 = run(g, 1);
                            const VpuPowerModel power;
                            return std::vector<double>{
                                c.vpuUtilization,

@@ -71,12 +71,12 @@ points(const SweepKnobs &k)
             out.push_back({key, [g, vpus = cfg.vpus](SimSession &s) {
                                GemmConfig dense = g;
                                dense.bsSparsity = dense.nbsSparsity = 0.0;
-                               const Engine base(s.machine(),
-                                                 SaveConfig::baseline());
-                               const Engine sv(s.machine(), SaveConfig{});
-                               return std::vector<double>{
-                                   speedup(s.runGemm(base, dense, 1, 2),
-                                           s.runGemm(sv, g, 1, vpus))};
+                               return std::vector<double>{speedup(
+                                   s.runGemm({s.machine(),
+                                              SaveConfig::baseline(), dense,
+                                              1, 2}),
+                                   s.runGemm({s.machine(), SaveConfig{}, g,
+                                              1, vpus}))};
                            }});
         }
     return out;

@@ -100,8 +100,7 @@ gemmTime(std::string key, const SaveConfig &scfg, const GemmConfig &g,
 {
     return {std::move(key), [=](SimSession &s) {
                 return std::vector<double>{
-                    s.runGemm(Engine(s.machine(), scfg), g, 1, vpus)
-                        .timeNs};
+                    s.runGemm({s.machine(), scfg, g, 1, vpus}).timeNs};
             }};
 }
 

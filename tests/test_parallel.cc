@@ -425,8 +425,8 @@ TEST(ParallelEstimator, SharedFillsMatchSimulateSliceKernel)
         }
         FaultInjector::global().reset();
 
-        // Every point the walk can name, by its workload digest.
-        std::map<uint64_t, SliceKey> points;
+        // Every point the walk can name, by its store key.
+        std::map<CasKey, SliceKey> points;
         for (const ConvLayer &layer : net.convLayers)
             for (Phase phase :
                  {Phase::Forward, Phase::BwdInput, Phase::BwdWeights})
@@ -445,7 +445,9 @@ TEST(ParallelEstimator, SharedFillsMatchSimulateSliceKernel)
                                     static_cast<uint8_t>(c == 2 ? 1 : 2),
                                     static_cast<uint8_t>(w),
                                     static_cast<uint8_t>(a)};
-                                points[casSliceWorkload(k)] = k;
+                                points[casSliceKey(sliceRequest(
+                                    MachineConfig{}, SaveConfig{}, k,
+                                    opt.tiles, opt.cores, opt.seed))] = k;
                             }
                 }
 
@@ -455,7 +457,7 @@ TEST(ParallelEstimator, SharedFillsMatchSimulateSliceKernel)
         std::set<std::pair<int, int>> kinds;
         ResultStore store(ResultStore::Options{dir.string(), 0});
         for (const auto &[name, ck] : storedKeys(dir)) {
-            auto it = points.find(ck.wl);
+            auto it = points.find(ck);
             ASSERT_NE(it, points.end()) << name << " holds an unknown point";
             const SliceKey &k = it->second;
             CasValue got;

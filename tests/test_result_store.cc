@@ -132,40 +132,6 @@ TEST_F(ResultStoreTest, ConfigDigestIsStableAndFieldSensitive)
 
 TEST_F(ResultStoreTest, WorkloadDigestsCoverEveryField)
 {
-    const SliceKey base{4, 6, 192, 0, 0, 1, 2, 3, 5};
-    const uint64_t h = casSliceWorkload(base);
-    EXPECT_EQ(h, casSliceWorkload(base)); // stable
-
-    // Every field must shift the digest: two distinct surface points
-    // colliding would silently serve one's time as the other's.
-    SliceKey k = base;
-    k.mr = 5;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.nr = 7;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.kSteps = 24;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.pattern = 1;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.precision = 1;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.saveOn = 0;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.vpus = 1;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.wBin = 4;
-    EXPECT_NE(h, casSliceWorkload(k));
-    k = base;
-    k.aBin = 6;
-    EXPECT_NE(h, casSliceWorkload(k));
-
     GemmConfig g;
     const uint64_t gh = casGemmWorkload(g, 1, 2);
     EXPECT_EQ(gh, casGemmWorkload(g, 1, 2));
@@ -177,10 +143,58 @@ TEST_F(ResultStoreTest, WorkloadDigestsCoverEveryField)
     EXPECT_NE(gh, casGemmWorkload(g2, 1, 2));
     EXPECT_NE(gh, casGemmWorkload(g, 2, 2));
     EXPECT_NE(gh, casGemmWorkload(g, 1, 1));
+}
 
-    // A slice key and a gemm config never share a digest: the two
-    // serializations carry distinct leading domain tags.
-    EXPECT_NE(casSliceWorkload(base), casGemmWorkload(g, 1, 2));
+TEST_F(ResultStoreTest, SurfacePointsKeyAsTheirRequests)
+{
+    // A surface point is stored under its request's key, the key of
+    // every stored slice: the config digest of its machine and
+    // features, and the workload digest of its GEMM, cores and VPUs.
+    const MachineConfig m;
+    const SaveConfig s;
+    const SliceKey base{4, 6, 192, 0, 0, 1, 2, 3, 5};
+    const SliceRequest r = sliceRequest(m, s, base, 6, 1, 7);
+    const CasKey key = casSliceKey(r);
+    EXPECT_EQ(key.cfg, casHashConfig(m, s, 0));
+    EXPECT_EQ(key.wl, casGemmWorkload(r.gemm, 1, 2));
+    EXPECT_EQ(casSliceKey(sliceRequest(m, s, base, 6, 1, 7)), key);
+
+    // Every point field must shift the key: two distinct surface
+    // points colliding would silently serve one's time as the other's.
+    auto differs = [&](SliceKey k) {
+        return casSliceKey(sliceRequest(m, s, k, 6, 1, 7)) != key;
+    };
+    SliceKey k = base;
+    k.mr = 5;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.nr = 7;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.kSteps = 24;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.pattern = 1;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.precision = 1;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.saveOn = 0;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.vpus = 1;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.wBin = 4;
+    EXPECT_TRUE(differs(k));
+    k = base;
+    k.aBin = 6;
+    EXPECT_TRUE(differs(k));
+    // ...and so must the knobs outside the point.
+    EXPECT_NE(casSliceKey(sliceRequest(m, s, base, 5, 1, 7)), key);
+    EXPECT_NE(casSliceKey(sliceRequest(m, s, base, 6, 2, 7)), key);
+    EXPECT_NE(casSliceKey(sliceRequest(m, s, base, 6, 1, 8)), key);
 }
 
 // --------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -36,6 +37,8 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/session.h"
+#include "sweep/sweep.h"
 #include "util/error.h"
 #include "util/posix_io.h"
 
@@ -86,20 +89,6 @@ sweepRequest(const SweepKnobs &k)
     for (int i = 0; i < fig14PointCount(); ++i)
         req.points.push_back(static_cast<uint32_t>(i));
     return req;
-}
-
-/** A whole-sweep request slow enough (0.6-1 s in a Release build on
- *  4 vCPUs, longer under sanitizers) to keep one serve worker busy
- *  while a test queues work behind it. */
-ServeRequest
-blockerRequest(uint64_t seed)
-{
-    SweepKnobs k;
-    k.gridStep = 3;
-    k.kSteps = 64;
-    k.tiles = 4;
-    k.seed = seed;
-    return sweepRequest(k);
 }
 
 /** Send `req` and render its acked points on the client, as save-ctl
@@ -162,9 +151,12 @@ inprocReport(const std::string &cache_dir)
 class DaemonProc
 {
   public:
+    /** Start the daemon; with a non-empty `log`, its stderr goes to
+     *  that file. */
     void
     start(const std::string &socket,
-          const std::vector<std::string> &extra_args = {})
+          const std::vector<std::string> &extra_args = {},
+          const std::string &log = "")
     {
         socket_ = socket;
         std::vector<std::string> args;
@@ -175,6 +167,12 @@ class DaemonProc
         pid_ = ::fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
+            if (!log.empty()) {
+                const int fd = ::open(log.c_str(),
+                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+                if (fd >= 0)
+                    ::dup2(fd, STDERR_FILENO);
+            }
             std::vector<char *> argv;
             for (std::string &a : args)
                 argv.push_back(a.data());
@@ -567,24 +565,33 @@ TEST(ServeDaemon, ConcurrentClients)
 
 TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
 {
+    // The daemon sleeps before every sweep point, so the blocker holds
+    // the single worker for at least kHoldPoints x kPointDelayMs however
+    // fast the simulator is. Every check waits until both helper
+    // threads are joined: a test body that returned early with a
+    // joinable thread would end the process before ~DaemonProc stops
+    // the daemon.
+    constexpr int kPointDelayMs = 500;
+    constexpr uint32_t kHoldPoints = 4;
     std::string sock = socketPath("shed");
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS",
+             std::to_string(kPointDelayMs).c_str(), 1);
     DaemonProc d;
     d.start(sock, {"--workers=1", "--queue-cap=1", "--cache-dir=none"});
+    ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
     ASSERT_TRUE(d.waitReady());
 
-    // Occupy the single worker with a multi-second sweep.
     std::thread blocker([&] {
+        ServeRequest hold = sweepRequest(quickKnobs());
+        hold.points.resize(kHoldPoints);
         ServeClient client(sock);
-        client.call(blockerRequest(7), nullptr, 300000);
+        client.call(hold, nullptr, 300000);
     });
 
     ServeClient client(sock);
-    ASSERT_GE(pollStatus(client,
-                         [](const ServeStatus &s) {
-                             return s.active >= 1;
-                         })
-                  .active,
-              1u);
+    const uint32_t active = pollStatus(client, [](const ServeStatus &s) {
+                                return s.active >= 1;
+                            }).active;
 
     ServeRequest req;
     req.kind = ServeKind::Gemm;
@@ -599,12 +606,9 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
         q.gemm.seed = 200;
         c2.call(q, nullptr, 300000);
     });
-    ASSERT_GE(pollStatus(client,
-                         [](const ServeStatus &s) {
-                             return s.queued >= 1;
-                         })
-                  .queued,
-              1u);
+    const uint32_t waiting = pollStatus(client, [](const ServeStatus &s) {
+                                 return s.queued >= 1;
+                             }).queued;
 
     // ...so further submissions must be shed with a typed BUSY
     // reply, never a hang.
@@ -622,6 +626,8 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
     }
     blocker.join();
     queued.join();
+    EXPECT_GE(active, 1u);
+    EXPECT_GE(waiting, 1u);
     EXPECT_GE(busy, 1);
     EXPECT_GE(getStatus(client).shed, 1u);
 }
@@ -775,38 +781,49 @@ TEST(ServeDaemon, MidSweepClientDisconnectKeepsServing)
 
 TEST(ServeDaemon, DrainWaitsForInflightWork)
 {
+    // The daemon sleeps before every sweep point, so the sweep is
+    // still in flight when the drain arrives however fast the
+    // simulator is. Every check waits until the helper thread is
+    // joined (see QueueFullShedsWithTypedBusy).
+    constexpr int kPointDelayMs = 300;
+    constexpr uint32_t kHoldPoints = 4;
     std::string sock = socketPath("drain");
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS",
+             std::to_string(kPointDelayMs).c_str(), 1);
     DaemonProc d;
     d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
     ASSERT_TRUE(d.waitReady());
 
     std::atomic<bool> sweep_ok{false};
+    std::atomic<uint32_t> acks{0};
     std::thread inflight([&] {
+        ServeRequest hold = sweepRequest(quickKnobs());
+        hold.points.resize(kHoldPoints);
         ServeClient client(sock);
-        SweepKnobs k = quickKnobs();
-        k.kSteps = 64; // slow enough to still be in flight
-        k.tiles = 2;
-        if (!servedReport(client, sweepRequest(k), 300000).empty())
-            sweep_ok.store(true);
+        const ServeClient::Reply r = client.call(
+            hold, [&](const ServePointAck &) { ++acks; }, 300000);
+        sweep_ok.store(r.kind == ServeClient::Reply::Kind::Ok);
     });
 
     ServeClient client(sock);
-    ASSERT_GE(pollStatus(client,
-                         [](const ServeStatus &s) {
-                             return s.active >= 1;
-                         })
-                  .active,
-              1u);
+    const uint32_t active = pollStatus(client, [](const ServeStatus &s) {
+                                return s.active >= 1;
+                            }).active;
 
     ServeRequest drain;
     drain.kind = ServeKind::Drain;
-    EXPECT_EQ(client.call(drain, nullptr, 5000).kind,
-              ServeClient::Reply::Kind::Ok);
+    const ServeClient::Reply::Kind drained =
+        client.call(drain, nullptr, 5000).kind;
 
     // Drain must let the in-flight sweep finish, then exit 0.
-    EXPECT_EQ(d.waitExit(300000), 0);
+    const int rc = d.waitExit(300000);
     inflight.join();
+    EXPECT_GE(active, 1u);
+    EXPECT_EQ(drained, ServeClient::Reply::Kind::Ok);
+    EXPECT_EQ(rc, 0);
     EXPECT_TRUE(sweep_ok.load());
+    EXPECT_EQ(acks.load(), kHoldPoints);
 }
 
 TEST(ServeDaemon, SighupReloadsConfig)
@@ -1079,8 +1096,8 @@ TEST(ServeSweep, UnknownNameAndBadKnobsAreConfigErrors)
 TEST(ServeSweep, PoisonedPointIsAnError)
 {
     // Every slice fails for good in the daemon, so every point's
-    // result holds the estimator's NaN marker. That is an error, not
-    // a result: save-ctl exits 1 and names the point.
+    // result holds the NaN marker of a failed slice. That is an error,
+    // not a result: save-ctl exits 1 and names the point.
     std::string sock = socketPath("poison");
     ::setenv("SAVE_FAULT_INJECT", "slice=1,times=999,seed=3", 1);
     DaemonProc d;
@@ -1099,4 +1116,85 @@ TEST(ServeSweep, PoisonedPointIsAnError)
                        "' holds a failed slice"),
               std::string::npos)
         << err;
+
+    // A Gemm request's slice takes the same retries and fails the same
+    // way: an error reply, never a NaN record.
+    ServeRequest gemm;
+    gemm.kind = ServeKind::Gemm;
+    gemm.gemm.kSteps = 16;
+    gemm.gemm.tiles = 1;
+    const ServeClient::Reply r = ServeClient(sock).call(gemm, nullptr, 60000);
+    EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
+    EXPECT_NE(r.error.what.find("failed permanently"), std::string::npos)
+        << r.error.what;
+}
+
+TEST(ServeSweep, ProcessIsolationCoversGemmRequestsAndGemmSweeps)
+{
+    // Under --isolation=process every slice a daemon produces runs in
+    // a sandboxed worker, a served Gemm and a GEMM sweep's slices as
+    // much as the estimator's. The first attempt of each slice crashes
+    // its worker (the workers inherit SAVE_FAULT_INJECT), so each
+    // request retries in a fresh worker and still answers with the
+    // fault-free bytes.
+    const std::string sock = socketPath("isoproc");
+    const std::string dir = tmpDir("isoproc");
+    const std::string log = dir + "/daemon.log";
+    ::setenv("SAVE_FAULT_INJECT", "crash=1.0,times=1", 1);
+    DaemonProc d;
+    d.start(sock,
+            {"--workers=1", "--threads=2", "--isolation=process",
+             "--cache-dir=none",
+             std::string("--worker-bin=") + SAVE_WORKER_BIN_PATH},
+            log);
+    ::unsetenv("SAVE_FAULT_INJECT");
+    ASSERT_TRUE(d.waitReady());
+    auto retries = [&log] {
+        std::string text;
+        readFileBytes(log, text, nullptr);
+        size_t n = 0;
+        for (size_t at = text.find("retrying slice");
+             at != std::string::npos;
+             at = text.find("retrying slice", at + 1))
+            ++n;
+        return n;
+    };
+
+    SimSession::Options o;
+    o.runtime.threads = 1;
+    o.runtime.cacheDir = "none";
+    o.runtime.isolation = "thread";
+    SimSession inproc(o);
+    ServeClient client(sock);
+
+    ServeRequest gemm;
+    gemm.kind = ServeKind::Gemm;
+    gemm.gemm.kSteps = 16;
+    gemm.gemm.tiles = 1;
+    gemm.gemm.bsSparsity = 0.5;
+    const ServeClient::Reply r = client.call(gemm, nullptr, 120000);
+    EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Ok) << r.error.what;
+    const CasValue want = toCasValue(inproc.runGemm(
+        {MachineConfig{}, SaveConfig{}, gemm.gemm, gemm.cores, gemm.vpus}));
+    EXPECT_EQ(std::memcmp(&r.gemm.timeNs, &want.timeNs, sizeof(double)),
+              0);
+    EXPECT_EQ(r.gemm.cycles, want.cycles);
+    EXPECT_EQ(r.gemm.stats, want.stats);
+    const size_t gemm_retries = retries();
+    EXPECT_EQ(gemm_retries, 1u);
+
+    const SweepSpec &spec = findSweep("fig15");
+    ServeRequest sweep;
+    sweep.kind = ServeKind::Sweep;
+    sweep.sweep = spec.name;
+    sweep.knobs = quickKnobs();
+    SweepResults ref;
+    for (uint32_t i = 0; i < spec.points(sweep.knobs).size(); ++i) {
+        sweep.points.push_back(i);
+        ref.push_back(inproc.runPoint(spec, sweep.knobs, i));
+    }
+    EXPECT_EQ(servedReport(client, sweep, 300000),
+              spec.render(sweep.knobs, ref));
+    EXPECT_GT(retries(), gemm_retries);
+    std::filesystem::remove_all(dir);
 }

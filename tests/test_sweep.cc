@@ -5,7 +5,10 @@
  * sharded by `bench_<name> --sockets=<daemon> --inproc=1` across one
  * daemon and an in-process lane, prints its committed golden report
  * byte for byte — the same bytes the golden ctests pin for the
- * in-process run. Also: the DVFS ablation's probes are session slices.
+ * in-process run. Also: the DVFS ablation's probes are session slices,
+ * and a GEMM sweep's slices retry injected faults and refuse
+ * process-level fault modes without process isolation, as the
+ * estimator's do.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include "serve/session.h"
 #include "sweep/sweep.h"
 #include "util/error.h"
+#include "util/fault_injection.h"
 #include "util/posix_io.h"
 
 using namespace save;
@@ -169,6 +173,66 @@ TEST(SweepSession, DvfsProbesAreMemoizedSlices)
         EXPECT_EQ(session.simulations(), warm ? 0 : 4 * n);
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(SweepSession, GemmSlicesRetryInjectedFaults)
+{
+    // A GEMM sweep's slices take the same retry path as the
+    // estimator's: with every slice failing its first attempt, fig15
+    // retries each of its slices once and prints its fault-free
+    // report.
+    const SweepSpec &spec = findSweep("fig15");
+    SweepKnobs k;
+    k.gridStep = 9;
+    k.kSteps = 8;
+    k.tiles = 1;
+    const std::string cmd = std::string(SAVE_BENCH_DIR) +
+                            "/bench_fig15 --grid=9 --ksteps=8 --tiles=1 "
+                            "--threads=1 --cache-dir=none";
+    std::string ref, out, err;
+    ASSERT_EQ(runShell(cmd, ref, err), 0) << err;
+    EXPECT_EQ(runShell("SAVE_FAULT_INJECT=slice=1.0,times=1,seed=42 " + cmd,
+                       out, err),
+              0)
+        << err;
+    EXPECT_EQ(out, ref);
+    size_t retries = 0;
+    for (size_t at = err.find("retrying slice"); at != std::string::npos;
+         at = err.find("retrying slice", at + 1))
+        ++retries;
+    // One slice per point, each distinct.
+    EXPECT_EQ(retries, spec.points(k).size()) << err;
+}
+
+TEST(SweepSession, ProcessFaultModesNeedProcessIsolation)
+{
+    // A raised SIGSEGV cannot be contained in-process, so without
+    // process isolation crash/abort/hang/oom plans are refused before
+    // any slice runs: by a session, and so by every sweep bench.
+    FaultInjector::global().configure(
+        FaultInjector::parsePlan("crash=1.0,times=1"));
+    for (const char *iso : {"none", "thread"}) {
+        SimSession::Options o;
+        o.runtime.threads = 1;
+        o.runtime.cacheDir = "none";
+        o.runtime.isolation = iso;
+        EXPECT_THROW(SimSession{o}, ConfigError) << iso;
+    }
+    FaultInjector::global().reset();
+    for (const char *bench : {"fig14", "fig15"}) {
+        std::string out, err;
+        EXPECT_EQ(runShell("SAVE_FAULT_INJECT=crash=1.0,times=1 " +
+                               std::string(SAVE_BENCH_DIR) + "/bench_" +
+                               bench +
+                               " --grid=9 --ksteps=8 --tiles=1 "
+                               "--isolation=thread --cache-dir=none",
+                           out, err),
+                  2)
+            << bench << ": " << err;
+        EXPECT_NE(err.find("require --isolation=process"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 /** One daemon for every sweep of the identity bar. */
