@@ -23,17 +23,6 @@ pointOf(SliceKey base, int w_bin, int a_bin)
 
 } // namespace
 
-std::string
-resolveIsolation(const std::string &opt)
-{
-    if (!opt.empty()) {
-        RuntimeOptions o;
-        o.isolation = opt;
-        return o.resolveIsolation();
-    }
-    return RuntimeOptions::fromEnv().resolveIsolation();
-}
-
 void
 EstimatorOptions::validate() const
 {
@@ -44,7 +33,9 @@ EstimatorOptions::validate() const
     if (maxRetries < 0)
         throw ConfigError("EstimatorOptions.maxRetries must be >= 0 "
                           "(got " + std::to_string(maxRetries) + ")");
-    resolveIsolation(isolation);
+    RuntimeOptions rt;
+    rt.isolation = isolation;
+    rt.resolveIsolation();
     proc.validate();
 }
 
@@ -70,14 +61,6 @@ PhaseBreakdown::operator*=(double f)
 
 TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
                                      SaveConfig save_features,
-                                     EstimatorOptions opt)
-    : TrainingEstimator(mcfg, save_features, std::move(opt), nullptr,
-                        nullptr)
-{
-}
-
-TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
-                                     SaveConfig save_features,
                                      EstimatorOptions opt,
                                      ThreadPool *shared_pool,
                                      ResultStore *shared_store,
@@ -89,9 +72,20 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
     mcfg_.validate();
     save_cfg_.validate();
 
-    const std::string isolation = producer_
-                                      ? producer_->isolation()
-                                      : resolveIsolation(opt_.isolation);
+    // The options name the isolation and the store; unset ones defer
+    // to the environment. A shared producer brings its own.
+    RuntimeOptions rt;
+    if (!producer_) {
+        rt = RuntimeOptions::fromEnv();
+        if (!opt_.isolation.empty())
+            rt.isolation = opt_.isolation;
+        if (!opt_.cacheDir.empty())
+            rt.cacheDir = opt_.cacheDir;
+        if (opt_.cacheMaxMb != 0)
+            rt.cacheMaxMb = opt_.cacheMaxMb;
+    }
+    const std::string isolation =
+        producer_ ? producer_->isolation() : rt.resolveIsolation();
     if (isolation != "none") {
         if (shared_pool) {
             pool_ = shared_pool;
@@ -105,13 +99,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
 
     if (!producer_) {
         if (!shared_store) {
-            // The options name the store; unset ones defer to the
-            // environment.
-            RuntimeOptions rt = RuntimeOptions::fromEnv();
-            if (!opt_.cacheDir.empty())
-                rt.cacheDir = opt_.cacheDir;
-            if (opt_.cacheMaxMb != 0)
-                rt.cacheMaxMb = opt_.cacheMaxMb;
             owned_store_ = std::make_unique<ResultStore>(
                 ResultStore::resolveOptions(rt));
             shared_store = owned_store_.get();
@@ -123,7 +110,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
             *shared_store, isolation, opt_.maxRetries, opt_.failFast, proc);
         producer_ = owned_producer_.get();
     }
-    store_ = &producer_->store();
 }
 
 TrainingEstimator::~TrainingEstimator() = default;
@@ -391,7 +377,7 @@ TrainingEstimator::fetch(const std::vector<Key> &points)
     std::vector<size_t> cold;
     for (size_t i = 0; i < todo.size(); ++i) {
         CasValue v;
-        if (store_->lookup(casSliceKey(request(todo[i])), &v))
+        if (producer_->store().lookup(casSliceKey(request(todo[i])), &v))
             promises[i].set_value(v.timeNs);
         else
             cold.push_back(i);

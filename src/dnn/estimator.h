@@ -50,15 +50,6 @@
 
 namespace save {
 
-/**
- * Resolve the slice-execution isolation mode: `opt` if non-empty, else
- * the SAVE_ISOLATION environment variable, else "thread". Accepted
- * values: "none" (strictly serial, in-process), "thread" (in-process
- * thread-pool fan-out, the default), "process" (sandboxed worker
- * subprocesses, src/proc). Throws ConfigError on anything else.
- */
-std::string resolveIsolation(const std::string &opt);
-
 /** Estimator tuning knobs. */
 struct EstimatorOptions
 {
@@ -98,9 +89,11 @@ struct EstimatorOptions
     /** Rethrow the first slice failure instead of recording it and
      *  continuing with the rest of the sweep. */
     bool failFast = false;
-    /** Slice-execution isolation: ""/"none"/"thread"/"process"; empty
-     *  defers to SAVE_ISOLATION, then "thread". Results are
-     *  bit-identical across all modes. See resolveIsolation(). */
+    /** Slice-execution isolation: "none" (strictly serial,
+     *  in-process), "thread" (in-process thread-pool fan-out, the
+     *  default) or "process" (sandboxed worker subprocesses,
+     *  src/proc); empty defers to SAVE_ISOLATION, then "thread".
+     *  Results are bit-identical across all modes. */
     std::string isolation;
     /** Worker-pool knobs; only consulted when isolation resolves to
      *  "process". proc.workers == 0 matches the thread count. */
@@ -168,21 +161,18 @@ sweepResultPoisoned(const NetResult &r)
 class TrainingEstimator
 {
   public:
-    TrainingEstimator(MachineConfig mcfg, SaveConfig save_features,
-                      EstimatorOptions opt);
-
     /**
-     * Reentrant-facade constructor: fan out over `shared_pool`, and
-     * produce every slice through `shared_producer` (its store,
-     * isolation, retries and worker pool) or else through a producer
-     * of the estimator's own over `shared_store`. Any may be null
-     * (falling back to the EstimatorOptions behavior); none is owned,
-     * and each must outlive the estimator. A SimSession (src/serve)
-     * shares one producer among its estimators and its GEMM slices.
+     * Fan out over `shared_pool`, and produce every slice through
+     * `shared_producer` (its store, isolation, retries and worker
+     * pool) or else through a producer of the estimator's own over
+     * `shared_store`. Any may be null (falling back to the
+     * EstimatorOptions behavior); none is owned, and each must outlive
+     * the estimator. A SimSession (src/serve) shares one producer
+     * among its estimators and its GEMM slices.
      */
     TrainingEstimator(MachineConfig mcfg, SaveConfig save_features,
-                      EstimatorOptions opt, ThreadPool *shared_pool,
-                      ResultStore *shared_store,
+                      EstimatorOptions opt, ThreadPool *shared_pool = nullptr,
+                      ResultStore *shared_store = nullptr,
                       SliceProducer *shared_producer = nullptr);
 
     ~TrainingEstimator();
@@ -217,42 +207,22 @@ class TrainingEstimator
     }
 
     /** Surface points served from the persistent result store. */
-    uint64_t persistentHits() const
-    {
-        return store_ ? store_->hits() : 0;
-    }
+    uint64_t persistentHits() const { return producer_->store().hits(); }
 
     /** The persistent result store (disabled instance when no cache
      *  directory is configured). For counters/diagnostics. */
-    const ResultStore *resultStore() const { return store_; }
+    const ResultStore *resultStore() const { return &producer_->store(); }
+
+    /** The producer of the estimator's slices, shared or owned: their
+     *  isolation, worker pool and failures. A slice that exhausted its
+     *  retries reads quiet NaN, which propagates through interpolation,
+     *  so callers detect a poisoned result with std::isnan. */
+    const SliceProducer &producer() const { return *producer_; }
 
     /** Pool workers the fan-out uses (1 = serial path). With N >= 2
      *  workers the calling thread simulates as well, so up to N+1
      *  slices run at once. */
     int threads() const;
-
-    /** The producer's slices that exhausted their retries. Their
-     *  times are quiet NaN, which propagates through interpolation so
-     *  callers can detect a poisoned result with std::isnan. */
-    std::vector<SliceFailure> failures() const
-    {
-        return producer_->failures();
-    }
-
-    /** The producer's failure report (SliceProducer::failureReport). */
-    std::string failureReport() const
-    {
-        return producer_->failureReport();
-    }
-
-    /** Resolved isolation mode: "none", "thread", or "process". */
-    const std::string &isolation() const
-    {
-        return producer_->isolation();
-    }
-
-    /** The worker pool; null unless isolation() == "process". */
-    WorkerPool *processPool() { return producer_->pool(); }
 
     /** Engine::runGemm on the slice `key` names (sliceRequest). Kept
      *  for perfbench. */
@@ -359,14 +329,13 @@ class TrainingEstimator
     std::map<Key, std::shared_future<double>> cache_;
     std::atomic<uint64_t> sims_{0};
 
-    /** The producer of every slice and its store: the owned ones
-     *  unless shared ones were injected (the store is a disabled
-     *  instance when no directory resolves). owned_store_ outlives
-     *  owned_producer_, which holds it. */
+    /** The producer of every slice, and through it the store: the
+     *  owned ones unless shared ones were injected (the store is a
+     *  disabled instance when no directory resolves). owned_store_
+     *  outlives owned_producer_, which holds it. */
     std::unique_ptr<ResultStore> owned_store_;
     std::unique_ptr<SliceProducer> owned_producer_;
     SliceProducer *producer_ = nullptr;
-    ResultStore *store_ = nullptr;
 };
 
 } // namespace save

@@ -33,6 +33,15 @@ label(const SliceRequest &r)
     return os.str();
 }
 
+/** The record of a slice that failed for good. */
+CasValue
+poisoned()
+{
+    CasValue v;
+    v.timeNs = std::numeric_limits<double>::quiet_NaN();
+    return v;
+}
+
 } // namespace
 
 void
@@ -68,19 +77,28 @@ CasValue
 SliceProducer::produce(const SliceRequest &r, std::atomic<uint64_t> &sims,
                        Fill *fill)
 {
+    // A slice that failed for good here is not run again: a point
+    // retry or a repeated request gets its NaN at once, and a slice
+    // that crashes every worker spends 1 + max_retries crashes of the
+    // pool's budget in all.
+    const CasKey key = casSliceKey(r);
+    {
+        std::lock_guard<std::mutex> lk(failures_mu_);
+        if (failed_.count(key))
+            return poisoned();
+    }
     // A disabled store makes every caller the owner, finds nothing
     // and inserts nothing. A follower waits for the owner's insert; if
     // the owner dies or times out, it runs the slice itself (inserts
     // are idempotent, so a late duplicate is harmless). The owner
     // reads the store first: another process can have stored and
     // released this slice since the caller last looked.
-    const CasKey key = casSliceKey(r);
     ResultStore::Flight flight = store_.beginFlight(key);
     CasValue v;
     if (flight.owner() ? store_.lookup(key, &v)
                        : store_.waitForResult(key, &v, kFlightWaitMs))
         return v;
-    v = runWithRetry(r, fill);
+    v = runWithRetry(r, key, fill);
     if (std::isfinite(v.timeNs)) {
         sims.fetch_add(1, std::memory_order_relaxed);
         store_.insert(key, v);
@@ -128,7 +146,8 @@ SliceProducer::runOnce(const SliceRequest &r, int attempt, Fill *fill)
 }
 
 CasValue
-SliceProducer::runWithRetry(const SliceRequest &r, Fill *fill)
+SliceProducer::runWithRetry(const SliceRequest &r, const CasKey &key,
+                            Fill *fill)
 {
     const uint64_t site = sliceFaultSite(r);
     const int attempts = 1 + max_retries_;
@@ -136,6 +155,11 @@ SliceProducer::runWithRetry(const SliceRequest &r, Fill *fill)
         try {
             FaultInjector::global().maybeFailSlice(site);
             return runOnce(r, a, fill);
+        } catch (const ConfigError &) {
+            // A request the engine refuses (say, a core or VPU count
+            // out of range) fails the same way on every attempt: it
+            // is the caller's error, not a failed slice.
+            throw;
         } catch (const std::exception &e) {
             if (a < attempts) {
                 SAVE_WARN("retrying ", label(r), " after attempt ", a,
@@ -152,11 +176,10 @@ SliceProducer::runWithRetry(const SliceRequest &r, Fill *fill)
                       " attempts: ", f.reason);
             {
                 std::lock_guard<std::mutex> lk(failures_mu_);
-                failures_.push_back(std::move(f));
+                if (failed_.insert(key).second)
+                    failures_.push_back(std::move(f));
             }
-            CasValue poisoned;
-            poisoned.timeNs = std::numeric_limits<double>::quiet_NaN();
-            return poisoned;
+            return poisoned();
         }
     }
 }

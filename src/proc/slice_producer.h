@@ -12,6 +12,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,10 @@ class SliceProducer
      * `fill`'s data when it is non-null — with up to `max_retries`
      * retries, and inserts a finite result, counting it in `sims`. A
      * follower waits for the owner's insert. A slice that fails every
-     * attempt is recorded in failures() and comes back with a NaN
-     * time, unless fail-fast, which rethrows.
+     * attempt is recorded in failures() once and comes back with a NaN
+     * time, now and on every later call, without running again —
+     * unless fail-fast, which rethrows. A ConfigError (a request the
+     * engine refuses) is rethrown at once, never retried or recorded.
      */
     CasValue produce(const SliceRequest &r, std::atomic<uint64_t> &sims,
                      Fill *fill = nullptr);
@@ -87,7 +90,8 @@ class SliceProducer
     std::string failureReport() const;
 
   private:
-    CasValue runWithRetry(const SliceRequest &r, Fill *fill);
+    CasValue runWithRetry(const SliceRequest &r, const CasKey &key,
+                          Fill *fill);
     CasValue runOnce(const SliceRequest &r, int attempt, Fill *fill);
 
     ResultStore &store_;
@@ -98,6 +102,7 @@ class SliceProducer
 
     mutable std::mutex failures_mu_;
     std::vector<SliceFailure> failures_;
+    std::set<CasKey> failed_; ///< the keys of failures_
 };
 
 } // namespace save

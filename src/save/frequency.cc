@@ -1,6 +1,8 @@
 #include "save/frequency.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace save {
 
@@ -19,8 +21,12 @@ chooseVpusByCounters(const GemmConfig &probe, const KernelResult &r2,
 {
     VpuChoice choice;
     double cycles = static_cast<double>(r2.cycles);
-    choice.vpuUtilization =
-        cycles > 0 ? r2.stats.get("vpu_ops") / (2.0 * cycles) : 0.0;
+    // A probe that failed for good (NaN time, 0 cycles, no counters)
+    // measured nothing: NaN, which fails the point that reports it.
+    if (std::isnan(r2.timeNs) || std::isnan(r1.timeNs))
+        choice.vpuUtilization = std::numeric_limits<double>::quiet_NaN();
+    else if (cycles > 0)
+        choice.vpuUtilization = r2.stats.get("vpu_ops") / (2.0 * cycles);
     double total_lanes = static_cast<double>(probe.macs()) /
                          (probe.precision == Precision::Bf16 ? 2.0 : 1.0);
     double issued = r2.stats.get("coalesced_lanes") +

@@ -61,7 +61,8 @@ struct VpuChoice
  * core of the SAVE machine with 2 VPUs (`r2`) and with 1 (`r1`) — a
  * sweep point through its session, so the probes are memoized like
  * any slice — and chooseVpusByCounters picks from the two runs,
- * reading its counters from the 2-VPU one.
+ * reading its counters from the 2-VPU one. A probe that failed (NaN
+ * time) leaves the utilization NaN.
  */
 GemmConfig vpuProbe(const GemmConfig &cfg, int probe_fraction = 4);
 

@@ -49,7 +49,13 @@ SimSession::~SimSession() = default;
 KernelResult
 SimSession::runGemm(const SliceRequest &r)
 {
-    return toKernelResult(producer_->produce(r, gemmSims_));
+    // A stored slice is answered from the store's index, without a
+    // flight lock file, as the estimator looks its points up before
+    // its fan-out; only a miss goes to the producer.
+    CasValue v;
+    if (!store_->lookup(casSliceKey(r), &v))
+        v = producer_->produce(r, gemmSims_);
+    return toKernelResult(v);
 }
 
 TrainingEstimator &
@@ -67,7 +73,6 @@ SimSession::estimator(const SweepKnobs &k)
     eo.tiles = k.tiles;
     eo.cores = k.cores;
     eo.seed = k.seed;
-    eo.isolation = producer_->isolation();
     // A one-thread pool still runs two threads (the caller joins
     // parallelFor), so one thread gets no pool: strictly serial.
     ThreadPool *pool = pool_->size() > 1 ? pool_ : nullptr;

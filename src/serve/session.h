@@ -91,10 +91,11 @@ class SimSession
                                  const SweepKnobs &knobs, size_t index);
 
     /**
-     * Engine::runGemm on `r`, through the session's producer: read
-     * from the store, or run under the session's isolation and retry
-     * policy and stored. A slice that failed permanently comes back
-     * with a NaN time (runPoint reports it).
+     * Engine::runGemm on `r`: read from the store, or on a miss
+     * through the session's producer, which runs it under the
+     * session's isolation and retry policy and stores it. A slice that
+     * failed permanently comes back with a NaN time (runPoint reports
+     * it); a request the engine refuses throws ConfigError.
      */
     KernelResult runGemm(const SliceRequest &r);
 

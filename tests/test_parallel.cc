@@ -421,7 +421,8 @@ TEST(ParallelEstimator, SharedFillsMatchSimulateSliceKernel)
             TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
             for (Precision prec : {Precision::Fp32, Precision::Bf16})
                 est.prefetch(net, prec, false);
-            EXPECT_TRUE(est.failures().empty()) << est.failureReport();
+            EXPECT_TRUE(est.producer().failures().empty())
+                << est.producer().failureReport();
         }
         FaultInjector::global().reset();
 

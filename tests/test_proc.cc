@@ -11,6 +11,8 @@
  * a SIGSEGV death into a nonzero exit, and both triage as a crash.
  */
 
+#include <atomic>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -415,18 +417,18 @@ TEST_F(ProcTest, ProcessIsolationIsBitIdenticalToInProcess)
 
     TrainingEstimator proc_est(MachineConfig{}, SaveConfig{},
                                procOptions());
-    EXPECT_EQ(proc_est.isolation(), "process");
-    ASSERT_NE(proc_est.processPool(), nullptr);
+    EXPECT_EQ(proc_est.producer().isolation(), "process");
+    ASSERT_NE(proc_est.producer().pool(), nullptr);
     NetResult proc = proc_est.training(tinyNet(), Precision::Fp32);
     EXPECT_TRUE(bytesEqual(ref, proc));
-    EXPECT_GT(proc_est.processPool()->slicesRun(), 0u);
-    EXPECT_EQ(proc_est.processPool()->crashes(), 0);
-    EXPECT_TRUE(proc_est.failures().empty());
+    EXPECT_GT(proc_est.producer().pool()->slicesRun(), 0u);
+    EXPECT_EQ(proc_est.producer().pool()->crashes(), 0);
+    EXPECT_TRUE(proc_est.producer().failures().empty());
 
     EstimatorOptions none = fastOptions();
     none.isolation = "none";
     TrainingEstimator serial_est(MachineConfig{}, SaveConfig{}, none);
-    EXPECT_EQ(serial_est.isolation(), "none");
+    EXPECT_EQ(serial_est.producer().isolation(), "none");
     EXPECT_EQ(serial_est.threads(), 1); // none forces strictly serial
     NetResult serial = serial_est.training(tinyNet(), Precision::Fp32);
     EXPECT_TRUE(bytesEqual(ref, serial));
@@ -459,7 +461,7 @@ TEST_F(ProcTest, WorkerCountDoesNotChangeResults)
         EstimatorOptions o = procOptions();
         o.proc.workers = workers;
         TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-        EXPECT_EQ(est.processPool()->workerCount(), workers);
+        EXPECT_EQ(est.producer().pool()->workerCount(), workers);
         EXPECT_TRUE(bytesEqual(
             ref, est.training(tinyNet(), Precision::Fp32)));
     }
@@ -475,8 +477,8 @@ TEST_F(ProcTest, WorkerRecyclingRespawnsAndStaysBitIdentical)
     NetResult r = est.training(tinyNet(), Precision::Fp32);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_GT(est.processPool()->respawns(), 0);
-    EXPECT_EQ(est.processPool()->crashes(), 0);
+    EXPECT_GT(est.producer().pool()->respawns(), 0);
+    EXPECT_EQ(est.producer().pool()->crashes(), 0);
 }
 
 // --------------------------------------- injected process-level faults
@@ -490,9 +492,10 @@ TEST_F(ProcTest, InjectedCrashRecoversBitIdentically)
     NetResult r = faultedProcRun("crash=0.4,times=1,seed=3", o);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
-    EXPECT_GT(est_->processPool()->crashes(), 0); // faults did fire
-    EXPECT_FALSE(est_->processPool()->degraded());
+    EXPECT_TRUE(est_->producer().failures().empty())
+        << est_->producer().failureReport();
+    EXPECT_GT(est_->producer().pool()->crashes(), 0); // faults did fire
+    EXPECT_FALSE(est_->producer().pool()->degraded());
 }
 
 TEST_F(ProcTest, InjectedAbortRecoversBitIdentically)
@@ -504,8 +507,9 @@ TEST_F(ProcTest, InjectedAbortRecoversBitIdentically)
     NetResult r = faultedProcRun("abort=0.4,times=1,seed=4", o);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
-    EXPECT_GT(est_->processPool()->crashes(), 0);
+    EXPECT_TRUE(est_->producer().failures().empty())
+        << est_->producer().failureReport();
+    EXPECT_GT(est_->producer().pool()->crashes(), 0);
 }
 
 TEST_F(ProcTest, InjectedOomRecoversBitIdentically)
@@ -517,7 +521,8 @@ TEST_F(ProcTest, InjectedOomRecoversBitIdentically)
     NetResult r = faultedProcRun("oom=0.4,times=1,seed=5", o);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
+    EXPECT_TRUE(est_->producer().failures().empty())
+        << est_->producer().failureReport();
 }
 
 TEST_F(ProcTest, InjectedHangIsKilledAtTheDeadlineAndRecovers)
@@ -530,8 +535,9 @@ TEST_F(ProcTest, InjectedHangIsKilledAtTheDeadlineAndRecovers)
     NetResult r = faultedProcRun("hang=0.15,times=1,seed=6", o);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
-    EXPECT_GT(est_->processPool()->crashes(), 0); // deadline kills
+    EXPECT_TRUE(est_->producer().failures().empty())
+        << est_->producer().failureReport();
+    EXPECT_GT(est_->producer().pool()->crashes(), 0); // deadline kills
 }
 
 /** The ISSUE's acceptance scenario: all four fault modes at once,
@@ -547,7 +553,8 @@ TEST_F(ProcTest, AllFourFaultModesRecoverBitIdentically)
         "crash=0.2,abort=0.1,hang=0.1,oom=0.1,times=1,seed=7", o);
     setQuietLogging(false);
     EXPECT_TRUE(bytesEqual(ref, r));
-    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
+    EXPECT_TRUE(est_->producer().failures().empty())
+        << est_->producer().failureReport();
 }
 
 TEST_F(ProcTest, CrashStormDegradesToInProcessGracefully)
@@ -564,16 +571,66 @@ TEST_F(ProcTest, CrashStormDegradesToInProcessGracefully)
     // spend its budget, drain, and finish the sweep in-process.
     NetResult r = faultedProcRun("crash=1,times=999,seed=8", o);
     setQuietLogging(false);
-    EXPECT_TRUE(est_->processPool()->degraded());
+    EXPECT_TRUE(est_->producer().pool()->degraded());
     // In-flight slices on other workers may crash concurrently with
     // the one that spends the last budget unit, so >= not ==.
-    EXPECT_GE(est_->processPool()->crashes(), 3);
+    EXPECT_GE(est_->producer().pool()->crashes(), 3);
     // Post-degradation slices run in-process (where the injector's
     // process faults never fire), so the sweep completes and the
     // fallback values match the reference bit-for-bit.
     EXPECT_TRUE(bytesEqual(ref, r));
-    std::string report = est_->failureReport();
+    std::string report = est_->producer().failureReport();
     EXPECT_NE(report.find("DEGRADED"), std::string::npos) << report;
+}
+
+TEST_F(ProcTest, ASliceThatFailedForGoodIsNotRunAgain)
+{
+    // A slice that fails every attempt fails for good after
+    // 1 + maxRetries = 3 attempts, and its producer never runs it
+    // again: the point retried twice more gets its NaN at once, and
+    // one failure is recorded. In-process the plan would let a fourth
+    // attempt succeed. Under process isolation a worker that crashes
+    // on every attempt spends 3 crashes of the budget of 8; running
+    // the slice again would spend the rest, degrade the pool and run
+    // the slice in the parent.
+    const SliceRequest r = oddRequest();
+    ResultStore store(ResultStore::Options{});
+    setQuietLogging(true);
+    for (const std::string iso : {"thread", "process"}) {
+        if (iso == "thread")
+            FaultInjector::global().configure(
+                FaultInjector::parsePlan("slice=1,times=3"));
+        else
+            ::setenv("SAVE_FAULT_INJECT", "crash=1,times=999", 1);
+        ProcOptions p;
+        p.workers = 1;
+        p.workerBin = SAVE_WORKER_BIN_PATH;
+        p.backoffBaseMs = 1;
+        p.backoffMaxMs = 20;
+        SliceProducer producer(store, iso, 2, false, p);
+        std::atomic<uint64_t> sims{0};
+        for (int call = 0; call < 3; ++call)
+            EXPECT_TRUE(std::isnan(producer.produce(r, sims).timeNs))
+                << iso << " call " << call;
+        EXPECT_EQ(sims.load(), 0u) << iso;
+        EXPECT_EQ(producer.failures().size(), 1u) << iso;
+        if (iso == "process") {
+            EXPECT_EQ(producer.pool()->crashes(), 3);
+            EXPECT_FALSE(producer.pool()->degraded());
+        }
+        FaultInjector::global().reset();
+        ::unsetenv("SAVE_FAULT_INJECT");
+    }
+    setQuietLogging(false);
+
+    // A request the engine refuses is the caller's error: it throws
+    // ConfigError at once and is not recorded as a failed slice.
+    SliceRequest bad = r;
+    bad.vpus = 3;
+    SliceProducer producer(store, "thread", 2, false, ProcOptions{});
+    std::atomic<uint64_t> sims{0};
+    EXPECT_THROW(producer.produce(bad, sims), ConfigError);
+    EXPECT_TRUE(producer.failures().empty());
 }
 
 TEST_F(ProcTest, InProcessIsolationRefusesProcessFaultModes)

@@ -1074,7 +1074,7 @@ TEST_F(ResultStoreTest, PoisonedSlicesNeverReachTheStore)
         TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
         NetResult out = est.inference(net, Precision::Fp32);
         EXPECT_TRUE(sweepResultPoisoned(out));
-        EXPECT_FALSE(est.failures().empty());
+        EXPECT_FALSE(est.producer().failures().empty());
         ASSERT_NE(est.resultStore(), nullptr);
         EXPECT_EQ(est.resultStore()->inserts(), 0u);
         EXPECT_EQ(est.resultStore()->records(), 0u);

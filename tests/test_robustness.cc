@@ -244,8 +244,8 @@ TEST_F(RobustnessTest, InjectedSliceFaultsRetryToBitIdenticalResult)
 
     EXPECT_TRUE(bytesEqual(want, got));
     EXPECT_EQ(faulty.simulations(), clean.simulations());
-    EXPECT_TRUE(faulty.failures().empty());
-    EXPECT_EQ(faulty.failureReport(), "");
+    EXPECT_TRUE(faulty.producer().failures().empty());
+    EXPECT_EQ(faulty.producer().failureReport(), "");
 }
 
 TEST_F(RobustnessTest, ExhaustedRetriesYieldNanAndFailureReport)
@@ -267,13 +267,13 @@ TEST_F(RobustnessTest, ExhaustedRetriesYieldNanAndFailureReport)
     EXPECT_TRUE(std::isnan(r.baseline2.total()));
     // failures() returns a snapshot copy; keep it alive while we poke
     // at the front element.
-    std::vector<SliceFailure> fails = est.failures();
+    std::vector<SliceFailure> fails = est.producer().failures();
     ASSERT_FALSE(fails.empty());
     const SliceFailure &f = fails.front();
     EXPECT_EQ(f.attempts, 2);
     EXPECT_NE(f.reason.find("injected slice fault"), std::string::npos)
         << f.reason;
-    EXPECT_NE(est.failureReport().find("failed permanently"),
+    EXPECT_NE(est.producer().failureReport().find("failed permanently"),
               std::string::npos);
     EXPECT_EQ(est.simulations(), 0u);
 }

@@ -1093,6 +1093,44 @@ TEST(ServeSweep, UnknownNameAndBadKnobsAreConfigErrors)
     EXPECT_EQ(getStatus(client).errors, 4u);
 }
 
+TEST(ServeDaemon, GemmOutsideTheMachineIsAConfigError)
+{
+    // A Gemm request the engine refuses (a VPU or core count outside
+    // the machine) fails the same way on every attempt: it comes back
+    // as a Config SERR at once, is neither retried nor recorded as a
+    // failed slice, and the next request is served.
+    const std::string sock = socketPath("badgemm");
+    const std::string dir = tmpDir("badgemm");
+    const std::string log = dir + "/daemon.log";
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"},
+            log);
+    ASSERT_TRUE(d.waitReady());
+    ServeClient client(sock);
+
+    ServeRequest gemm;
+    gemm.kind = ServeKind::Gemm;
+    gemm.gemm.kSteps = 16;
+    gemm.gemm.tiles = 1;
+    ServeRequest three_vpus = gemm;
+    three_vpus.vpus = 3;
+    ServeRequest no_cores = gemm;
+    no_cores.cores = 0;
+    for (const ServeRequest &req : {three_vpus, no_cores}) {
+        const ServeClient::Reply r = client.call(req, nullptr, 60000);
+        EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
+        EXPECT_EQ(r.error.kind, WireErrorKind::Config) << r.error.what;
+    }
+    const ServeClient::Reply ok = client.call(gemm, nullptr, 60000);
+    EXPECT_EQ(ok.kind, ServeClient::Reply::Kind::Ok) << ok.error.what;
+
+    std::string text;
+    readFileBytes(log, text, nullptr);
+    EXPECT_EQ(text.find("retrying slice"), std::string::npos) << text;
+    EXPECT_EQ(text.find("failed permanently"), std::string::npos) << text;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ServeSweep, PoisonedPointIsAnError)
 {
     // Every slice fails for good in the daemon, so every point's

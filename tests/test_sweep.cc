@@ -5,8 +5,9 @@
  * sharded by `bench_<name> --sockets=<daemon> --inproc=1` across one
  * daemon and an in-process lane, prints its committed golden report
  * byte for byte — the same bytes the golden ctests pin for the
- * in-process run. Also: the DVFS ablation's probes are session slices,
- * and a GEMM sweep's slices retry injected faults and refuse
+ * in-process run. Also: the DVFS ablation's probes are session slices
+ * and a point whose probes failed is a failed point, and a GEMM
+ * sweep's slices retry injected faults and refuse
  * process-level fault modes without process isolation, as the
  * estimator's do.
  */
@@ -26,11 +27,14 @@
 #include <unistd.h>
 
 #include "dnn/estimator.h"
+#include "proc/wire_codec.h"
+#include "save/frequency.h"
 #include "serve/client.h"
 #include "serve/session.h"
 #include "sweep/sweep.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
+#include "util/logging.h"
 #include "util/posix_io.h"
 
 using namespace save;
@@ -173,6 +177,64 @@ TEST(SweepSession, DvfsProbesAreMemoizedSlices)
         EXPECT_EQ(session.simulations(), warm ? 0 : 4 * n);
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(SweepSession, DvfsPointWithFailedProbesIsAFailedPoint)
+{
+    // When only a point's two probe slices fail for good, its full
+    // slices still time, but the counter heuristic has nothing to
+    // read: the point is a failed point, on its first attempt and on
+    // a retry, never a row with utilization 0 and the default choice
+    // of 2 VPUs. The plan that selects exactly those two slices is
+    // found by asking the injector about each slice's fault site.
+    const SweepSpec &spec = findSweep("ablation_dvfs");
+    SweepKnobs k;
+    k.gridStep = 9;
+    k.kSteps = 24;
+    k.tiles = 1;
+    const int a = gridBins(k).front();
+    ASSERT_EQ(spec.points(k).front().key, "a" + std::to_string(a));
+    const GemmConfig full =
+        sliceFor(resnetKernel("resnet2_2b", Phase::Forward),
+                 Precision::Fp32, a * 0.1, 0.0, k,
+                 101 + static_cast<uint64_t>(a));
+    const GemmConfig probe = vpuProbe(full);
+    auto selected = [](const GemmConfig &g, int vpus) {
+        try {
+            FaultInjector::global().maybeFailSlice(sliceFaultSite(
+                {MachineConfig{}, SaveConfig{}, g, 1, vpus}));
+            return false;
+        } catch (const TraceError &) {
+            return true;
+        }
+    };
+    FaultPlan plan;
+    plan.sliceProb = 0.5;
+    plan.sliceTimes = 1000;
+    for (plan.seed = 1; plan.seed < 1000; ++plan.seed) {
+        FaultInjector::global().configure(plan);
+        if (selected(probe, 2) && selected(probe, 1) &&
+            !selected(full, 2) && !selected(full, 1))
+            break;
+    }
+    ASSERT_LT(plan.seed, 1000u);
+    FaultInjector::global().configure(plan); // clears the probes' counts
+
+    SimSession::Options o;
+    o.runtime.threads = 1;
+    o.runtime.cacheDir = "none";
+    SimSession session(o);
+    setQuietLogging(true);
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_THROW(session.runPoint(spec, k, 0), SimError) << attempt;
+    setQuietLogging(false);
+    FaultInjector::global().reset();
+    EXPECT_NE(session.failureReport().find("2 slice(s) failed permanently"),
+              std::string::npos)
+        << session.failureReport();
+    // The full slices ran on both attempts (there is no store); the
+    // failed probes are recorded once.
+    EXPECT_EQ(session.simulations(), 4u);
 }
 
 TEST(SweepSession, GemmSlicesRetryInjectedFaults)
