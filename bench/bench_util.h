@@ -1,10 +1,10 @@
 /**
  * @file
  * Shared flag handling of the reproduction harnesses: the --key=value
- * reader, the flag reference (printBenchUsage, which `--help`
- * prints), benchMain's error policy, and sweepMain, the whole
- * program of every sweep bench (fig14-fig19, the three ablations,
- * directconv; sweep/sweep.h).
+ * reader, the sweep knob reader, the flag reference (printBenchUsage,
+ * which `--help` prints), benchMain's error policy, and sweepMain,
+ * the whole program of every `bench_<name>` but bench_simspeed
+ * (sweep/sweep.h).
  *
  * Resuming: every sweep persists its slices in the result store as
  * they complete, so an interrupted run resumes by rerunning the same
@@ -116,6 +116,21 @@ runtimeOptions(const Flags &flags)
     return rt;
 }
 
+/** The knobs of a run of `spec`: its defaults, with --grid, --ksteps,
+ *  --tiles, --cores and --seed applied over them. */
+inline SweepKnobs
+sweepKnobs(const Flags &flags, const SweepSpec &spec)
+{
+    SweepKnobs k = spec.defaults;
+    k.gridStep = flags.getInt("grid", k.gridStep);
+    k.kSteps = flags.getInt("ksteps", k.kSteps);
+    k.tiles = flags.getInt("tiles", k.tiles);
+    k.cores = flags.getInt("cores", k.cores);
+    k.seed = static_cast<uint64_t>(
+        flags.getInt("seed", static_cast<int>(k.seed)));
+    return k;
+}
+
 /** Print the shared flag reference (stderr). */
 inline void
 printBenchUsage(const char *argv0)
@@ -124,12 +139,12 @@ printBenchUsage(const char *argv0)
         stderr,
         "usage: %s [--flag=value ...]\n"
         "  --grid=N         sparsity-grid stride (1 = paper's full "
-        "sampling;\n"
-        "                   default: the sweep's own)\n"
+        "sampling)\n"
         "  --ksteps=N       slice K length\n"
         "  --tiles=N        register tiles per slice\n"
         "  --cores=N        active cores per slice simulation\n"
-        "  --seed=N         estimator workload seed (default 7)\n"
+        "  --seed=N         estimator workload seed\n"
+        "                   (these five default to the sweep's own)\n"
         "  --threads=N      host threads (0 = SAVE_THREADS env or "
         "hardware)\n"
         "  --cache-dir=D    persistent result store ('none' "
@@ -241,12 +256,7 @@ sweepMain(int argc, char **argv, const char *name)
         o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", o.rpcTimeoutMs);
         o.maxRetries = flags.getInt("max-retries", o.maxRetries);
         o.failFast = flags.has("fail-fast");
-        o.knobs.gridStep = flags.getInt("grid", spec.defaultGrid);
-        o.knobs.kSteps = flags.getInt("ksteps", o.knobs.kSteps);
-        o.knobs.tiles = flags.getInt("tiles", o.knobs.tiles);
-        o.knobs.cores = flags.getInt("cores", o.knobs.cores);
-        o.knobs.seed = static_cast<uint64_t>(
-            flags.getInt("seed", static_cast<int>(o.knobs.seed)));
+        o.knobs = sweepKnobs(flags, spec);
         o.proc.workers = flags.getInt("workers", o.proc.workers);
         o.proc.sliceTimeoutMs =
             flags.getInt("worker-timeout-ms", o.proc.sliceTimeoutMs);

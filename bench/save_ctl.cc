@@ -6,7 +6,7 @@
  *   save-ctl status --socket=PATH [--json]   daemon counters
  *   save-ctl drain  --socket=PATH            graceful shutdown
  *   save-ctl gemm   --socket=PATH [workload] one GEMM slice
- *   save-ctl <sweep> --socket=PATH [knobs]   a whole sweep: fig14 ...
+ *   save-ctl <sweep> --socket=PATH [knobs]   a whole sweep: table1 ...
  *                                            directconv (sweep/sweep.h)
  *
  * A sweep command sends one request listing every point of the
@@ -33,12 +33,15 @@ namespace {
 void
 printUsage(const char *argv0)
 {
+    std::string sweeps;
+    size_t n = 0;
+    for (const SweepSpec *s : allSweeps())
+        sweeps += std::string(n++ % 6 ? " " : "\n    ") + s->name;
     std::fprintf(
         stderr,
         "usage: %s <ping|status|drain|gemm|SWEEP> --socket=PATH "
         "[options]\n"
-        "  SWEEP is a sweep name: fig14 fig15 fig16 fig17 fig18 fig19\n"
-        "  ablation_rotation ablation_dvfs ablation_bcache directconv\n"
+        "  SWEEP is a sweep name:%s\n"
         "common options:\n"
         "  --socket=PATH     daemon socket (required)\n"
         "  --json            machine-readable output\n"
@@ -51,11 +54,10 @@ printUsage(const char *argv0)
         "  --mr=N (4)  --nr=N (6)  --ksteps=N (128)  --tiles=N (1)\n"
         "  --bs-pct=N (0)  --nbs-pct=N (0)  --seed=N (1)\n"
         "  --precision=fp32|bf16 (fp32)  --cores=N (1)  --vpus=N (2)\n"
-        "sweep knobs (defaults match bench_<sweep>):\n"
-        "  --grid=N (the sweep's own)  --ksteps=N (192)  --tiles=N (6)\n"
-        "  --cores=N (1)  --seed=N (7)\n"
+        "sweep knobs (defaults: the sweep's own, as bench_<sweep>):\n"
+        "  --grid=N  --ksteps=N  --tiles=N  --cores=N  --seed=N\n"
         "exit codes: 0 ok, 1 error, 2 usage, 3 busy (shed; retry)\n",
-        argv0);
+        argv0, sweeps.c_str());
 }
 
 std::string
@@ -159,12 +161,7 @@ runCommand(int argc, char **argv)
         spec = &findSweep(cmd);
         req.kind = ServeKind::Sweep;
         req.sweep = cmd;
-        req.knobs.gridStep = flags.getInt("grid", spec->defaultGrid);
-        req.knobs.kSteps = flags.getInt("ksteps", req.knobs.kSteps);
-        req.knobs.tiles = flags.getInt("tiles", req.knobs.tiles);
-        req.knobs.cores = flags.getInt("cores", req.knobs.cores);
-        req.knobs.seed = static_cast<uint64_t>(
-            flags.getInt("seed", static_cast<int>(req.knobs.seed)));
+        req.knobs = sweepKnobs(flags, *spec);
         req.knobs.validate();
         keys = sweepKeys(*spec, req.knobs);
         for (size_t i = 0; i < keys.size(); ++i)

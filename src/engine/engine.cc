@@ -7,7 +7,6 @@
 #include "sim/reference.h"
 #include "trace/trace_writer.h"
 #include "util/error.h"
-#include "util/logging.h"
 
 namespace save {
 
@@ -36,8 +35,7 @@ Engine::runGemm(const GemmConfig &cfg, int cores, int vpus) const
 {
     checkShape(cores, vpus);
     MemoryImage image;
-    std::vector<GemmWorkload> work = fillShardedGemm(cfg, image, cores);
-    return run(image, work, vpus, nullptr, std::string());
+    return run(image, fillShardedGemm(cfg, image, cores), vpus);
 }
 
 KernelResult
@@ -48,8 +46,28 @@ Engine::recordGemm(const GemmConfig &cfg, const std::string &trace_path,
     checkShape(cores, vpus);
     MemoryImage image;
     // The trace file holds every core's uops: build them.
-    std::vector<GemmWorkload> work = buildShardedGemm(cfg, image, cores);
-    return run(image, work, vpus, &trace_path, kernel_name);
+    const std::vector<GemmWorkload> work =
+        buildShardedGemm(cfg, image, cores);
+
+    // Everything the replay needs to rebuild this run is written
+    // before the simulation mutates the image; the RES chunk follows
+    // after the run. The hash is over the *effective* configuration
+    // (post core/DRAM adjustment), salted with the active VPU count.
+    const MachineConfig mc = share(cores);
+    TraceWriter writer(trace_path,
+                       casHashConfig(mc, scfg_, static_cast<uint64_t>(vpus)));
+    writer.writeConfig(traceConfigText(mc, scfg_, vpus, kernel_name));
+    writer.writeImage(image);
+    for (int c = 0; c < cores; ++c) {
+        const GemmWorkload &w = work[static_cast<size_t>(c)];
+        writer.writeWarmRanges(c, w.warmRanges());
+        writer.writeUops(c, w.trace);
+        writer.writeElms(c, computeElmSidecar(w.trace, image));
+    }
+    const KernelResult r = run(image, work, vpus);
+    writer.writeResult(r.cycles, r.coreGhz, r.stats);
+    writer.finish();
+    return r;
 }
 
 KernelResult
@@ -57,64 +75,66 @@ Engine::runFilled(MemoryImage image, const std::vector<GemmWorkload> &work,
                   int vpus) const
 {
     checkShape(static_cast<int>(work.size()), vpus);
-    return run(image, work, vpus, nullptr, std::string());
+    return run(image, work, vpus);
+}
+
+KernelResult
+Engine::runKernel(MemoryImage &image, std::vector<std::vector<Uop>> uops,
+                  const WarmRanges &warm, int vpus,
+                  uint64_t max_cycles) const
+{
+    checkShape(static_cast<int>(uops.size()), vpus);
+    std::vector<VectorTrace> traces;
+    traces.reserve(uops.size());
+    std::vector<TraceSource *> srcs;
+    for (std::vector<Uop> &u : uops) {
+        traces.emplace_back(std::move(u));
+        srcs.push_back(&traces.back());
+    }
+    return simulate(image, warm, srcs, vpus, max_cycles);
 }
 
 KernelResult
 Engine::run(MemoryImage &image, const std::vector<GemmWorkload> &work,
-            int vpus, const std::string *trace_path,
-            const std::string &kernel_name) const
+            int vpus) const
 {
-    const int cores = static_cast<int>(work.size());
-
-    MachineConfig mc = mcfg_;
-    // Model `cores` cores' share of the full machine: private
-    // resources stay per-core, shared DRAM bandwidth is pro-rated.
-    mc.dramGBps = mcfg_.dramGBps * cores / mcfg_.cores;
-    mc.cores = cores;
-
-    // Everything the replay needs to rebuild this run is written
-    // before the simulation mutates the image; the RES chunk follows
-    // after the run. The hash is over the *effective* configuration
-    // (post core/DRAM adjustment), salted with the active VPU count.
-    std::unique_ptr<TraceWriter> writer;
-    if (trace_path) {
-        writer = std::make_unique<TraceWriter>(
-            *trace_path,
-            casHashConfig(mc, scfg_, static_cast<uint64_t>(vpus)));
-        writer->writeConfig(
-            traceConfigText(mc, scfg_, vpus, kernel_name));
-        writer->writeImage(image);
-        for (int c = 0; c < cores; ++c) {
-            const GemmWorkload &w = work[static_cast<size_t>(c)];
-            writer->writeWarmRanges(
-                c, {{w.aBase, w.aBytes}, {w.bBase, w.bBytes}});
-            writer->writeUops(c, w.trace);
-            writer->writeElms(c, computeElmSidecar(w.trace, image));
-        }
-    }
-
-    Multicore machine(mc, scfg_, vpus, &image);
+    WarmRanges warm;
     std::vector<GemmStream> streams;
     streams.reserve(work.size());
     std::vector<TraceSource *> srcs;
     for (const GemmWorkload &w : work) {
-        w.warmup(machine.hierarchy());
+        const WarmRanges mine = w.warmRanges();
+        warm.insert(warm.end(), mine.begin(), mine.end());
         streams.emplace_back(w);
         srcs.push_back(&streams.back());
     }
+    return simulate(image, warm, srcs, vpus, ~0ull);
+}
+
+MachineConfig
+Engine::share(int cores) const
+{
+    MachineConfig mc = mcfg_;
+    mc.dramGBps = mcfg_.dramGBps * cores / mcfg_.cores;
+    mc.cores = cores;
+    return mc;
+}
+
+KernelResult
+Engine::simulate(MemoryImage &image, const WarmRanges &warm,
+                 const std::vector<TraceSource *> &srcs, int vpus,
+                 uint64_t max_cycles) const
+{
+    const MachineConfig mc = share(static_cast<int>(srcs.size()));
+    Multicore machine(mc, scfg_, vpus, &image);
+    machine.hierarchy().warmL3(warm);
     machine.bindTraces(srcs);
 
     KernelResult r;
-    r.cycles = machine.run();
+    r.cycles = machine.run(max_cycles);
     r.coreGhz = mc.coreFreqGhz(vpus);
     r.timeNs = static_cast<double>(r.cycles) / r.coreGhz;
     r.stats = machine.aggregateStats();
-
-    if (writer) {
-        writer->writeResult(r.cycles, r.coreGhz, r.stats);
-        writer->finish();
-    }
     return r;
 }
 
@@ -125,13 +145,7 @@ Engine::verifyGemm(const GemmConfig &cfg, int vpus,
     // Simulated machine state.
     MemoryImage sim_image;
     GemmWorkload w = buildGemm(cfg, sim_image);
-
-    MachineConfig mc = mcfg_;
-    mc.cores = 1;
-    Multicore machine(mc, scfg_, vpus, &sim_image);
-    VectorTrace trace(w.trace);
-    machine.bindTraces({&trace});
-    machine.run();
+    runKernel(sim_image, {w.trace}, {}, vpus, ~0ull);
 
     // Reference state: same seed rebuilds identical inputs.
     MemoryImage ref_image;

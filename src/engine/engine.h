@@ -78,6 +78,14 @@ class Engine
                            const std::vector<GemmWorkload> &work,
                            int vpus = 2) const;
 
+    /** Simulate a kernel the caller built over `image`, on that many
+     *  cores' share of the machine: core i runs uops[i] once `warm` is
+     *  in L3. Panics past `max_cycles`. */
+    KernelResult runKernel(MemoryImage &image,
+                           std::vector<std::vector<Uop>> uops,
+                           const WarmRanges &warm, int vpus,
+                           uint64_t max_cycles) const;
+
     /**
      * Run the trace through the OoO pipeline and through the in-order
      * reference; true iff final C-matrix memory is bitwise identical.
@@ -92,13 +100,21 @@ class Engine
     /** Throw ConfigError unless cores and vpus fit the machine. */
     void checkShape(int cores, int vpus) const;
 
-    /** The one run path: simulate `work` on `image`, each core from
-     *  its GemmStream. A non-null `trace_path` records the run, with
-     *  each workload's built trace. Callers check the shape first. */
+    /** The GEMM path: simulate `work` on `image`, each core from its
+     *  GemmStream. Callers check the shape first. */
     KernelResult run(MemoryImage &image,
-                     const std::vector<GemmWorkload> &work, int vpus,
-                     const std::string *trace_path,
-                     const std::string &kernel_name) const;
+                     const std::vector<GemmWorkload> &work,
+                     int vpus) const;
+
+    /** The machine `cores` cores model: their share of this one.
+     *  Private resources stay per core; DRAM bandwidth is pro-rated. */
+    MachineConfig share(int cores) const;
+
+    /** Every run's one sequence: build share(srcs.size()), warm `warm`
+     *  into L3 in order, bind one source per core, run and time. */
+    KernelResult simulate(MemoryImage &image, const WarmRanges &warm,
+                          const std::vector<TraceSource *> &srcs, int vpus,
+                          uint64_t max_cycles) const;
 
     MachineConfig mcfg_;
     SaveConfig scfg_;

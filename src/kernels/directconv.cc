@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "kernels/sparsity.h"
-#include "mem/hierarchy.h"
 #include "util/bitutil.h"
 #include "util/logging.h"
 
@@ -72,13 +71,10 @@ DirectConvWorkload::macs() const
            static_cast<uint64_t>(l.kh) * static_cast<uint64_t>(l.kw);
 }
 
-void
-DirectConvWorkload::warmup(MemHierarchy &mem) const
+WarmRanges
+DirectConvWorkload::warmRanges() const
 {
-    for (uint64_t off = 0; off < inBytes; off += kLineBytes)
-        mem.warmL3(inBase + off);
-    for (uint64_t off = 0; off < wBytes; off += kLineBytes)
-        mem.warmL3(wBase + off);
+    return {{inBase, inBytes}, {wBase, wBytes}};
 }
 
 DirectConvWorkload

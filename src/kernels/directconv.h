@@ -29,8 +29,6 @@
 
 namespace save {
 
-class MemHierarchy;
-
 /** Direct-convolution slice configuration. */
 struct DirectConvConfig
 {
@@ -70,9 +68,9 @@ struct DirectConvWorkload
     /** Address of output pixel (oc lane base ocb, oy, ox). */
     uint64_t outAddr(int ocb, int oy, int ox) const;
 
-    /** Warm activations (the previous layer's output) into L3; the
-     *  weight tensor is also warmed, as with the GEMM slices. */
-    void warmup(MemHierarchy &mem) const;
+    /** The warm-up protocol: activations (the previous layer's
+     *  output), then the weight tensor, as with the GEMM slices. */
+    WarmRanges warmRanges() const;
 };
 
 /** Build the slice: register tensors, fill them, emit the trace. */

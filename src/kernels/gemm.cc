@@ -326,8 +326,8 @@ buildShardedGemm(const GemmConfig &cfg, MemoryImage &mem, int cores)
     return out;
 }
 
-void
-GemmWorkload::warmup(MemHierarchy &mem) const
+WarmRanges
+GemmWorkload::warmRanges() const
 {
     // Activations (A) are warm in L3 per the paper's protocol (the
     // previous operation produced them). The B panel is also placed in
@@ -335,10 +335,13 @@ GemmWorkload::warmup(MemHierarchy &mem) const
     // the panel has been touched by earlier register tiles and its
     // cold DRAM transfer is amortized over the whole M dimension
     // (DESIGN.md substitution 5). C (the layer's output) stays cold.
-    for (uint64_t off = 0; off < aBytes; off += kLineBytes)
-        mem.warmL3(aBase + off);
-    for (uint64_t off = 0; off < bBytes; off += kLineBytes)
-        mem.warmL3(bBase + off);
+    return {{aBase, aBytes}, {bBase, bBytes}};
+}
+
+void
+GemmWorkload::warmup(MemHierarchy &mem) const
+{
+    mem.warmL3(warmRanges());
 }
 
 } // namespace save

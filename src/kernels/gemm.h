@@ -112,8 +112,10 @@ struct GemmWorkload
     /** B/C panels the kernel walks (buildBlockedGemm; else 1). */
     int panels = 1;
 
-    /** Pre-load the A (broadcast) operand into L3, per the paper's
-     *  warm-up protocol (activations warm, weights and outputs cold). */
+    /** The slice's warm-up protocol: A, then the B panel. */
+    WarmRanges warmRanges() const;
+
+    /** Warm warmRanges() into L3. */
     void warmup(MemHierarchy &mem) const;
 };
 

@@ -188,6 +188,14 @@ MemHierarchy::warmL3(uint64_t addr)
 }
 
 void
+MemHierarchy::warmL3(const WarmRanges &ranges)
+{
+    for (const auto &[base, bytes] : ranges)
+        for (uint64_t off = 0; off < bytes; off += kLineBytes)
+            warmL3(base + off);
+}
+
+void
 MemHierarchy::warmAll(int core, uint64_t addr)
 {
     uint64_t line = lineOf(addr);

@@ -25,6 +25,7 @@
 
 #include "mem/cache.h"
 #include "mem/dram.h"
+#include "mem/memory_image.h"
 #include "mem/mesh.h"
 #include "sim/config.h"
 #include "stats/stats.h"
@@ -54,6 +55,8 @@ class MemHierarchy
 
     /** Pre-load the line into L3 only (paper SecVI warm-up protocol). */
     void warmL3(uint64_t addr);
+    /** warmL3 every line of `ranges`, in order. */
+    void warmL3(const WarmRanges &ranges);
     /** Pre-load the line into this core's whole private path + L3. */
     void warmAll(int core, uint64_t addr);
 

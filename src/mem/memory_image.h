@@ -10,6 +10,7 @@
 #define SAVE_MEM_MEMORY_IMAGE_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "isa/vec.h"
@@ -25,6 +26,10 @@ lineOf(uint64_t addr)
 {
     return addr & ~(kLineBytes - 1);
 }
+
+/** [base, bytes) address ranges, warmed into L3 line by line in order
+ *  (a kernel's warm-up protocol; SRRIP state depends on the order). */
+using WarmRanges = std::vector<std::pair<uint64_t, uint64_t>>;
 
 /** Functional memory image. */
 class MemoryImage

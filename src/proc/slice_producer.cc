@@ -176,8 +176,7 @@ SliceProducer::runWithRetry(const SliceRequest &r, const CasKey &key,
                       " attempts: ", f.reason);
             {
                 std::lock_guard<std::mutex> lk(failures_mu_);
-                if (failed_.insert(key).second)
-                    failures_.push_back(std::move(f));
+                failed_.emplace(key, std::move(f));
             }
             return poisoned();
         }
@@ -188,7 +187,20 @@ std::vector<SliceFailure>
 SliceProducer::failures() const
 {
     std::lock_guard<std::mutex> lk(failures_mu_);
-    return failures_;
+    std::vector<SliceFailure> out;
+    for (const auto &[key, f] : failed_)
+        out.push_back(f);
+    return out;
+}
+
+std::optional<SliceFailure>
+SliceProducer::failure(const CasKey &key) const
+{
+    std::lock_guard<std::mutex> lk(failures_mu_);
+    const auto it = failed_.find(key);
+    if (it == failed_.end())
+        return std::nullopt;
+    return it->second;
 }
 
 std::string
@@ -197,9 +209,9 @@ SliceProducer::failureReport() const
     std::ostringstream os;
     {
         std::lock_guard<std::mutex> lk(failures_mu_);
-        if (!failures_.empty()) {
-            os << failures_.size() << " slice(s) failed permanently:\n";
-            for (const SliceFailure &f : failures_)
+        if (!failed_.empty()) {
+            os << failed_.size() << " slice(s) failed permanently:\n";
+            for (const auto &[key, f] : failed_)
                 os << "  " << f.point << ": " << f.reason << " ("
                    << f.attempts << " attempts)\n";
         }

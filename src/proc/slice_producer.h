@@ -10,9 +10,10 @@
 #define SAVE_PROC_SLICE_PRODUCER_H
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,11 @@ class SliceProducer
     /** The worker pool; null unless isolation() == "process". */
     WorkerPool *pool() const { return pool_.get(); }
 
+    /** Every slice that failed for good here, in key order. */
     std::vector<SliceFailure> failures() const;
+
+    /** The record of the slice `key` if it failed for good here. */
+    std::optional<SliceFailure> failure(const CasKey &key) const;
 
     /** Multi-line report of all failures; empty string when clean.
      *  Includes the worker-pool status once any worker crashed. */
@@ -101,8 +106,7 @@ class SliceProducer
     std::unique_ptr<WorkerPool> pool_;
 
     mutable std::mutex failures_mu_;
-    std::vector<SliceFailure> failures_;
-    std::set<CasKey> failed_; ///< the keys of failures_
+    std::map<CasKey, SliceFailure> failed_;
 };
 
 } // namespace save

@@ -479,12 +479,14 @@ ServeServer::executeJob(SimSession &session, Job &job)
                            "ms exceeded while queued");
 
         if (job.req.kind == ServeKind::Gemm) {
-            const KernelResult kr =
-                session.runGemm({session.machine(), session.save(),
-                                 job.req.gemm, job.req.cores, job.req.vpus});
+            const SliceRequest r{session.machine(), session.save(),
+                                 job.req.gemm, job.req.cores, job.req.vpus};
+            const KernelResult kr = session.runGemm(r);
+            // The reply names this request's slice alone; the
+            // session's other failures belong to other requests.
             if (std::isnan(kr.timeNs))
-                throw SimError("gemm slice failed permanently:\n" +
-                               session.failureReport());
+                throw SimError("gemm slice failed permanently: " +
+                               session.sliceFailure(r));
             std::vector<uint8_t> res;
             casEncodeValue(res, toCasValue(kr));
             if (!frameWriteFd(fd, kServeResult,

@@ -103,17 +103,13 @@ SimSession::runPoint(const SweepSpec &spec, const SweepKnobs &knobs,
                        "' returned " + std::to_string(values.size()) +
                        " value(s), expected " +
                        std::to_string(spec.width));
-    if (std::none_of(values.begin(), values.end(),
-                     [](double v) { return std::isnan(v); }))
-        return values;
-
-    std::string why = std::string(spec.name) + " point '" + p.key +
-                      "' holds a failed slice";
-    const std::vector<SliceFailure> f = producer_->failures();
-    if (!f.empty())
-        why += " (first: " + f.front().point + ": " + f.front().reason +
-               ")";
-    throw SimError(why);
+    // Other points' slices fail on this session too, so the error
+    // names no slice: it could not tell which of them is this point's.
+    if (std::any_of(values.begin(), values.end(),
+                    [](double v) { return std::isnan(v); }))
+        throw SimError(std::string(spec.name) + " point '" + p.key +
+                       "' holds a failed slice");
+    return values;
 }
 
 uint64_t
@@ -130,6 +126,17 @@ std::string
 SimSession::failureReport() const
 {
     return producer_->failureReport();
+}
+
+std::string
+SimSession::sliceFailure(const SliceRequest &r) const
+{
+    const std::optional<SliceFailure> f =
+        producer_->failure(casSliceKey(r));
+    if (!f)
+        return "";
+    return f->point + ": " + f->reason + " (" +
+           std::to_string(f->attempts) + " attempts)";
 }
 
 } // namespace save

@@ -84,8 +84,9 @@ class SimSession
      * sweep backend. Throws ConfigError on a bad knob or an index
      * outside spec.points(knobs). Throws SimError when the result is
      * not spec.width values, or holds a NaN — the marker of a slice
-     * that failed permanently — naming the point and the first failed
-     * slice, so a failed point is never taken for a result.
+     * that failed permanently — naming the point, so a failed point is
+     * never taken for a result. The failed slices themselves are in
+     * failureReport() and the log.
      */
     std::vector<double> runPoint(const SweepSpec &spec,
                                  const SweepKnobs &knobs, size_t index);
@@ -111,6 +112,10 @@ class SimSession
     /** The producer's failure and worker-pool report; empty when
      *  clean. */
     std::string failureReport() const;
+
+    /** "<slice>: <last error> (<n> attempts)" of `r`'s slice if it
+     *  failed for good in this session; empty otherwise. */
+    std::string sliceFailure(const SliceRequest &r) const;
 
     /** The session's store (shared or owned; never null). */
     const ResultStore *resultStore() const { return store_; }

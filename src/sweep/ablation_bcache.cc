@@ -95,7 +95,7 @@ render(const SweepKnobs &, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kAblationBcacheSweep = {"ablation_bcache", 1, 2,
-                                               points, render};
+extern const SweepSpec kAblationBcacheSweep = {
+    "ablation_bcache", {1}, 2, points, render};
 
 } // namespace save

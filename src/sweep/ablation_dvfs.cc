@@ -89,7 +89,7 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kAblationDvfsSweep = {"ablation_dvfs", 2, 6, points,
-                                             render};
+extern const SweepSpec kAblationDvfsSweep = {
+    "ablation_dvfs", {2}, 6, points, render};
 
 } // namespace save

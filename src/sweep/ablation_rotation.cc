@@ -74,7 +74,7 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kAblationRotationSweep = {"ablation_rotation", 3, 1,
-                                                 points, render};
+extern const SweepSpec kAblationRotationSweep = {
+    "ablation_rotation", {3}, 1, points, render};
 
 } // namespace save

@@ -7,14 +7,13 @@
  * across activation sparsity.
  *
  * Each kernel form's points start with its dense baseline, followed
- * by one SAVE time per BS bin. Direct-convolution points are whole
- * machine simulations outside the result store.
+ * by one SAVE time per BS bin. Direct-convolution points run on one
+ * core's share of the machine, outside the result store.
  */
 
 #include "dnn/networks.h"
 #include "kernels/directconv.h"
 #include "serve/session.h"
-#include "sim/multicore.h"
 #include "sweep/sweep.h"
 
 namespace save {
@@ -41,16 +40,11 @@ directTime(std::string key, const SaveConfig &scfg, int a)
                 c.seed = 500 + static_cast<uint64_t>(a);
                 MemoryImage image;
                 DirectConvWorkload w = buildDirectConv(c, image);
-                MachineConfig m = s.machine();
-                m.cores = 1;
-                m.dramGBps /= 28.0;
-                Multicore mc(m, scfg, 2, &image);
-                w.warmup(mc.hierarchy());
-                VectorTrace t(w.trace);
-                mc.bindTraces({&t});
                 return std::vector<double>{
-                    static_cast<double>(mc.run(100'000'000)) /
-                    m.coreFreqGhz(2)};
+                    Engine(s.machine(), scfg)
+                        .runKernel(image, {std::move(w.trace)},
+                                   w.warmRanges(), 2, 100'000'000)
+                        .timeNs};
             }};
 }
 
@@ -103,7 +97,7 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kDirectconvSweep = {"directconv", 2, 1, points,
-                                           render};
+extern const SweepSpec kDirectconvSweep = {
+    "directconv", {2}, 1, points, render};
 
 } // namespace save

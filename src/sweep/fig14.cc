@@ -70,6 +70,6 @@ render(const SweepKnobs &, const SweepResults &results)
 
 } // namespace
 
-extern const SweepSpec kFig14Sweep = {"fig14", 3, 20, points, render};
+extern const SweepSpec kFig14Sweep = {"fig14", {3}, 20, points, render};
 
 } // namespace save

@@ -63,6 +63,6 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kFig15Sweep = {"fig15", 1, 1, points, render};
+extern const SweepSpec kFig15Sweep = {"fig15", {1}, 1, points, render};
 
 } // namespace save

@@ -122,6 +122,6 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kFig16Sweep = {"fig16", 1, 1, points, render};
+extern const SweepSpec kFig16Sweep = {"fig16", {1}, 1, points, render};
 
 } // namespace save

@@ -88,6 +88,6 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kFig17Sweep = {"fig17", 1, 1, points, render};
+extern const SweepSpec kFig17Sweep = {"fig17", {1}, 1, points, render};
 
 } // namespace save

@@ -93,6 +93,6 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kFig18Sweep = {"fig18", 1, 1, points, render};
+extern const SweepSpec kFig18Sweep = {"fig18", {1}, 1, points, render};
 
 } // namespace save

@@ -67,6 +67,6 @@ render(const SweepKnobs &k, const SweepResults &r)
 
 } // namespace
 
-extern const SweepSpec kFig19Sweep = {"fig19", 1, 1, points, render};
+extern const SweepSpec kFig19Sweep = {"fig19", {1}, 1, points, render};
 
 } // namespace save

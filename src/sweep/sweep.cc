@@ -9,6 +9,11 @@
 
 namespace save {
 
+extern const SweepSpec kTable1Sweep;
+extern const SweepSpec kTable2Sweep;
+extern const SweepSpec kTable3Sweep;
+extern const SweepSpec kFig12Sweep;
+extern const SweepSpec kFig13Sweep;
 extern const SweepSpec kFig14Sweep;
 extern const SweepSpec kFig15Sweep;
 extern const SweepSpec kFig16Sweep;
@@ -18,6 +23,8 @@ extern const SweepSpec kFig19Sweep;
 extern const SweepSpec kAblationRotationSweep;
 extern const SweepSpec kAblationDvfsSweep;
 extern const SweepSpec kAblationBcacheSweep;
+extern const SweepSpec kSparsetrainSweep;
+extern const SweepSpec kValidationSweep;
 extern const SweepSpec kDirectconvSweep;
 
 void
@@ -41,6 +48,11 @@ const std::vector<const SweepSpec *> &
 allSweeps()
 {
     static const std::vector<const SweepSpec *> specs = {
+        &kTable1Sweep,
+        &kTable2Sweep,
+        &kTable3Sweep,
+        &kFig12Sweep,
+        &kFig13Sweep,
         &kFig14Sweep,
         &kFig15Sweep,
         &kFig16Sweep,
@@ -50,6 +62,8 @@ allSweeps()
         &kAblationRotationSweep,
         &kAblationDvfsSweep,
         &kAblationBcacheSweep,
+        &kSparsetrainSweep,
+        &kValidationSweep,
         &kDirectconvSweep,
     };
     return specs;

@@ -1,16 +1,18 @@
 /**
  * @file
- * SweepSpec: one paper figure's sparsity sweep as data (DESIGN.md §16).
+ * SweepSpec: one paper table or figure as data (DESIGN.md §16).
  *
- * Each of the ten sweeps is a spec: points(knobs) lists its points in
- * canonical order — a point's index is its wire index — each with a
- * stable key and a function computing it alone; render(knobs,
- * results) prints the whole report from the results in point order.
- * Points are independent and seeded, so who runs a point, and when,
- * never changes its value, and render is the only printer: a sweep
- * run in-process, sharded across daemons, or served to `save-ctl`
- * prints the same bytes. One driver runs every spec: ShardCoordinator
- * (shard/coordinator.h), behind each `bench_<name>` binary.
+ * Each of the seventeen reports is a spec: points(knobs) lists its
+ * points in canonical order — a point's index is its wire index —
+ * each with a stable key and a function computing it alone;
+ * render(knobs, results) prints the whole report from the results in
+ * point order. Points are independent and seeded, so who runs a
+ * point, and when, never changes its value, and render is the only
+ * printer: a sweep run in-process, sharded across daemons, or served
+ * to `save-ctl` prints the same bytes. A report that simulates
+ * nothing (tables I-III, Figs. 12-13) is a spec with no points.
+ * ShardCoordinator (shard/coordinator.h) runs every spec, behind each
+ * `bench_<name>` binary.
  */
 
 #ifndef SAVE_SWEEP_SWEEP_H
@@ -29,7 +31,8 @@ namespace save {
 class SimSession;
 
 /**
- * The five knobs every sweep takes; defaults match `bench_fig14`.
+ * The five knobs every sweep takes; the member defaults are
+ * `bench_fig14`'s, and each spec names its own (SweepSpec::defaults).
  * Threads and isolation belong to whoever runs the points.
  * Trivially copyable: travels as raw bytes in the serve protocol.
  */
@@ -62,11 +65,11 @@ using SweepResults = std::vector<std::vector<double>>;
 
 struct SweepSpec
 {
-    /** `fig14` ... `directconv`: the bench binary is bench_<name>. */
+    /** `table1` ... `directconv`: the bench binary is bench_<name>. */
     const char *name;
-    /** --grid default of this sweep. */
-    int defaultGrid;
-    /** Doubles in one point's result. */
+    /** The knobs of a run that sets none. */
+    SweepKnobs defaults;
+    /** Doubles in one point's result (0 when there are no points). */
     size_t width;
     std::vector<SweepPoint> (*points)(const SweepKnobs &knobs);
     std::string (*render)(const SweepKnobs &knobs,

@@ -23,12 +23,8 @@ replayTrace(const TraceReader &reader, EventTraceSession *etrace,
 
     // Repeat the recorded warm-up line-for-line before binding any
     // uops, exactly as the live kernel runs warmup() before run().
-    for (int c = 0; c < reader.cores(); ++c) {
-        for (const auto &range : reader.warmRanges(c)) {
-            for (uint64_t off = 0; off < range.second; off += kLineBytes)
-                machine.hierarchy().warmL3(range.first + off);
-        }
-    }
+    for (int c = 0; c < reader.cores(); ++c)
+        machine.hierarchy().warmL3(reader.warmRanges(c));
 
     std::vector<std::unique_ptr<TraceFileSource>> sources;
     std::vector<TraceSource *> srcs;

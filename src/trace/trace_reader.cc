@@ -316,14 +316,14 @@ TraceReader::buildImage() const
     return image;
 }
 
-std::vector<std::pair<uint64_t, uint64_t>>
+WarmRanges
 TraceReader::warmRanges(int core) const
 {
     const Span &s = coreSpan(warm_, core, "WARM");
     const uint8_t *p = s.p;
     const uint8_t *end = s.p + s.n;
     uint64_t count = traceGetVarint(p, end);
-    std::vector<std::pair<uint64_t, uint64_t>> out;
+    WarmRanges out;
     out.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
         uint64_t base = frameGetU64(p, end);

@@ -29,8 +29,6 @@
 
 namespace save {
 
-class MemoryImage;
-
 /** Validated, mmap-backed trace file. Throws TraceError on any
  *  malformed input. */
 class TraceReader
@@ -62,8 +60,7 @@ class TraceReader
     MemoryImage buildImage() const;
 
     /** WARM chunk: the core's ordered [base, bytes) warm ranges. */
-    std::vector<std::pair<uint64_t, uint64_t>>
-    warmRanges(int core) const;
+    WarmRanges warmRanges(int core) const;
 
     /** UOPS chunk accessors. */
     uint64_t uopCount(int core) const;

@@ -134,8 +134,7 @@ TraceWriter::writeImage(const MemoryImage &image)
 }
 
 void
-TraceWriter::writeWarmRanges(
-    int core, const std::vector<std::pair<uint64_t, uint64_t>> &ranges)
+TraceWriter::writeWarmRanges(int core, const WarmRanges &ranges)
 {
     std::vector<uint8_t> payload;
     tracePutVarint(payload, ranges.size());

@@ -26,12 +26,11 @@
 #include <vector>
 
 #include "isa/uop.h"
+#include "mem/memory_image.h"
 #include "sim/config.h"
 #include "stats/stats.h"
 
 namespace save {
-
-class MemoryImage;
 
 /** Streaming trace-file writer. Throws TraceError on I/O failure. */
 class TraceWriter
@@ -52,9 +51,7 @@ class TraceWriter
     void writeImage(const MemoryImage &image);
 
     /** WARM chunk: ordered [base, bytes) line-warm ranges of a core. */
-    void writeWarmRanges(
-        int core,
-        const std::vector<std::pair<uint64_t, uint64_t>> &ranges);
+    void writeWarmRanges(int core, const WarmRanges &ranges);
 
     /** UOPS chunk: the core's dynamic uop stream. */
     void writeUops(int core, const std::vector<Uop> &uops);

@@ -1,10 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <atomic>
 #include <exception>
+#include <memory>
 
-#include "util/logging.h"
 #include "util/runtime_options.h"
 
 namespace save {
@@ -12,85 +12,36 @@ namespace save {
 ThreadPool::ThreadPool(int threads)
 {
     int n = threads > 0 ? threads : defaultThreads();
-    queues_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkQueue>());
     workers_.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i)
-        workers_.emplace_back(
-            [this, i] { workerLoop(static_cast<size_t>(i)); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lk(idle_mu_);
-        stop_.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
     }
-    idle_cv_.notify_all();
+    cv_.notify_all();
     for (std::thread &t : workers_)
         t.join();
 }
 
 void
-ThreadPool::submit(std::function<void()> fn)
-{
-    size_t slot = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                  queues_.size();
-    {
-        std::lock_guard<std::mutex> lk(queues_[slot]->mu);
-        queues_[slot]->q.push_back(std::move(fn));
-    }
-    {
-        // Increment under idle_mu_ so a worker checking the predicate
-        // can never miss the wakeup (lost-notify race).
-        std::lock_guard<std::mutex> lk(idle_mu_);
-        pending_.fetch_add(1, std::memory_order_release);
-    }
-    idle_cv_.notify_one();
-}
-
-bool
-ThreadPool::tryRunOne(size_t self)
-{
-    std::function<void()> task;
-    size_t n = queues_.size();
-    for (size_t k = 0; k < n && !task; ++k) {
-        // Own queue first (back = most recently pushed, cache-hot),
-        // then steal the oldest task from the other queues in order.
-        size_t victim = (self + k) % n;
-        std::lock_guard<std::mutex> lk(queues_[victim]->mu);
-        if (queues_[victim]->q.empty())
-            continue;
-        if (victim == self) {
-            task = std::move(queues_[victim]->q.back());
-            queues_[victim]->q.pop_back();
-        } else {
-            task = std::move(queues_[victim]->q.front());
-            queues_[victim]->q.pop_front();
-        }
-    }
-    if (!task)
-        return false;
-    pending_.fetch_sub(1, std::memory_order_acquire);
-    task();
-    return true;
-}
-
-void
-ThreadPool::workerLoop(size_t id)
+ThreadPool::workerLoop()
 {
     for (;;) {
-        if (tryRunOne(id))
-            continue;
-        std::unique_lock<std::mutex> lk(idle_mu_);
-        idle_cv_.wait(lk, [this] {
-            return stop_.load(std::memory_order_relaxed) ||
-                   pending_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_.load(std::memory_order_relaxed) &&
-            pending_.load(std::memory_order_acquire) <= 0)
-            return;
+        std::function<void()> task;
+        {
+            std::unique_lock<std::mutex> lk(mu_);
+            cv_.wait(lk, [this] { return stop_ || !tasks_.empty(); });
+            if (tasks_.empty())
+                return; // stopping, and every queued task has run
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
+        }
+        task();
     }
 }
 
@@ -136,8 +87,13 @@ ThreadPool::parallelFor(int64_t n,
     // counter, so helpers that start late (or never) cost nothing.
     int64_t helpers =
         std::min<int64_t>(static_cast<int64_t>(size()), n - 1);
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (int64_t h = 0; h < helpers; ++h)
+            tasks_.push_back(drain);
+    }
     for (int64_t h = 0; h < helpers; ++h)
-        submit(drain);
+        cv_.notify_one();
 
     drain(); // the caller participates — nested calls cannot deadlock
 

@@ -1,18 +1,16 @@
 /**
  * @file
- * Work-stealing host thread pool for embarrassingly-parallel
- * simulation fan-out (the estimator's slice sweeps and the bench
- * harnesses' sparsity grids).
+ * Host thread pool for the embarrassingly-parallel slice fan-out (the
+ * estimator's surface prefetch) and for the sessions that share it.
  *
- * Design: one mutex-guarded deque per worker. A worker pops from the
- * back of its own deque and steals from the front of a victim's, so
- * related tasks stay hot on one worker while idle workers drain the
- * oldest work. `parallelFor` is the main entry point: the calling
- * thread participates in the index loop, which makes nested use from
- * inside a worker deadlock-free and keeps a size-1 pool exactly
- * serial.
+ * Design: `parallelFor` is the only entry point. It queues one helper
+ * task per worker on one shared queue; each helper, and the calling
+ * thread, claims indices from one shared counter until none is left,
+ * so a helper that starts late (or never) costs nothing. Because the
+ * caller drains indices itself, nested use from inside a worker
+ * cannot deadlock.
  *
- * Determinism: the pool only decides *where* a task runs, never what
+ * Determinism: the pool only decides *where* an index runs, never what
  * it computes. Callers that need bit-identical output across thread
  * counts must make each index's work independent and write results
  * into per-index slots (as the estimator does).
@@ -21,19 +19,17 @@
 #ifndef SAVE_UTIL_THREAD_POOL_H
 #define SAVE_UTIL_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace save {
 
-/** A fixed-size work-stealing thread pool. */
+/** A fixed-size thread pool. */
 class ThreadPool
 {
   public:
@@ -47,10 +43,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     int size() const { return static_cast<int>(workers_.size()); }
-
-    /** Enqueue one fire-and-forget task (round-robin across worker
-     *  deques; an idle worker may steal it). */
-    void submit(std::function<void()> fn);
 
     /**
      * Run body(0..n-1) across the pool and the calling thread; returns
@@ -69,23 +61,13 @@ class ThreadPool
     static int defaultThreads();
 
   private:
-    struct WorkQueue
-    {
-        std::mutex mu;
-        std::deque<std::function<void()>> q;
-    };
+    void workerLoop();
 
-    void workerLoop(size_t id);
-    /** Pop from own back, else steal from another queue's front. */
-    bool tryRunOne(size_t self);
-
-    std::vector<std::unique_ptr<WorkQueue>> queues_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::deque<std::function<void()>> tasks_; ///< guarded by mu_
+    bool stop_ = false;                       ///< guarded by mu_
     std::vector<std::thread> workers_;
-    std::mutex idle_mu_;
-    std::condition_variable idle_cv_;
-    std::atomic<bool> stop_{false};
-    std::atomic<uint64_t> next_queue_{0};
-    std::atomic<int64_t> pending_{0};
 };
 
 } // namespace save

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "cache/cas_key.h"
+#include "engine/engine.h"
 #include "kernels/gemm.h"
 #include "sim/multicore.h"
 #include "sim/reference.h"
@@ -94,6 +95,39 @@ TEST(BlockedGemm, BitwiseCorrectThroughThePipeline)
     for (uint64_t off = 0; off < w.cBytes; off += 4)
         ASSERT_EQ(image.readU32(w.cBase + off),
                   ref_image.readU32(ref_w.cBase + off));
+}
+
+TEST(BlockedGemm, EngineRunKernelIsTheOneCoreShareBuiltByHand)
+{
+    // The validation sweep's whole-layer run: Engine::runKernel on one
+    // core of the default machine, with only A warmed (B streams
+    // cold), is the machine built by hand for it before: one core, a
+    // 28th of the DRAM bandwidth, A warmed line by line, one
+    // VectorTrace. Same cycles, same time, same stat map.
+    MemoryImage hand_image;
+    const GemmWorkload hand = buildBlockedGemm(cfg(), 3, hand_image);
+    MachineConfig m;
+    m.cores = 1;
+    m.dramGBps /= 28.0;
+    Multicore mc(m, SaveConfig{}, 2, &hand_image);
+    for (uint64_t off = 0; off < hand.aBytes; off += kLineBytes)
+        mc.hierarchy().warmL3(hand.aBase + off);
+    VectorTrace t(hand.trace);
+    mc.bindTraces({&t});
+    const uint64_t cycles = mc.run(1'000'000'000);
+
+    MemoryImage image;
+    const GemmWorkload w = buildBlockedGemm(cfg(), 3, image);
+    const KernelResult r =
+        Engine(MachineConfig{}, SaveConfig{})
+            .runKernel(image, {w.trace}, {{w.aBase, w.aBytes}}, 2,
+                       1'000'000'000);
+    EXPECT_EQ(r.cycles, cycles);
+    EXPECT_EQ(r.timeNs, static_cast<double>(cycles) / m.coreFreqGhz(2));
+    EXPECT_EQ(r.stats.all(), mc.aggregateStats().all());
+    for (uint64_t off = 0; off < w.cBytes; off += 4)
+        ASSERT_EQ(image.readU32(w.cBase + off),
+                  hand_image.readU32(hand.cBase + off));
 }
 
 /** One trace's length and hash, and its image's hash, as a line. */

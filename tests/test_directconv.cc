@@ -12,6 +12,7 @@
 #include <cmath>
 #include <memory>
 
+#include "engine/engine.h"
 #include "kernels/directconv.h"
 #include "sim/multicore.h"
 
@@ -40,7 +41,7 @@ simulate(const SaveConfig &scfg, const DirectConvWorkload &w,
     MachineConfig m;
     m.cores = 1;
     Multicore mc(m, scfg, vpus, &image);
-    w.warmup(mc.hierarchy());
+    mc.hierarchy().warmL3(w.warmRanges());
     VectorTrace t(w.trace);
     mc.bindTraces({&t});
     return mc.run(50'000'000);
@@ -98,7 +99,7 @@ TEST(DirectConv, PaddingHaloYieldsZeroBroadcastSkips)
     MachineConfig m;
     m.cores = 1;
     Multicore mc(m, SaveConfig{}, 2, &image);
-    w.warmup(mc.hierarchy());
+    mc.hierarchy().warmL3(w.warmRanges());
     VectorTrace t(w.trace);
     mc.bindTraces({&t});
     mc.run(50'000'000);
@@ -116,6 +117,35 @@ TEST(DirectConv, SaveSpeedsUpSparseActivations)
     uint64_t base = simulate(SaveConfig::baseline(), w1, i1);
     uint64_t sv = simulate(SaveConfig{}, w2, i2);
     EXPECT_LT(sv, base * 4 / 5);
+}
+
+TEST(DirectConv, EngineRunKernelIsTheOneCoreShareBuiltByHand)
+{
+    // Engine::runKernel on one core of the default machine is the
+    // machine the direct-conv sweep points once built by hand: one
+    // core, a 28th of the DRAM bandwidth, the kernel's warm-up, one
+    // VectorTrace. Same cycles, same time, same stat map.
+    const DirectConvConfig c = smallConv(0.5, 0.3);
+    MemoryImage hand_image;
+    const DirectConvWorkload hand = buildDirectConv(c, hand_image);
+    MachineConfig m;
+    m.cores = 1;
+    m.dramGBps /= 28.0;
+    Multicore mc(m, SaveConfig{}, 2, &hand_image);
+    mc.hierarchy().warmL3(hand.warmRanges());
+    VectorTrace t(hand.trace);
+    mc.bindTraces({&t});
+    const uint64_t cycles = mc.run(100'000'000);
+
+    MemoryImage image;
+    const DirectConvWorkload w = buildDirectConv(c, image);
+    const KernelResult r = Engine(MachineConfig{}, SaveConfig{})
+                               .runKernel(image, {w.trace}, w.warmRanges(),
+                                          2, 100'000'000);
+    EXPECT_EQ(r.cycles, cycles);
+    EXPECT_EQ(r.timeNs, static_cast<double>(cycles) / m.coreFreqGhz(2));
+    EXPECT_EQ(r.stats.all(), mc.aggregateStats().all());
+    checkOutputs(w, image);
 }
 
 TEST(DirectConv, MacCountMatchesGeometry)

@@ -1135,13 +1135,29 @@ TEST(ServeSweep, PoisonedPointIsAnError)
 {
     // Every slice fails for good in the daemon, so every point's
     // result holds the NaN marker of a failed slice. That is an error,
-    // not a result: save-ctl exits 1 and names the point.
+    // not a result: save-ctl exits 1 and names the point. A Gemm
+    // request's slice takes the same retries and fails the same way:
+    // an error reply, never a NaN record. Each error names its own
+    // request's slices only, however many other requests failed on
+    // the same daemon before or after it.
     std::string sock = socketPath("poison");
     ::setenv("SAVE_FAULT_INJECT", "slice=1,times=999,seed=3", 1);
     DaemonProc d;
     d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
     ::unsetenv("SAVE_FAULT_INJECT");
     ASSERT_TRUE(d.waitReady());
+
+    ServeRequest gemm;
+    gemm.kind = ServeKind::Gemm;
+    gemm.gemm.kSteps = 16;
+    gemm.gemm.tiles = 1;
+    auto gemmError = [&] {
+        const ServeClient::Reply r =
+            ServeClient(sock).call(gemm, nullptr, 60000);
+        EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
+        return r.error.what;
+    };
+    const std::string before = gemmError();
 
     std::string out, err;
     const int rc = runShell(std::string(SAVE_CTL_BIN_PATH) +
@@ -1154,17 +1170,15 @@ TEST(ServeSweep, PoisonedPointIsAnError)
                        "' holds a failed slice"),
               std::string::npos)
         << err;
+    EXPECT_EQ(err.find("kSteps=16"), std::string::npos) << err;
 
-    // A Gemm request's slice takes the same retries and fails the same
-    // way: an error reply, never a NaN record.
-    ServeRequest gemm;
-    gemm.kind = ServeKind::Gemm;
-    gemm.gemm.kSteps = 16;
-    gemm.gemm.tiles = 1;
-    const ServeClient::Reply r = ServeClient(sock).call(gemm, nullptr, 60000);
-    EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
-    EXPECT_NE(r.error.what.find("failed permanently"), std::string::npos)
-        << r.error.what;
+    const std::string after = gemmError();
+    for (const std::string &what : {before, after}) {
+        EXPECT_NE(what.find("failed permanently"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("kSteps=16"), std::string::npos) << what;
+        EXPECT_EQ(what.find("kSteps=8"), std::string::npos) << what;
+    }
 }
 
 TEST(ServeSweep, ProcessIsolationCoversGemmRequestsAndGemmSweeps)

@@ -5,11 +5,11 @@
  * sharded by `bench_<name> --sockets=<daemon> --inproc=1` across one
  * daemon and an in-process lane, prints its committed golden report
  * byte for byte — the same bytes the golden ctests pin for the
- * in-process run. Also: the DVFS ablation's probes are session slices
- * and a point whose probes failed is a failed point, and a GEMM
- * sweep's slices retry injected faults and refuse
- * process-level fault modes without process isolation, as the
- * estimator's do.
+ * in-process run, also for the five reports with no points. Also:
+ * the DVFS ablation's probes are session slices and a point whose
+ * probes failed is a failed point, and a GEMM sweep's slices retry
+ * injected faults and refuse process-level fault modes without
+ * process isolation, as the estimator's do.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "../bench/bench_util.h"
 #include "dnn/estimator.h"
 #include "proc/wire_codec.h"
 #include "save/frequency.h"
@@ -91,17 +93,27 @@ completedRequests(const std::string &socket)
     return ServeClient(socket).call(req, nullptr, 5000).status.completed;
 }
 
+/** The knobs `bench_<spec>` runs with when given no flag. */
+SweepKnobs
+benchDefaults(const SweepSpec &spec)
+{
+    char argv0[] = "bench";
+    char *argv[] = {argv0, nullptr};
+    return sweepKnobs(Flags(1, argv), spec);
+}
+
 } // namespace
 
 TEST(SweepRegistry, NamesAreUniqueAndFound)
 {
     const std::vector<std::string> names = sweepNames();
-    ASSERT_EQ(names.size(), 10u);
+    ASSERT_EQ(names.size(), 17u);
     for (const std::string &n : names) {
         EXPECT_EQ(findSweep(n).name, n);
         const SweepSpec &s = findSweep(n);
-        EXPECT_GE(s.defaultGrid, 1) << n;
-        EXPECT_GE(s.width, 1u) << n;
+        EXPECT_NO_THROW(s.defaults.validate()) << n;
+        // A spec has a point width exactly when it has points.
+        EXPECT_EQ(s.width == 0, sweepKeys(s, s.defaults).empty()) << n;
     }
     EXPECT_THROW(findSweep("fig99"), ConfigError);
     EXPECT_THROW(findSweep(""), ConfigError);
@@ -109,15 +121,42 @@ TEST(SweepRegistry, NamesAreUniqueAndFound)
 
 TEST(SweepRegistry, PointKeysAreUnique)
 {
+    std::set<std::string> pointless;
     for (const SweepSpec *s : allSweeps()) {
-        SweepKnobs k;
-        k.gridStep = s->defaultGrid;
-        std::vector<std::string> keys = sweepKeys(*s, k);
-        ASSERT_FALSE(keys.empty()) << s->name;
+        std::vector<std::string> keys = sweepKeys(*s, benchDefaults(*s));
+        if (keys.empty())
+            pointless.insert(s->name);
         std::sort(keys.begin(), keys.end());
         EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
             << s->name;
     }
+    // Only the tables and the sparsity-input figures simulate nothing.
+    EXPECT_EQ(pointless, (std::set<std::string>{"table1", "table2",
+                                                "table3", "fig12",
+                                                "fig13"}));
+}
+
+TEST(SweepRegistry, DefaultsAreTheBenchDefaults)
+{
+    // A flag overrides its knob and leaves the others at the spec's
+    // defaults: validation's layer is 128 K steps x 24 tiles unless a
+    // flag says otherwise, every other spec's slice 192 x 6.
+    for (const SweepSpec *s : allSweeps()) {
+        const SweepKnobs k = benchDefaults(*s);
+        const bool validation = std::string(s->name) == "validation";
+        EXPECT_EQ(k.kSteps, validation ? 128 : 192) << s->name;
+        EXPECT_EQ(k.tiles, validation ? 24 : 6) << s->name;
+        EXPECT_EQ(k.cores, 1) << s->name;
+        EXPECT_EQ(k.seed, 7u) << s->name;
+    }
+    char argv0[] = "bench", tiles[] = "--tiles=1";
+    char *argv[] = {argv0, tiles, nullptr};
+    const SweepKnobs k =
+        sweepKnobs(Flags(2, argv), findSweep("validation"));
+    EXPECT_EQ(k.tiles, 1);
+    EXPECT_EQ(k.kSteps, 128);
+    EXPECT_EQ(benchDefaults(findSweep("sparsetrain")).gridStep, 1);
+    EXPECT_EQ(benchDefaults(findSweep("fig14")).gridStep, 3);
 }
 
 TEST(SweepKnobs, OneRangeCheckForSweepsAndTheEstimator)
@@ -367,8 +406,11 @@ TEST_P(RemoteSweep, ServedAndShardedMatchTheGolden)
               0)
         << err;
     EXPECT_EQ(out, expected) << "bench_" << name << " --sockets";
-    // The daemon computed some of the sharded run's points.
-    EXPECT_GT(completedRequests(socket_), before) << err;
+    // The daemon computed some of the sharded run's points, if any.
+    const SweepSpec &spec = findSweep(name);
+    if (!sweepKeys(spec, spec.defaults).empty()) {
+        EXPECT_GT(completedRequests(socket_), before) << err;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSweeps, RemoteSweep,
